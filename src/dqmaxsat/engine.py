@@ -6,6 +6,10 @@ unassigned variable and try false first, so runs are reproducible.
 Assumptions are placed as the first decisions; learned clauses are
 resolvents of the clause database alone, which keeps them sound across
 solve() calls with different assumptions and across added clauses.
+
+After satisfiable() returns True, `witness` holds the model it found as a
+value array (index = variable, 1 true, -1 false). After it returns False,
+`core` holds a subset of the assumptions that the database alone refutes.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ class Engine:
         # watch lists keyed by the watched literal
         self._watches: dict[int, list[list[int]]] = {}
         self._clauses: list[list[int]] = []
+        self.witness: list[int] = []
+        self.core: list[int] = []
         for c in clauses:
             self.add_clause(c)
 
@@ -188,13 +194,38 @@ class Engine:
 
     # -- search ----------------------------------------------------------------
 
-    def _search(self, assumptions: list[int]) -> bool:
+    def _final(self, lit: int) -> list[int]:
+        """Assumptions that force the pending assumption `lit` false.
+
+        MiniSat's analyzeFinal: walk the trail back from the falsified
+        assumption through reasons, collecting the reasonless literals above
+        level 0. Those are decisions, and every decision on the trail here is
+        an assumption, because pending assumptions are decided before any
+        free variable.
+        """
+        core = [lit]
+        if self._level[abs(lit)] == 0:
+            return core
+        seen = {abs(lit)}
+        for t in reversed(self._trail[self._lim[0]:]):
+            v = abs(t)
+            if v not in seen:
+                continue
+            r = self._reason[v]
+            if r is None:
+                core.append(t)
+            else:
+                seen.update(abs(q) for q in r[1:] if self._level[abs(q)] > 0)
+        return core
+
+    def _search(self, assumptions: list[int]) -> Optional[list[int]]:
+        """None when a model extends the assumptions, else an assumption core."""
         self._backtrack(0)
         if not self.ok:
-            return False
+            return []
         if self._propagate() is not None:
             self.ok = False
-            return False
+            return []
         cursor = 1
         while True:
             conflict = self._propagate()
@@ -202,7 +233,7 @@ class Engine:
                 level = self._decision_level()
                 if level == 0:
                     self.ok = False
-                    return False
+                    return []
                 learned, back = self._analyze(conflict)
                 if back >= level:
                     back = level - 1
@@ -211,7 +242,7 @@ class Engine:
                 if len(learned) == 1:
                     if not self._enqueue(learned[0], None):
                         self.ok = False
-                        return False
+                        return []
                 else:
                     self._attach(learned)
                     self._enqueue(learned[0], learned)
@@ -221,7 +252,7 @@ class Engine:
             for a in assumptions:
                 val = self._lit_value(a)
                 if val == -1:
-                    return False  # clashes with consequences of earlier choices
+                    return self._final(a)  # clashes with consequences of earlier choices
                 if val == 0:
                     lit = a
                     break
@@ -229,7 +260,7 @@ class Engine:
                 while cursor <= self.num_vars and self._value[cursor] != 0:
                     cursor += 1
                 if cursor > self.num_vars:
-                    return True
+                    return None
                 lit = -cursor  # false first
             self._lim.append(len(self._trail))
             self._enqueue(lit, None)
@@ -243,13 +274,18 @@ class Engine:
         return sorted(lits, key=abs)
 
     def satisfiable(self, assumptions: "Iterable[int] | Mapping[int, bool]" = ()) -> bool:
-        result = self._search(self._as_literals(assumptions))
+        """Whether a model extends the assumptions; sets `witness` or `core`."""
+        core = self._search(self._as_literals(assumptions))
+        if core is None:
+            self.witness = self._value[:]
+        else:
+            self.core = core
         self._backtrack(0)
-        return result
+        return core is None
 
     def solve(self, assumptions: "Iterable[int] | Mapping[int, bool]" = ()) -> Optional[dict[int, bool]]:
         """A total model extending the assumptions, or None."""
-        if not self._search(self._as_literals(assumptions)):
+        if self._search(self._as_literals(assumptions)) is not None:
             self._backtrack(0)
             return None
         model = {v: self._value[v] > 0 for v in range(1, self.num_vars + 1)}

@@ -49,12 +49,8 @@ class OracleResult:
     best_count: int
 
 
-def _clause_falsified(clause: tuple[int, ...], values: Mapping[int, bool]) -> bool:
-    for lit in clause:
-        v = values.get(abs(lit))
-        if v is None or v == (lit > 0):
-            return False
-    return True
+def _clause_falsified(clause: tuple[int, ...], lits: set[int]) -> bool:
+    return all(-lit in lits for lit in clause)
 
 
 def max_count(req: OracleRequest) -> OracleResult:
@@ -66,6 +62,16 @@ def max_count(req: OracleRequest) -> OracleResult:
     the incumbent wins all ties. Each node keeps the list of count-cells
     still individually reachable below it; the list only shrinks along a
     branch, bounding every completion from above.
+
+    Whether a cell stays reachable at a child node is settled in one of
+    three ways. A cell carries the last model the engine found for it; if
+    that model agrees with the child's new literal, it is a model of the
+    child's query too, and the cell is kept. A cell also keeps the
+    assumption cores of its failed probes; if one lies inside the child's
+    literals, the cell is dropped. Otherwise the engine is asked. Each way
+    gives the answer an engine call would, so the search accepts the same
+    strict improvements in the same order as one that asks every time, and
+    the result is still the lexicographically least optimum.
     """
     ms = sorted(set(req.max_vars))
     if len(ms) != len(req.max_vars):
@@ -85,7 +91,7 @@ def max_count(req: OracleRequest) -> OracleResult:
     if req.filter.has_empty_clause():
         # nothing is admitted; the incumbent is exempt from the filter here
         return OracleResult(incumbent, inc_count)
-    if any(_clause_falsified(c, incumbent) for c in req.filter.clauses):
+    if any(_clause_falsified(c, {u[0] for u in inc_units}) for c in req.filter.clauses):
         raise MalformedRequest("incumbent violates the filter")
 
     # reachable count-cells under objective & filter, choice vars still free
@@ -103,38 +109,61 @@ def max_count(req: OracleRequest) -> OracleResult:
 
     probe = Engine(nv, combined)
     assumed: list[int] = []
+    here: set[int] = set()  # the literals of assumed
+    uses: dict[int, list[tuple[int, ...]]] = {}  # filter clauses by literal
+    for c in req.filter.clauses:
+        for lit in c:
+            uses.setdefault(lit, []).append(c)
 
-    def refine(cells: list[tuple[int, ...]]) -> Optional[list[tuple[int, ...]]]:
+    # a cell entry: the cell, its last witness (None until probed), its cores
+    Entry = tuple[tuple[int, ...], Optional[list[int]], list[frozenset[int]]]
+
+    def refine(cells: list[Entry], lit: int) -> Optional[list[Entry]]:
         # None = this branch provably cannot strictly beat best_count
-        surviving: list[tuple[int, ...]] = []
+        v, value = abs(lit), (1 if lit > 0 else -1)
+        surviving: list[Entry] = []
         remaining = len(cells)
-        for cell in cells:
+        for entry in cells:
             remaining -= 1
-            if probe.satisfiable(assumed + list(cell)):
-                surviving.append(cell)
+            cell, wit, cores = entry
+            if wit is not None and wit[v] == value:
+                surviving.append(entry)
+            elif not any(core <= here for core in cores):
+                if probe.satisfiable(assumed + list(cell)):
+                    surviving.append((cell, probe.witness, cores))
+                else:
+                    cores.append(frozenset(probe.core).difference(cell))
             if len(surviving) + remaining <= best_count:
                 return None
         return surviving
 
-    def walk(depth: int, cells: list[tuple[int, ...]]) -> None:
-        nonlocal best_count, best
-        if len(cells) <= best_count:
-            return
-        if depth == len(ms):
+    # explicit DFS stack, one frame per node on the current branch: the
+    # node's cells and how many of its two branches have been tried
+    stack: list[list] = [[[(cell, None, []) for cell in root_cells], 0]]
+    while stack:
+        frame = stack[-1]
+        cells, tried = frame
+        if len(cells) > best_count and len(assumed) == len(ms):
             best_count = len(cells)
             best = {v: lit > 0 for v, lit in zip(ms, assumed)}
-            return
-        v = ms[depth]
-        for lit in (-v, v):
-            assumed.append(lit)
-            here = {abs(l): l > 0 for l in assumed}
-            if not any(_clause_falsified(c, here) for c in req.filter.clauses):
-                narrowed = refine(cells)
-                if narrowed is not None:
-                    walk(depth + 1, narrowed)
-            assumed.pop()
+        if tried == 2 or len(cells) <= best_count:
+            stack.pop()
+            if assumed:
+                here.discard(assumed.pop())
+            continue
+        frame[1] = tried + 1
+        v = ms[len(assumed)]
+        lit = v if tried else -v
+        assumed.append(lit)
+        here.add(lit)
+        # only clauses containing -lit can have just become falsified
+        if not any(_clause_falsified(c, here) for c in uses.get(-lit, ())):
+            narrowed = refine(cells, lit)
+            if narrowed is not None:
+                stack.append([narrowed, 0])
+                continue
+        here.discard(assumed.pop())
 
-    walk(0, root_cells)
     return OracleResult(best, best_count)
 
 

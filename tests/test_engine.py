@@ -123,6 +123,67 @@ def test_assumption_solves_agree_with_conditioned_table(clause_lists, assumption
         assert eval_cnf(conditioned, got)
 
 
+class TestWitnessAndCore:
+    def test_core_names_only_the_clashing_assumptions(self):
+        # 1 forces 2, which forces -3; assumption 4 plays no part
+        eng = Engine(4, [[-1, 2], [-2, -3]])
+        assert not eng.satisfiable([1, 3, 4])
+        assert sorted(eng.core) == [1, 3]
+
+    def test_assumption_false_at_level_0_is_its_own_core(self):
+        eng = Engine(2, [[-1]])
+        assert not eng.satisfiable([2, 1])
+        assert eng.core == [1]
+
+    def test_contradictory_assumptions_are_the_core(self):
+        eng = Engine(2)
+        assert not eng.satisfiable([1, 2, -1])
+        assert sorted(eng.core) == [-1, 1]
+
+    def test_level_0_unsat_database_gives_an_empty_core(self):
+        eng = Engine(2, [[1], [-1]])
+        assert not eng.satisfiable([2])
+        assert eng.core == []
+
+    def test_unsat_found_by_search_gives_an_empty_core(self):
+        # pigeonhole 3 into 2 needs conflicts before it is refuted at level 0
+        def v(i, j):
+            return 2 * i + j + 1
+
+        clauses = [[v(i, 0), v(i, 1)] for i in range(3)]
+        for j in range(2):
+            for a, b in itertools.combinations(range(3), 2):
+                clauses.append([-v(a, j), -v(b, j)])
+        eng = Engine(6, clauses)
+        assert not eng.satisfiable([1])
+        assert not eng.satisfiable([2])
+        assert eng.core == []
+
+    def test_witness_is_the_false_first_model(self):
+        eng = Engine(3, [[1, 2]])
+        assert eng.satisfiable([3])
+        assert eng.witness[1:] == [-1, 1, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(clauses_strategy(max_vars=6),
+           st.lists(st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=5),
+                    min_size=1, max_size=4))
+    def test_witness_and_core_agree_with_truth_table(self, clause_lists, probes):
+        # successive probes on one engine, so learned clauses carry over
+        f = Cnf.build(6, clause_lists)
+        eng = Engine.for_cnf(f)
+        for assumptions in probes:
+            units = [[a] for a in assumptions]
+            sat = eng.satisfiable(assumptions)
+            assert sat == tt_satisfiable(6, list(f.clauses) + units)
+            if sat:
+                model = {v: eng.witness[v] > 0 for v in range(1, 7)}
+                assert eval_cnf(list(f.clauses) + units, model)
+            else:
+                assert set(eng.core) <= set(assumptions)
+                assert not tt_satisfiable(6, list(f.clauses) + [[a] for a in eng.core])
+
+
 class TestEnumerateProjected:
     def test_counts_distinct_projections(self):
         # z free, projection on 1..2: 3 of 4 cells extend to a model

@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqmaxsat.counting import check_solution
+from dqmaxsat.engine import Engine
 from dqmaxsat.formula import Cnf, Problem, Solution
 from dqmaxsat.oracle import (
     InstanceTooLarge,
@@ -13,6 +15,7 @@ from dqmaxsat.oracle import (
     brute_force_dqmaxsat,
     max_count,
 )
+from dqmaxsat.reduction import solve_global
 
 import instances
 from naive import (
@@ -30,11 +33,16 @@ def reference_max_count(req: OracleRequest):
     all filter models in ascending-id false-first order, strict improvements."""
     ms = sorted(req.max_vars)
     ys = sorted(req.count_vars)
+    nv = max([req.objective.num_vars] + ms + ys, default=0)
+    rest = [v for v in range(1, nv + 1) if v not in req.max_vars]
 
     def count_of(alpha):
-        units = [[v] if alpha[v] else [-v] for v in ms]
-        nv = max([req.objective.num_vars] + ms + ys, default=0)
-        return tt_count_projected(nv, list(req.objective.clauses) + units, ys)
+        cells = set()
+        for others in assignments(rest):
+            a = {**alpha, **others}
+            if eval_cnf(req.objective.clauses, a):
+                cells.add(tuple(a[y] for y in ys))
+        return len(cells)
 
     best = dict(req.incumbent)
     best_count = count_of(best)
@@ -146,19 +154,22 @@ def test_no_choice_variables_counts_the_objective():
 
 
 def _random_request(rng: random.Random):
-    num_vars = rng.randint(2, 6)
-    num_choice = rng.randint(1, min(3, num_vars - 1))
+    # up to 8 choice variables, so cells keep witnesses over several levels
+    # and cores learned in one subtree apply in its cousins
+    num_choice = rng.randint(1, 8)
+    num_vars = num_choice + rng.randint(2, 5)
     ms = rng.sample(range(1, num_vars + 1), num_choice)
     others = [v for v in range(1, num_vars + 1) if v not in ms]
     ys = [v for v in others if rng.random() < 0.6] or others[:1]
     zs = [v for v in others if v not in ys]
     clauses = []
-    for _ in range(rng.randint(1, 9)):
-        vs = rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))
+    for _ in range(rng.randint(1, num_vars + 2)):
+        # one choice and one other variable, so choices gate the cells
+        vs = [rng.choice(ms), rng.choice(others)] + rng.sample(range(1, num_vars + 1), rng.randint(0, 1))
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     filter_clauses = []
-    for _ in range(rng.randint(0, 2)):
-        vs = rng.sample(ms, rng.randint(1, len(ms)))
+    for _ in range(rng.randint(0, 3)):
+        vs = rng.sample(ms, rng.randint(1, min(3, len(ms))))
         filter_clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     fil = Cnf.build(max(ms), filter_clauses)
     incumbent = None
@@ -182,6 +193,72 @@ def test_matches_reference_enumeration(seed):
     want_best, want_count = reference_max_count(req)
     assert res.best_count == want_count
     assert dict(res.best) == want_best
+
+
+def test_witnesses_and_cores_skip_probes(monkeypatch):
+    # choices 1..3, counted 4, 5: y4 needs x1, y5 needs x3 and not x2, so
+    # all four cells are reachable only under x1 & -x2 & x3
+    req = OracleRequest(
+        objective=Cnf.build(5, [[-4, 1], [-5, -2], [-5, 3]]),
+        max_vars=(1, 2, 3),
+        count_vars=frozenset([4, 5]),
+        exist_vars=frozenset(),
+        filter=TOP,
+        incumbent={1: False, 2: False, 3: False},
+    )
+    probes = []
+    satisfiable = Engine.satisfiable
+
+    def counting(self, assumptions=()):
+        result = satisfiable(self, assumptions)
+        chosen = tuple(sorted((a for a in assumptions if abs(a) <= 3), key=abs))
+        probes.append((chosen, tuple(a for a in assumptions if abs(a) > 3), result))
+        return result
+
+    monkeypatch.setattr(Engine, "satisfiable", counting)
+    res = max_count(req)
+    assert (dict(res.best), res.best_count) == reference_max_count(req)
+    assert res.best_count == 4
+    assert probes == [
+        ((-1,), (-4, -5), True),
+        ((-1,), (-4, 5), True),
+        ((-1,), (4, -5), False),  # core {-1}
+        ((-1,), (4, 5), False),  # core {-1}
+        # node (-1, -2): both cells keep their witnesses, which have -2
+        # node (-1, -2, -3): cell (-4, -5) keeps its witness
+        ((-1, -2, -3), (-4, 5), False),  # core {-3}
+        ((-1, -2, 3), (-4, -5), True),  # cell (-4, 5) keeps its witness
+        # leaf: 2 cells beat the incumbent's 1
+        ((1,), (-4, -5), True),
+        ((1,), (-4, 5), True),
+        ((1,), (4, -5), True),
+        ((1,), (4, 5), True),
+        # node (1, -2): all four cells keep their witnesses, which have -2
+        # node (1, -2, -3): cell (-4, 5) is dropped by its core {-3} from
+        # the cousin node (-1, -2, -3); the two others keep their witnesses
+        ((1, -2, -3), (4, 5), False),
+        ((1, -2, 3), (-4, -5), True),
+        ((1, -2, 3), (4, -5), True),
+    ]
+
+
+def test_deep_branch_and_bound_needs_no_recursion():
+    # one chooser sees 5 counted variables: 32 selectors, so the search
+    # goes 32 choices deep before it finds the copy of y1; a recursive
+    # search needs more than the 36 frames allowed here
+    f = Cnf.build(6, [[-1, 2], [1, -2]])
+    p = Problem.of(f, max_vars=[1], count_vars=[2, 3, 4, 5, 6], exist_vars=[],
+                   deps={1: [2, 3, 4, 5, 6]})
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 36)
+    try:
+        s = solve_global(p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s.achieved_count == 32
 
 
 @pytest.mark.parametrize("seed", range(40, 70))
