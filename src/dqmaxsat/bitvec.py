@@ -110,6 +110,11 @@ def _tokenize(src: str, line: int) -> list[tuple[str, object, int]]:
     return toks
 
 
+# deepest '(' and '!' nesting, and deepest expression tree, that a program
+# may use: the parser and the passes over the tree recurse on every level
+MAX_EXPR_DEPTH = 100
+
+
 class _ExprParser:
     """Recursive descent over one statement's token tail.
 
@@ -118,7 +123,8 @@ class _ExprParser:
                              cmp := sum (('=='|'>='|'<=') sum)?
                              sum := unary (('+'|'-') unary)*
                              unary := '!' unary | NAME | NUM | '(' or ')'
-    Comparisons do not chain.
+    Comparisons do not chain. Nesting and tree depth are capped at
+    MAX_EXPR_DEPTH.
     """
 
     def __init__(self, toks, line: int, end_col: int):
@@ -126,6 +132,7 @@ class _ExprParser:
         self.line = line
         self.end_col = end_col
         self.pos = 0
+        self.nesting = 0
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -144,6 +151,13 @@ class _ExprParser:
         t = self._peek()
         if t is not None:
             raise ProgramError(f"unexpected {t[1]!r} after expression", self.line, t[2])
+        # operator chains build deep trees without nesting; walk without recursion
+        stack = [(e, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_EXPR_DEPTH:
+                raise ProgramError("expression nested too deeply", node.line, node.col)
+            stack.extend((child, depth + 1) for child in node.args)
         return e
 
     def _or(self) -> BvExpr:
@@ -186,15 +200,20 @@ class _ExprParser:
 
     def _unary(self) -> BvExpr:
         t = self._take()
-        if t[0] == "!":
-            return BvExpr("not", (self._unary(),), line=self.line, col=t[2])
         if t[0] == "num":
             return BvExpr("const", value=t[1], line=self.line, col=t[2])
         if t[0] == "name":
             return BvExpr("var", name=t[1], line=self.line, col=t[2])
-        if t[0] == "(":
-            e = self._or()
-            self._take(")")
+        if t[0] in ("!", "("):
+            self.nesting += 1
+            if self.nesting > MAX_EXPR_DEPTH:
+                raise ProgramError("expression nested too deeply", self.line, t[2])
+            if t[0] == "!":
+                e = BvExpr("not", (self._unary(),), line=self.line, col=t[2])
+            else:
+                e = self._or()
+                self._take(")")
+            self.nesting -= 1
             return e
         raise ProgramError(f"expected a name, number, '!' or '(', found {t[1]!r}", self.line, t[2])
 

@@ -129,6 +129,7 @@ def max_count(req: OracleRequest) -> OracleResult:
             if wit is not None and wit[v] == value:
                 surviving.append(entry)
             elif not any(core <= here for core in cores):
+                # the shared B&B prefix first: the engine keeps its levels between probes
                 if probe.satisfiable(assumed + list(cell)):
                     surviving.append((cell, probe.witness, cores))
                 else:

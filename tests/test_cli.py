@@ -135,6 +135,18 @@ class TestSolveProgram:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("win", [
+        "(" * 3000 + "z == 1" + ")" * 3000,
+        "!" * 3000 + "(z == 1)",
+        " || ".join(["z == 1"] * 3000),
+    ], ids=["parentheses", "negations", "operator-chain"])
+    def test_deep_expression_exits_2(self, capsys, tmp_path, win):
+        path = tmp_path / "deep.atk"
+        path.write_text(f"width 1\nmode reach\nrandom z\ninput x\nwin {win}\n")
+        code, _, err = run_cli(capsys, "solve-program", str(path))
+        assert code == 2
+        assert "line 5, column" in err and "nested too deeply" in err
+
     def test_dqm_text_rejected_as_program(self, capsys, instance_file):
         code, _, err = run_cli(capsys, "solve-program", instance_file)
         assert code == 2

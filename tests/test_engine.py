@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dqmaxsat.engine import Engine, enumerate_projected, solve
 from dqmaxsat.formula import Cnf
 
-from naive import eval_cnf, tt_count_projected, tt_projections, tt_satisfiable
+from naive import eval_cnf, tt_count_projected, tt_models, tt_projections, tt_satisfiable
 
 
 def clauses_strategy(max_vars=6, max_clauses=12):
@@ -89,6 +89,21 @@ def test_add_clause_after_solve():
     eng.add_clause([-1])
     assert eng.solve() is None
     assert not eng.ok
+
+
+def test_literal_zero_is_rejected():
+    eng = Engine(3)
+    with pytest.raises(ValueError):
+        eng.add_clause([0, 1])
+    with pytest.raises(ValueError):
+        eng.satisfiable([1, 0])
+
+
+def test_out_of_range_assumption_is_rejected():
+    eng = Engine(3, [[1, 2]])
+    with pytest.raises(ValueError):
+        eng.satisfiable([-4])
+    assert eng.satisfiable([-1])
 
 
 def test_learned_clauses_survive_assumption_changes():
@@ -184,6 +199,61 @@ class TestWitnessAndCore:
                 assert not tt_satisfiable(6, list(f.clauses) + [[a] for a in eng.core])
 
 
+class TestTrailReuse:
+    def test_kept_prefix_sees_later_assumptions(self):
+        # the second probe keeps level 1 (assumption -1) and then meets 3,
+        # which that level's consequences already make false
+        eng = Engine(3, [[1, 2], [-2, -3]])
+        assert eng.satisfiable([-1, -3])
+        assert eng.witness[1:] == [-1, 1, -1]
+        assert not eng.satisfiable([-1, 3])
+        assert sorted(eng.core) == [-1, 3]
+        assert eng.satisfiable([-1])
+
+    def test_add_clause_after_probe_goes_back_to_level_0(self):
+        eng = Engine(3, [[1, 2]])
+        assert eng.satisfiable([-1, 3])
+        assert eng.add_clause([-2, -3])
+        assert not eng.satisfiable([-1, 3])
+        assert eng.satisfiable([-1])
+        assert eng.witness[1:] == [-1, 1, -1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(clauses_strategy(max_vars=6, max_clauses=10),
+           st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=4),
+           st.lists(st.one_of(
+               st.tuples(st.just("probe"), st.integers(0, 4),
+                         st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=3)),
+               st.tuples(st.just("solve"), st.integers(0, 4), st.just([])),
+               st.tuples(st.just("add"), st.just(0),
+                         st.lists(st.integers(min_value=-6, max_value=6).filter(bool),
+                                  min_size=1, max_size=3)),
+           ), min_size=1, max_size=8))
+    def test_probes_sharing_prefixes_agree_with_truth_table(self, clause_lists, prefix, ops):
+        # one engine throughout, so each call starts from the trail of the last
+        clauses = [list(c) for c in Cnf.build(6, clause_lists).clauses]
+        eng = Engine(6, clauses)
+        for kind, cut, lits in ops:
+            if kind == "add":
+                eng.add_clause(lits)
+                clauses.append(lits)
+                continue
+            assumptions = prefix[:cut] + lits
+            units = [[a] for a in assumptions]
+            models = tt_models(6, clauses + units)
+            if kind == "solve":
+                assert eng.solve(assumptions) == (models[0] if models else None)
+                continue
+            sat = eng.satisfiable(assumptions)
+            assert sat == bool(models)
+            if sat:
+                # the least model, false before true, lowest variable first
+                assert {v: eng.witness[v] > 0 for v in range(1, 7)} == models[0]
+            else:
+                assert set(eng.core) <= set(assumptions)
+                assert not tt_satisfiable(6, clauses + [[a] for a in eng.core])
+
+
 class TestEnumerateProjected:
     def test_counts_distinct_projections(self):
         # z free, projection on 1..2: 3 of 4 cells extend to a model
@@ -206,6 +276,33 @@ class TestEnumerateProjected:
         # var 4 is unconstrained, doubling the projected count
         f = Cnf.build(3, [[1], [2, 3]])
         assert enumerate_projected(f, [1, 4]) == 2
+
+    def test_blocking_clause_whose_two_deepest_literals_share_a_level(self):
+        # deciding -1 implies -2 on level 1, so the first blocking clause
+        # [1, 2] has both literals there and enumeration resumes at level 0
+        f = Cnf.build(3, [[1, -2]])
+        seen = []
+        assert enumerate_projected(f, [1, 2], visit=seen.append) == 3
+        assert seen == [{1: False, 2: False}, {1: True, 2: False}, {1: True, 2: True}]
+
+    @settings(max_examples=300, deadline=None)
+    @given(clauses_strategy(max_vars=8, max_clauses=14),
+           st.sets(st.integers(min_value=1, max_value=8), max_size=8))
+    def test_enumeration_order_matches_restarts(self, clause_lists, proj):
+        # mostly short clauses over up to 8 variables: propagation often puts
+        # two projection literals on one level, which the backjump must handle
+        f = Cnf.build(8, clause_lists)
+        visited = []
+        got = enumerate_projected(f, proj, visit=visited.append)
+        assert got == tt_count_projected(8, f.clauses, proj)
+        # the order that solving afresh after each block gives: the least
+        # unblocked model is the first model whose projection is new
+        want = []
+        for m in tt_models(8, f.clauses):
+            cell = {v: m[v] for v in sorted(proj)}
+            if cell not in want:
+                want.append(cell)
+        assert visited == want
 
     @settings(max_examples=200, deadline=None)
     @given(clauses_strategy(max_vars=5, max_clauses=8),
