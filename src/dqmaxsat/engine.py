@@ -355,23 +355,17 @@ class Engine:
             self._attach(c)
         return True
 
-    @staticmethod
-    def _as_literals(assumptions: "Iterable[int] | Mapping[int, bool]") -> list[int]:
-        if isinstance(assumptions, Mapping):
-            return [v if b else -v for v, b in assumptions.items()]
-        return list(assumptions)
-
-    def _start(self, assumptions: "Iterable[int] | Mapping[int, bool]") -> Optional[list[int]]:
-        lits = self._as_literals(assumptions)
+    def _start(self, lits: list[int]) -> Optional[list[int]]:
+        """Search under the assumption literals; `_reuse` keeps the list."""
         if lits and (0 in lits or max(lits) > self.num_vars or min(lits) < -self.num_vars):
             bad = next(a for a in lits if a == 0 or abs(a) > self.num_vars)
             raise ValueError(f"assumption {bad} out of range")
         self._reuse(lits)
         return self._search(lits)
 
-    def satisfiable(self, assumptions: "Iterable[int] | Mapping[int, bool]" = ()) -> bool:
-        """Whether a model extends the assumptions; sets `witness` or `core`."""
-        core = self._start(assumptions)
+    def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
+        """Whether a model extends the assumption literals; sets `witness` or `core`."""
+        core = self._start(list(assumptions))
         if core is None:
             self.witness = self._vals[:self.num_vars + 1]
             return True
@@ -379,8 +373,13 @@ class Engine:
         return False
 
     def solve(self, assumptions: "Iterable[int] | Mapping[int, bool]" = ()) -> Optional[dict[int, bool]]:
-        """A total model extending the assumptions, or None."""
-        if self._start(assumptions) is not None:
+        """A total model extending the assumptions, or None.
+
+        Assumptions are literals, or a mapping from variable to value.
+        """
+        if isinstance(assumptions, Mapping):
+            assumptions = [v if b else -v for v, b in assumptions.items()]
+        if self._start(list(assumptions)) is not None:
             return None
         vals = self._vals
         return {v: vals[v] > 0 for v in range(1, self.num_vars + 1)}

@@ -2,24 +2,25 @@
 
 Starts every chooser on the empty support (a single constant selector) and
 alternates oracle calls with support expansions. Each expansion splits the
-affected selectors in two along the added variable, rewrites the objective
-clauses in place, carries the previous optimum over as the incumbent, and
-hands the oracle a filter admitting only assignments that actually use the
-new variable (plus the incumbent itself). A full run makes exactly
-1 + sum of |H_i| oracle calls and may be stopped after any call, yielding
-the best strategies over the supports grown so far.
+affected selectors in two along the added variable, re-derives the
+objective from the grown supports with the same selector encoding as the
+global reduction, and carries the previous optimum over as the incumbent.
+The oracle then searches every assignment: one that ignores the new
+variable equals an assignment over the old support, whose count is at most
+the incumbent's, and the oracle accepts only strict improvements. A full
+run makes exactly 1 + sum of |H_i| oracle calls and may be stopped after
+any call, yielding the best strategies over the supports grown so far.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
-from .formula import Cnf, Problem, Solution, TRUE_CNF, canonical_clause, minterms_of
+from .formula import Cnf, Problem, Solution, TRUE_CNF, minterms_of
 from .oracle import OracleRequest, max_count
-from .reduction import SelectorMap, decode
+from .reduction import SelectorMap, decode, selector_objective
 
 POLICIES = ("round-robin", "fixed-order", "largest-remaining")
 
@@ -56,10 +57,12 @@ class IncrementalState:
     selectors: SelectorMap
     objective: Cnf
     incumbent: Mapping[int, bool]
-    filter: Cnf
     iteration: int
     trace: tuple[IterationRecord, ...] = ()
     next_id: int = 0
+    # always empty; kept only because the benchmark's spans (perfbench/spans.py)
+    # read state.filter.clauses off every expand
+    filter = TRUE_CNF
 
     def remaining(self, x: int) -> frozenset[int]:
         return self.problem.deps[x] - self.partial_deps[x]
@@ -72,8 +75,6 @@ class IncrementalState:
             objective=self.objective,
             max_vars=self.selectors.selector_vars(),
             count_vars=self.problem.count_vars,
-            exist_vars=self.problem.exist_vars | set(self.problem.max_vars),
-            filter=self.filter,
             incumbent=self.incumbent,
         )
 
@@ -81,107 +82,51 @@ class IncrementalState:
 def init(p: Problem) -> IncrementalState:
     """Empty supports: one constant selector per chooser, incumbent all false."""
     next_id = p.cnf.num_vars + 1
-    supports: dict[int, tuple[int, ...]] = {}
     tables: dict[int, dict[tuple[int, ...], int]] = {}
     owner: dict[int, tuple[int, tuple[int, ...]]] = {}
-    clauses = list(p.cnf.clauses)
     for x in p.max_vars:
-        s = next_id
+        tables[x] = {(): next_id}
+        owner[next_id] = (x, ())
         next_id += 1
-        supports[x] = ()
-        tables[x] = {(): s}
-        owner[s] = (x, ())
-        clauses.append((-x, s))
-        clauses.append((x, -s))
+    selectors = SelectorMap({x: () for x in p.max_vars}, tables, owner)
     return IncrementalState(
         problem=p,
         partial_deps={x: frozenset() for x in p.max_vars},
-        selectors=SelectorMap(supports, tables, owner),
-        objective=Cnf.build(next_id - 1, clauses),
+        selectors=selectors,
+        objective=selector_objective(p, selectors, next_id - 1),
         incumbent={s: False for s in owner},
-        filter=TRUE_CNF,
         iteration=0,
         next_id=next_id,
     )
 
 
-def _rewrite_clause(clause: tuple[int, ...], splits: Mapping[int, tuple[int, int]],
-                    u: int) -> list[tuple[int, ...]]:
-    """Substitute every split selector s by (child_u ∧ u) ∨ (child_nu ∧ ¬u).
-
-    Multiple occurrences are rewritten one selector at a time in ascending
-    id order; a positive occurrence becomes three clauses, a negative one
-    two.
-    """
-    out = [clause]
-    for s in sorted(splits):
-        a, b = splits[s]
-        nxt: list[tuple[int, ...]] = []
-        for c in out:
-            if s in c:
-                psi = tuple(l for l in c if l != s)
-                nxt.append(psi + (a, b))
-                nxt.append(psi + (a, -u))
-                nxt.append(psi + (b, u))
-            elif -s in c:
-                psi = tuple(l for l in c if l != -s)
-                nxt.append(psi + (-a, -u))
-                nxt.append(psi + (-b, u))
-            else:
-                nxt.append(c)
-        out = nxt
-    return out
-
-
-def _dedupe(clauses) -> list[tuple[int, ...]]:
-    """Canonicalize, drop tautologies, and keep first occurrences in order."""
-    seen = set()
-    out = []
-    for c in clauses:
-        key = canonical_clause(c)
-        if key is not None and key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
-
-
 def expand(st: IncrementalState, x: int, u: int) -> IncrementalState:
     """Grow chooser x's support by u, splitting each of its selectors in two.
 
-    The incumbent value of a split selector is duplicated onto both
-    children, preserving its count; the new filter admits assignments where
-    some pair of children disagrees (the new variable matters) or that equal
-    the duplicated incumbent.
+    Selector s of monomial m gives way to fresh selectors for m ∧ u and
+    m ∧ ¬u, allocated in canonical minterm order of the grown support, and
+    the objective is derived afresh from the grown supports. That is the
+    paper's substitution of s by (s_u ∧ u) ∨ (s_¬u ∧ ¬u). Both children
+    take over s's incumbent value, which keeps the incumbent's count.
     """
     if u not in st.remaining(x):
         raise ValueError(f"variable {u} is not expandable for chooser {x}")
     old_table = st.selectors.selectors[x]
     new_support = tuple(sorted(st.partial_deps[x] | {u}))
 
-    # children allocated in canonical minterm order of the grown support
     next_id = st.next_id
     new_table: dict[tuple[int, ...], int] = {}
     for m in minterms_of(new_support):
         new_table[m] = next_id
         next_id += 1
-    splits: dict[int, tuple[int, int]] = {}
+
+    incumbent = {s: v for s, v in st.incumbent.items() if st.selectors.owner[s][0] != x}
     for m_old, s in old_table.items():
-        with_u = tuple(sorted(m_old + (u,), key=abs))
-        with_nu = tuple(sorted(m_old + (-u,), key=abs))
-        splits[s] = (new_table[with_u], new_table[with_nu])
-
-    rewritten: list[tuple[int, ...]] = []
-    for c in st.objective.clauses:
-        rewritten.extend(_rewrite_clause(c, splits, u))
-    objective = Cnf.build(next_id - 1, _dedupe(rewritten))
-
-    incumbent = {s: v for s, v in st.incumbent.items() if s not in splits}
-    for s, (a, b) in splits.items():
-        incumbent[a] = st.incumbent[s]
-        incumbent[b] = st.incumbent[s]
+        for lit in (u, -u):
+            incumbent[new_table[tuple(sorted(m_old + (lit,), key=abs))]] = st.incumbent[s]
 
     supports = dict(st.selectors.supports)
-    tables = {k: dict(v) for k, v in st.selectors.selectors.items()}
+    tables = dict(st.selectors.selectors)
     owner = {s: o for s, o in st.selectors.owner.items() if o[0] != x}
     supports[x] = new_support
     tables[x] = new_table
@@ -189,28 +134,14 @@ def expand(st: IncrementalState, x: int, u: int) -> IncrementalState:
         owner[s] = (x, m)
     selectors = SelectorMap(supports, tables, owner)
 
-    # filter: some child pair differs, or the assignment is the incumbent
-    pair_cnfs = [
-        [(a, b), (-a, -b)]
-        for a, b in (splits[s] for s in sorted(splits))
-    ]
-    inc_lits = [s if incumbent[s] else -s for s in sorted(incumbent)]
-    filter_clauses = []
-    for picks in itertools.product(*pair_cnfs):
-        base = tuple(itertools.chain.from_iterable(picks))
-        for lit in inc_lits:
-            filter_clauses.append(base + (lit,))
-    filt = Cnf.build(next_id - 1, _dedupe(filter_clauses))
-
     partial = dict(st.partial_deps)
     partial[x] = st.partial_deps[x] | {u}
     return replace(
         st,
         partial_deps=partial,
         selectors=selectors,
-        objective=objective,
+        objective=selector_objective(st.problem, selectors, next_id - 1),
         incumbent=incumbent,
-        filter=filt,
         next_id=next_id,
     )
 

@@ -11,8 +11,6 @@ strategies are stitched back together by Shannon expansion.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -114,19 +112,12 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
     return Solution(functions=functions, achieved_count=achieved, total=p.total)
 
 
-def _worker_count(leaves: int) -> int:
-    env = os.environ.get("DQMAXSAT_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(leaves, os.cpu_count() or 1))
-
-
 def solve_local(
     p: Problem,
     leaf_solver: str = "global",
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
 ) -> Solution:
-    """Split, solve all leaves on a worker pool, recombine, and recount.
+    """Split, solve the leaves one after another, recombine, and recount.
 
     The summed leaf counts are re-verified against an independent recount of
     the recombined strategies before being returned; a disagreement raises
@@ -136,8 +127,7 @@ def solve_local(
         raise ValueError(f"unknown leaf solver {leaf_solver!r}, expected one of {sorted(LEAF_SOLVERS)}")
     solve_leaf = LEAF_SOLVERS[leaf_solver]
     plan = plan_split(p, leaf_budget)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(plan.leaves))) as pool:
-        leaf_solutions = list(pool.map(solve_leaf, plan.leaves))
+    leaf_solutions = [solve_leaf(leaf) for leaf in plan.leaves]
     solution = _recombine(p, plan.split_vars, leaf_solutions)
     check_solution(p, solution)
     return solution

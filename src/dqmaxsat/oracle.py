@@ -1,8 +1,8 @@
 """Max#SAT oracle: pick choice-variable values maximizing a projected count.
 
-max_count answers requests of the form "among assignments of the choice
-variables admitted by a filter, which one leaves the most count-variable
-cells reachable", always comparing against a caller-supplied incumbent.
+max_count answers requests of the form "which assignment of the choice
+variables leaves the most count-variable cells reachable", always comparing
+against a caller-supplied incumbent.
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
 and for cross-checking the real solvers.
@@ -30,16 +30,14 @@ class InstanceTooLarge(ValueError):
 class OracleRequest:
     """One maximization query.
 
-    filter must mention only choice variables; incumbent must be a total
-    assignment of them that satisfies filter. Callers are responsible for
-    only filtering away assignments they know cannot beat the incumbent.
+    incumbent must be a total assignment of the choice variables max_vars.
+    Variables of the objective that are neither choice nor count variables
+    are existential.
     """
 
     objective: Cnf
     max_vars: tuple[int, ...]
     count_vars: frozenset[int]
-    exist_vars: frozenset[int]
-    filter: Cnf
     incumbent: Mapping[int, bool]
 
 
@@ -49,12 +47,8 @@ class OracleResult:
     best_count: int
 
 
-def _clause_falsified(clause: tuple[int, ...], lits: set[int]) -> bool:
-    return all(-lit in lits for lit in clause)
-
-
 def max_count(req: OracleRequest) -> OracleResult:
-    """Best admitted assignment of the choice variables, incumbent included.
+    """Best assignment of the choice variables, incumbent included.
 
     Depth-first branch and bound over the choice variables in ascending id
     order, false branch first, accepting only strict improvements; the
@@ -76,29 +70,19 @@ def max_count(req: OracleRequest) -> OracleResult:
     ms = sorted(set(req.max_vars))
     if len(ms) != len(req.max_vars):
         raise MalformedRequest("duplicate choice variable")
-    if not req.filter.variables() <= set(ms):
-        extra = sorted(req.filter.variables() - set(ms))
-        raise MalformedRequest(f"filter mentions non-choice variables {extra}")
     if set(req.incumbent) != set(ms):
         raise MalformedRequest("incumbent is not a total assignment of the choice variables")
     incumbent = {v: bool(req.incumbent[v]) for v in ms}
     ys = sorted(req.count_vars)
 
     inc_units = [[v] if incumbent[v] else [-v] for v in ms]
-    nv = max([req.objective.num_vars, req.filter.num_vars] + ms + ys, default=0)
+    nv = max([req.objective.num_vars] + ms + ys, default=0)
     inc_count = enumerate_projected(Cnf(nv, req.objective.clauses + tuple((u[0],) for u in inc_units)), ys)
 
-    if req.filter.has_empty_clause():
-        # nothing is admitted; the incumbent is exempt from the filter here
-        return OracleResult(incumbent, inc_count)
-    if any(_clause_falsified(c, {u[0] for u in inc_units}) for c in req.filter.clauses):
-        raise MalformedRequest("incumbent violates the filter")
-
-    # reachable count-cells under objective & filter, choice vars still free
+    # reachable count-cells under the objective, choice vars still free
     root_cells: list[tuple[int, ...]] = []
-    combined = req.objective.clauses + req.filter.clauses
     enumerate_projected(
-        Cnf(nv, combined), ys,
+        Cnf(nv, req.objective.clauses), ys,
         visit=lambda m: root_cells.append(tuple(v if m[v] else -v for v in ys)),
     )
 
@@ -107,13 +91,9 @@ def max_count(req: OracleRequest) -> OracleResult:
     if len(root_cells) <= inc_count:
         return OracleResult(best, best_count)
 
-    probe = Engine(nv, combined)
+    probe = Engine(nv, req.objective.clauses)
     assumed: list[int] = []
     here: set[int] = set()  # the literals of assumed
-    uses: dict[int, list[tuple[int, ...]]] = {}  # filter clauses by literal
-    for c in req.filter.clauses:
-        for lit in c:
-            uses.setdefault(lit, []).append(c)
 
     # a cell entry: the cell, its last witness (None until probed), its cores
     Entry = tuple[tuple[int, ...], Optional[list[int]], list[frozenset[int]]]
@@ -157,12 +137,10 @@ def max_count(req: OracleRequest) -> OracleResult:
         lit = v if tried else -v
         assumed.append(lit)
         here.add(lit)
-        # only clauses containing -lit can have just become falsified
-        if not any(_clause_falsified(c, here) for c in uses.get(-lit, ())):
-            narrowed = refine(cells, lit)
-            if narrowed is not None:
-                stack.append([narrowed, 0])
-                continue
+        narrowed = refine(cells, lit)
+        if narrowed is not None:
+            stack.append([narrowed, 0])
+            continue
         here.discard(assumed.pop())
 
     return OracleResult(best, best_count)

@@ -4,7 +4,9 @@ A strategy for a chooser x with dependency set H is exactly a subset of the
 2^|H| complete monomials over H. Allocating one fresh selector variable per
 monomial and tying x to the selected disjunction turns strategy search into
 a plain choice of selector values, solved by one oracle call and decoded
-back into minterm sets.
+back into minterm sets. selector_objective is that encoding for any
+supports, full or partial; the incremental method builds its objective with
+it too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .formula import (
     MintermFunction,
     Problem,
     Solution,
-    TRUE_CNF,
     minterms_of,
     selector_definition_clauses,
 )
@@ -42,13 +43,25 @@ class SelectorMap:
         return tuple(sorted(self.owner))
 
 
+def selector_objective(p: Problem, sel: SelectorMap, num_vars: int) -> Cnf:
+    """The objective p.cnf plus every chooser's selector definition clauses.
+
+    num_vars must cover every selector. Linear in the number of selectors:
+    2 clauses per selector.
+    """
+    clauses = list(p.cnf.clauses)
+    for x in p.max_vars:
+        clauses.extend(selector_definition_clauses(x, sel.supports[x], sel.selectors[x]))
+    return Cnf.build(num_vars, clauses)
+
+
 def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[OracleRequest, SelectorMap]:
     """Reduce a dependency-constrained instance to one oracle request.
 
     The request's choice variables are the fresh selectors; the original
-    choosers join the existential set since the definition clauses determine
-    them pointwise. Incumbent is the all-false (all strategies constant
-    false) assignment and the filter admits everything.
+    choosers are left uncounted since the definition clauses determine them
+    pointwise. Incumbent is the all-false (all strategies constant false)
+    assignment.
     """
     need = sum(1 << len(p.deps[x]) for x in p.max_vars)
     if need > budget:
@@ -57,7 +70,6 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[
     supports: dict[int, tuple[int, ...]] = {}
     selectors: dict[int, dict[tuple[int, ...], int]] = {}
     owner: dict[int, tuple[int, tuple[int, ...]]] = {}
-    clauses = [list(c) for c in p.cnf.clauses]
     for x in p.max_vars:
         support = tuple(sorted(p.deps[x]))
         table: dict[tuple[int, ...], int] = {}
@@ -67,15 +79,11 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[
             next_id += 1
         supports[x] = support
         selectors[x] = table
-        clauses.extend(selector_definition_clauses(x, support, table))
-    objective = Cnf.build(next_id - 1, clauses)
     sel = SelectorMap(supports, selectors, owner)
     req = OracleRequest(
-        objective=objective,
+        objective=selector_objective(p, sel, next_id - 1),
         max_vars=sel.selector_vars(),
         count_vars=p.count_vars,
-        exist_vars=p.exist_vars | set(p.max_vars),
-        filter=TRUE_CNF,
         incumbent={s: False for s in owner},
     )
     return req, sel

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,7 +7,7 @@ from dqmaxsat.counting import check_solution
 from dqmaxsat.formula import Cnf, Problem, selector_definition_clauses
 from dataclasses import replace
 
-from dqmaxsat.incremental import expand, init, run
+from dqmaxsat.incremental import POLICIES, expand, init, run
 from dqmaxsat.oracle import brute_force_dqmaxsat, max_count
 from dqmaxsat.reduction import solve_global
 
@@ -47,27 +48,25 @@ class TestExpand:
         st = expand(init(copy_or_and), 1, 4)
         assert st.selectors.selectors[1] == {(4,): 7, (-4,): 8}
         assert st.partial_deps[1] == frozenset([4])
-        got = set(st.objective.clauses)
-        # positive occurrence fans out to three clauses, negative to two
-        assert set(copy_or_and.cnf.clauses) <= got
-        assert got - set(copy_or_and.cnf.clauses) == {
-            (-1, 7, 8),
+        # the objective is p.cnf plus the definition clauses of the grown
+        # support, nothing else
+        assert st.objective == Cnf.build(8, list(copy_or_and.cnf.clauses) + [
             (-1, -4, 7),
-            (-1, 4, 8),
             (1, -4, -7),
+            (-1, 4, 8),
             (1, 4, -8),
-        }
+        ])
+        st = expand(st, 1, 5)
+        table = st.selectors.selectors[1]
+        assert table == {(4, 5): 9, (4, -5): 10, (-4, 5): 11, (-4, -5): 12}
+        assert st.objective == Cnf.build(12, list(copy_or_and.cnf.clauses)
+                                         + selector_definition_clauses(1, (4, 5), table))
 
     def test_incumbent_duplicated_onto_children(self, copy_or_and):
         st0 = init(copy_or_and)
         st0 = replace(st0, incumbent={6: True})
         st = expand(st0, 1, 4)
         assert st.incumbent == {7: True, 8: True}
-
-    def test_filter_admits_disagreeing_pairs_and_the_incumbent(self, copy_or_and):
-        st = expand(init(copy_or_and), 1, 4)
-        # over (7, 8): everything except both-true (expressible before)
-        assert st.filter.clauses == ((-7, -8),)
 
     def test_expand_rejects_foreign_variable(self, copy_or_and):
         with pytest.raises(ValueError):
@@ -79,8 +78,8 @@ class TestExpand:
             expand(st, 1, 4)
 
     def test_rewritten_objective_equals_fresh_definition_clauses(self, copy_or):
-        # rewriting must be semantically the same as defining the child
-        # selectors from scratch (it adds one redundant implied clause)
+        # splitting must be semantically the same as defining the child
+        # selectors from scratch
         st = expand(init(copy_or), 1, 4)
         fresh = list(copy_or.cnf.clauses) + selector_definition_clauses(
             1, (4,), {(4,): st.selectors.selectors[1][(4,)],
@@ -108,6 +107,39 @@ class TestExpand:
             Cnf(st.objective.num_vars, st.objective.clauses + units),
             copy_or_and.count_vars)
         assert carried == first.best_count
+
+    def test_large_support_expands_linearly(self):
+        # x1 copies y2 and sees all 8 counted variables y2..y9: 256 selectors
+        # after the last split, 2 definition clauses each
+        f = Cnf.build(9, [[-1, 2], [1, -2]])
+        p = Problem.of(f, max_vars=[1], count_vars=range(2, 10), exist_vars=[],
+                       deps={1: range(2, 10)})
+        st = init(p)
+        t0 = time.perf_counter()
+        for u in range(2, 10):
+            st = expand(st, 1, u)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(st.objective.clauses) == len(p.cnf.clauses) + 2 * 2 ** 8
+        solution, records = collect(p, policy="fixed-order")
+        assert [r.count for r in records] == [128] + [256] * 8
+        assert solution.achieved_count == 256
+        assert check_solution(p, solution) == 256
+
+
+# per-iteration (expanded chooser, expanded variable, count, functions),
+# identical under every policy on these instances
+PINNED_ITERATIONS = {
+    "copy_or_and": [
+        (None, None, 2, {"1": []}),
+        (1, 4, 3, {"1": [[4]]}),
+        (1, 5, 3, {"1": [[4, -5], [4, 5]]}),
+    ],
+    "two_implications": [
+        (None, None, 3, {"1": [], "2": [[]]}),
+        (1, 5, 3, {"1": [], "2": [[]]}),
+        (2, 6, 3, {"1": [], "2": [[-6], [6]]}),
+    ],
+}
 
 
 class TestRun:
@@ -167,6 +199,14 @@ class TestRun:
         solution, records = collect(two_implications, policy=policy)
         assert solution.achieved_count == 3
         assert len(records) == 3
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", sorted(PINNED_ITERATIONS))
+    def test_iteration_functions_are_pinned(self, name, policy):
+        _, records = collect(getattr(instances, name)(), policy=policy)
+        got = [(d["expanded_var"], d["expanded_on"], d["count"], d["functions"])
+               for d in (r.as_dict() for r in records)]
+        assert got == PINNED_ITERATIONS[name]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_instances_match_brute_force(self, seed):

@@ -141,10 +141,6 @@ class TestSolveLocal:
         assert s.achieved_count == 4
         assert s.total == 4
 
-    def test_single_worker_env(self, copy_or_and, monkeypatch):
-        monkeypatch.setenv("DQMAXSAT_WORKERS", "1")
-        assert solve_local(copy_or_and).achieved_count == 3
-
     @pytest.mark.parametrize("seed", range(40))
     def test_random_eligible_instances_match_global(self, seed):
         rng = random.Random(seed)

@@ -25,12 +25,10 @@ from naive import (
     tt_count_projected,
 )
 
-TOP = Cnf.build(0, [])
-
-
 def reference_max_count(req: OracleRequest):
     """Reference for max_count by plain enumeration: incumbent first, then
-    all filter models in ascending-id false-first order, strict improvements."""
+    every choice assignment in ascending-id false-first order, strict
+    improvements."""
     ms = sorted(req.max_vars)
     ys = sorted(req.count_vars)
     nv = max([req.objective.num_vars] + ms + ys, default=0)
@@ -46,12 +44,11 @@ def reference_max_count(req: OracleRequest):
 
     best = dict(req.incumbent)
     best_count = count_of(best)
-    if not req.filter.has_empty_clause():
-        for bits in itertools.product([False, True], repeat=len(ms)):
-            alpha = dict(zip(ms, bits))
-            if eval_cnf(req.filter.clauses, alpha) and count_of(alpha) > best_count:
-                best = alpha
-                best_count = count_of(alpha)
+    for bits in itertools.product([False, True], repeat=len(ms)):
+        alpha = dict(zip(ms, bits))
+        if count_of(alpha) > best_count:
+            best = alpha
+            best_count = count_of(alpha)
     return best, best_count
 
 
@@ -63,13 +60,11 @@ def _single_chooser_request():
         objective=obj,
         max_vars=(6,),
         count_vars=frozenset([2, 3]),
-        exist_vars=frozenset([1, 4, 5]),
-        filter=TOP,
         incumbent={6: False},
     )
 
 
-def _split_chooser_request(filter_cnf=TOP, incumbent=None):
+def _split_chooser_request(incumbent=None):
     # chooser 1 now reads var 4: selector 7 for (4), selector 8 for (-4)
     p = instances.copy_or_and()
     obj = Cnf.build(8, list(p.cnf.clauses) + [
@@ -80,8 +75,6 @@ def _split_chooser_request(filter_cnf=TOP, incumbent=None):
         objective=obj,
         max_vars=(7, 8),
         count_vars=frozenset([2, 3]),
-        exist_vars=frozenset([1, 4, 5]),
-        filter=filter_cnf,
         incumbent=incumbent or {7: False, 8: False},
     )
 
@@ -98,56 +91,22 @@ def test_split_chooser_finds_the_copy_strategy():
     assert dict(res.best) == {7: True, 8: False}
 
 
-def test_filter_narrows_the_search():
-    req = _split_chooser_request(filter_cnf=Cnf.build(7, [[-7]]))
-    res = max_count(req)
-    # the winning strategy is filtered away; nothing admitted beats 2
-    assert res.best_count == 2
-    assert dict(res.best) == {7: False, 8: False}
-
-
-def test_empty_clause_filter_returns_incumbent():
-    req = _split_chooser_request(
-        filter_cnf=Cnf.build(0, [[]]),
-        incumbent={7: True, 8: False},
-    )
-    res = max_count(req)
-    assert dict(res.best) == {7: True, 8: False}
-    assert res.best_count == 3
-
-
-def test_filter_over_foreign_variable_is_malformed():
-    req = _split_chooser_request(filter_cnf=Cnf.build(2, [[2]]))
-    with pytest.raises(MalformedRequest):
-        max_count(req)
-
-
 def test_partial_incumbent_is_malformed():
     req = _split_chooser_request(incumbent={7: False})
     with pytest.raises(MalformedRequest):
         max_count(req)
 
 
-def test_incumbent_outside_filter_is_malformed():
-    req = _split_chooser_request(
-        filter_cnf=Cnf.build(7, [[7]]),
-        incumbent={7: False, 8: False},
-    )
-    with pytest.raises(MalformedRequest):
-        max_count(req)
-
-
 def test_duplicate_choice_variable_is_malformed():
     req = _single_chooser_request()
-    bad = OracleRequest(req.objective, (6, 6), req.count_vars,
-                        frozenset([1, 4, 5]), TOP, {6: False})
+    bad = OracleRequest(req.objective, (6, 6), req.count_vars, {6: False})
     with pytest.raises(MalformedRequest):
         max_count(bad)
 
 
 def test_no_choice_variables_counts_the_objective():
     f = Cnf.build(3, [[1, 2], [-3, 1]])
-    req = OracleRequest(f, (), frozenset([1, 2]), frozenset([3]), TOP, {})
+    req = OracleRequest(f, (), frozenset([1, 2]), {})
     res = max_count(req)
     assert res.best_count == 3
     assert dict(res.best) == {}
@@ -161,34 +120,18 @@ def _random_request(rng: random.Random):
     ms = rng.sample(range(1, num_vars + 1), num_choice)
     others = [v for v in range(1, num_vars + 1) if v not in ms]
     ys = [v for v in others if rng.random() < 0.6] or others[:1]
-    zs = [v for v in others if v not in ys]
     clauses = []
     for _ in range(rng.randint(1, num_vars + 2)):
         # one choice and one other variable, so choices gate the cells
         vs = [rng.choice(ms), rng.choice(others)] + rng.sample(range(1, num_vars + 1), rng.randint(0, 1))
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
-    filter_clauses = []
-    for _ in range(rng.randint(0, 3)):
-        vs = rng.sample(ms, rng.randint(1, min(3, len(ms))))
-        filter_clauses.append([v if rng.random() < 0.5 else -v for v in vs])
-    fil = Cnf.build(max(ms), filter_clauses)
-    incumbent = None
-    for bits in itertools.product([False, True], repeat=len(ms)):
-        alpha = dict(zip(sorted(ms), bits))
-        if eval_cnf(fil.clauses, alpha):
-            incumbent = alpha
-            break
-    if incumbent is None:
-        return None  # filter unsatisfiable without an empty clause; rare
-    return OracleRequest(Cnf.build(num_vars, clauses), tuple(ms), frozenset(ys),
-                         frozenset(zs), fil, incumbent)
+    incumbent = {v: False for v in ms}
+    return OracleRequest(Cnf.build(num_vars, clauses), tuple(ms), frozenset(ys), incumbent)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_matches_reference_enumeration(seed):
     req = _random_request(random.Random(seed))
-    if req is None:
-        return
     res = max_count(req)
     want_best, want_count = reference_max_count(req)
     assert res.best_count == want_count
@@ -202,8 +145,6 @@ def test_witnesses_and_cores_skip_probes(monkeypatch):
         objective=Cnf.build(5, [[-4, 1], [-5, -2], [-5, 3]]),
         max_vars=(1, 2, 3),
         count_vars=frozenset([4, 5]),
-        exist_vars=frozenset(),
-        filter=TOP,
         incumbent={1: False, 2: False, 3: False},
     )
     probes = []

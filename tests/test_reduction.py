@@ -23,9 +23,7 @@ def test_selector_layout_two_signal_chooser(copy_or_and):
     assert sel.selectors[1] == {(4, 5): 6, (4, -5): 7, (-4, 5): 8, (-4, -5): 9}
     assert req.max_vars == (6, 7, 8, 9)
     assert req.count_vars == frozenset([2, 3])
-    assert req.exist_vars == frozenset([1, 4, 5])
     assert req.incumbent == {6: False, 7: False, 8: False, 9: False}
-    assert req.filter.clauses == ()
     # 8 objective clauses plus 2 per monomial
     assert len(req.objective.clauses) == 8 + 8
 
