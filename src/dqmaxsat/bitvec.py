@@ -114,6 +114,10 @@ def _tokenize(src: str, line: int) -> list[tuple[str, object, int]]:
 # may use: the parser and the passes over the tree recurse on every level
 MAX_EXPR_DEPTH = 100
 
+# widest word a program may declare: the encoding has dozens of clauses per
+# bit of every name, so a width of 10^5 runs out of memory in encode
+MAX_WIDTH = 64
+
 
 class _ExprParser:
     """Recursive descent over one statement's token tail.
@@ -306,6 +310,8 @@ def parse_program(text: str) -> BvProgram:
                 raise ProgramError("width is declared twice", ln)
             if len(toks) != 2 or toks[1][0] != "num" or toks[1][1] < 1:
                 raise ProgramError("width takes one positive number", ln)
+            if toks[1][1] > MAX_WIDTH:
+                raise ProgramError(f"width {toks[1][1]} exceeds the limit of {MAX_WIDTH} bits", ln)
             width = toks[1][1]
         elif kw == "mode":
             if statements:

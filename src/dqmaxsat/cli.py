@@ -176,7 +176,7 @@ def solution_from_document(doc: dict) -> Solution:
             for key, entry in doc["functions"].items()
         }
         return Solution(functions, int(doc["count"]), int(doc["total"]))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DocumentError(f"unusable result document: {exc}") from exc
 
 
@@ -236,7 +236,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     problem, _ = _load_path(args.instance)
     with open(args.result) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise DocumentError("result document is nested too deeply") from None
     solution = solution_from_document(doc)
     count = check_solution(problem, solution)
     print(f"ok: {count} of {problem.total} confirmed")

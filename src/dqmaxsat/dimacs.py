@@ -18,6 +18,8 @@ missing, or trailing is rejected with the offending line number.
 
 from __future__ import annotations
 
+import itertools
+
 from .formula import Cnf, Problem
 
 
@@ -47,6 +49,19 @@ def _terminated(tokens: list[str], line_no: int) -> list[int]:
     if any(v == 0 for v in body):
         raise ParseError("0 may only appear as the line terminator", line_no)
     return body
+
+
+def _undeclared(declared: dict[int, int], num_vars: int, shown: int = 5) -> str:
+    """The first few variables of 1..num_vars not in declared, and how many.
+
+    Walks only as far as the shown ones, so a header claiming a huge
+    num_vars costs no more than the declarations the text actually has.
+    """
+    missing = num_vars - len(declared)
+    first = list(itertools.islice((v for v in range(1, num_vars + 1) if v not in declared), shown))
+    if missing <= shown:
+        return str(first)
+    return f"{str(first)[:-1]}, ...] ({missing} in all)"
 
 
 # prefix sections must appear in this order; clauses come last
@@ -128,10 +143,9 @@ def parse_instance(text: str) -> Problem:
             (count_vars if kind == "r" else exist_vars).extend(body)
         else:
             if len(declared) != num_vars:
-                missing = sorted(set(range(1, num_vars + 1)) - set(declared))
                 raise ParseError(
                     f"clause appears before every variable is declared "
-                    f"(missing {missing})",
+                    f"(missing {_undeclared(declared, num_vars)})",
                     line_no,
                 )
             if len(clauses) == num_clauses:
@@ -146,8 +160,7 @@ def parse_instance(text: str) -> Problem:
     if num_vars is None:
         raise ParseError("missing `p dqmscnf` header", last)
     if len(declared) != num_vars:
-        missing = sorted(set(range(1, num_vars + 1)) - set(declared))
-        raise ParseError(f"variables {missing} never declared in the prefix", last)
+        raise ParseError(f"variables {_undeclared(declared, num_vars)} never declared in the prefix", last)
     if not count_vars:
         raise ParseError("at least one `r` line is required", last)
     if len(clauses) != num_clauses:

@@ -14,7 +14,15 @@ keeps the decision levels of the previous call whose decision literal lies
 in the common prefix of the two assumption lists, and backtracks only above
 them (trail reuse, as in Hickey & Bacchus, "Trail Saving on Backtrack",
 SAT 2020). Callers that probe many lists sharing a prefix should put that
-prefix first. Adding a clause goes back to level 0.
+prefix first.
+
+The constructor loads its clause list in one pass: it attaches every clause
+of two or more literals, queues the unit clauses, and propagates once at the
+end. add_clause, for clauses added later, goes back to level 0 and
+propagates each unit as it comes. Both apply the same input rules: literal 0
+or a variable above num_vars raises ValueError, duplicate literals are
+dropped, tautologies are skipped, and an empty clause or clashing units make
+the database unsatisfiable.
 
 enumerate_projected never restarts: after each model it attaches the
 blocking clause as a permanent clause, backjumps to the level where that
@@ -32,7 +40,9 @@ value array (index = variable, 1 true, -1 false). After it returns False,
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from itertools import chain
+from operator import neg
+from typing import Collection, Iterable, Mapping, Optional
 
 from .formula import Cnf
 
@@ -54,8 +64,34 @@ class Engine:
         self._assumed: list[int] = []  # the previous call's assumptions
         self.witness: list[int] = []
         self.core: list[int] = []
-        for c in clauses:
-            self.add_clause(c)
+        # one pass: check every literal, attach every clause, queue the
+        # units, then propagate once
+        cl = [list(c) for c in clauses]
+        self._check_range(set(chain.from_iterable(cl)))
+        watches = self._watches
+        units: list[int] = []
+        for c in cl:
+            k = len(c)
+            if k > 1 and len(set(map(abs, c))) < k:  # a repeated variable
+                c = self._clause(c)
+                if c is None:
+                    continue
+                k = len(c)
+            if k > 1:
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+            elif k:
+                units.append(c[0])
+            else:
+                self.ok = False
+        vals = self._vals
+        for lit in units:
+            if vals[lit] == 0:
+                self._enqueue(lit, None)
+            elif vals[lit] == -1:
+                self.ok = False
+        if self.ok:
+            self.ok = self._propagate() is None
 
     @staticmethod
     def for_cnf(f: Cnf, extra_vars: int = 0) -> "Engine":
@@ -69,20 +105,9 @@ class Engine:
         Returns False once the database is known unsatisfiable.
         """
         self._backtrack(0)
-        seen: dict[int, int] = {}
-        c: list[int] = []
-        for lit in lits:
-            v = abs(lit)
-            if v > self.num_vars or v == 0:
-                raise ValueError(f"literal {lit} out of range")
-            prev = seen.get(v)
-            if prev is None:
-                seen[v] = lit
-                c.append(lit)
-            elif prev != lit:
-                return self.ok  # tautology, always satisfied
-        if not self.ok:
-            return False
+        c = self._clause(lits)
+        if c is None or not self.ok:
+            return self.ok  # a tautology is always satisfied
         # drop literals already false at level 0, stop if satisfied at level 0
         vals = self._vals
         if any(vals[lit] == 1 for lit in c):
@@ -97,6 +122,21 @@ class Engine:
             return self.ok
         self._attach(c)
         return True
+
+    def _check_range(self, lits: Collection[int]) -> None:
+        """Raise ValueError if a literal is 0 or names a variable above num_vars."""
+        n = self.num_vars
+        if lits and (0 in lits or max(lits) > n or min(lits) < -n):
+            bad = min(lit for lit in lits if lit == 0 or abs(lit) > n)
+            raise ValueError(f"literal {bad} out of range")
+
+    def _clause(self, lits: Iterable[int]) -> Optional[list[int]]:
+        """The distinct literals of a clause in order, or None for a tautology."""
+        d = dict.fromkeys(lits)
+        self._check_range(d.keys())
+        if not d.keys().isdisjoint(map(neg, d)):
+            return None
+        return list(d)
 
     def _attach(self, c: list[int]) -> None:
         self._watches[c[0]].append(c)

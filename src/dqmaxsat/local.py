@@ -45,25 +45,26 @@ def functionally_dependent(f: Cnf, u: int, count_vars: Iterable[int]) -> bool:
     with every non-count variable duplicated in a second copy of f. Sharing
     only the count variables makes the verdict independent of how the other
     variables might later be constrained, so one check covers every
-    substitution. One satisfiability call on the doubled formula.
+    substitution. One satisfiability call on the doubled formula, which the
+    engine loads in one pass.
     """
     ys = set(count_vars)
     if u in ys:
         raise ValueError(f"{u} is a count variable")
-    offset = f.num_vars
-
-    def shadow(lit: int) -> int:
-        v = abs(lit)
-        if v in ys:
-            return lit
-        return lit + offset if lit > 0 else lit - offset
-
-    eng = Engine(2 * f.num_vars, f.clauses)
-    for c in f.clauses:
-        eng.add_clause([shadow(l) for l in c])
-    eng.add_clause([u, shadow(u)])
-    eng.add_clause([-u, -shadow(u)])
-    return not eng.satisfiable()
+    n = f.num_vars
+    if not 1 <= u <= n:
+        raise ValueError(f"variable {u} out of range")
+    # literal-indexed, as in the engine: count variables map to themselves,
+    # the others to their copy n above
+    shadow = [0] * (2 * n + 1)
+    for v in range(1, n + 1):
+        s = v if v in ys else v + n
+        shadow[v] = s
+        shadow[-v] = -s
+    doubled = list(f.clauses)
+    doubled += [[shadow[lit] for lit in c] for c in f.clauses]
+    doubled += [(u, shadow[u]), (-u, -shadow[u])]
+    return not Engine(2 * n, doubled).satisfiable()
 
 
 def plan_split(p: Problem, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> SplitPlan:

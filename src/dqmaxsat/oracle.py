@@ -66,6 +66,11 @@ def max_count(req: OracleRequest) -> OracleResult:
     gives the answer an engine call would, so the search accepts the same
     strict improvements in the same order as one that asks every time, and
     the result is still the lexicographically least optimum.
+
+    Two engines serve a call: one enumerates the root's reachable cells,
+    the other probes. The incumbent is counted on the probe engine, one
+    probe per root cell under the incumbent's literals, and those probes'
+    witnesses and cores are what the root's cells start with.
     """
     ms = sorted(set(req.max_vars))
     if len(ms) != len(req.max_vars):
@@ -74,10 +79,7 @@ def max_count(req: OracleRequest) -> OracleResult:
         raise MalformedRequest("incumbent is not a total assignment of the choice variables")
     incumbent = {v: bool(req.incumbent[v]) for v in ms}
     ys = sorted(req.count_vars)
-
-    inc_units = [[v] if incumbent[v] else [-v] for v in ms]
     nv = max([req.objective.num_vars] + ms + ys, default=0)
-    inc_count = enumerate_projected(Cnf(nv, req.objective.clauses + tuple((u[0],) for u in inc_units)), ys)
 
     # reachable count-cells under the objective, choice vars still free
     root_cells: list[tuple[int, ...]] = []
@@ -86,17 +88,27 @@ def max_count(req: OracleRequest) -> OracleResult:
         visit=lambda m: root_cells.append(tuple(v if m[v] else -v for v in ys)),
     )
 
-    best_count = inc_count
-    best = incumbent
-    if len(root_cells) <= inc_count:
-        return OracleResult(best, best_count)
-
-    probe = Engine(nv, req.objective.clauses)
-    assumed: list[int] = []
-    here: set[int] = set()  # the literals of assumed
-
     # a cell entry: the cell, its last witness (None until probed), its cores
     Entry = tuple[tuple[int, ...], Optional[list[int]], list[frozenset[int]]]
+
+    # the incumbent's count: each root cell probed under the incumbent's
+    # literals, which come first so every probe keeps their levels; the
+    # witnesses and cores found here seed the root entries
+    probe = Engine(nv, req.objective.clauses)
+    inc_lits = [v if incumbent[v] else -v for v in ms]
+    roots: list[Entry] = []
+    for cell in root_cells:
+        if probe.satisfiable(inc_lits + list(cell)):
+            roots.append((cell, probe.witness, []))
+        else:
+            roots.append((cell, None, [frozenset(probe.core).difference(cell)]))
+    best_count = sum(wit is not None for _, wit, _ in roots)
+    best = incumbent
+    if len(root_cells) <= best_count:
+        return OracleResult(best, best_count)
+
+    assumed: list[int] = []
+    here: set[int] = set()  # the literals of assumed
 
     def refine(cells: list[Entry], lit: int) -> Optional[list[Entry]]:
         # None = this branch provably cannot strictly beat best_count
@@ -120,7 +132,7 @@ def max_count(req: OracleRequest) -> OracleResult:
 
     # explicit DFS stack, one frame per node on the current branch: the
     # node's cells and how many of its two branches have been tried
-    stack: list[list] = [[[(cell, None, []) for cell in root_cells], 0]]
+    stack: list[list] = [[roots, 0]]
     while stack:
         frame = stack[-1]
         cells, tried = frame

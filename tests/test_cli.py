@@ -1,10 +1,15 @@
 """Command line behavior: outputs, round-trips, exit codes."""
 
+import functools
 import json
+import time
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from dqmaxsat import cli
+from dqmaxsat.bitvec import ProgramError, parse_program
 
 COPY_OR_AND = """\
 p dqmscnf 5 7
@@ -243,6 +248,21 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", instance_file, str(result))
         assert code == 2
 
+    def test_infinite_count_exits_2(self, capsys, tmp_path, instance_file):
+        doc = self._solved(capsys, instance_file)
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps(doc).replace(f'"count": {doc["count"]}', '"count": 1e999'))
+        code, _, err = run_cli(capsys, "check", instance_file, str(result))
+        assert code == 2
+        assert "unusable" in err
+
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path, instance_file):
+        result = tmp_path / "r.json"
+        result.write_text("[" * 100000)
+        code, _, err = run_cli(capsys, "check", instance_file, str(result))
+        assert code == 2
+        assert "nested too deeply" in err
+
 
 class TestCount:
     def test_ceiling_count(self, capsys, instance_file):
@@ -307,3 +327,110 @@ class TestBenchPlumbing:
             )
             assert problem.total >= 2
             assert (bitmap is None) == fname.endswith(".dqm")
+
+
+_BENCH = resources.files("dqmaxsat").joinpath("bench")
+BUNDLED = {name: _BENCH.joinpath(name).read_text() for name in cli._SUITES["default"]}
+DQM_NAMES = sorted(n for n in BUNDLED if n.endswith(".dqm"))
+ATK_NAMES = sorted(n for n in BUNDLED if n.endswith(".atk"))
+
+
+class TestOversizeInput:
+    def test_huge_undeclared_variable_range_exits_2_fast(self, capsys, tmp_path):
+        # the header claims 10^8 variables and the text declares one
+        path = tmp_path / "huge.dqm"
+        path.write_text("p dqmscnf 99999999 1\nr 1 0\n1 0\n")
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "count", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert "missing [2, 3, 4, 5, 6, ...] (99999998 in all)" in err
+
+    def test_width_over_the_cap_exits_2(self, capsys, tmp_path):
+        text = BUNDLED["sum_reach_3.atk"].replace("width 3", "width 99999")
+        path = tmp_path / "wide.atk"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "solve-program", str(path))
+        assert code == 2
+        assert "line 3" in err and "exceeds the limit" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mangled inputs exit 0, 1 or 2 and never raise out of main
+
+_DQM_TOKENS = ["0", "1", "-1", "5", "-7", "99999999", "p", "d", "r", "e", "c", "dqmscnf",
+               " ", "\n", "-", "x"]
+_ATK_TOKENS = ["0", "1", "99999", "width", "mode", "reach", "leak", "random", "input",
+               "observe", "assume", "win", ":=", "in", "..", "(", ")", "!", "+", "-", "==",
+               ">=", "<=", "&&", "||", "#", " ", "\n"]
+_JSON_TOKENS = ['"', "{", "}", "[", "]", ",", ":", "0", "-1", "99999999", "1e999", "null",
+                "true", '"x"', '"count"', '"functions"', '"support"', '"minterms"']
+
+
+@st.composite
+def mangled(draw, texts, tokens):
+    """A text with 1-4 spans replaced by a token, a short string or nothing."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        j = draw(st.integers(min_value=i, max_value=min(len(text), i + 12)))
+        piece = draw(st.sampled_from(tokens) | st.text(max_size=3) | st.just(""))
+        text = text[:i] + piece + text[j:]
+    return text
+
+
+def _run_fuzzed(capsys, *argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    return code
+
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFuzz:
+    @_FUZZ
+    @given(text=mangled([BUNDLED[n] for n in DQM_NAMES], _DQM_TOKENS))
+    @example(text="p dqmscnf 99999999 1\nr 1 0\n1 0\n")
+    @example(text="p dqmscnf 99999999 1\nr 1 0\n")
+    def test_mangled_instances(self, capsys, tmp_path, text):
+        path = tmp_path / "fuzz.dqm"
+        path.write_text(text)
+        _run_fuzzed(capsys, "count", str(path))
+        _run_fuzzed(capsys, "solve", str(path), "--json")
+
+    @_FUZZ
+    @given(text=mangled([BUNDLED[n] for n in ATK_NAMES], _ATK_TOKENS))
+    @example(text=BUNDLED["sum_reach_3.atk"].replace("width 3", "width 99999"))
+    def test_mangled_programs(self, capsys, tmp_path, text):
+        # only programs that no longer parse: a valid one may take long to solve
+        try:
+            parse_program(text)
+        except ProgramError:
+            pass
+        else:
+            assume(False)
+        path = tmp_path / "fuzz.atk"
+        path.write_text(text)
+        _run_fuzzed(capsys, "count", str(path))
+        assert _run_fuzzed(capsys, "solve-program", str(path)) == 2
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_mangled_documents(self, capsys, tmp_path, data):
+        name = data.draw(st.sampled_from(DQM_NAMES))
+        instance = tmp_path / name
+        instance.write_text(BUNDLED[name])
+        result = tmp_path / "r.json"
+        result.write_text(data.draw(mangled([_document(name)], _JSON_TOKENS)))
+        _run_fuzzed(capsys, "check", str(instance), str(result))
+
+
+@functools.cache
+def _document(name):
+    """The solve document of a bundled instance, without its timings."""
+    problem, _ = cli.load_instance_text(BUNDLED[name])
+    solution, method, _ = cli.run_method(problem)
+    return json.dumps(cli.result_document(problem, solution, method, 0.0), indent=2)

@@ -199,6 +199,80 @@ class TestWitnessAndCore:
                 assert not tt_satisfiable(6, list(f.clauses) + [[a] for a in eng.core])
 
 
+class TestLoader:
+    """The constructor loads its clause list in one pass; add_clause one at a time."""
+
+    def test_duplicates_tautologies_and_units(self):
+        # stored once each, duplicates dropped; the tautology not at all
+        eng = Engine(3, [[1, 1, -2, -2], [2, -2, 3], [3, -1, 3]])
+        assert sorted(tuple(c) for ws in eng._watches for c in ws) == [(1, -2), (1, -2), (3, -1), (3, -1)]
+        eng = Engine(3, [[1, 1, -2, -2], [2, -2, 3], [-1]])
+        # (1 | -2) & -1 leaves -2 forced and 3 free
+        assert eng.satisfiable()
+        assert eng.witness[1:] == [-1, -1, -1]
+        assert not eng.satisfiable([2])
+        assert eng.core == [2]
+
+    def test_clashing_units_make_the_engine_unsat(self):
+        eng = Engine(2, [[1], [2], [-1]])
+        assert not eng.ok
+        assert not eng.satisfiable()
+        assert eng.core == []
+
+    def test_units_propagate_into_longer_clauses(self):
+        # both long clauses are attached before the units are queued; under
+        # -1 and -2 one forces 3 and the other -3
+        eng = Engine(3, [[1, 2, 3], [-1], [-2], [-3, 1, 2]])
+        assert not eng.ok
+        assert Engine(3, [[1, 2, 3], [-1], [-2]]).satisfiable()
+
+    def test_empty_clause_makes_the_engine_unsat(self):
+        eng = Engine(2, [[1, 2], []])
+        assert not eng.ok
+        assert not eng.satisfiable([1])
+
+    @pytest.mark.parametrize("clauses", [
+        [[1, 0]], [[0]], [[4]], [[-4, 1]], [[1], [2, 9]],
+        # checked even inside a tautology, as add_clause does
+        [[1, -1, 4]],
+    ])
+    def test_literal_out_of_range_is_rejected(self, clauses):
+        with pytest.raises(ValueError):
+            Engine(3, clauses)
+        eng = Engine(3)
+        with pytest.raises(ValueError):
+            for c in clauses:
+                eng.add_clause(c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(min_value=-5, max_value=5).filter(bool), min_size=1, max_size=4),
+                    max_size=10),
+           st.none() | st.integers(min_value=0, max_value=10),
+           st.lists(st.lists(st.integers(min_value=-5, max_value=5).filter(bool), max_size=3),
+                    min_size=1, max_size=4))
+    def test_bulk_load_agrees_with_truth_table_and_add_clause(self, clause_lists, empty_at, probes):
+        # raw lists: repeated literals, both polarities of a variable, units
+        # that may clash, and sometimes the empty clause
+        if empty_at is not None:
+            clause_lists.insert(empty_at, [])
+        bulk = Engine(5, clause_lists)
+        single = Engine(5)
+        for c in clause_lists:
+            single.add_clause(c)
+        assert bulk.ok == single.ok
+        for assumptions in probes:
+            models = tt_models(5, clause_lists + [[a] for a in assumptions])
+            for eng in (bulk, single):
+                sat = eng.satisfiable(assumptions)
+                assert sat == bool(models)
+                if sat:
+                    # the least model, false before true, lowest variable first
+                    assert {v: eng.witness[v] > 0 for v in range(1, 6)} == models[0]
+                else:
+                    assert set(eng.core) <= set(assumptions)
+                    assert not tt_satisfiable(5, clause_lists + [[a] for a in eng.core])
+
+
 class TestTrailReuse:
     def test_kept_prefix_sees_later_assumptions(self):
         # the second probe keeps level 1 (assumption -1) and then meets 3,

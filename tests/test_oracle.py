@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dqmaxsat.counting import check_solution
 from dqmaxsat.engine import Engine
+from dqmaxsat import oracle
 from dqmaxsat.formula import Cnf, Problem, Solution
 from dqmaxsat.oracle import (
     InstanceTooLarge,
@@ -138,6 +139,50 @@ def test_matches_reference_enumeration(seed):
     assert dict(res.best) == want_best
 
 
+def _random_request_with_incumbent(rng: random.Random):
+    # incremental passes its previous best, so the incumbent is any total
+    # assignment; drawn last, so the objective is _random_request's
+    req = _random_request(rng)
+    incumbent = {v: rng.random() < 0.5 for v in req.max_vars}
+    return OracleRequest(req.objective, req.max_vars, req.count_vars, incumbent)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_incumbent_matches_reference_enumeration(seed):
+    req = _random_request_with_incumbent(random.Random(seed))
+    res = max_count(req)
+    want_best, want_count = reference_max_count(req)
+    assert res.best_count == want_count
+    assert dict(res.best) == want_best
+
+
+def test_two_engines_and_one_enumeration_per_call(monkeypatch):
+    # the incumbent is counted on the probe engine, not enumerated apart
+    built = []
+    enumerations = []
+    init = Engine.__init__
+    enumerate_projected = oracle.enumerate_projected
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_enumerate(*args, **kwargs):
+        enumerations.append(1)
+        return enumerate_projected(*args, **kwargs)
+
+    monkeypatch.setattr(Engine, "__init__", counting_init)
+    monkeypatch.setattr(oracle, "enumerate_projected", counting_enumerate)
+    requests = [_single_chooser_request(), _split_chooser_request(),
+                _split_chooser_request({7: True, 8: False})]
+    requests += [_random_request_with_incumbent(random.Random(seed)) for seed in range(20)]
+    for req in requests:
+        built.clear()
+        enumerations.clear()
+        max_count(req)
+        assert (len(built), len(enumerations)) == (2, 1)
+
+
 def test_witnesses_and_cores_skip_probes(monkeypatch):
     # choices 1..3, counted 4, 5: y4 needs x1, y5 needs x3 and not x2, so
     # all four cells are reachable only under x1 & -x2 & x3
@@ -161,13 +206,18 @@ def test_witnesses_and_cores_skip_probes(monkeypatch):
     assert (dict(res.best), res.best_count) == reference_max_count(req)
     assert res.best_count == 4
     assert probes == [
-        ((-1,), (-4, -5), True),
-        ((-1,), (-4, 5), True),
-        ((-1,), (4, -5), False),  # core {-1}
-        ((-1,), (4, 5), False),  # core {-1}
-        # node (-1, -2): both cells keep their witnesses, which have -2
-        # node (-1, -2, -3): cell (-4, -5) keeps its witness
+        # the incumbent (-1, -2, -3), one probe per root cell: it reaches
+        # one cell, and its witness and cores seed the root entries
+        ((-1, -2, -3), (-4, -5), True),
         ((-1, -2, -3), (-4, 5), False),  # core {-3}
+        ((-1, -2, -3), (4, -5), False),  # core {-1}
+        ((-1, -2, -3), (4, 5), False),  # core {-1}
+        # node (-1): cell (-4, -5) keeps the incumbent's witness, cells
+        # (4, -5) and (4, 5) are dropped by their core {-1}
+        ((-1,), (-4, 5), True),
+        # node (-1, -2): both cells keep their witnesses, which have -2
+        # node (-1, -2, -3): cell (-4, -5) keeps its witness and cell
+        # (-4, 5) is dropped by its core {-3}, so 1 cell cannot beat 1
         ((-1, -2, 3), (-4, -5), True),  # cell (-4, 5) keeps its witness
         # leaf: 2 cells beat the incumbent's 1
         ((1,), (-4, -5), True),
@@ -176,7 +226,7 @@ def test_witnesses_and_cores_skip_probes(monkeypatch):
         ((1,), (4, 5), True),
         # node (1, -2): all four cells keep their witnesses, which have -2
         # node (1, -2, -3): cell (-4, 5) is dropped by its core {-3} from
-        # the cousin node (-1, -2, -3); the two others keep their witnesses
+        # the incumbent's probe; the two others keep their witnesses
         ((1, -2, -3), (4, 5), False),
         ((1, -2, 3), (-4, -5), True),
         ((1, -2, 3), (4, -5), True),
