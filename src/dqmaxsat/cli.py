@@ -241,6 +241,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except RecursionError:
             raise DocumentError("result document is nested too deeply") from None
     solution = solution_from_document(doc)
+    keys, choosers = set(solution.functions), set(problem.max_vars)
+    if keys != choosers:
+        raise DocumentError(
+            "document functions do not match the instance's choosers: "
+            f"extra {sorted(keys - choosers)}, missing {sorted(choosers - keys)}"
+        )
     count = check_solution(problem, solution)
     print(f"ok: {count} of {problem.total} confirmed")
     return 0

@@ -7,7 +7,7 @@ model the engine returns is the lexicographically least model (false before
 true, lowest id first) of the clauses and the assumptions, whatever the
 engine learned or kept from earlier calls. Learned clauses are resolvents
 of the clause database alone, which keeps them sound across calls with
-different assumptions and across added clauses.
+different assumptions and across blocking clauses.
 
 Assumptions are placed as the first decisions, in the order given. A call
 keeps the decision levels of the previous call whose decision literal lies
@@ -16,13 +16,13 @@ them (trail reuse, as in Hickey & Bacchus, "Trail Saving on Backtrack",
 SAT 2020). Callers that probe many lists sharing a prefix should put that
 prefix first.
 
-The constructor loads its clause list in one pass: it attaches every clause
-of two or more literals, queues the unit clauses, and propagates once at the
-end. add_clause, for clauses added later, goes back to level 0 and
-propagates each unit as it comes. Both apply the same input rules: literal 0
-or a variable above num_vars raises ValueError, duplicate literals are
-dropped, tautologies are skipped, and an empty clause or clashing units make
-the database unsatisfiable.
+The constructor is the only way clauses enter the database. It loads its
+clause list in one pass: it attaches every clause of two or more literals,
+queues the unit clauses, and propagates once at the end. It checks every
+literal first: literal 0 or a variable above num_vars raises ValueError,
+even inside a tautology. Then duplicate literals are dropped, tautologies
+are skipped, and an empty clause or clashing units make the database
+unsatisfiable. satisfiable checks its assumption literals the same way.
 
 enumerate_projected never restarts: after each model it attaches the
 blocking clause as a permanent clause, backjumps to the level where that
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import neg
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Iterable, Optional
 
 from .formula import Cnf
 
@@ -93,35 +93,7 @@ class Engine:
         if self.ok:
             self.ok = self._propagate() is None
 
-    @staticmethod
-    def for_cnf(f: Cnf, extra_vars: int = 0) -> "Engine":
-        return Engine(f.num_vars + extra_vars, f.clauses)
-
     # -- clause database ----------------------------------------------------
-
-    def add_clause(self, lits: Iterable[int]) -> bool:
-        """Attach a clause, first going back to decision level 0.
-
-        Returns False once the database is known unsatisfiable.
-        """
-        self._backtrack(0)
-        c = self._clause(lits)
-        if c is None or not self.ok:
-            return self.ok  # a tautology is always satisfied
-        # drop literals already false at level 0, stop if satisfied at level 0
-        vals = self._vals
-        if any(vals[lit] == 1 for lit in c):
-            return True
-        c = [lit for lit in c if vals[lit] == 0]
-        if not c:
-            self.ok = False
-            return False
-        if len(c) == 1:
-            self._enqueue(c[0], None)
-            self.ok = self._propagate() is None
-            return self.ok
-        self._attach(c)
-        return True
 
     def _check_range(self, lits: Collection[int]) -> None:
         """Raise ValueError if a literal is 0 or names a variable above num_vars."""
@@ -130,10 +102,10 @@ class Engine:
             bad = min(lit for lit in lits if lit == 0 or abs(lit) > n)
             raise ValueError(f"literal {bad} out of range")
 
-    def _clause(self, lits: Iterable[int]) -> Optional[list[int]]:
+    @staticmethod
+    def _clause(lits: Iterable[int]) -> Optional[list[int]]:
         """The distinct literals of a clause in order, or None for a tautology."""
         d = dict.fromkeys(lits)
-        self._check_range(d.keys())
         if not d.keys().isdisjoint(map(neg, d)):
             return None
         return list(d)
@@ -395,39 +367,28 @@ class Engine:
             self._attach(c)
         return True
 
-    def _start(self, lits: list[int]) -> Optional[list[int]]:
-        """Search under the assumption literals; `_reuse` keeps the list."""
-        if lits and (0 in lits or max(lits) > self.num_vars or min(lits) < -self.num_vars):
-            bad = next(a for a in lits if a == 0 or abs(a) > self.num_vars)
-            raise ValueError(f"assumption {bad} out of range")
-        self._reuse(lits)
-        return self._search(lits)
-
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
         """Whether a model extends the assumption literals; sets `witness` or `core`."""
-        core = self._start(list(assumptions))
+        lits = list(assumptions)
+        self._check_range(lits)
+        self._reuse(lits)
+        core = self._search(lits)
         if core is None:
             self.witness = self._vals[:self.num_vars + 1]
             return True
         self.core = core
         return False
 
-    def solve(self, assumptions: "Iterable[int] | Mapping[int, bool]" = ()) -> Optional[dict[int, bool]]:
-        """A total model extending the assumptions, or None.
-
-        Assumptions are literals, or a mapping from variable to value.
-        """
-        if isinstance(assumptions, Mapping):
-            assumptions = [v if b else -v for v, b in assumptions.items()]
-        if self._start(list(assumptions)) is not None:
+    def solve(self, assumptions: Iterable[int] = ()) -> Optional[dict[int, bool]]:
+        """A total model extending the assumption literals, or None."""
+        if not self.satisfiable(assumptions):
             return None
-        vals = self._vals
-        return {v: vals[v] > 0 for v in range(1, self.num_vars + 1)}
+        return {v: self.witness[v] > 0 for v in range(1, self.num_vars + 1)}
 
 
-def solve(f: Cnf, assumptions: "Iterable[int] | Mapping[int, bool]" = ()) -> Optional[dict[int, bool]]:
+def solve(f: Cnf, assumptions: Iterable[int] = ()) -> Optional[dict[int, bool]]:
     """One-shot satisfiability check on a fresh engine."""
-    return Engine.for_cnf(f).solve(assumptions)
+    return Engine(f.num_vars, f.clauses).solve(assumptions)
 
 
 def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:

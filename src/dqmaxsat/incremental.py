@@ -14,11 +14,12 @@ any call, yielding the best strategies over the supports grown so far.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
-from .formula import Cnf, Problem, Solution, TRUE_CNF, minterms_of
+from .formula import Cnf, Problem, Solution, TRUE_CNF
 from .oracle import OracleRequest, max_count
 from .reduction import SelectorMap, decode, selector_objective
 
@@ -53,19 +54,15 @@ class IterationRecord:
 @dataclass(frozen=True)
 class IncrementalState:
     problem: Problem
-    partial_deps: Mapping[int, frozenset[int]]
     selectors: SelectorMap
     objective: Cnf
     incumbent: Mapping[int, bool]
-    iteration: int
-    trace: tuple[IterationRecord, ...] = ()
-    next_id: int = 0
     # always empty; kept only because the benchmark's spans (perfbench/spans.py)
     # read state.filter.clauses off every expand
     filter = TRUE_CNF
 
     def remaining(self, x: int) -> frozenset[int]:
-        return self.problem.deps[x] - self.partial_deps[x]
+        return self.problem.deps[x].difference(self.selectors.supports[x])
 
     def finished(self) -> bool:
         return all(not self.remaining(x) for x in self.problem.max_vars)
@@ -81,22 +78,12 @@ class IncrementalState:
 
 def init(p: Problem) -> IncrementalState:
     """Empty supports: one constant selector per chooser, incumbent all false."""
-    next_id = p.cnf.num_vars + 1
-    tables: dict[int, dict[tuple[int, ...], int]] = {}
-    owner: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for x in p.max_vars:
-        tables[x] = {(): next_id}
-        owner[next_id] = (x, ())
-        next_id += 1
-    selectors = SelectorMap({x: () for x in p.max_vars}, tables, owner)
+    selectors = SelectorMap.over(p, {x: () for x in p.max_vars})
     return IncrementalState(
         problem=p,
-        partial_deps={x: frozenset() for x in p.max_vars},
         selectors=selectors,
-        objective=selector_objective(p, selectors, next_id - 1),
-        incumbent={s: False for s in owner},
-        iteration=0,
-        next_id=next_id,
+        objective=selector_objective(p, selectors),
+        incumbent={s: False for s in selectors.owner},
     )
 
 
@@ -111,38 +98,17 @@ def expand(st: IncrementalState, x: int, u: int) -> IncrementalState:
     """
     if u not in st.remaining(x):
         raise ValueError(f"variable {u} is not expandable for chooser {x}")
-    old_table = st.selectors.selectors[x]
-    new_support = tuple(sorted(st.partial_deps[x] | {u}))
-
-    next_id = st.next_id
-    new_table: dict[tuple[int, ...], int] = {}
-    for m in minterms_of(new_support):
-        new_table[m] = next_id
-        next_id += 1
-
+    selectors = st.selectors.with_support(x, st.selectors.supports[x] + (u,))
+    new_table = selectors.selectors[x]
     incumbent = {s: v for s, v in st.incumbent.items() if st.selectors.owner[s][0] != x}
-    for m_old, s in old_table.items():
+    for m_old, s in st.selectors.selectors[x].items():
         for lit in (u, -u):
             incumbent[new_table[tuple(sorted(m_old + (lit,), key=abs))]] = st.incumbent[s]
-
-    supports = dict(st.selectors.supports)
-    tables = dict(st.selectors.selectors)
-    owner = {s: o for s, o in st.selectors.owner.items() if o[0] != x}
-    supports[x] = new_support
-    tables[x] = new_table
-    for m, s in new_table.items():
-        owner[s] = (x, m)
-    selectors = SelectorMap(supports, tables, owner)
-
-    partial = dict(st.partial_deps)
-    partial[x] = st.partial_deps[x] | {u}
     return replace(
         st,
-        partial_deps=partial,
         selectors=selectors,
-        objective=selector_objective(st.problem, selectors, next_id - 1),
+        objective=selector_objective(st.problem, selectors),
         incumbent=incumbent,
-        next_id=next_id,
     )
 
 
@@ -169,8 +135,8 @@ def run(
 
     budget caps the number of oracle calls; when it stops the run early the
     result is the anytime solution over the partially grown supports. The
-    per-call records (count, elapsed time, decoded functions) are passed to
-    on_iteration and kept on the state's trace.
+    per-call records (count, elapsed time, decoded functions) go to
+    on_iteration, the only place they are kept.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
@@ -179,25 +145,24 @@ def run(
     st = init(p)
     rotor = 0
     last = None
-    while True:
+    for iteration in itertools.count(1):
         t0 = time.perf_counter()
         res = max_count(st.request())
         elapsed = (time.perf_counter() - t0) * 1000
         anytime = replace(decode(st.selectors, res.best),
                           achieved_count=res.best_count, total=p.total)
         record = IterationRecord(
-            iteration=st.iteration + 1,
+            iteration=iteration,
             expanded_var=last[0] if last else None,
             expanded_on=last[1] if last else None,
             count=res.best_count,
             elapsed_ms=elapsed,
             solution=anytime,
         )
-        st = replace(st, incumbent=dict(res.best), iteration=st.iteration + 1,
-                     trace=st.trace + (record,))
+        st = replace(st, incumbent=dict(res.best))
         if on_iteration is not None:
             on_iteration(record)
-        if st.finished() or (budget is not None and st.iteration >= budget):
+        if st.finished() or (budget is not None and iteration >= budget):
             return anytime
         x, u = _choose(st, policy, rotor)
         rotor = (st.problem.max_vars.index(x) + 1) % len(st.problem.max_vars)

@@ -4,15 +4,17 @@ A strategy for a chooser x with dependency set H is exactly a subset of the
 2^|H| complete monomials over H. Allocating one fresh selector variable per
 monomial and tying x to the selected disjunction turns strategy search into
 a plain choice of selector values, solved by one oracle call and decoded
-back into minterm sets. selector_objective is that encoding for any
-supports, full or partial; the incremental method builds its objective with
-it too.
+back into minterm sets. SelectorMap is the one allocator of selector ids
+and selector_objective the one encoding, for any supports, full or
+partial: the global reduction builds its map over the full dependency sets,
+and the incremental method starts from empty supports and grows them with
+SelectorMap.with_support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .formula import (
     Cnf,
@@ -33,26 +35,48 @@ class BudgetExceeded(ValueError):
 
 @dataclass(frozen=True)
 class SelectorMap:
-    """Bijection between (chooser, monomial) pairs and selector variables."""
+    """Bijection between (chooser, monomial) pairs and selector variables.
+
+    num_vars is the highest variable id in use, selectors included. Fresh
+    selectors always take the ids just above it, one chooser at a time, in
+    canonical minterm order of the chooser's support.
+    """
 
     supports: Mapping[int, tuple[int, ...]]
     selectors: Mapping[int, Mapping[tuple[int, ...], int]]
     owner: Mapping[int, tuple[int, tuple[int, ...]]]
+    num_vars: int
+
+    @classmethod
+    def over(cls, p: Problem, supports: Mapping[int, Iterable[int]]) -> "SelectorMap":
+        """Selectors for every chooser of p over its given support, in prefix order."""
+        sel = cls({}, {}, {}, p.cnf.num_vars)
+        for x in p.max_vars:
+            sel = sel.with_support(x, supports[x])
+        return sel
+
+    def with_support(self, x: int, support: Iterable[int]) -> "SelectorMap":
+        """The map with x's selectors retired and fresh ones allocated over support."""
+        support = tuple(sorted(support))
+        table = {m: s for s, m in enumerate(minterms_of(support), self.num_vars + 1)}
+        owner = {s: o for s, o in self.owner.items() if o[0] != x}
+        owner.update((s, (x, m)) for m, s in table.items())
+        return SelectorMap({**self.supports, x: support}, {**self.selectors, x: table},
+                           owner, self.num_vars + len(table))
 
     def selector_vars(self) -> tuple[int, ...]:
         return tuple(sorted(self.owner))
 
 
-def selector_objective(p: Problem, sel: SelectorMap, num_vars: int) -> Cnf:
+def selector_objective(p: Problem, sel: SelectorMap) -> Cnf:
     """The objective p.cnf plus every chooser's selector definition clauses.
 
-    num_vars must cover every selector. Linear in the number of selectors:
-    2 clauses per selector.
+    Linear in the number of selectors: 2 clauses per selector.
     """
     clauses = list(p.cnf.clauses)
     for x in p.max_vars:
         clauses.extend(selector_definition_clauses(x, sel.supports[x], sel.selectors[x]))
-    return Cnf.build(num_vars, clauses)
+    return Cnf.build(sel.num_vars, clauses)
 
 
 def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[OracleRequest, SelectorMap]:
@@ -66,25 +90,12 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[
     need = sum(1 << len(p.deps[x]) for x in p.max_vars)
     if need > budget:
         raise BudgetExceeded(f"{need} selectors exceed the budget of {budget}")
-    next_id = p.cnf.num_vars + 1
-    supports: dict[int, tuple[int, ...]] = {}
-    selectors: dict[int, dict[tuple[int, ...], int]] = {}
-    owner: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for x in p.max_vars:
-        support = tuple(sorted(p.deps[x]))
-        table: dict[tuple[int, ...], int] = {}
-        for m in minterms_of(support):
-            table[m] = next_id
-            owner[next_id] = (x, m)
-            next_id += 1
-        supports[x] = support
-        selectors[x] = table
-    sel = SelectorMap(supports, selectors, owner)
+    sel = SelectorMap.over(p, p.deps)
     req = OracleRequest(
-        objective=selector_objective(p, sel, next_id - 1),
+        objective=selector_objective(p, sel),
         max_vars=sel.selector_vars(),
         count_vars=p.count_vars,
-        incumbent={s: False for s in owner},
+        incumbent={s: False for s in sel.owner},
     )
     return req, sel
 

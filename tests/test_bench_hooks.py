@@ -1,0 +1,75 @@
+"""The names the benchmark's tracer wraps stay where it looks for them.
+
+The benchmark (perfbench/spans.py) replaces attributes of the package's
+modules by timing wrappers, at fixed names: ``cli.plan_split`` next to
+``local.plan_split``, ``Engine.solve`` in the class dict, and it reads
+``IncrementalState.filter`` off every ``expand``. No solver path needs some
+of them, so only this guard keeps them from being removed while the
+benchmark still wraps them. It loads spans.py as it is, installs its tracer,
+runs one local and one incremental solve through the command line, and
+uninstalls.
+"""
+
+import importlib.util
+import json
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from dqmaxsat import cli, counting, engine, incremental, local, oracle, reduction
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+BENCH = resources.files("dqmaxsat").joinpath("bench")
+MODULES = {"cli": cli, "local": local, "reduction": reduction, "incremental": incremental,
+           "oracle": oracle, "counting": counting, "engine": engine}
+
+
+def _spans_module(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _solve(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch):
+    spans = _spans_module(monkeypatch)
+    originals = {name: getattr(module, name) for name, module in
+                 (("plan_split", cli), ("expand", incremental), ("max_count", reduction))}
+    solve_method = engine.Engine.__dict__["solve"]
+    tracer = spans.Tracer(MODULES)
+    tracer.install()
+    try:
+        local_doc = _solve(capsys, "solve-program", str(BENCH / "sum_reach_3.atk"), "--json")
+        incremental_doc = _solve(capsys, "solve", str(BENCH / "copy_or_and.dqm"),
+                                 "--method", "incremental", "--json")
+        assert engine.Engine(2, [[1, 2]]).solve() == {1: False, 2: True}
+    finally:
+        tracer.uninstall()
+    assert local_doc["method"] == "local" and incremental_doc["method"] == "incremental"
+    assert local_doc["count"] == 26 and incremental_doc["count"] == 3
+
+    split = spans.analyze(tracer.spans, tracer.main_thread)
+    layers = split.layers
+    # choose_method plans through cli.plan_split, solve_local through local's
+    assert layers["local.plan_split"].calls == 2
+    expand = layers["incremental.expand"]
+    assert expand.calls == 2
+    # (objective clauses, filter clauses) off each expanded state
+    assert [len(v) for v in expand.values] == [2, 2]
+    assert all(clauses > 0 and filtered == 0 for clauses, filtered in expand.values)
+    assert layers["engine.solve"].calls == 1
+    assert layers["engine.satisfiable"].calls > 0
+    assert split.accounted_s == pytest.approx(split.roots_s, rel=1e-9)
+
+    for name, module in (("plan_split", cli), ("expand", incremental), ("max_count", reduction)):
+        assert getattr(module, name) is originals[name]
+    assert engine.Engine.__dict__["solve"] is solve_method

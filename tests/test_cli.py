@@ -228,6 +228,25 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", instance_file, str(result))
         assert code == 1
 
+    def test_function_for_a_non_chooser_exits_2(self, capsys, tmp_path, instance_file):
+        doc = self._solved(capsys, instance_file)
+        doc["functions"]["99999999999999999999999"] = {"support": [], "minterms": []}
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", instance_file, str(result))
+        assert code == 2
+        assert "ok" not in out
+        assert "extra [99999999999999999999999]" in err
+
+    def test_missing_chooser_exits_2(self, capsys, tmp_path, instance_file):
+        doc = self._solved(capsys, instance_file)
+        del doc["functions"]["1"]
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "check", instance_file, str(result))
+        assert code == 2
+        assert "missing [1]" in err
+
     def test_malformed_json_exits_2(self, capsys, tmp_path, instance_file):
         result = tmp_path / "r.json"
         result.write_text("{not json")
@@ -386,6 +405,14 @@ def _run_fuzzed(capsys, *argv):
     return code
 
 
+@functools.cache
+def _document(name):
+    """The solve document of a bundled instance, without its timings."""
+    problem, _ = cli.load_instance_text(BUNDLED[name])
+    solution, method, _ = cli.run_method(problem)
+    return json.dumps(cli.result_document(problem, solution, method, 0.0), indent=2)
+
+
 _FUZZ = settings(max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -418,19 +445,15 @@ class TestFuzz:
         assert _run_fuzzed(capsys, "solve-program", str(path)) == 2
 
     @_FUZZ
-    @given(data=st.data())
-    def test_mangled_documents(self, capsys, tmp_path, data):
-        name = data.draw(st.sampled_from(DQM_NAMES))
+    @given(case=st.sampled_from(DQM_NAMES).flatmap(
+        lambda name: st.tuples(st.just(name), mangled([_document(name)], _JSON_TOKENS))))
+    # a function for a variable that is no chooser
+    @example(case=("copy_or_and.dqm", _document("copy_or_and.dqm").replace(
+        '"functions": {', '"functions": {"99999999999999999999999": {"support": [], "minterms": []}, ')))
+    def test_mangled_documents(self, capsys, tmp_path, case):
+        name, text = case
         instance = tmp_path / name
         instance.write_text(BUNDLED[name])
         result = tmp_path / "r.json"
-        result.write_text(data.draw(mangled([_document(name)], _JSON_TOKENS)))
+        result.write_text(text)
         _run_fuzzed(capsys, "check", str(instance), str(result))
-
-
-@functools.cache
-def _document(name):
-    """The solve document of a bundled instance, without its timings."""
-    problem, _ = cli.load_instance_text(BUNDLED[name])
-    solution, method, _ = cli.run_method(problem)
-    return json.dumps(cli.result_document(problem, solution, method, 0.0), indent=2)

@@ -53,19 +53,12 @@ def test_pigeonhole_3_into_2_unsat():
 
 def test_assumptions_restrict_models():
     f = Cnf.build(2, [[1, 2]])
-    eng = Engine.for_cnf(f)
+    eng = Engine(f.num_vars, f.clauses)
     assert eng.solve([1]) == {1: True, 2: False}
     assert eng.solve([-1]) == {1: False, 2: True}
     assert eng.solve([-1, -2]) is None
     # engine state is reusable after an unsat call
     assert eng.solve([2]) is not None
-
-
-def test_assumptions_accept_mapping():
-    f = Cnf.build(2, [[-1, -2]])
-    eng = Engine.for_cnf(f)
-    assert eng.solve({2: True, 1: False}) == {1: False, 2: True}
-    assert eng.solve({1: True, 2: True}) is None
 
 
 def test_conflicting_assumption_literals():
@@ -81,20 +74,8 @@ def test_satisfiable_leaves_engine_reusable():
     assert eng.solve() is not None
 
 
-def test_add_clause_after_solve():
-    eng = Engine(2, [[1, 2]])
-    assert eng.solve() == {1: False, 2: True}
-    eng.add_clause([-2])
-    assert eng.solve() == {1: True, 2: False}
-    eng.add_clause([-1])
-    assert eng.solve() is None
-    assert not eng.ok
-
-
 def test_literal_zero_is_rejected():
     eng = Engine(3)
-    with pytest.raises(ValueError):
-        eng.add_clause([0, 1])
     with pytest.raises(ValueError):
         eng.satisfiable([1, 0])
 
@@ -109,7 +90,7 @@ def test_out_of_range_assumption_is_rejected():
 def test_learned_clauses_survive_assumption_changes():
     # unsat core under assumption 1, other branch stays reachable
     f = Cnf.build(3, [[-1, 2], [-1, -2]])
-    eng = Engine.for_cnf(f)
+    eng = Engine(f.num_vars, f.clauses)
     assert not eng.satisfiable([1])
     assert eng.satisfiable([3])
     assert eng.satisfiable([-1])
@@ -131,7 +112,7 @@ def test_agrees_with_truth_table(clause_lists):
 def test_assumption_solves_agree_with_conditioned_table(clause_lists, assumptions):
     f = Cnf.build(5, clause_lists)
     conditioned = list(f.clauses) + [[a] for a in assumptions]
-    got = Engine.for_cnf(f).solve(assumptions)
+    got = Engine(f.num_vars, f.clauses).solve(assumptions)
     if got is None:
         assert not tt_satisfiable(5, conditioned)
     else:
@@ -186,7 +167,7 @@ class TestWitnessAndCore:
     def test_witness_and_core_agree_with_truth_table(self, clause_lists, probes):
         # successive probes on one engine, so learned clauses carry over
         f = Cnf.build(6, clause_lists)
-        eng = Engine.for_cnf(f)
+        eng = Engine(f.num_vars, f.clauses)
         for assumptions in probes:
             units = [[a] for a in assumptions]
             sat = eng.satisfiable(assumptions)
@@ -200,7 +181,7 @@ class TestWitnessAndCore:
 
 
 class TestLoader:
-    """The constructor loads its clause list in one pass; add_clause one at a time."""
+    """The constructor loads its clause list in one pass."""
 
     def test_duplicates_tautologies_and_units(self):
         # stored once each, duplicates dropped; the tautology not at all
@@ -233,16 +214,12 @@ class TestLoader:
 
     @pytest.mark.parametrize("clauses", [
         [[1, 0]], [[0]], [[4]], [[-4, 1]], [[1], [2, 9]],
-        # checked even inside a tautology, as add_clause does
+        # checked even inside a tautology
         [[1, -1, 4]],
     ])
     def test_literal_out_of_range_is_rejected(self, clauses):
         with pytest.raises(ValueError):
             Engine(3, clauses)
-        eng = Engine(3)
-        with pytest.raises(ValueError):
-            for c in clauses:
-                eng.add_clause(c)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.lists(st.integers(min_value=-5, max_value=5).filter(bool), min_size=1, max_size=4),
@@ -250,27 +227,23 @@ class TestLoader:
            st.none() | st.integers(min_value=0, max_value=10),
            st.lists(st.lists(st.integers(min_value=-5, max_value=5).filter(bool), max_size=3),
                     min_size=1, max_size=4))
-    def test_bulk_load_agrees_with_truth_table_and_add_clause(self, clause_lists, empty_at, probes):
+    def test_bulk_load_agrees_with_truth_table(self, clause_lists, empty_at, probes):
         # raw lists: repeated literals, both polarities of a variable, units
         # that may clash, and sometimes the empty clause
         if empty_at is not None:
             clause_lists.insert(empty_at, [])
-        bulk = Engine(5, clause_lists)
-        single = Engine(5)
-        for c in clause_lists:
-            single.add_clause(c)
-        assert bulk.ok == single.ok
+        eng = Engine(5, clause_lists)
+        assert eng.ok or not tt_satisfiable(5, clause_lists)
         for assumptions in probes:
             models = tt_models(5, clause_lists + [[a] for a in assumptions])
-            for eng in (bulk, single):
-                sat = eng.satisfiable(assumptions)
-                assert sat == bool(models)
-                if sat:
-                    # the least model, false before true, lowest variable first
-                    assert {v: eng.witness[v] > 0 for v in range(1, 6)} == models[0]
-                else:
-                    assert set(eng.core) <= set(assumptions)
-                    assert not tt_satisfiable(5, clause_lists + [[a] for a in eng.core])
+            sat = eng.satisfiable(assumptions)
+            assert sat == bool(models)
+            if sat:
+                # the least model, false before true, lowest variable first
+                assert {v: eng.witness[v] > 0 for v in range(1, 6)} == models[0]
+            else:
+                assert set(eng.core) <= set(assumptions)
+                assert not tt_satisfiable(5, clause_lists + [[a] for a in eng.core])
 
 
 class TestTrailReuse:
@@ -284,14 +257,6 @@ class TestTrailReuse:
         assert sorted(eng.core) == [-1, 3]
         assert eng.satisfiable([-1])
 
-    def test_add_clause_after_probe_goes_back_to_level_0(self):
-        eng = Engine(3, [[1, 2]])
-        assert eng.satisfiable([-1, 3])
-        assert eng.add_clause([-2, -3])
-        assert not eng.satisfiable([-1, 3])
-        assert eng.satisfiable([-1])
-        assert eng.witness[1:] == [-1, 1, -1]
-
     @settings(max_examples=300, deadline=None)
     @given(clauses_strategy(max_vars=6, max_clauses=10),
            st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=4),
@@ -299,19 +264,12 @@ class TestTrailReuse:
                st.tuples(st.just("probe"), st.integers(0, 4),
                          st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=3)),
                st.tuples(st.just("solve"), st.integers(0, 4), st.just([])),
-               st.tuples(st.just("add"), st.just(0),
-                         st.lists(st.integers(min_value=-6, max_value=6).filter(bool),
-                                  min_size=1, max_size=3)),
            ), min_size=1, max_size=8))
     def test_probes_sharing_prefixes_agree_with_truth_table(self, clause_lists, prefix, ops):
         # one engine throughout, so each call starts from the trail of the last
         clauses = [list(c) for c in Cnf.build(6, clause_lists).clauses]
         eng = Engine(6, clauses)
         for kind, cut, lits in ops:
-            if kind == "add":
-                eng.add_clause(lits)
-                clauses.append(lits)
-                continue
             assumptions = prefix[:cut] + lits
             units = [[a] for a in assumptions]
             models = tt_models(6, clauses + units)

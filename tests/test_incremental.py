@@ -29,7 +29,7 @@ class TestInit:
         assert (1, -6) in st.objective.clauses
         assert st.incumbent == {6: False}
         assert st.filter.clauses == ()
-        assert st.partial_deps == {1: frozenset()}
+        assert st.selectors.supports == {1: ()}
 
     def test_two_choosers(self, two_implications):
         st = init(two_implications)
@@ -47,7 +47,7 @@ class TestExpand:
     def test_selector_split_and_clause_rewrite(self, copy_or_and):
         st = expand(init(copy_or_and), 1, 4)
         assert st.selectors.selectors[1] == {(4,): 7, (-4,): 8}
-        assert st.partial_deps[1] == frozenset([4])
+        assert st.selectors.supports[1] == (4,)
         # the objective is p.cnf plus the definition clauses of the grown
         # support, nothing else
         assert st.objective == Cnf.build(8, list(copy_or_and.cnf.clauses) + [

@@ -2,14 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqmaxsat.counting import check_solution, count_projected
-from dqmaxsat.formula import Cnf, MintermFunction, Problem
+from dqmaxsat.formula import Cnf, MintermFunction, Problem, minterms_of, selector_definition_clauses
 from dqmaxsat.oracle import brute_force_dqmaxsat
 from dqmaxsat.reduction import (
     BudgetExceeded,
+    SelectorMap,
     build_reduction,
     decode,
+    selector_objective,
     solve_dqbf,
     solve_global,
 )
@@ -50,6 +53,48 @@ def test_selector_freshness_and_bijection(two_implications):
         assert s > two_implications.cnf.num_vars
         assert sel.selectors[x][m] == s
     assert len(sel.owner) == len(set(sel.owner))
+
+
+def _assert_consistent(p, sel):
+    """owner inverts the tables, and the objective covers exactly these selectors."""
+    pairs = {(x, m): s for x, table in sel.selectors.items() for m, s in table.items()}
+    assert {s: xm for xm, s in pairs.items()} == dict(sel.owner)
+    assert set(sel.supports) == set(sel.selectors) == set(p.max_vars)
+    assert all(list(sel.selectors[x]) == minterms_of(sel.supports[x]) for x in p.max_vars)
+    assert max(sel.owner, default=p.cnf.num_vars) <= sel.num_vars
+    definitions = [c for x in p.max_vars
+                   for c in selector_definition_clauses(x, sel.supports[x], sel.selectors[x])]
+    assert selector_objective(p, sel) == Cnf.build(sel.num_vars, list(p.cnf.clauses) + definitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances.problems(max_num_vars=8, max_num_max=3, dep_limit=3), st.data())
+def test_selector_map_allocates_fresh_ids_in_order(p, data):
+    pool = sorted(p.count_vars | p.exist_vars)
+    supports = st.lists(st.sampled_from(pool), unique=True, max_size=3)
+    start = {x: data.draw(supports) for x in p.max_vars}
+    sel = SelectorMap.over(p, start)
+    # contiguous from the formula's last id: choosers in prefix order, each
+    # chooser's monomials in canonical order
+    layout = [(x, m) for x in p.max_vars for m in minterms_of(start[x])]
+    n = p.cnf.num_vars
+    assert sel.num_vars == n + len(layout)
+    assert [sel.owner[s] for s in range(n + 1, sel.num_vars + 1)] == layout
+    _assert_consistent(p, sel)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        x = data.draw(st.sampled_from(p.max_vars))
+        support = data.draw(supports)
+        grown = sel.with_support(x, support)
+        assert grown.supports[x] == tuple(sorted(support))
+        for y in p.max_vars:
+            if y != x:
+                assert grown.supports[y] == sel.supports[y]
+                assert grown.selectors[y] == sel.selectors[y]
+        # x's old ids are retired, its new ones follow the old num_vars
+        assert set(sel.selectors[x].values()).isdisjoint(grown.owner)
+        assert list(grown.selectors[x].values()) == list(range(sel.num_vars + 1, grown.num_vars + 1))
+        _assert_consistent(p, grown)
+        sel = grown
 
 
 def test_budget_guard(copy_or_and):
