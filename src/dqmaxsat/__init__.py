@@ -19,6 +19,7 @@ from .oracle import (
     OracleResult,
     brute_force_dqmaxsat,
     max_count,
+    reachable_cells,
 )
 from .reduction import BudgetExceeded, build_reduction, solve_dqbf, solve_global
 from .incremental import IterationRecord, run as solve_incremental
@@ -48,6 +49,7 @@ __all__ = [
     "OracleResult",
     "brute_force_dqmaxsat",
     "max_count",
+    "reachable_cells",
     "BudgetExceeded",
     "build_reduction",
     "solve_dqbf",

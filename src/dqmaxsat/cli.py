@@ -20,6 +20,7 @@ input-format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -111,7 +112,7 @@ def run_method(
         method = choose_method(problem, leaf_budget)
     iterations = None
     if method == "global":
-        solution = solve_global(problem, budget) if budget else solve_global(problem)
+        solution = solve_global(problem) if budget is None else solve_global(problem, budget)
     elif method == "incremental":
         iterations = []
 
@@ -322,6 +323,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--method",
@@ -331,17 +343,19 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument("--policy", choices=tuple(POLICIES), default="round-robin",
                     help="incremental expansion order")
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--budget", type=_positive_int, default=None,
                     help="selector budget (global) or iteration cap (incremental)")
     sp.add_argument("--leaf-solver", choices=("global", "incremental"), default="global",
                     help="solver for local subproblems")
-    sp.add_argument("--leaf-budget", type=int, default=DEFAULT_LEAF_BUDGET,
+    sp.add_argument("--leaf-budget", type=_positive_int, default=DEFAULT_LEAF_BUDGET,
                     help="largest tolerated local leaf count")
     sp.add_argument("--json", action="store_true", help="emit a result document")
     sp.add_argument("--trace", action="store_true", help="log incremental iterations to stderr")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and reused by main."""
     ap = argparse.ArgumentParser(
         prog="dqms",
         description="Synthesize per-variable strategies maximizing a projected model count.",

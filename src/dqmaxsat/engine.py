@@ -24,10 +24,17 @@ even inside a tautology. Then duplicate literals are dropped, tautologies
 are skipped, and an empty clause or clashing units make the database
 unsatisfiable. satisfiable checks its assumption literals the same way.
 
-enumerate_projected never restarts: after each model it attaches the
-blocking clause as a permanent clause, backjumps to the level where that
-clause asserts a literal (or, when its two deepest literals share a level,
-to just below it), and continues the search there.
+enumerate_projected decides the projection first: it renumbers the
+projection variables to 1..k in ascending order, so the lowest-id rule
+assigns all of them before it decides any other variable. The decisions
+on projection variables then force the whole cell under the current
+database, and the blocking clause negates only those decisions, not every
+projection literal (Toda & Soh, "Implementing Efficient All Solutions SAT
+Solvers", JEA 2016). Cells come in lexicographic order over the sorted
+projection, false first, whatever the formula. Enumeration never
+restarts: after each model it attaches the blocking clause as a permanent
+clause, backjumps to the level where that clause asserts its deepest
+literal, and continues the search there.
 
 State is indexed by literal: value and watch lists have 2n+1 slots, so
 `vals[lit]` is the value of the literal itself for negative literals too
@@ -340,31 +347,25 @@ class Engine:
             lim.append(len(trail))
             self._enqueue(lit, None)
 
-    def _block(self, lits: list[int]) -> bool:
-        """Attach a permanent clause that the current total assignment falsifies.
+    def _block(self, depth: int) -> bool:
+        """Attach a permanent clause negating the decisions of levels 1..depth.
 
-        Backjumps to the level where the clause asserts a literal, or to just
-        below its deepest level when its two deepest literals share it, and
-        enqueues what it asserts. False when the clause is refuted at level 0.
+        Backjumps to level depth - 1, where the clause asserts the negation
+        of the deepest decision, and enqueues it. False when depth is 0: the
+        clause would be empty, so nothing is left to find.
         """
-        levels = self._level
-        c = sorted(lits, key=lambda lit: -levels[abs(lit)])
-        top = levels[abs(c[0])]
-        if top == 0:
+        if depth == 0:
             self.ok = False
             return False
-        if len(c) == 1:
-            self._backtrack(0)
+        trail = self._trail
+        lim = self._lim
+        c = [-trail[lim[level]] for level in range(depth - 1, -1, -1)]
+        self._backtrack(depth - 1)
+        if depth == 1:
             self._enqueue(c[0], None)
-            return True
-        second = levels[abs(c[1])]
-        if second < top:
-            self._backtrack(second)
+        else:
             self._attach(c)
             self._enqueue(c[0], c)
-        else:
-            self._backtrack(top - 1)
-            self._attach(c)
         return True
 
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
@@ -394,20 +395,37 @@ def solve(f: Cnf, assumptions: Iterable[int] = ()) -> Optional[dict[int, bool]]:
 def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
     """Visit every projection of a model onto `proj` exactly once.
 
-    Enumeration blocks each found projection with a clause over the
-    projection variables only, so the count is the number of proj-assignments
-    extendable to a model. Projections come in the order of their least
-    models, the same order as solving from scratch after each block.
+    The count is the number of proj-assignments extendable to a model.
+    Projections come in lexicographic order over sorted(proj), false
+    first. The projection variables are renumbered to 1..k, so they are
+    decided before any other variable, and each model is blocked by a
+    clause over its projection decisions alone: those decisions and the
+    clauses so far force the whole cell, so the clause removes exactly it.
     """
     proj_vars = sorted(set(proj))
-    nv = max([f.num_vars] + proj_vars) if proj_vars else f.num_vars
-    eng = Engine(nv, f.clauses)
+    k = len(proj_vars)
+    nv = max(f.num_vars, proj_vars[-1]) if proj_vars else f.num_vars
+    # projection variables to 1..k, the others above them; a literal out of
+    # range is left as it is, for the engine to reject
+    in_proj = set(proj_vars)
+    order = proj_vars + [v for v in range(1, nv + 1) if v not in in_proj]
+    renumber = {}
+    for new, old in enumerate(order, 1):
+        renumber[old] = new
+        renumber[-old] = -new
+    eng = Engine(nv, [[renumber.get(lit, lit) for lit in c] for c in f.clauses])
     vals = eng._vals
+    trail = eng._trail
+    lim = eng._lim
     count = 0
     while eng._search([]) is None:
         count += 1
         if visit is not None:
-            visit({v: vals[v] > 0 for v in proj_vars})
-        if not proj_vars or not eng._block([-v if vals[v] > 0 else v for v in proj_vars]):
+            visit({v: vals[i] > 0 for i, v in enumerate(proj_vars, 1)})
+        # the projection decisions open the first levels
+        depth = 0
+        while depth < len(lim) and abs(trail[lim[depth]]) <= k:
+            depth += 1
+        if not eng._block(depth):
             return count
     return count

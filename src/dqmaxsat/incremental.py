@@ -10,6 +10,10 @@ variable equals an assignment over the old support, whose count is at most
 the incumbent's, and the oracle accepts only strict improvements. A full
 run makes exactly 1 + sum of |H_i| oracle calls and may be stopped after
 any call, yielding the best strategies over the supports grown so far.
+
+Every call's objective reaches the same count-cells as the problem's own
+CNF, whatever the supports, so init enumerates them once and every
+request of the run carries them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
 from .formula import Cnf, Problem, Solution, TRUE_CNF
-from .oracle import OracleRequest, max_count
+from .oracle import OracleRequest, max_count, reachable_cells
 from .reduction import SelectorMap, decode, selector_objective
 
 POLICIES = ("round-robin", "fixed-order", "largest-remaining")
@@ -57,6 +61,8 @@ class IncrementalState:
     selectors: SelectorMap
     objective: Cnf
     incumbent: Mapping[int, bool]
+    # the count-cells of problem.cnf, which every objective reaches alike
+    cells: tuple[tuple[int, ...], ...]
     # always empty; kept only because the benchmark's spans (perfbench/spans.py)
     # read state.filter.clauses off every expand
     filter = TRUE_CNF
@@ -73,6 +79,7 @@ class IncrementalState:
             max_vars=self.selectors.selector_vars(),
             count_vars=self.problem.count_vars,
             incumbent=self.incumbent,
+            cells=self.cells,
         )
 
 
@@ -84,6 +91,7 @@ def init(p: Problem) -> IncrementalState:
         selectors=selectors,
         objective=selector_objective(p, selectors),
         incumbent={s: False for s in selectors.owner},
+        cells=reachable_cells(p.cnf, p.count_vars),
     )
 
 

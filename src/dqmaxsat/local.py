@@ -73,8 +73,11 @@ def plan_split(p: Problem, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> SplitPlan:
     Eligible variables are taken in ascending id order; when their full
     power set of assignments would exceed leaf_budget leaves, only a prefix
     is eliminated. Leaf k corresponds to the k-th canonical monomial over
-    the split variables (all-positive first).
+    the split variables (all-positive first). A leaf_budget below 1
+    raises ValueError: no split fits it, not even the unsplit problem.
     """
+    if leaf_budget < 1:
+        raise ValueError(f"leaf budget must be at least 1, got {leaf_budget}")
     if not p.max_vars:
         raise NoEligibleVariable("no choosers, nothing to split for")
     common = frozenset.intersection(*(p.deps[x] for x in p.max_vars))

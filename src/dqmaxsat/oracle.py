@@ -2,7 +2,9 @@
 
 max_count answers requests of the form "which assignment of the choice
 variables leaves the most count-variable cells reachable", always comparing
-against a caller-supplied incumbent.
+against a caller-supplied incumbent. The caller also supplies the cells
+reachable with every choice free, from reachable_cells, so a solve
+enumerates them once however many calls it makes.
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
 and for cross-checking the real solvers.
@@ -32,19 +34,39 @@ class OracleRequest:
 
     incumbent must be a total assignment of the choice variables max_vars.
     Variables of the objective that are neither choice nor count variables
-    are existential.
+    are existential. cells are the count-cells the objective reaches with
+    the choice variables free, as reachable_cells gives them: one literal
+    per count variable, in ascending variable order.
     """
 
     objective: Cnf
     max_vars: tuple[int, ...]
     count_vars: frozenset[int]
     incumbent: Mapping[int, bool]
+    cells: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class OracleResult:
     best: Mapping[int, bool]
     best_count: int
+
+
+def reachable_cells(f: Cnf, count_vars: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The count-cells that some model of f reaches.
+
+    A cell has one literal per count variable, in ascending variable order,
+    and cells come in lexicographic order, false first.
+    A selector objective reaches the same cells as the problem's own CNF:
+    the selector of each point's active monomial can take the chooser's
+    value there. So the cells of p.cnf serve every request over p.
+    """
+    ys = sorted(set(count_vars))
+    cells: list[tuple[int, ...]] = []
+    enumerate_projected(
+        f, ys, visit=lambda m: cells.append(tuple(v if m[v] else -v for v in ys)),
+    )
+    return tuple(cells)
 
 
 def max_count(req: OracleRequest) -> OracleResult:
@@ -67,10 +89,10 @@ def max_count(req: OracleRequest) -> OracleResult:
     strict improvements in the same order as one that asks every time, and
     the result is still the lexicographically least optimum.
 
-    Two engines serve a call: one enumerates the root's reachable cells,
-    the other probes. The incumbent is counted on the probe engine, one
-    probe per root cell under the incumbent's literals, and those probes'
-    witnesses and cores are what the root's cells start with.
+    One engine serves a call, and it only probes: the root's cells come
+    with the request. The incumbent is counted on it, one probe per root
+    cell under the incumbent's literals, and those probes' witnesses and
+    cores are what the root's cells start with.
     """
     ms = sorted(set(req.max_vars))
     if len(ms) != len(req.max_vars):
@@ -79,14 +101,10 @@ def max_count(req: OracleRequest) -> OracleResult:
         raise MalformedRequest("incumbent is not a total assignment of the choice variables")
     incumbent = {v: bool(req.incumbent[v]) for v in ms}
     ys = sorted(req.count_vars)
+    root_cells = req.cells
+    if any(list(map(abs, cell)) != ys for cell in root_cells):
+        raise MalformedRequest("a cell is not over exactly the count variables")
     nv = max([req.objective.num_vars] + ms + ys, default=0)
-
-    # reachable count-cells under the objective, choice vars still free
-    root_cells: list[tuple[int, ...]] = []
-    enumerate_projected(
-        Cnf(nv, req.objective.clauses), ys,
-        visit=lambda m: root_cells.append(tuple(v if m[v] else -v for v in ys)),
-    )
 
     # a cell entry: the cell, its last witness (None until probed), its cores
     Entry = tuple[tuple[int, ...], Optional[list[int]], list[frozenset[int]]]

@@ -24,7 +24,7 @@ from .formula import (
     minterms_of,
     selector_definition_clauses,
 )
-from .oracle import OracleRequest, OracleResult, max_count
+from .oracle import OracleRequest, OracleResult, max_count, reachable_cells
 
 DEFAULT_SELECTOR_BUDGET = 1 << 20
 
@@ -85,7 +85,8 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[
     The request's choice variables are the fresh selectors; the original
     choosers are left uncounted since the definition clauses determine them
     pointwise. Incumbent is the all-false (all strategies constant false)
-    assignment.
+    assignment. The root cells are those of p.cnf, which the selector
+    objective reaches alike.
     """
     need = sum(1 << len(p.deps[x]) for x in p.max_vars)
     if need > budget:
@@ -96,6 +97,7 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[
         max_vars=sel.selector_vars(),
         count_vars=p.count_vars,
         incumbent={s: False for s in sel.owner},
+        cells=reachable_cells(p.cnf, p.count_vars),
     )
     return req, sel
 

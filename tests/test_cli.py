@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from dqmaxsat import cli
 from dqmaxsat.bitvec import ProgramError, parse_program
+from dqmaxsat.reduction import BudgetExceeded
 
 COPY_OR_AND = """\
 p dqmscnf 5 7
@@ -315,6 +316,50 @@ class TestUsage:
         code, _, err = run_cli(capsys, "solve", str(path), "--method", "local")
         assert code == 1
         assert "error" in err
+
+
+class TestSolverBudgets:
+    @pytest.mark.parametrize("flag, value", [
+        ("--leaf-budget", "0"), ("--leaf-budget", "-1"),
+        ("--budget", "0"), ("--budget", "-3"), ("--budget", "two"),
+    ])
+    @pytest.mark.parametrize("method", ["auto", "global", "incremental", "local"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, instance_file, flag, value, method):
+        code, out, err = run_cli(capsys, "solve", instance_file, "--method", method, flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    def test_global_budget_is_applied(self, capsys, instance_file):
+        # copy_or_and needs 4 selectors: a budget of 3 is refused, not ignored
+        code, _, err = run_cli(capsys, "solve", instance_file, "--method", "global", "--budget", "3")
+        assert code == 1
+        assert "exceed the budget of 3" in err
+        assert run_cli(capsys, "solve", instance_file, "--method", "global", "--budget", "4")[0] == 0
+
+    def test_run_method_applies_a_zero_budget(self):
+        problem, _ = cli.load_instance_text(COPY_OR_AND)
+        with pytest.raises(BudgetExceeded):
+            cli.run_method(problem, method="global", budget=0)
+
+    def test_leaf_budget_one_solves_unsplit(self, capsys, instance_file):
+        code, out, _ = run_cli(capsys, "solve", instance_file, "--method", "local",
+                               "--leaf-budget", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["count"] == 3
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_option_carries_over_between_calls(self, capsys, instance_file):
+        argv = ("solve", instance_file, "--method", "incremental", "--json")
+        capped = json.loads(run_cli(capsys, *argv, "--budget", "1")[1])
+        full = json.loads(run_cli(capsys, *argv)[1])
+        assert (len(capped["iterations"]), len(full["iterations"])) == (1, 3)
+        assert run_cli(capsys, "count", instance_file)[1].strip() == "4 of 4"
 
 
 class TestBenchPlumbing:

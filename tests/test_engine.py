@@ -1,4 +1,6 @@
 import itertools
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,33 @@ from dqmaxsat.engine import Engine, enumerate_projected, solve
 from dqmaxsat.formula import Cnf
 
 from naive import eval_cnf, tt_count_projected, tt_models, tt_projections, tt_satisfiable
+
+
+@contextmanager
+def recorded_blocks(k=None):
+    """Every blocking clause enumerate_projected attaches, as a list of literals.
+
+    With k given, also asserts at each block that all variables 1..k are
+    assigned, that the clause negates exactly the decisions on them, and
+    that every deeper level is a decision on a variable above k.
+    """
+    blocks = []
+    block = Engine._block
+
+    def recording(eng, depth):
+        trail, lim = eng._trail, eng._lim
+        decisions = [trail[start] for start in lim]
+        if k is not None:
+            assert all(eng._vals[v] for v in range(1, k + 1))
+            assert all(abs(d) <= k for d in decisions[:depth])
+            assert all(abs(d) > k for d in decisions[depth:])
+            assert all(eng._reason[abs(d)] is None and eng._level[abs(d)] == level
+                       for level, d in enumerate(decisions, 1))
+        blocks.append([-d for d in decisions[:depth]])
+        return block(eng, depth)
+
+    with mock.patch.object(Engine, "_block", recording):
+        yield blocks
 
 
 def clauses_strategy(max_vars=6, max_clauses=12):
@@ -309,32 +338,47 @@ class TestEnumerateProjected:
         f = Cnf.build(3, [[1], [2, 3]])
         assert enumerate_projected(f, [1, 4]) == 2
 
-    def test_blocking_clause_whose_two_deepest_literals_share_a_level(self):
-        # deciding -1 implies -2 on level 1, so the first blocking clause
-        # [1, 2] has both literals there and enumeration resumes at level 0
+    def test_implied_projection_literals_are_not_blocked(self):
+        # deciding -1 implies -2 on level 1, so the first blocking clause is
+        # [1] alone, a unit, and enumeration resumes at level 0
         f = Cnf.build(3, [[1, -2]])
         seen = []
-        assert enumerate_projected(f, [1, 2], visit=seen.append) == 3
+        with recorded_blocks() as blocks:
+            assert enumerate_projected(f, [1, 2], visit=seen.append) == 3
         assert seen == [{1: False, 2: False}, {1: True, 2: False}, {1: True, 2: True}]
+        assert blocks[0] == [1]
 
     @settings(max_examples=300, deadline=None)
     @given(clauses_strategy(max_vars=8, max_clauses=14),
            st.sets(st.integers(min_value=1, max_value=8), max_size=8))
     def test_enumeration_order_matches_restarts(self, clause_lists, proj):
         # mostly short clauses over up to 8 variables: propagation often puts
-        # two projection literals on one level, which the backjump must handle
+        # two projection literals on one level, and only the decision of the
+        # two is blocked
         f = Cnf.build(8, clause_lists)
         visited = []
         got = enumerate_projected(f, proj, visit=visited.append)
         assert got == tt_count_projected(8, f.clauses, proj)
-        # the order that solving afresh after each block gives: the least
-        # unblocked model is the first model whose projection is new
-        want = []
-        for m in tt_models(8, f.clauses):
-            cell = {v: m[v] for v in sorted(proj)}
-            if cell not in want:
-                want.append(cell)
+        # the order that solving afresh after each block gives when the
+        # projection variables are numbered first: lexicographic over
+        # sorted(proj), false first, whatever the formula
+        pv = sorted(proj)
+        want = [dict(zip(pv, cell)) for cell in sorted(tt_projections(8, f.clauses, proj))]
         assert visited == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(clauses_strategy(max_vars=8, max_clauses=14),
+           st.sets(st.integers(min_value=1, max_value=8), max_size=8))
+    def test_blocking_clauses_hold_only_projection_decisions(self, clause_lists, proj):
+        # enumerate_projected numbers the projection variables 1..k
+        k = len(proj)
+        f = Cnf.build(8, clause_lists)
+        with recorded_blocks(k) as blocks:
+            got = enumerate_projected(f, proj)
+        assert got == tt_count_projected(8, f.clauses, proj)
+        # one block per model; the last one finds nothing left to decide
+        # or leads the search to refute the database
+        assert len(blocks) == got
 
     @settings(max_examples=200, deadline=None)
     @given(clauses_strategy(max_vars=5, max_clauses=8),

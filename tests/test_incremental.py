@@ -8,7 +8,8 @@ from dqmaxsat.formula import Cnf, Problem, selector_definition_clauses
 from dataclasses import replace
 
 from dqmaxsat.incremental import POLICIES, expand, init, run
-from dqmaxsat.oracle import brute_force_dqmaxsat, max_count
+from dqmaxsat import oracle
+from dqmaxsat.oracle import brute_force_dqmaxsat, max_count, reachable_cells
 from dqmaxsat.reduction import solve_global
 
 import instances
@@ -150,6 +151,25 @@ class TestRun:
             (None, None), (1, 4), (1, 5)]
         assert solution.achieved_count == 3
         assert check_solution(copy_or_and, solution) == 3
+
+    @pytest.mark.parametrize("name", ["copy_or_and", "two_implications", "copy_or"])
+    def test_one_enumeration_per_run(self, name, monkeypatch):
+        # every oracle call reuses the cells init enumerated
+        p = getattr(instances, name)()
+        enumerations = []
+        calls = []
+        enumerate_projected = oracle.enumerate_projected
+
+        def counting_enumerate(*args, **kwargs):
+            enumerations.append(1)
+            return enumerate_projected(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "enumerate_projected", counting_enumerate)
+        solution = run(p, on_iteration=calls.append)
+        assert len(enumerations) == 1
+        assert len(calls) == 1 + sum(len(p.deps[x]) for x in p.max_vars)
+        assert solution.achieved_count == brute_force_dqmaxsat(p).achieved_count
+        assert init(p).cells == reachable_cells(p.cnf, p.count_vars)
 
     def test_round_robin_alternates(self, two_implications):
         solution, records = collect(two_implications)

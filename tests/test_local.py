@@ -104,6 +104,17 @@ class TestPlanSplit:
         assert len(plan.leaves) == 4
 
 
+    @pytest.mark.parametrize("leaf_budget", [0, -1])
+    def test_leaf_budget_below_one_is_rejected(self, copy_or_and, leaf_budget):
+        with pytest.raises(ValueError, match="leaf budget must be at least 1"):
+            plan_split(copy_or_and, leaf_budget=leaf_budget)
+
+    def test_leaf_budget_one_leaves_the_problem_unsplit(self, copy_or_and):
+        plan = plan_split(copy_or_and, leaf_budget=1)
+        assert plan.split_vars == ()
+        assert plan.leaves == (copy_or_and,)
+
+
 class TestSolveLocal:
     def test_leaf_optima_and_recombination(self, copy_or_and):
         plan = plan_split(copy_or_and)

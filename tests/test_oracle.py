@@ -15,6 +15,7 @@ from dqmaxsat.oracle import (
     OracleRequest,
     brute_force_dqmaxsat,
     max_count,
+    reachable_cells,
 )
 from dqmaxsat.reduction import solve_global
 
@@ -62,6 +63,7 @@ def _single_chooser_request():
         max_vars=(6,),
         count_vars=frozenset([2, 3]),
         incumbent={6: False},
+        cells=reachable_cells(obj, [2, 3]),
     )
 
 
@@ -77,6 +79,7 @@ def _split_chooser_request(incumbent=None):
         max_vars=(7, 8),
         count_vars=frozenset([2, 3]),
         incumbent=incumbent or {7: False, 8: False},
+        cells=reachable_cells(obj, [2, 3]),
     )
 
 
@@ -100,14 +103,24 @@ def test_partial_incumbent_is_malformed():
 
 def test_duplicate_choice_variable_is_malformed():
     req = _single_chooser_request()
-    bad = OracleRequest(req.objective, (6, 6), req.count_vars, {6: False})
+    bad = OracleRequest(req.objective, (6, 6), req.count_vars, {6: False}, req.cells)
+    with pytest.raises(MalformedRequest):
+        max_count(bad)
+
+
+@pytest.mark.parametrize("cell", [(2,), (3, 2), (-2, 4), (2, 3, 4), ()])
+def test_cell_over_other_variables_is_malformed(cell):
+    # cells hold one literal per count variable, in ascending order
+    req = _single_chooser_request()
+    bad = OracleRequest(req.objective, req.max_vars, req.count_vars, req.incumbent,
+                        req.cells + (cell,))
     with pytest.raises(MalformedRequest):
         max_count(bad)
 
 
 def test_no_choice_variables_counts_the_objective():
     f = Cnf.build(3, [[1, 2], [-3, 1]])
-    req = OracleRequest(f, (), frozenset([1, 2]), {})
+    req = OracleRequest(f, (), frozenset([1, 2]), {}, reachable_cells(f, [1, 2]))
     res = max_count(req)
     assert res.best_count == 3
     assert dict(res.best) == {}
@@ -127,7 +140,8 @@ def _random_request(rng: random.Random):
         vs = [rng.choice(ms), rng.choice(others)] + rng.sample(range(1, num_vars + 1), rng.randint(0, 1))
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     incumbent = {v: False for v in ms}
-    return OracleRequest(Cnf.build(num_vars, clauses), tuple(ms), frozenset(ys), incumbent)
+    f = Cnf.build(num_vars, clauses)
+    return OracleRequest(f, tuple(ms), frozenset(ys), incumbent, reachable_cells(f, ys))
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -144,7 +158,7 @@ def _random_request_with_incumbent(rng: random.Random):
     # assignment; drawn last, so the objective is _random_request's
     req = _random_request(rng)
     incumbent = {v: rng.random() < 0.5 for v in req.max_vars}
-    return OracleRequest(req.objective, req.max_vars, req.count_vars, incumbent)
+    return OracleRequest(req.objective, req.max_vars, req.count_vars, incumbent, req.cells)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -156,8 +170,9 @@ def test_random_incumbent_matches_reference_enumeration(seed):
     assert dict(res.best) == want_best
 
 
-def test_two_engines_and_one_enumeration_per_call(monkeypatch):
-    # the incumbent is counted on the probe engine, not enumerated apart
+def test_one_engine_and_no_enumeration_per_call(monkeypatch):
+    # the root cells come with the request, and the incumbent is counted
+    # on the probe engine
     built = []
     enumerations = []
     init = Engine.__init__
@@ -180,17 +195,19 @@ def test_two_engines_and_one_enumeration_per_call(monkeypatch):
         built.clear()
         enumerations.clear()
         max_count(req)
-        assert (len(built), len(enumerations)) == (2, 1)
+        assert (len(built), len(enumerations)) == (1, 0)
 
 
 def test_witnesses_and_cores_skip_probes(monkeypatch):
     # choices 1..3, counted 4, 5: y4 needs x1, y5 needs x3 and not x2, so
     # all four cells are reachable only under x1 & -x2 & x3
+    objective = Cnf.build(5, [[-4, 1], [-5, -2], [-5, 3]])
     req = OracleRequest(
-        objective=Cnf.build(5, [[-4, 1], [-5, -2], [-5, 3]]),
+        objective=objective,
         max_vars=(1, 2, 3),
         count_vars=frozenset([4, 5]),
         incumbent={1: False, 2: False, 3: False},
+        cells=reachable_cells(objective, [4, 5]),
     )
     probes = []
     satisfiable = Engine.satisfiable

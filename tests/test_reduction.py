@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dqmaxsat.counting import check_solution, count_projected
 from dqmaxsat.formula import Cnf, MintermFunction, Problem, minterms_of, selector_definition_clauses
-from dqmaxsat.oracle import brute_force_dqmaxsat
+from dqmaxsat.oracle import brute_force_dqmaxsat, reachable_cells
 from dqmaxsat.reduction import (
     BudgetExceeded,
     SelectorMap,
@@ -95,6 +95,22 @@ def test_selector_map_allocates_fresh_ids_in_order(p, data):
         assert list(grown.selectors[x].values()) == list(range(sel.num_vars + 1, grown.num_vars + 1))
         _assert_consistent(p, grown)
         sel = grown
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances.problems(max_num_vars=8, max_num_max=3, dep_limit=3), st.data())
+def test_selector_objective_reaches_the_cells_of_the_problem(p, data):
+    # what lets one enumeration of p.cnf serve every oracle call of a
+    # solve: over any partial supports, the selector of each point's active
+    # monomial can take the chooser's value there
+    supports = {}
+    for x in p.max_vars:
+        deps = sorted(p.deps[x])
+        keep = data.draw(st.lists(st.booleans(), min_size=len(deps), max_size=len(deps)))
+        supports[x] = [u for u, kept in zip(deps, keep) if kept]
+    sel = SelectorMap.over(p, supports)
+    objective = selector_objective(p, sel)
+    assert reachable_cells(objective, p.count_vars) == reachable_cells(p.cnf, p.count_vars)
 
 
 def test_budget_guard(copy_or_and):
