@@ -13,6 +13,13 @@ and a machine-readable result document with ``--json``.  Every emitted
 result is recounted from scratch first; a result that fails its own
 verification never reaches stdout.
 
+``solve`` and ``solve-program`` take the same options: ``--method``
+(``auto`` by default, else ``global``, ``incremental`` or ``local``),
+``--budget``, which caps the selectors of ``global`` or the oracle calls of
+``incremental`` and which the ``local`` method refuses, ``--leaf-budget``
+for the number of ``local`` leaves, ``--json`` and ``--trace``. ``bench``
+takes ``--json`` only.
+
 Exit codes: 0 success, 1 solver or verification failure, 2 usage or
 input-format error.
 """
@@ -22,18 +29,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 import time
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
-from .bitvec import BitMap, ProgramError, encode, lift, parse_program
+from .bitvec import BitMap, LiftedFunction, ProgramError, encode, lift, parse_program
 from .counting import VerificationMismatch, check_solution, count_projected
 from .dimacs import ParseError, parse_instance
 from .formula import DependencyViolation, MintermFunction, Problem, Solution
-from .incremental import POLICIES, run as run_incremental
+from .incremental import run as run_incremental
 from .local import (
     DEFAULT_LEAF_BUDGET,
     NoEligibleVariable,
@@ -42,22 +48,24 @@ from .local import (
 )
 from .reduction import BudgetExceeded, solve_global
 
-_SUITES = {
-    "default": (
-        "copy_or_and.dqm",
-        "two_implications.dqm",
-        "copy_or.dqm",
-        "sum_reach_3.atk",
-        "sum_reach_4.atk",
-        "capacity6.atk",
-        "guessbits.atk",
-        "capacity.atk",
-    ),
-}
+_SUITE = (
+    "copy_or_and.dqm",
+    "two_implications.dqm",
+    "copy_or.dqm",
+    "sum_reach_3.atk",
+    "sum_reach_4.atk",
+    "capacity6.atk",
+    "guessbits.atk",
+    "capacity.atk",
+)
 
 
 class DocumentError(ValueError):
     """A result document is structurally unusable."""
+
+
+class UsageError(ValueError):
+    """An option was given to a method that does not take it."""
 
 
 def load_instance_text(text: str, assume: Optional[str] = None) -> tuple[Problem, Optional[BitMap]]:
@@ -101,15 +109,20 @@ def choose_method(problem: Problem, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> s
 def run_method(
     problem: Problem,
     method: str = "auto",
-    policy: str = "round-robin",
     budget: Optional[int] = None,
-    leaf_solver: str = "global",
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
     on_iteration: Optional[Callable] = None,
 ) -> tuple[Solution, str, Optional[list]]:
-    """Dispatch one solve; returns (solution, method used, iteration records)."""
+    """Dispatch one solve; returns (solution, method used, iteration records).
+
+    budget caps the selectors of global or the oracle calls of incremental;
+    the local method takes none, and raises UsageError when given one,
+    also when auto picked it.
+    """
     if method == "auto":
         method = choose_method(problem, leaf_budget)
+    if method == "local" and budget is not None:
+        raise UsageError("--budget applies to the global and incremental methods, not to local")
     iterations = None
     if method == "global":
         solution = solve_global(problem) if budget is None else solve_global(problem, budget)
@@ -121,9 +134,9 @@ def run_method(
             if on_iteration is not None:
                 on_iteration(rec)
 
-        solution = run_incremental(problem, policy=policy, budget=budget, on_iteration=note)
+        solution = run_incremental(problem, budget=budget, on_iteration=note)
     elif method == "local":
-        solution = solve_local(problem, leaf_solver=leaf_solver, leaf_budget=leaf_budget)
+        solution = solve_local(problem, leaf_budget=leaf_budget)
     else:
         raise ValueError(f"unknown method {method!r}")
     return solution, method, iterations
@@ -136,14 +149,19 @@ def result_document(
     wall_ms: float,
     iterations: Optional[list] = None,
     bitmap: Optional[BitMap] = None,
+    lifted: Optional[tuple[LiftedFunction, ...]] = None,
 ) -> dict:
-    """Self-contained record of one solve, the unit `check` consumes."""
+    """Self-contained record of one solve, the unit `check` consumes.
+
+    For a program, bitmap labels the bits and lifted is
+    lift(solution, bitmap), which the caller computes once for the
+    document and the text summary alike.
+    """
     lifted_text: dict[int, str] = {}
-    if bitmap is not None:
-        for fn in lift(solution, bitmap):
-            vars_lsb = bitmap.bits[fn.name]
-            for i, var in enumerate(vars_lsb):
-                lifted_text[var] = fn.bit_texts[len(vars_lsb) - 1 - i]
+    for fn in lifted or ():
+        vars_lsb = bitmap.bits[fn.name]
+        for i, var in enumerate(vars_lsb):
+            lifted_text[var] = fn.bit_texts[len(vars_lsb) - 1 - i]
     functions = {}
     for x in problem.max_vars:
         f = solution.functions[x]
@@ -181,14 +199,16 @@ def solution_from_document(doc: dict) -> Solution:
         raise DocumentError(f"unusable result document: {exc}") from exc
 
 
-def _emit(doc: dict, problem: Problem, solution: Solution, bitmap: Optional[BitMap], as_json: bool) -> None:
+def _emit(doc: dict, problem: Problem, solution: Solution,
+          lifted: Optional[tuple[LiftedFunction, ...]], as_json: bool) -> None:
+    """Print the document, or a summary; lifted is None unless the input was a program."""
     if as_json:
         print(json.dumps(doc, indent=2))
         return
     print(f"count {doc['count']} of {doc['total']} (ratio {doc['ratio']:.6g})")
     print(f"method {doc['method']}, {doc['wall_ms']:.1f} ms")
-    if bitmap is not None:
-        for fn in lift(solution, bitmap):
+    if lifted is not None:
+        for fn in lifted:
             print(fn.rendered)
     else:
         for x in problem.max_vars:
@@ -221,16 +241,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solution, method, iterations = run_method(
         problem,
         method=args.method,
-        policy=args.policy,
         budget=args.budget,
-        leaf_solver=args.leaf_solver,
         leaf_budget=args.leaf_budget,
         on_iteration=_trace_printer if args.trace else None,
     )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     check_solution(problem, solution)
-    doc = result_document(problem, solution, method, wall_ms, iterations, bitmap)
-    _emit(doc, problem, solution, bitmap, args.json)
+    lifted = None if bitmap is None else lift(solution, bitmap)
+    doc = result_document(problem, solution, method, wall_ms, iterations, bitmap, lifted)
+    _emit(doc, problem, solution, lifted, args.json)
     return 0
 
 
@@ -255,23 +274,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     problem, _ = _load_path(args.file)
-    free = problem.exist_vars | frozenset(problem.max_vars)
-    n = count_projected(problem.cnf, problem.count_vars, free)
+    n = count_projected(problem.cnf, problem.count_vars)
     print(f"{n} of {problem.total}")
     return 0
 
 
-def bench_rows(suite: str = "default", on_row: Optional[Callable[[dict], None]] = None) -> list[dict]:
+def bench_rows(on_row: Optional[Callable[[dict], None]] = None) -> list[dict]:
     """Solve every bundled instance with the auto method; verify each result.
 
     Rows carry the instance shape (inputs, counted, existential, clauses),
     the verified count, the method used, and the wall time.
     """
-    if suite not in _SUITES:
-        raise DocumentError(f"unknown suite {suite!r}; available: {sorted(_SUITES)}")
     rows = []
     base = resources.files("dqmaxsat").joinpath("bench")
-    for fname in _SUITES[suite]:
+    for fname in _SUITE:
         text = base.joinpath(fname).read_text()
         assume = "dqmscnf" if fname.endswith(".dqm") else "program"
         problem, _ = load_instance_text(text, assume)
@@ -310,7 +326,7 @@ def _format_row(row: dict) -> str:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.json:
-        rows = bench_rows(args.suite)
+        rows = bench_rows()
         print(json.dumps(rows, indent=2))
         return 0
     print(_BENCH_HEADER)
@@ -318,7 +334,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     def show(row: dict) -> None:
         print(_format_row(row), flush=True)
 
-    rows = bench_rows(args.suite, on_row=show)
+    rows = bench_rows(on_row=show)
     print(f"{len(rows)} instances, {sum(r['wall_ms'] for r in rows) / 1000.0:.1f} s total")
     return 0
 
@@ -341,12 +357,8 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
         default="auto",
         help="auto splits locally when possible, otherwise runs incremental",
     )
-    sp.add_argument("--policy", choices=tuple(POLICIES), default="round-robin",
-                    help="incremental expansion order")
     sp.add_argument("--budget", type=_positive_int, default=None,
-                    help="selector budget (global) or iteration cap (incremental)")
-    sp.add_argument("--leaf-solver", choices=("global", "incremental"), default="global",
-                    help="solver for local subproblems")
+                    help="selector budget (global) or iteration cap (incremental); local takes none")
     sp.add_argument("--leaf-budget", type=_positive_int, default=DEFAULT_LEAF_BUDGET,
                     help="largest tolerated local leaf count")
     sp.add_argument("--json", action="store_true", help="emit a result document")
@@ -360,8 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dqms",
         description="Synthesize per-variable strategies maximizing a projected model count.",
     )
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed the process RNG; the pipeline itself is deterministic")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve a prefixed-CNF instance (.dqm)")
@@ -384,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_count)
 
     sp = sub.add_parser("bench", help="solve the bundled suite and print a table")
-    sp.add_argument("--suite", default="default", choices=tuple(_SUITES))
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_bench)
 
@@ -397,11 +406,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.fn(args)
-    except (ParseError, ProgramError, DocumentError, json.JSONDecodeError) as exc:
+    except (ParseError, ProgramError, DocumentError, UsageError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,7 +17,9 @@ def count_projected(f: Cnf, count_vars: Iterable[int], exist_vars: Iterable[int]
 
     Variables of f outside count_vars are existentially quantified whether or
     not they are listed in exist_vars; the explicit list only guards against
-    accidental overlap between the two roles.
+    accidental overlap between the two roles. The package never passes it
+    (a Problem rules the overlap out); it stays because the benchmark's own
+    tests (perfbench/tests/test_bench.py) do.
     """
     count = set(count_vars)
     overlap = count & set(exist_vars)
@@ -35,8 +37,7 @@ def check_solution(problem: Problem, solution: Solution) -> int:
     a claimed count that the recount contradicts. Returns the true count.
     """
     composed = apply_substitution(problem, solution)
-    exist = problem.exist_vars | set(problem.max_vars)
-    count = count_projected(composed, problem.count_vars, exist)
+    count = count_projected(composed, problem.count_vars)
     if solution.achieved_count is not None and solution.achieved_count != count:
         raise VerificationMismatch(
             f"claimed {solution.achieved_count} models, recount found {count}"

@@ -11,6 +11,10 @@ the incumbent's, and the oracle accepts only strict improvements. A full
 run makes exactly 1 + sum of |H_i| oracle calls and may be stopped after
 any call, yielding the best strategies over the supports grown so far.
 
+Expansions go round-robin over the choosers in prefix order, skipping
+those whose support is complete; each grows its chooser's support by the
+lowest remaining dependency variable.
+
 Every call's objective reaches the same count-cells as the problem's own
 CNF, whatever the supports, so init enumerates them once and every
 request of the run carries them.
@@ -26,8 +30,6 @@ from typing import Callable, Mapping, Optional
 from .formula import Cnf, Problem, Solution, TRUE_CNF
 from .oracle import OracleRequest, max_count, reachable_cells
 from .reduction import SelectorMap, decode, selector_objective
-
-POLICIES = ("round-robin", "fixed-order", "largest-remaining")
 
 
 @dataclass(frozen=True)
@@ -120,22 +122,15 @@ def expand(st: IncrementalState, x: int, u: int) -> IncrementalState:
     )
 
 
-def _choose(st: IncrementalState, policy: str, rotor: int) -> tuple[int, int]:
-    open_vars = [x for x in st.problem.max_vars if st.remaining(x)]
-    if policy == "fixed-order":
-        x = open_vars[0]
-    elif policy == "largest-remaining":
-        x = max(open_vars, key=lambda v: (len(st.remaining(v)), -st.problem.max_vars.index(v)))
-    else:  # round-robin
-        order = st.problem.max_vars
-        x = next(order[(rotor + k) % len(order)] for k in range(len(order))
-                 if order[(rotor + k) % len(order)] in open_vars)
+def _choose(st: IncrementalState, rotor: int) -> tuple[int, int]:
+    """The first chooser from position rotor on with variables left, and its lowest one."""
+    order = st.problem.max_vars
+    x = next(v for v in order[rotor:] + order[:rotor] if st.remaining(v))
     return x, min(st.remaining(x))
 
 
 def run(
     p: Problem,
-    policy: str = "round-robin",
     budget: Optional[int] = None,
     on_iteration: Optional[Callable[[IterationRecord], None]] = None,
 ) -> Solution:
@@ -146,8 +141,6 @@ def run(
     per-call records (count, elapsed time, decoded functions) go to
     on_iteration, the only place they are kept.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     if budget is not None and budget < 1:
         raise ValueError("budget must allow at least one oracle call")
     st = init(p)
@@ -172,7 +165,7 @@ def run(
             on_iteration(record)
         if st.finished() or (budget is not None and iteration >= budget):
             return anytime
-        x, u = _choose(st, policy, rotor)
+        x, u = _choose(st, rotor)
         rotor = (st.problem.max_vars.index(x) + 1) % len(st.problem.max_vars)
         st = expand(st, x, u)
         last = (x, u)

@@ -17,15 +17,14 @@ from typing import Callable, Iterable, Sequence
 from .counting import check_solution
 from .engine import Engine
 from .formula import Cnf, MintermFunction, Problem, Solution, cofactor, minterms_of
-from .incremental import run as incremental_run
 from .reduction import solve_global
 
 DEFAULT_LEAF_BUDGET = 64
 
-LEAF_SOLVERS: dict[str, Callable[[Problem], Solution]] = {
-    "global": solve_global,
-    "incremental": incremental_run,
-}
+# leaves are solved by the global reduction; a one-entry table only because
+# the benchmark's spans (perfbench/spans.py) wrap its values, so solve_local
+# looks the solver up here on every call
+LEAF_SOLVERS: dict[str, Callable[[Problem], Solution]] = {"global": solve_global}
 
 
 class NoEligibleVariable(ValueError):
@@ -116,20 +115,14 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
     return Solution(functions=functions, achieved_count=achieved, total=p.total)
 
 
-def solve_local(
-    p: Problem,
-    leaf_solver: str = "global",
-    leaf_budget: int = DEFAULT_LEAF_BUDGET,
-) -> Solution:
+def solve_local(p: Problem, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> Solution:
     """Split, solve the leaves one after another, recombine, and recount.
 
     The summed leaf counts are re-verified against an independent recount of
     the recombined strategies before being returned; a disagreement raises
     and means a solver bug, never a bad input.
     """
-    if leaf_solver not in LEAF_SOLVERS:
-        raise ValueError(f"unknown leaf solver {leaf_solver!r}, expected one of {sorted(LEAF_SOLVERS)}")
-    solve_leaf = LEAF_SOLVERS[leaf_solver]
+    solve_leaf = LEAF_SOLVERS["global"]
     plan = plan_split(p, leaf_budget)
     leaf_solutions = [solve_leaf(leaf) for leaf in plan.leaves]
     solution = _recombine(p, plan.split_vars, leaf_solutions)

@@ -18,7 +18,7 @@ from dqmaxsat.cli import bench_rows, load_instance_text, run_method
 from dqmaxsat.cli import main as cli_main
 from dqmaxsat.counting import check_solution
 from dqmaxsat.formula import Cnf, MintermFunction, Problem, Solution
-from dqmaxsat.incremental import POLICIES, run as run_incremental
+from dqmaxsat.incremental import run as run_incremental
 from dqmaxsat.local import NoEligibleVariable, plan_split, solve_local
 from dqmaxsat.oracle import brute_force_dqmaxsat
 from dqmaxsat.reduction import solve_dqbf, solve_global
@@ -35,7 +35,7 @@ def _bench_problem(fname: str):
 
 @pytest.fixture(scope="module")
 def suite_rows():
-    return bench_rows("default")
+    return bench_rows()
 
 
 def _tt_equal(f: MintermFunction, g: MintermFunction, cells) -> bool:
@@ -189,9 +189,8 @@ class TestCrossValidation:
             expected = brute_force_dqmaxsat(problem).achieved_count
             got = solve_global(problem).achieved_count
             assert got == expected, f"instance {i}: global {got} != exact {expected}"
-            for policy in POLICIES:
-                inc = run_incremental(problem, policy=policy).achieved_count
-                assert inc == expected, f"instance {i}: incremental {policy} {inc} != exact {expected}"
+            inc = run_incremental(problem).achieved_count
+            assert inc == expected, f"instance {i}: incremental {inc} != exact {expected}"
             try:
                 plan_split(problem)
             except NoEligibleVariable:

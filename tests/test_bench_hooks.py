@@ -2,12 +2,12 @@
 
 The benchmark (perfbench/spans.py) replaces attributes of the package's
 modules by timing wrappers, at fixed names: ``cli.plan_split`` next to
-``local.plan_split``, ``Engine.solve`` in the class dict, and it reads
-``IncrementalState.filter`` off every ``expand``. No solver path needs some
-of them, so only this guard keeps them from being removed while the
-benchmark still wraps them. It loads spans.py as it is, installs its tracer,
-runs one local and one incremental solve through the command line, and
-uninstalls.
+``local.plan_split``, ``Engine.solve`` in the class dict, the values of
+``local.LEAF_SOLVERS``, and it reads ``IncrementalState.filter`` off every
+``expand``. No solver path needs some of them, so only this guard keeps
+them from being removed while the benchmark still wraps them. It loads
+spans.py as it is, installs its tracer, runs one local and one incremental
+solve through the command line, and uninstalls.
 """
 
 import importlib.util
@@ -61,6 +61,10 @@ def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch):
     layers = split.layers
     # choose_method plans through cli.plan_split, solve_local through local's
     assert layers["local.plan_split"].calls == 2
+    # solve_local looks its leaf solver up in the table the tracer wrapped:
+    # one leaf span per cofactor of sum_reach_3's three split variables
+    assert list(local.LEAF_SOLVERS) == ["global"]
+    assert layers[spans.LEAF].calls == 8
     expand = layers["incremental.expand"]
     assert expand.calls == 2
     # (objective clauses, filter clauses) off each expanded state

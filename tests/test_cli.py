@@ -102,10 +102,6 @@ class TestSolve:
         assert len(doc["iterations"]) == 1
         assert doc["count"] == 2
 
-    def test_seed_accepted(self, capsys, instance_file):
-        code, _, _ = run_cli(capsys, "--seed", "11", "solve", instance_file)
-        assert code == 0
-
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", str(tmp_path / "nope.dqm"))
         assert code == 2
@@ -133,6 +129,21 @@ class TestSolveProgram:
         code, out, _ = run_cli(capsys, "solve-program", program_file)
         assert code == 0
         assert "x = " in out
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_lifts_once_per_solve(self, capsys, monkeypatch, program_file, flags):
+        # through cli.lift, the name the benchmark's tracer wraps
+        calls = []
+        lift = cli.lift
+
+        def counting_lift(solution, bitmap):
+            calls.append(solution)
+            return lift(solution, bitmap)
+
+        monkeypatch.setattr(cli, "lift", counting_lift)
+        code, _, _ = run_cli(capsys, "solve-program", program_file, *flags)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_program_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.atk"
@@ -343,6 +354,20 @@ class TestSolverBudgets:
         with pytest.raises(BudgetExceeded):
             cli.run_method(problem, method="global", budget=0)
 
+    @pytest.mark.parametrize("method", ["auto", "local"])
+    def test_budget_is_refused_by_the_local_method(self, capsys, instance_file, method):
+        # auto picks local on copy_or_and: the budget must not pass unnoticed
+        code, out, err = run_cli(capsys, "solve", instance_file, "--method", method, "--budget", "1")
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err and "not to local" in err
+        assert "Traceback" not in err
+
+    def test_run_method_refuses_a_budget_for_local(self):
+        problem, _ = cli.load_instance_text(COPY_OR_AND)
+        with pytest.raises(cli.UsageError):
+            cli.run_method(problem, budget=1)
+
     def test_leaf_budget_one_solves_unsplit(self, capsys, instance_file):
         code, out, _ = run_cli(capsys, "solve", instance_file, "--method", "local",
                                "--leaf-budget", "1", "--json")
@@ -350,9 +375,39 @@ class TestSolverBudgets:
         assert json.loads(out)["count"] == 3
 
 
+def _option_strings(parser):
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert cli._build_parser() is cli._build_parser()
+
+    def test_each_subcommand_has_exactly_its_options(self):
+        parser = cli._build_parser()
+        (subcommands,) = [a.choices for a in parser._actions if a.choices and a.dest == "command"]
+        help_ = {"-h", "--help"}
+        solver = help_ | {"--method", "--budget", "--leaf-budget", "--json", "--trace"}
+        assert _option_strings(parser) == help_
+        assert {name: _option_strings(sp) for name, sp in subcommands.items()} == {
+            "solve": solver,
+            "solve-program": solver,
+            "check": help_,
+            "count": help_,
+            "bench": help_ | {"--json"},
+        }
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--seed", ("--seed=11", "solve", "{file}")),
+        ("--policy", ("solve", "{file}", "--policy", "fixed-order")),
+        ("--leaf-solver", ("solve", "{file}", "--leaf-solver", "incremental")),
+        ("--suite", ("bench", "--suite", "default")),
+    ], ids=["seed", "policy", "leaf-solver", "suite"])
+    def test_removed_flags_exit_2(self, capsys, instance_file, flag, argv):
+        code, out, err = run_cli(capsys, *(a.format(file=instance_file) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_no_option_carries_over_between_calls(self, capsys, instance_file):
         argv = ("solve", instance_file, "--method", "incremental", "--json")
@@ -363,17 +418,13 @@ class TestParser:
 
 
 class TestBenchPlumbing:
-    def test_unknown_suite_via_api(self):
-        with pytest.raises(cli.DocumentError):
-            cli.bench_rows("nope")
-
     def test_light_rows_have_expected_shape(self, capsys):
         # run the three cheap prefixed-CNF rows through the real loader
         rows = []
         from importlib import resources
 
         base = resources.files("dqmaxsat").joinpath("bench")
-        for fname in cli._SUITES["default"][:3]:
+        for fname in cli._SUITE[:3]:
             text = base.joinpath(fname).read_text()
             problem, bitmap = cli.load_instance_text(text)
             assert bitmap is None
@@ -385,7 +436,7 @@ class TestBenchPlumbing:
         from importlib import resources
 
         base = resources.files("dqmaxsat").joinpath("bench")
-        for fname in cli._SUITES["default"]:
+        for fname in cli._SUITE:
             problem, bitmap = cli.load_instance_text(
                 base.joinpath(fname).read_text()
             )
@@ -394,7 +445,7 @@ class TestBenchPlumbing:
 
 
 _BENCH = resources.files("dqmaxsat").joinpath("bench")
-BUNDLED = {name: _BENCH.joinpath(name).read_text() for name in cli._SUITES["default"]}
+BUNDLED = {name: _BENCH.joinpath(name).read_text() for name in cli._SUITE}
 DQM_NAMES = sorted(n for n in BUNDLED if n.endswith(".dqm"))
 ATK_NAMES = sorted(n for n in BUNDLED if n.endswith(".atk"))
 

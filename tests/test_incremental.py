@@ -7,7 +7,7 @@ from dqmaxsat.counting import check_solution
 from dqmaxsat.formula import Cnf, Problem, selector_definition_clauses
 from dataclasses import replace
 
-from dqmaxsat.incremental import POLICIES, expand, init, run
+from dqmaxsat.incremental import expand, init, run
 from dqmaxsat import oracle
 from dqmaxsat.oracle import brute_force_dqmaxsat, max_count, reachable_cells
 from dqmaxsat.reduction import solve_global
@@ -121,14 +121,13 @@ class TestExpand:
             st = expand(st, 1, u)
         assert time.perf_counter() - t0 < 1.0
         assert len(st.objective.clauses) == len(p.cnf.clauses) + 2 * 2 ** 8
-        solution, records = collect(p, policy="fixed-order")
+        solution, records = collect(p)
         assert [r.count for r in records] == [128] + [256] * 8
         assert solution.achieved_count == 256
         assert check_solution(p, solution) == 256
 
 
-# per-iteration (expanded chooser, expanded variable, count, functions),
-# identical under every policy on these instances
+# per-iteration (expanded chooser, expanded variable, count, functions)
 PINNED_ITERATIONS = {
     "copy_or_and": [
         (None, None, 2, {"1": []}),
@@ -145,7 +144,7 @@ PINNED_ITERATIONS = {
 
 class TestRun:
     def test_call_counts_and_trace(self, copy_or_and):
-        solution, records = collect(copy_or_and, policy="fixed-order")
+        solution, records = collect(copy_or_and)
         assert [r.count for r in records] == [2, 3, 3]
         assert [(r.expanded_var, r.expanded_on) for r in records] == [
             (None, None), (1, 4), (1, 5)]
@@ -187,12 +186,12 @@ class TestRun:
         assert check_solution(copy_or_and, solution) == 2
 
     def test_budget_two_already_optimal(self, copy_or_and):
-        solution, records = collect(copy_or_and, policy="fixed-order", budget=2)
+        solution, records = collect(copy_or_and, budget=2)
         assert solution.achieved_count == 3
         assert solution.functions[1].support == (4,)
 
     def test_every_iteration_matches_global_on_the_partial_problem(self, copy_or_and):
-        _, records = collect(copy_or_and, policy="fixed-order")
+        _, records = collect(copy_or_and)
         partials = [{1: []}, {1: [4]}, {1: [4, 5]}]
         for record, deps in zip(records, partials):
             sub = Problem.of(copy_or_and.cnf, copy_or_and.max_vars,
@@ -206,24 +205,13 @@ class TestRun:
         assert solution.achieved_count == 3
         assert len(records) == 1
 
-    def test_rejects_unknown_policy(self, copy_or_and):
-        with pytest.raises(ValueError):
-            run(copy_or_and, policy="by-vibes")
-
     def test_rejects_zero_budget(self, copy_or_and):
         with pytest.raises(ValueError):
             run(copy_or_and, budget=0)
 
-    @pytest.mark.parametrize("policy", ["round-robin", "fixed-order", "largest-remaining"])
-    def test_policies_agree_on_the_optimum(self, two_implications, policy):
-        solution, records = collect(two_implications, policy=policy)
-        assert solution.achieved_count == 3
-        assert len(records) == 3
-
-    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("name", sorted(PINNED_ITERATIONS))
-    def test_iteration_functions_are_pinned(self, name, policy):
-        _, records = collect(getattr(instances, name)(), policy=policy)
+    def test_iteration_functions_are_pinned(self, name):
+        _, records = collect(getattr(instances, name)())
         got = [(d["expanded_var"], d["expanded_on"], d["count"], d["functions"])
                for d in (r.as_dict() for r in records)]
         assert got == PINNED_ITERATIONS[name]
@@ -247,7 +235,7 @@ class TestRun:
             assert check_solution(p, r.solution) == r.count
 
     def test_record_serialization(self, copy_or_and):
-        _, records = collect(copy_or_and, policy="fixed-order")
+        _, records = collect(copy_or_and)
         d = records[-1].as_dict()
         assert d["iteration"] == 3
         assert d["expanded_var"] == 1 and d["expanded_on"] == 5

@@ -132,13 +132,6 @@ class TestSolveLocal:
         s = solve_local(copy_or_and)
         assert check_solution(copy_or_and, s) == 3
 
-    def test_incremental_leaves_agree(self, copy_or_and):
-        assert solve_local(copy_or_and, leaf_solver="incremental").achieved_count == 3
-
-    def test_unknown_leaf_solver(self, copy_or_and):
-        with pytest.raises(ValueError):
-            solve_local(copy_or_and, leaf_solver="quantum")
-
     def test_propagates_ineligibility(self, two_implications):
         with pytest.raises(NoEligibleVariable):
             solve_local(two_implications)
