@@ -12,11 +12,17 @@ followed by statements:
     win <expr>
 
 Expressions combine names and decimal constants with ``+ - == >= <= && ||
-!`` and parentheses. Arithmetic is unsigned with wraparound at the declared
-width, comparisons produce one-bit values, and the connectives demand
-one-bit operands. Every name is assigned exactly once (by ``random``,
-``input`` or ``observe``) and used only on later lines. ``reach`` programs
-contain exactly one ``win`` statement, ``leak`` programs none.
+!`` and parentheses. Arithmetic is unsigned with wraparound and the
+connectives demand one-bit operands. Every name is assigned exactly once
+(by ``random``, ``input`` or ``observe``) and used only on later lines.
+``reach`` programs contain exactly one ``win`` statement, ``leak`` programs
+none.
+
+Widths: ``random`` and ``input`` names have the declared width, and an
+observation is as wide as its expression. Both operands of an operator have
+one width, a comparison yields one bit, and a constant takes its partner's
+width (the declared width when nothing else fixes it, as when both sides of
+a comparison are constant) and must fit in it.
 
 Encoding: each declared name takes one CNF variable per bit, least
 significant bit first, in statement order; gate variables introduced by the
@@ -32,6 +38,7 @@ observations that precede it in the program text.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -55,6 +62,7 @@ class BvExpr:
 
     op is one of const, var, add, sub, eq, ge, le, and, or, not; args holds
     the children, value the constant payload, name the variable payload.
+    width is the node's bit width, 0 until parse_program resolves it.
     """
 
     op: str
@@ -63,6 +71,7 @@ class BvExpr:
     name: Optional[str] = None
     line: int = 0
     col: int = 0
+    width: int = 0
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,7 @@ class BvProgram:
     width: int
     mode: str  # reach | leak
     statements: tuple[Statement, ...]
+    widths: dict[str, int]  # bit width of each declared name, in statement order
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +111,13 @@ def _tokenize(src: str, line: int) -> list[tuple[str, object, int]]:
         if m is None:
             raise ProgramError(f"unexpected character {src[i]!r}", line, i + 1)
         if m.group(1) is not None:
-            toks.append(("num", int(m.group(1)), i + 1))
+            digits = m.group(1)
+            try:
+                value = int(digits)
+            except ValueError:  # more digits than int() converts
+                raise ProgramError(f"integer too long: {digits[:20]}... ({len(digits)} digits)",
+                                   line, i + 1) from None
+            toks.append(("num", value, i + 1))
         elif m.group(2) is not None:
             toks.append(("name", m.group(2), i + 1))
         else:
@@ -119,8 +135,12 @@ MAX_EXPR_DEPTH = 100
 MAX_WIDTH = 64
 
 
+_ARITH = ("add", "sub")
+_COMPARE = ("eq", "ge", "le")
+
+
 class _ExprParser:
-    """Recursive descent over one statement's token tail.
+    """Recursive descent over one statement's token tail, typing as it builds.
 
     Grammar, loosest first:  or := and ('||' and)*
                              and := cmp ('&&' cmp)*
@@ -129,14 +149,20 @@ class _ExprParser:
                              unary := '!' unary | NAME | NUM | '(' or ')'
     Comparisons do not chain. Nesting and tree depth are capped at
     MAX_EXPR_DEPTH.
+
+    Each node takes its width from its operands as it is built; a
+    constant-only subtree keeps width 0 until _sized gives it one. Typing
+    errors wait until the line has parsed, so that syntax errors come first.
     """
 
-    def __init__(self, toks, line: int, end_col: int):
+    def __init__(self, toks, line: int, end_col: int, widths: Mapping[str, int]):
         self.toks = toks
         self.line = line
         self.end_col = end_col
+        self.widths = widths
         self.pos = 0
         self.nesting = 0
+        self.error: Optional[ProgramError] = None
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -150,6 +176,22 @@ class _ExprParser:
         self.pos += 1
         return t
 
+    def _type_error(self, message: str, col: int) -> None:
+        if self.error is None:
+            self.error = ProgramError(message, self.line, col)
+
+    def _bit(self, e: BvExpr) -> BvExpr:
+        """A connective's operand, which must be one bit wide."""
+        if e.width > 1:
+            self._type_error(f"expected a 1-bit operand, found {e.width} bits", e.col)
+        return e
+
+    def _binary(self, op: str, a: BvExpr, b: BvExpr, col: int) -> BvExpr:
+        if a.width and b.width and a.width != b.width:
+            self._type_error(f"width mismatch: {a.width}-bit and {b.width}-bit operands", col)
+        w = (a.width or b.width) if op in _ARITH else 1
+        return BvExpr(op, (a, b), None, None, self.line, col, w)
+
     def parse(self) -> BvExpr:
         e = self._or()
         t = self._peek()
@@ -162,22 +204,22 @@ class _ExprParser:
             if depth > MAX_EXPR_DEPTH:
                 raise ProgramError("expression nested too deeply", node.line, node.col)
             stack.extend((child, depth + 1) for child in node.args)
+        if self.error is not None:
+            raise self.error
         return e
 
     def _or(self) -> BvExpr:
         e = self._and()
         while (t := self._peek()) is not None and t[0] == "||":
             self._take()
-            rhs = self._and()
-            e = BvExpr("or", (e, rhs), line=self.line, col=t[2])
+            e = BvExpr("or", (self._bit(e), self._bit(self._and())), None, None, self.line, t[2], 1)
         return e
 
     def _and(self) -> BvExpr:
         e = self._cmp()
         while (t := self._peek()) is not None and t[0] == "&&":
             self._take()
-            rhs = self._cmp()
-            e = BvExpr("and", (e, rhs), line=self.line, col=t[2])
+            e = BvExpr("and", (self._bit(e), self._bit(self._cmp())), None, None, self.line, t[2], 1)
         return e
 
     _CMP_OPS = {"==": "eq", ">=": "ge", "<=": "le"}
@@ -187,8 +229,7 @@ class _ExprParser:
         t = self._peek()
         if t is not None and t[0] in self._CMP_OPS:
             self._take()
-            rhs = self._sum()
-            e = BvExpr(self._CMP_OPS[t[0]], (e, rhs), line=self.line, col=t[2])
+            e = self._binary(self._CMP_OPS[t[0]], e, self._sum(), t[2])
             nxt = self._peek()
             if nxt is not None and nxt[0] in self._CMP_OPS:
                 raise ProgramError("comparisons do not chain", self.line, nxt[2])
@@ -198,22 +239,24 @@ class _ExprParser:
         e = self._unary()
         while (t := self._peek()) is not None and t[0] in ("+", "-"):
             self._take()
-            rhs = self._unary()
-            e = BvExpr("add" if t[0] == "+" else "sub", (e, rhs), line=self.line, col=t[2])
+            e = self._binary("add" if t[0] == "+" else "sub", e, self._unary(), t[2])
         return e
 
     def _unary(self) -> BvExpr:
         t = self._take()
         if t[0] == "num":
-            return BvExpr("const", value=t[1], line=self.line, col=t[2])
+            return BvExpr("const", (), t[1], None, self.line, t[2])
         if t[0] == "name":
-            return BvExpr("var", name=t[1], line=self.line, col=t[2])
+            w = self.widths.get(t[1], 0)
+            if not w:
+                self._type_error(f"name {t[1]!r} is not assigned yet", t[2])
+            return BvExpr("var", (), None, t[1], self.line, t[2], w)
         if t[0] in ("!", "("):
             self.nesting += 1
             if self.nesting > MAX_EXPR_DEPTH:
                 raise ProgramError("expression nested too deeply", self.line, t[2])
             if t[0] == "!":
-                e = BvExpr("not", (self._unary(),), line=self.line, col=t[2])
+                e = BvExpr("not", (self._bit(self._unary()),), None, None, self.line, t[2], 1)
             else:
                 e = self._or()
                 self._take(")")
@@ -222,49 +265,26 @@ class _ExprParser:
         raise ProgramError(f"expected a name, number, '!' or '(', found {t[1]!r}", self.line, t[2])
 
 
-def _expr_width(e: BvExpr, widths: Mapping[str, int]) -> Optional[int]:
-    """Bit width of an expression, or None for constant-only subtrees.
+def _sized(e: BvExpr, demand: int, default: int) -> BvExpr:
+    """Give every constant the width its position demands, top down.
 
-    Raises on incompatible operand widths and on names used under the
-    Boolean connectives with more than one bit.
+    Constant-only arithmetic takes demand; comparison operands take their
+    partner's width, or default when both are constant-only. Raises on a
+    constant that does not fit; returns e itself when no constant is below.
     """
-    if e.op == "const":
-        return None
-    if e.op == "var":
-        w = widths.get(e.name)
-        if w is None:
-            raise ProgramError(f"name {e.name!r} is not assigned yet", e.line, e.col)
-        return w
-    if e.op in ("add", "sub", "eq", "ge", "le"):
-        a = _expr_width(e.args[0], widths)
-        b = _expr_width(e.args[1], widths)
-        if a is not None and b is not None and a != b:
-            raise ProgramError(f"width mismatch: {a}-bit and {b}-bit operands", e.line, e.col)
-        w = a if a is not None else b
-        return 1 if e.op in ("eq", "ge", "le") else w
-    # and / or / not
-    for child in e.args:
-        cw = _expr_width(child, widths)
-        if cw not in (None, 1):
-            raise ProgramError(f"expected a 1-bit operand, found {cw} bits", child.line, child.col)
-    return 1
-
-
-def _check_constants(e: BvExpr, demand: int, widths: Mapping[str, int], default: int) -> None:
-    """Verify every constant fits the width its position requires."""
     if e.op == "const":
         if e.value >> demand:
             raise ProgramError(f"constant {e.value} does not fit in {demand} bit(s)", e.line, e.col)
-    elif e.op in ("add", "sub"):
-        for child in e.args:
-            _check_constants(child, demand, widths, default)
-    elif e.op in ("eq", "ge", "le"):
-        cw = _expr_width(e.args[0], widths) or _expr_width(e.args[1], widths) or default
-        for child in e.args:
-            _check_constants(child, cw, widths, default)
+        return BvExpr("const", (), e.value, None, e.line, e.col, demand)
+    w = e.width or demand
+    if e.op in _COMPARE:
+        inner = e.args[0].width or e.args[1].width or default
     else:
-        for child in e.args:
-            _check_constants(child, 1, widths, default)
+        inner = w if e.op in _ARITH else 1
+    args = tuple([c if c.op == "var" else _sized(c, inner, default) for c in e.args])
+    if w == e.width and all(map(operator.is_, args, e.args)):
+        return e
+    return BvExpr(e.op, args, None, None, e.line, e.col, w)
 
 
 def parse_program(text: str) -> BvProgram:
@@ -350,20 +370,15 @@ def parse_program(text: str) -> BvProgram:
             if len(toks) < 3 or toks[2][0] != ":=":
                 raise ProgramError("observe syntax is: observe <name> := <expr>", ln)
             name = fresh_name(toks[1], ln)
-            parser = _ExprParser(toks[3:], ln, len(src) + 1)
-            expr = parser.parse()
-            ew = _expr_width(expr, widths) or w
-            _check_constants(expr, ew, widths, w)
-            widths[name] = ew
+            expr = _sized(_ExprParser(toks[3:], ln, len(src) + 1, widths).parse(), w, w)
+            widths[name] = expr.width
             statements.append(Statement("observe", ln, name=name, expr=expr))
         elif kw in ("assume", "win"):
             w = need_headers(ln)
-            parser = _ExprParser(toks[1:], ln, len(src) + 1)
-            expr = parser.parse()
-            ew = _expr_width(expr, widths)
-            if ew not in (None, 1):
-                raise ProgramError(f"{kw} needs a 1-bit condition, found {ew} bits", ln, expr.col)
-            _check_constants(expr, 1, widths, w)
+            expr = _ExprParser(toks[1:], ln, len(src) + 1, widths).parse()
+            if expr.width > 1:
+                raise ProgramError(f"{kw} needs a 1-bit condition, found {expr.width} bits", ln, expr.col)
+            expr = _sized(expr, 1, w)
             if kw == "win":
                 if mode == "leak":
                     raise ProgramError("win is not allowed in leak mode", ln)
@@ -382,7 +397,7 @@ def parse_program(text: str) -> BvProgram:
         raise ProgramError("program has no statements", max(last_line, 1))
     if mode == "reach" and win_line is None:
         raise ProgramError("reach mode needs exactly one win statement", last_line)
-    return BvProgram(width, mode, tuple(statements))
+    return BvProgram(width, mode, tuple(statements), widths)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +418,23 @@ class _Lowerer:
         self.next_var = first_gate_var
         self._cache: dict[tuple, int] = {}
 
-    def fresh(self) -> int:
-        v = self.next_var
-        self.next_var += 1
-        return v
-
     def g_not(self, a: Bit) -> Bit:
         return (not a) if isinstance(a, bool) else -a
+
+    def _gate(self, op: str, a: int, b: int) -> int:
+        """The shared gate variable for op over two literals, defined on first use."""
+        key = (op, min(a, b), max(a, b))
+        g = self._cache.get(key)
+        if g is None:
+            g = self._cache[key] = self.next_var
+            self.next_var += 1
+            if op == "and":
+                self.clauses += [(-g, a), (-g, b), (g, -a, -b)]
+            elif op == "or":
+                self.clauses += [(g, -a), (g, -b), (-g, a, b)]
+            else:
+                self.clauses += [(-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b)]
+        return g
 
     def g_and(self, a: Bit, b: Bit) -> Bit:
         if a is False or b is False:
@@ -422,13 +447,7 @@ class _Lowerer:
             return a
         if a == -b:
             return False
-        key = ("and", min(a, b), max(a, b))
-        g = self._cache.get(key)
-        if g is None:
-            g = self.fresh()
-            self.clauses += [(-g, a), (-g, b), (g, -a, -b)]
-            self._cache[key] = g
-        return g
+        return self._gate("and", a, b)
 
     def g_or(self, a: Bit, b: Bit) -> Bit:
         if a is True or b is True:
@@ -441,13 +460,7 @@ class _Lowerer:
             return a
         if a == -b:
             return True
-        key = ("or", min(a, b), max(a, b))
-        g = self._cache.get(key)
-        if g is None:
-            g = self.fresh()
-            self.clauses += [(g, -a), (g, -b), (-g, a, b)]
-            self._cache[key] = g
-        return g
+        return self._gate("or", a, b)
 
     def g_xor(self, a: Bit, b: Bit) -> Bit:
         if isinstance(a, bool):
@@ -458,13 +471,7 @@ class _Lowerer:
             return False
         if a == -b:
             return True
-        key = ("xor", min(a, b), max(a, b))
-        g = self._cache.get(key)
-        if g is None:
-            g = self.fresh()
-            self.clauses += [(-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b)]
-            self._cache[key] = g
-        return g
+        return self._gate("xor", a, b)
 
     def ripple_add(self, xs: Sequence[Bit], ys: Sequence[Bit], carry: Bit = False) -> list[Bit]:
         """Wraparound sum, least significant bit first; the final carry is dropped."""
@@ -507,46 +514,33 @@ class _Lowerer:
             else:
                 self.clauses += [(-v, b), (v, -b)]
 
-    def bits_of(
-        self,
-        e: BvExpr,
-        env: Mapping[str, tuple[int, ...]],
-        widths: Mapping[str, int],
-        demand: int,
-        default: int,
-    ) -> list[Bit]:
-        """Lower an expression to bits, LSB first; demand resolves constants."""
+    def bits_of(self, e: BvExpr, env: Mapping[str, tuple[int, ...]]) -> list[Bit]:
+        """Lower a typed expression to its e.width bits, LSB first."""
         if e.op == "const":
-            return _const_bits(e.value, demand)
+            return _const_bits(e.value, e.width)
         if e.op == "var":
             return list(env[e.name])
-        if e.op in ("add", "sub"):
-            w = _expr_width(e, widths) or demand
-            xs = self.bits_of(e.args[0], env, widths, w, default)
-            ys = self.bits_of(e.args[1], env, widths, w, default)
-            return self.ripple_add(xs, ys) if e.op == "add" else self.subtract(xs, ys)
-        if e.op in ("eq", "ge", "le"):
-            w = _expr_width(e.args[0], widths) or _expr_width(e.args[1], widths) or default
-            xs = self.bits_of(e.args[0], env, widths, w, default)
-            ys = self.bits_of(e.args[1], env, widths, w, default)
-            if e.op == "eq":
-                return [self.equal(xs, ys)]
-            if e.op == "ge":
-                return [self.unsigned_ge(xs, ys)]
-            return [self.unsigned_ge(ys, xs)]
         if e.op == "not":
-            return [self.g_not(self.bits_of(e.args[0], env, widths, 1, default)[0])]
-        a = self.bits_of(e.args[0], env, widths, 1, default)[0]
-        b = self.bits_of(e.args[1], env, widths, 1, default)[0]
-        return [self.g_and(a, b) if e.op == "and" else self.g_or(a, b)]
+            return [self.g_not(self.bits_of(e.args[0], env)[0])]
+        xs = self.bits_of(e.args[0], env)
+        ys = self.bits_of(e.args[1], env)
+        if e.op == "add":
+            return self.ripple_add(xs, ys)
+        if e.op == "sub":
+            return self.subtract(xs, ys)
+        if e.op == "eq":
+            return [self.equal(xs, ys)]
+        if e.op == "ge":
+            return [self.unsigned_ge(xs, ys)]
+        if e.op == "le":
+            return [self.unsigned_ge(ys, xs)]
+        return [self.g_and(xs[0], ys[0]) if e.op == "and" else self.g_or(xs[0], ys[0])]
 
 
 @dataclass(frozen=True)
 class BitMap:
     """Correspondence between program names and CNF variables."""
 
-    width: int
-    mode: str
     order: tuple[str, ...]  # declared names in statement order
     kind: dict[str, str]  # random | input | observe
     bits: dict[str, tuple[int, ...]]  # LSB first
@@ -563,27 +557,17 @@ class BitMap:
 
 def encode(prog: BvProgram) -> tuple[Problem, BitMap]:
     """Bitblast a program into a Problem plus the name-to-bit correspondence."""
-    widths: dict[str, int] = {}
+    order = tuple(prog.widths)
+    kind = {st.name: st.kind for st in prog.statements if st.name is not None}
     bits: dict[str, tuple[int, ...]] = {}
-    kind: dict[str, str] = {}
-    order: list[str] = []
     labels: dict[int, str] = {}
     next_id = 1
-    for st in prog.statements:
-        if st.kind == "observe":
-            w = _expr_width(st.expr, widths) or prog.width
-        elif st.kind in ("random", "input"):
-            w = prog.width
-        else:
-            continue
+    for name, w in prog.widths.items():
         span = tuple(range(next_id, next_id + w))
         next_id += w
-        bits[st.name] = span
-        widths[st.name] = w
-        kind[st.name] = st.kind
-        order.append(st.name)
+        bits[name] = span
         for i, v in enumerate(span):
-            labels[v] = st.name if w == 1 else f"{st.name}[{i}]"
+            labels[v] = name if w == 1 else f"{name}[{i}]"
 
     aux_start = next_id
     lower = _Lowerer(next_id)
@@ -598,11 +582,10 @@ def encode(prog: BvProgram) -> tuple[Problem, BitMap]:
         elif st.kind == "input":
             deps_of[st.name] = tuple(seen_observations)
         elif st.kind == "observe":
-            out = lower.bits_of(st.expr, bits, widths, widths[st.name], prog.width)
-            lower.tie_equal(bits[st.name], out)
+            lower.tie_equal(bits[st.name], lower.bits_of(st.expr, bits))
             seen_observations.append(st.name)
         else:  # assume | win
-            lower.assert_bit(lower.bits_of(st.expr, bits, widths, 1, prog.width)[0])
+            lower.assert_bit(lower.bits_of(st.expr, bits)[0])
 
     num_vars = lower.next_var - 1
     input_bits = [v for n in order if kind[n] == "input" for v in bits[n]]
@@ -623,7 +606,7 @@ def encode(prog: BvProgram) -> tuple[Problem, BitMap]:
         for v in bits[name]:
             deps[v] = h
     problem = Problem.of(Cnf.build(num_vars, lower.clauses), input_bits, count_vars, exist_vars, deps)
-    bitmap = BitMap(prog.width, prog.mode, tuple(order), kind, bits, labels, aux_start, num_vars)
+    bitmap = BitMap(order, kind, bits, labels, aux_start, num_vars)
     return problem, bitmap
 
 

@@ -260,6 +260,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             doc = json.load(fh)
         except RecursionError:
             raise DocumentError("result document is nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # json's own, for more digits than int() converts
+            raise DocumentError("result document has an integer too long to read") from None
     solution = solution_from_document(doc)
     keys, choosers = set(solution.functions), set(problem.max_vars)
     if keys != choosers:
@@ -408,10 +412,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (ParseError, ProgramError, DocumentError, UsageError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ProgramError, DocumentError, UsageError, json.JSONDecodeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (VerificationMismatch, DependencyViolation, BudgetExceeded,

@@ -19,6 +19,7 @@ missing, or trailing is rejected with the offending line number.
 from __future__ import annotations
 
 import itertools
+import re
 
 from .formula import Cnf, Problem
 
@@ -37,6 +38,9 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
         try:
             out.append(int(tok))
         except ValueError:
+            if re.fullmatch(r"[+-]?\d+", tok):  # more digits than int() converts
+                raise ParseError(f"integer too long: {tok[:20]}... ({len(tok)} characters)",
+                                 line_no) from None
             raise ParseError(f"expected an integer, got {tok!r}", line_no) from None
     return out
 

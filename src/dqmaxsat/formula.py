@@ -211,9 +211,6 @@ class Solution:
     achieved_count: Optional[int] = None
     total: Optional[int] = None
 
-    def function_for(self, x: int) -> MintermFunction:
-        return self.functions[x]
-
 
 def selector_definition_clauses(
     x: int, support: Sequence[int], selector_of: Mapping[tuple[int, ...], int]
@@ -234,7 +231,7 @@ def selector_definition_clauses(
     return out
 
 
-def apply_substitution(p: Problem, s: "Solution | Mapping[int, MintermFunction]") -> Cnf:
+def apply_substitution(p: Problem, s: Solution) -> Cnf:
     """Conjoin definition clauses fixing each maximizing variable to its function.
 
     Complete monomials over a support are mutually exclusive and exhaustive,
@@ -244,10 +241,9 @@ def apply_substitution(p: Problem, s: "Solution | Mapping[int, MintermFunction]"
     making the result equivalent to the substituted objective once the
     maximizing variables are treated as existential.
     """
-    functions = s.functions if isinstance(s, Solution) else s
     clauses = list(p.cnf.clauses)
     for x in p.max_vars:
-        fn = functions.get(x)
+        fn = s.functions.get(x)
         if fn is None:
             raise DependencyViolation(f"no function provided for maximizing variable {x}")
         if not set(fn.support) <= p.deps[x]:

@@ -4,8 +4,9 @@ The benchmark (perfbench/spans.py) replaces attributes of the package's
 modules by timing wrappers, at fixed names: ``cli.plan_split`` next to
 ``local.plan_split``, ``Engine.solve`` in the class dict, the values of
 ``local.LEAF_SOLVERS``, and it reads ``IncrementalState.filter`` off every
-``expand``. No solver path needs some of them, so only this guard keeps
-them from being removed while the benchmark still wraps them. It loads
+``expand``; its encode span needs ``cli.encode`` to stay the name that
+solve-program calls. No solver path needs some of them, so only this guard
+keeps them from being removed while the benchmark still wraps them. It loads
 spans.py as it is, installs its tracer, runs one local and one incremental
 solve through the command line, and uninstalls.
 """
@@ -59,6 +60,8 @@ def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch):
 
     split = spans.analyze(tracer.spans, tracer.main_thread)
     layers = split.layers
+    # solve-program bitblasts once, through the name cli.encode the tracer wraps
+    assert layers["bitvec.encode"].calls == 1
     # choose_method plans through cli.plan_split, solve_local through local's
     assert layers["local.plan_split"].calls == 2
     # solve_local looks its leaf solver up in the table the tracer wrapped:

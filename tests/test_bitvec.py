@@ -1,4 +1,8 @@
+import hashlib
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqmaxsat.bitvec import (
     BvProgram,
@@ -16,6 +20,7 @@ from dqmaxsat.local import solve_local
 from dqmaxsat.reduction import solve_global
 
 from naive import best_interval_hits, split_tree_capacity
+from test_golden import SEED, workloads
 
 
 SUM_GAME = """\
@@ -190,6 +195,101 @@ class TestBitblasting:
             assert solve(problem.cnf, assumptions) is None
 
 
+@st.composite
+def _constants(draw, w: int, depth: int):
+    """Width-w arithmetic over constants alone, as nested tuples."""
+    if depth == 0 or draw(st.booleans()):
+        return ("const", draw(st.integers(0, (1 << w) - 1)))
+    return (draw(st.sampled_from(["add", "sub"])),
+            draw(_constants(w, depth - 1)), draw(_constants(w, depth - 1)))
+
+
+@st.composite
+def _expressions(draw, width: int, w: int, depth: int):
+    """A width-w expression, at most depth operators deep, that is not constants alone.
+
+    a and b are the program's width-bit names, p a 1-bit name. A comparison
+    compares operands of either width; one side, or both, may be constants
+    alone, and then both take the program width.
+    """
+    names = (["a", "b"] if w == width else []) + (["p"] if w == 1 else [])
+    shapes = ["name"]
+    if depth > 0:
+        shapes += ["arith"] + (["compare", "connective", "not"] if w == 1 else [])
+    shape = draw(st.sampled_from(shapes))
+    d = depth - 1
+    if shape == "name":
+        return ("var", draw(st.sampled_from(names)))
+    if shape == "arith":
+        x = draw(_expressions(width, w, d))
+        y = draw(st.one_of(_expressions(width, w, d), _constants(w, d)))
+        if draw(st.booleans()):
+            x, y = y, x
+        return (draw(st.sampled_from(["add", "sub"])), x, y)
+    if shape == "compare":
+        sides = draw(st.sampled_from(["names", "left", "right", "constants"]))
+        ow = width if sides == "constants" else draw(st.sampled_from([width, 1]))
+        x = draw(_constants(ow, d) if sides in ("left", "constants") else _expressions(width, ow, d))
+        y = draw(_constants(ow, d) if sides in ("right", "constants") else _expressions(width, ow, d))
+        return (draw(st.sampled_from(["eq", "ge", "le"])), ow, x, y)
+    bit = st.one_of(_expressions(width, 1, d), st.integers(0, 1).map(lambda v: ("const", v)))
+    if shape == "not":
+        return ("not", draw(bit))
+    return (draw(st.sampled_from(["and", "or"])), draw(bit), draw(bit))
+
+
+_SYMBOL = {"add": "+", "sub": "-", "eq": "==", "ge": ">=", "le": "<=", "and": "&&", "or": "||"}
+
+
+def _render(e) -> str:
+    if e[0] == "var":
+        return e[1]
+    if e[0] == "const":
+        return str(e[1])
+    if e[0] == "not":
+        return f"!{_render(e[1])}"
+    x, y = e[-2:]
+    return f"({_render(x)} {_SYMBOL[e[0]]} {_render(y)})"
+
+
+def _evaluate(e, w: int, env: dict[str, int]) -> int:
+    """Value of a width-w expression: unsigned, wrapping around at w bits."""
+    op = e[0]
+    if op == "var":
+        return env[e[1]]
+    if op == "const":
+        return e[1]
+    if op in ("add", "sub"):
+        x, y = _evaluate(e[1], w, env), _evaluate(e[2], w, env)
+        return (x + y if op == "add" else x - y) % (1 << w)
+    if op in ("eq", "ge", "le"):
+        x, y = _evaluate(e[2], e[1], env), _evaluate(e[3], e[1], env)
+        return int(x == y if op == "eq" else x >= y if op == "ge" else x <= y)
+    if op == "not":
+        return 1 - _evaluate(e[1], 1, env)
+    x, y = _evaluate(e[1], 1, env), _evaluate(e[2], 1, env)
+    return x & y if op == "and" else x | y
+
+
+@st.composite
+def _width_cases(draw):
+    width = draw(st.integers(1, 3))
+    w = draw(st.sampled_from([width, 1]))
+    a, b = (draw(st.integers(0, (1 << width) - 1)) for _ in range(2))
+    return width, w, draw(_expressions(width, w, 4)), {"a": a, "b": b, "p": int(a >= b)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_width_cases())
+def test_observation_follows_the_width_rule(case):
+    width, w, expr, env = case
+    text = (f"width {width}\nmode leak\nrandom a\nrandom b\nobserve p := a >= b\n"
+            f"observe o := {_render(expr)}\n")
+    _, bitmap = encode(parse_program(text))
+    assert len(bitmap.bits["o"]) == w
+    assert _observed(text, {"a": env["a"], "b": env["b"]}) == _evaluate(expr, w, env)
+
+
 class TestEncodeRoles:
     def test_reach_roles_and_shapes(self):
         problem, bitmap = encode(parse_program(SUM_GAME))
@@ -233,6 +333,69 @@ class TestEncodeRoles:
         assert len(bitmap.bits["o"]) == 1
         _, bitmap = encode(parse_program("width 3\nmode leak\nrandom a\nobserve o := a + 1\n"))
         assert len(bitmap.bits["o"]) == 3
+
+
+BENCH = resources.files("dqmaxsat").joinpath("bench")
+
+
+def _encoding_digest(text: str) -> str:
+    """sha256 of everything encode produces: the CNF, the roles, the bit map."""
+    problem, bitmap = encode(parse_program(text))
+    record = (
+        problem.cnf.num_vars,
+        problem.cnf.clauses,
+        problem.max_vars,
+        sorted(problem.count_vars),
+        sorted(problem.exist_vars),
+        sorted((x, sorted(h)) for x, h in problem.deps.items()),
+        list(bitmap.bits.items()),
+        sorted(bitmap.labels.items()),
+        bitmap.aux_start,
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+# the bundled programs and SEED's first instances of each .atk workload,
+# taken before each expression's width was worked out at parse time
+ENCODINGS = {
+    ("capacity.atk", None):
+        "4fac1b3ba3644ff7bb23acd850551e8da9b6b087ab165ee403df16fde2c52fed",
+    ("capacity6.atk", None):
+        "ae9e42f3560f1e71acc70a7d46f5cd69b3f60f1a9718778bc556cc3658ea6af4",
+    ("guessbits.atk", None):
+        "3d21ac8055f1466f766d52205740c019617cd93b4e76c04cd8ea350e507e5a42",
+    ("sum_reach_3.atk", None):
+        "837f3a760c5ff520f674cd87ec88b0ca9f5067b787fab8de5f844607dd09392f",
+    ("sum_reach_4.atk", None):
+        "0331268296926148e26310808884b6dc6438e6ace96b8db81d7e21ee314b0d37",
+    ("local-reach", 0):
+        "94ed5edd3d4ed78b1f9ae62fb15d5b0aed4bf576027c0c60b1f474daa6ac2517",
+    ("local-reach", 1):
+        "4a313410b70526083b41ec807bccf40c5d02d53510892a968d46fea137eeed5e",
+    ("local-reach", 2):
+        "338fa666fa03a644fa451318547bacebea06c9354650775d8986e86e83a4f752",
+    ("local-reach", 3):
+        "3607a2879963360296cfc1bf6c7ce592249644bed040677256b558db4d470bc5",
+    ("incremental-probes", 0):
+        "dbb96724e8a42066bfc950beec5be98a31581ba66e6520191dcc33ccdfc059fe",
+    ("incremental-probes", 1):
+        "7bf8d9f4c5773aa4fd874c5d698c26143d64599cf478a9bd9e37f76c166117c4",
+    ("incremental-probes", 2):
+        "562d05dbe01ce8cf61c7ca71e185e5a15dd691386d61b7423c1c1df58312a81a",
+    ("incremental-probes", 3):
+        "356452311760565cafd21a97763a8233b2c1091ef3004bab3a20b44b76023e15",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODINGS),
+                         ids=lambda case: case[0] if case[1] is None else f"{case[0]}-{case[1]}")
+def test_encoding_matches_pinned_digest(case):
+    source, index = case
+    if index is None:
+        text = BENCH.joinpath(source).read_text()
+    else:
+        text = workloads.make_instance(source, SEED, index).text
+    assert _encoding_digest(text) == ENCODINGS[case]
 
 
 class TestEndToEnd:

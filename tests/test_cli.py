@@ -287,6 +287,15 @@ class TestCheck:
         assert code == 2
         assert "unusable" in err
 
+    def test_overlong_integer_exits_2(self, capsys, tmp_path, instance_file):
+        doc = self._solved(capsys, instance_file)
+        result = tmp_path / "r.json"
+        # past int()'s default limit of 4300 digits, which json enforces too
+        result.write_text(json.dumps(doc).replace(f'"count": {doc["count"]}', '"count": ' + "9" * 5000))
+        code, _, err = run_cli(capsys, "check", instance_file, str(result))
+        assert code == 2
+        assert "too long" in err
+
     def test_deeply_nested_document_exits_2(self, capsys, tmp_path, instance_file):
         result = tmp_path / "r.json"
         result.write_text("[" * 100000)
@@ -527,6 +536,8 @@ class TestFuzz:
     @_FUZZ
     @given(text=mangled([BUNDLED[n] for n in ATK_NAMES], _ATK_TOKENS))
     @example(text=BUNDLED["sum_reach_3.atk"].replace("width 3", "width 99999"))
+    # a literal past int()'s default limit of 4300 digits
+    @example(text="width 3\nmode leak\nrandom a in 0.." + "9" * 5000 + "\n")
     def test_mangled_programs(self, capsys, tmp_path, text):
         # only programs that no longer parse: a valid one may take long to solve
         try:

@@ -108,6 +108,13 @@ class TestRejections:
             parse_instance(text)
         assert fragment in str(err.value)
 
+    def test_overlong_integer_is_named_and_cut_short(self):
+        digits = "9" * 5000  # past int()'s default limit of 4300 digits
+        with pytest.raises(ParseError) as err:
+            parse_instance(f"p dqmscnf {digits} 1\nr 1 0\n1 0\n")
+        assert "integer too long" in str(err.value)
+        assert len(str(err.value)) < 100
+
     def test_control_case_parses(self):
         text = next(t for t, frag in BAD if frag is None)
         parse_instance(text)

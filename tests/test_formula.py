@@ -198,9 +198,3 @@ class TestApplySubstitution:
         composed = apply_substitution(p, Solution(functions={1: fn}))
         for m in tt_models(4, composed.clauses):
             assert m[1] == fn.evaluate(m)
-
-
-def test_solution_function_for():
-    fn = MintermFunction.constant(True)
-    s = Solution(functions={7: fn})
-    assert s.function_for(7) is fn
