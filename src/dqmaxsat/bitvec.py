@@ -43,6 +43,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from .dimacs import shown
 from .formula import Cnf, MintermFunction, Problem, Solution
 
 
@@ -115,8 +116,7 @@ def _tokenize(src: str, line: int) -> list[tuple[str, object, int]]:
             try:
                 value = int(digits)
             except ValueError:  # more digits than int() converts
-                raise ProgramError(f"integer too long: {digits[:20]}... ({len(digits)} digits)",
-                                   line, i + 1) from None
+                raise ProgramError(f"integer too long: {shown(digits)}", line, i + 1) from None
             toks.append(("num", value, i + 1))
         elif m.group(2) is not None:
             toks.append(("name", m.group(2), i + 1))
@@ -172,7 +172,7 @@ class _ExprParser:
         if t is None:
             raise ProgramError("unexpected end of line", self.line, self.end_col)
         if kind is not None and t[0] != kind:
-            raise ProgramError(f"expected {kind!r}, found {t[1]!r}", self.line, t[2])
+            raise ProgramError(f"expected {kind!r}, found {shown(t[1])}", self.line, t[2])
         self.pos += 1
         return t
 
@@ -196,7 +196,7 @@ class _ExprParser:
         e = self._or()
         t = self._peek()
         if t is not None:
-            raise ProgramError(f"unexpected {t[1]!r} after expression", self.line, t[2])
+            raise ProgramError(f"unexpected {shown(t[1])} after expression", self.line, t[2])
         # operator chains build deep trees without nesting; walk without recursion
         stack = [(e, 1)]
         while stack:
@@ -249,7 +249,7 @@ class _ExprParser:
         if t[0] == "name":
             w = self.widths.get(t[1], 0)
             if not w:
-                self._type_error(f"name {t[1]!r} is not assigned yet", t[2])
+                self._type_error(f"name {shown(t[1])} is not assigned yet", t[2])
             return BvExpr("var", (), None, t[1], self.line, t[2], w)
         if t[0] in ("!", "("):
             self.nesting += 1
@@ -262,7 +262,7 @@ class _ExprParser:
                 self._take(")")
             self.nesting -= 1
             return e
-        raise ProgramError(f"expected a name, number, '!' or '(', found {t[1]!r}", self.line, t[2])
+        raise ProgramError(f"expected a name, number, '!' or '(', found {shown(t[1])}", self.line, t[2])
 
 
 def _sized(e: BvExpr, demand: int, default: int) -> BvExpr:
@@ -274,7 +274,7 @@ def _sized(e: BvExpr, demand: int, default: int) -> BvExpr:
     """
     if e.op == "const":
         if e.value >> demand:
-            raise ProgramError(f"constant {e.value} does not fit in {demand} bit(s)", e.line, e.col)
+            raise ProgramError(f"constant {shown(e.value)} does not fit in {demand} bit(s)", e.line, e.col)
         return BvExpr("const", (), e.value, None, e.line, e.col, demand)
     w = e.width or demand
     if e.op in _COMPARE:
@@ -305,11 +305,11 @@ def parse_program(text: str) -> BvProgram:
 
     def fresh_name(tok, ln: int) -> str:
         if tok[0] != "name":
-            raise ProgramError(f"expected a name, found {tok[1]!r}", ln, tok[2])
+            raise ProgramError(f"expected a name, found {shown(tok[1])}", ln, tok[2])
         if tok[1] in _KEYWORDS:
-            raise ProgramError(f"{tok[1]!r} is a keyword", ln, tok[2])
+            raise ProgramError(f"{shown(tok[1])} is a keyword", ln, tok[2])
         if tok[1] in widths:
-            raise ProgramError(f"name {tok[1]!r} is assigned twice", ln, tok[2])
+            raise ProgramError(f"name {shown(tok[1])} is assigned twice", ln, tok[2])
         return tok[1]
 
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -320,7 +320,7 @@ def parse_program(text: str) -> BvProgram:
         toks = _tokenize(src, ln)
         head = toks[0]
         if head[0] != "name":
-            raise ProgramError(f"expected a statement keyword, found {head[1]!r}", ln, head[2])
+            raise ProgramError(f"expected a statement keyword, found {shown(head[1])}", ln, head[2])
         kw = head[1]
 
         if kw == "width":
@@ -331,7 +331,7 @@ def parse_program(text: str) -> BvProgram:
             if len(toks) != 2 or toks[1][0] != "num" or toks[1][1] < 1:
                 raise ProgramError("width takes one positive number", ln)
             if toks[1][1] > MAX_WIDTH:
-                raise ProgramError(f"width {toks[1][1]} exceeds the limit of {MAX_WIDTH} bits", ln)
+                raise ProgramError(f"width {shown(toks[1][1])} exceeds the limit of {MAX_WIDTH} bits", ln)
             width = toks[1][1]
         elif kw == "mode":
             if statements:
@@ -353,9 +353,9 @@ def parse_program(text: str) -> BvProgram:
                     raise ProgramError("range syntax is: in <lo>..<hi>", ln, toks[2][2])
                 lo, hi = toks[3][1], toks[5][1]
                 if lo > hi:
-                    raise ProgramError(f"empty range {lo}..{hi}", ln, toks[3][2])
+                    raise ProgramError(f"empty range {shown(lo)}..{shown(hi)}", ln, toks[3][2])
                 if hi >> w:
-                    raise ProgramError(f"range bound {hi} does not fit in {w} bit(s)", ln, toks[5][2])
+                    raise ProgramError(f"range bound {shown(hi)} does not fit in {w} bit(s)", ln, toks[5][2])
             widths[name] = w
             statements.append(Statement("random", ln, name=name, lo=lo, hi=hi))
         elif kw == "input":
@@ -387,7 +387,7 @@ def parse_program(text: str) -> BvProgram:
                 win_line = ln
             statements.append(Statement(kw, ln, expr=expr))
         else:
-            raise ProgramError(f"unknown statement {kw!r}", ln, head[2])
+            raise ProgramError(f"unknown statement {shown(kw)}", ln, head[2])
 
     if width is None:
         raise ProgramError("missing width declaration", max(last_line, 1))
@@ -410,8 +410,12 @@ def _const_bits(value: int, w: int) -> list[Bit]:
     return [bool(value >> i & 1) for i in range(w)]
 
 
+def _pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if abs(a) < abs(b) else (b, a)
+
+
 class _Lowerer:
-    """Gate emitter with constant folding and structural sharing."""
+    """Gate emitter with constant folding and structural sharing; literals in variable order."""
 
     def __init__(self, first_gate_var: int):
         self.clauses: list[tuple[int, ...]] = []
@@ -429,11 +433,12 @@ class _Lowerer:
             g = self._cache[key] = self.next_var
             self.next_var += 1
             if op == "and":
-                self.clauses += [(-g, a), (-g, b), (g, -a, -b)]
+                self.clauses += [(a, -g), (b, -g), (*_pair(-a, -b), g)]
             elif op == "or":
-                self.clauses += [(g, -a), (g, -b), (-g, a, b)]
+                self.clauses += [(-a, g), (-b, g), (*_pair(a, b), -g)]
             else:
-                self.clauses += [(-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b)]
+                self.clauses += [(*_pair(a, b), -g), (*_pair(-a, -b), -g),
+                                 (*_pair(-a, b), g), (*_pair(a, -b), g)]
         return g
 
     def g_and(self, a: Bit, b: Bit) -> Bit:
@@ -512,7 +517,7 @@ class _Lowerer:
             elif b is False:
                 self.clauses.append((-v,))
             else:
-                self.clauses += [(-v, b), (v, -b)]
+                self.clauses += [_pair(-v, b), _pair(v, -b)]
 
     def bits_of(self, e: BvExpr, env: Mapping[str, tuple[int, ...]]) -> list[Bit]:
         """Lower a typed expression to its e.width bits, LSB first."""

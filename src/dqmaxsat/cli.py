@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 from .bitvec import BitMap, LiftedFunction, ProgramError, encode, lift, parse_program
 from .counting import VerificationMismatch, check_solution, count_projected
-from .dimacs import ParseError, parse_instance
+from .dimacs import ParseError, parse_instance, shown
 from .formula import DependencyViolation, MintermFunction, Problem, Solution
 from .incremental import run as run_incremental
 from .local import (
@@ -187,14 +187,25 @@ def result_document(
     return doc
 
 
+def _integer(value: object) -> int:
+    """A JSON integer of a result document: bools and floats are not."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def solution_from_document(doc: dict) -> Solution:
     """Rebuild the claimed solution; raises DocumentError when unusable."""
     try:
-        functions = {
-            int(key): MintermFunction.of(entry["support"], entry["minterms"])
-            for key, entry in doc["functions"].items()
-        }
-        return Solution(functions, int(doc["count"]), int(doc["total"]))
+        functions = {}
+        for key, entry in doc["functions"].items():
+            var = int(key)
+            if key != str(var):
+                raise ValueError(f"function key {shown(key)} is not a variable number")
+            functions[var] = MintermFunction.of(
+                [_integer(v) for v in entry["support"]],
+                [[_integer(lit) for lit in m] for m in entry["minterms"]])
+        return Solution(functions, _integer(doc["count"]), _integer(doc["total"]))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DocumentError(f"unusable result document: {exc}") from exc
 

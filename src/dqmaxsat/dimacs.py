@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from typing import Union
 
 from .formula import Cnf, Problem
 
@@ -32,6 +33,13 @@ class ParseError(ValueError):
         self.line = line
 
 
+def shown(token: Union[str, int]) -> str:
+    """A token as a diagnostic echoes it: text quoted, numbers bare, cut past 20 characters."""
+    text = str(token)
+    head = repr(text[:20]) if isinstance(token, str) else text[:20]
+    return head if len(text) <= 20 else f"{head}... ({len(text)} characters)"
+
+
 def _ints(tokens: list[str], line_no: int) -> list[int]:
     out = []
     for tok in tokens:
@@ -39,9 +47,8 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
             out.append(int(tok))
         except ValueError:
             if re.fullmatch(r"[+-]?\d+", tok):  # more digits than int() converts
-                raise ParseError(f"integer too long: {tok[:20]}... ({len(tok)} characters)",
-                                 line_no) from None
-            raise ParseError(f"expected an integer, got {tok!r}", line_no) from None
+                raise ParseError(f"integer too long: {shown(tok)}", line_no) from None
+            raise ParseError(f"expected an integer, got {shown(tok)}", line_no) from None
     return out
 
 
@@ -55,17 +62,17 @@ def _terminated(tokens: list[str], line_no: int) -> list[int]:
     return body
 
 
-def _undeclared(declared: dict[int, int], num_vars: int, shown: int = 5) -> str:
+def _undeclared(declared: dict[int, int], num_vars: int, listed: int = 5) -> str:
     """The first few variables of 1..num_vars not in declared, and how many.
 
-    Walks only as far as the shown ones, so a header claiming a huge
+    Walks only as far as the listed ones, so a header claiming a huge
     num_vars costs no more than the declarations the text actually has.
     """
     missing = num_vars - len(declared)
-    first = list(itertools.islice((v for v in range(1, num_vars + 1) if v not in declared), shown))
-    if missing <= shown:
+    first = list(itertools.islice((v for v in range(1, num_vars + 1) if v not in declared), listed))
+    if missing <= listed:
         return str(first)
-    return f"{str(first)[:-1]}, ...] ({missing} in all)"
+    return f"{str(first)[:-1]}, ...] ({shown(missing)} in all)"
 
 
 # prefix sections must appear in this order; clauses come last
@@ -90,10 +97,10 @@ def parse_instance(text: str) -> Problem:
 
     def declare(v: int, line_no: int) -> None:
         if not 1 <= v <= num_vars:
-            raise ParseError(f"variable {v} is outside 1..{num_vars}", line_no)
+            raise ParseError(f"variable {shown(v)} is outside 1..{shown(num_vars)}", line_no)
         if v in declared:
             raise ParseError(
-                f"variable {v} already declared on line {declared[v]}", line_no
+                f"variable {shown(v)} already declared on line {declared[v]}", line_no
             )
         declared[v] = line_no
 
@@ -130,11 +137,11 @@ def parse_instance(text: str) -> Problem:
             if any(v <= 0 for v in body):
                 raise ParseError("`d` line entries must be positive variables", line_no)
             if len(set(h)) != len(h) or x in h:
-                raise ParseError(f"duplicate entry on `d` line for {x}", line_no)
+                raise ParseError(f"duplicate entry on `d` line for {shown(x)}", line_no)
             declare(x, line_no)
             for v in h:
                 if not 1 <= v <= num_vars:
-                    raise ParseError(f"variable {v} is outside 1..{num_vars}", line_no)
+                    raise ParseError(f"variable {shown(v)} is outside 1..{shown(num_vars)}", line_no)
             max_vars.append(x)
             deps[x] = h
             dep_lines[x] = line_no
@@ -153,11 +160,11 @@ def parse_instance(text: str) -> Problem:
                     line_no,
                 )
             if len(clauses) == num_clauses:
-                raise ParseError(f"more than {num_clauses} clauses", line_no)
+                raise ParseError(f"more than {shown(num_clauses)} clauses", line_no)
             lits = _terminated(tokens, line_no)
             for lit in lits:
                 if abs(lit) not in declared:
-                    raise ParseError(f"literal {lit} mentions an undeclared variable", line_no)
+                    raise ParseError(f"literal {shown(lit)} mentions an undeclared variable", line_no)
             clauses.append(lits)
 
     last = len(text.splitlines()) or 1
@@ -169,7 +176,7 @@ def parse_instance(text: str) -> Problem:
         raise ParseError("at least one `r` line is required", last)
     if len(clauses) != num_clauses:
         raise ParseError(
-            f"expected {num_clauses} clauses, found {len(clauses)}", last
+            f"expected {shown(num_clauses)} clauses, found {len(clauses)}", last
         )
     roles = set(count_vars) | set(exist_vars)
     for x in max_vars:

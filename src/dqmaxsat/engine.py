@@ -16,13 +16,14 @@ them (trail reuse, as in Hickey & Bacchus, "Trail Saving on Backtrack",
 SAT 2020). Callers that probe many lists sharing a prefix should put that
 prefix first.
 
-The constructor is the only way clauses enter the database. It loads its
-clause list in one pass: it attaches every clause of two or more literals,
-queues the unit clauses, and propagates once at the end. It checks every
-literal first: literal 0 or a variable above num_vars raises ValueError,
-even inside a tautology. Then duplicate literals are dropped, tautologies
-are skipped, and an empty clause or clashing units make the database
-unsatisfiable. satisfiable checks its assumption literals the same way.
+The constructor is the only way clauses enter the database, and the
+package's only clause cleaner. It loads its clause list in one pass: it
+attaches every clause of two or more literals, queues the unit clauses,
+and propagates once at the end. It checks every literal first: literal 0
+or a variable above num_vars raises ValueError, even inside a tautology.
+Then duplicate literals are dropped, tautologies are skipped, and an empty
+clause or clashing units make the database unsatisfiable. satisfiable
+checks its assumption literals the same way.
 
 enumerate_projected decides the projection first: it renumbers the
 projection variables to 1..k in ascending order, so the lowest-id rule
@@ -396,9 +397,10 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
     """Visit every projection of a model onto `proj` exactly once.
 
     The count is the number of proj-assignments extendable to a model.
-    Projections come in lexicographic order over sorted(proj), false
-    first. The projection variables are renumbered to 1..k, so they are
-    decided before any other variable, and each model is blocked by a
+    visit gets each as a cell, one literal per projection variable in
+    ascending order; cells come in lexicographic order, false first. The
+    projection variables are renumbered to 1..k, so they are decided
+    before any other variable, and each model is blocked by a
     clause over its projection decisions alone: those decisions and the
     clauses so far force the whole cell, so the clause removes exactly it.
     """
@@ -421,7 +423,7 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
     while eng._search([]) is None:
         count += 1
         if visit is not None:
-            visit({v: vals[i] > 0 for i, v in enumerate(proj_vars, 1)})
+            visit(tuple([v if vals[i] > 0 else -v for i, v in enumerate(proj_vars, 1)]))
         # the projection decisions open the first levels
         depth = 0
         while depth < len(lim) and abs(trail[lim[depth]]) <= k:

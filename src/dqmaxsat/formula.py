@@ -3,6 +3,7 @@
 Literals are nonzero signed integers (DIMACS convention): ``v`` is the
 positive literal of variable ``v``, ``-v`` its negation. A monomial is a
 tuple of literals, one per variable of its support, sorted by variable id.
+A clause is a tuple of literals, kept as built: only the engine cleans it.
 """
 
 from __future__ import annotations
@@ -15,51 +16,20 @@ class DependencyViolation(ValueError):
     """A synthesized function uses variables outside its dependency set."""
 
 
-def canonical_clause(lits: Iterable[int]) -> Optional[tuple[int, ...]]:
-    """Sort literals by variable id and drop duplicate literals.
-
-    Returns None when the clause contains a variable in both polarities
-    (a tautology). The empty clause is represented by the empty tuple.
-    """
-    seen: dict[int, int] = {}
-    for lit in lits:
-        if lit == 0:
-            raise ValueError("literal 0 is not allowed")
-        v = abs(lit)
-        prev = seen.get(v)
-        if prev is None:
-            seen[v] = lit
-        elif prev != lit:
-            return None
-    return tuple(sorted(seen.values(), key=abs))
-
-
 @dataclass(frozen=True)
 class Cnf:
-    """An immutable CNF formula over variables 1..num_vars."""
+    """An immutable CNF formula over variables 1..num_vars, clauses kept as built."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def build(num_vars: int, clause_lists: Iterable[Iterable[int]]) -> "Cnf":
-        """Canonicalize each clause and drop tautologies."""
-        out = []
-        for lits in clause_lists:
-            c = canonical_clause(lits)
-            if c is None:
-                continue
-            for lit in c:
-                if abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit} exceeds num_vars={num_vars}")
-            out.append(c)
-        return Cnf(num_vars, tuple(out))
+        """The formula over the given clauses, each made a tuple as it is."""
+        return Cnf(num_vars, tuple(map(tuple, clause_lists)))
 
     def variables(self) -> frozenset[int]:
         return frozenset(abs(l) for c in self.clauses for l in c)
-
-    def has_empty_clause(self) -> bool:
-        return any(not c for c in self.clauses)
 
 
 TRUE_CNF = Cnf(0, ())
@@ -155,7 +125,7 @@ class Problem:
 
     max_vars is the ordered quantifier prefix of maximizing variables;
     deps maps each of them to its dependency set, a subset of
-    count_vars | exist_vars.
+    count_vars | exist_vars. Each formula variable lies in 1..cnf.num_vars.
     """
 
     cnf: Cnf
@@ -170,8 +140,11 @@ class Problem:
             raise ValueError("duplicate maximizing variable")
         if xs & self.count_vars or xs & self.exist_vars or self.count_vars & self.exist_vars:
             raise ValueError("variable role sets must be pairwise disjoint")
+        used = self.cnf.variables()
+        if used and (0 in used or max(used) > self.cnf.num_vars):
+            raise ValueError(f"the formula has a literal outside 1..{self.cnf.num_vars}")
         declared = xs | self.count_vars | self.exist_vars
-        missing = self.cnf.variables() - declared
+        missing = used - declared
         if missing:
             raise ValueError(f"variables {sorted(missing)} occur in the formula but have no role")
         if set(self.deps) != xs:

@@ -61,11 +61,8 @@ def reachable_cells(f: Cnf, count_vars: Iterable[int]) -> tuple[tuple[int, ...],
     the selector of each point's active monomial can take the chooser's
     value there. So the cells of p.cnf serve every request over p.
     """
-    ys = sorted(set(count_vars))
     cells: list[tuple[int, ...]] = []
-    enumerate_projected(
-        f, ys, visit=lambda m: cells.append(tuple(v if m[v] else -v for v in ys)),
-    )
+    enumerate_projected(f, count_vars, visit=cells.append)
     return tuple(cells)
 
 

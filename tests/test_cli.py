@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from dqmaxsat import cli
 from dqmaxsat.bitvec import ProgramError, parse_program
+from dqmaxsat.dimacs import ParseError, parse_instance
 from dqmaxsat.reduction import BudgetExceeded
 
 COPY_OR_AND = """\
@@ -287,6 +288,27 @@ class TestCheck:
         assert code == 2
         assert "unusable" in err
 
+    @pytest.mark.parametrize("edit", [
+        {"count": 4.7},
+        {"total": 4.9},
+        {"functions": {"3": {"support": [True], "minterms": [[True]]}}},
+        {"functions": {"3": {"support": [1], "minterms": [[True]]}}},
+        {"functions": {"0_3": {"support": [1], "minterms": []}}},
+    ], ids=["float-count", "float-total", "bool-support", "bool-literal", "key-not-a-number"])
+    def test_non_integer_number_exits_2(self, capsys, tmp_path, edit):
+        # int() would read each of these as a number the recount confirms
+        path = tmp_path / "taut.dqm"
+        path.write_text("p dqmscnf 3 1\nd 3 1 0\nr 1 2 0\n1 -1 3 0\n")
+        doc = self._solved(capsys, str(path))
+        assert doc["count"] == doc["total"] == 4
+        doc.update(edit)
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path), str(result))
+        assert code == 2
+        assert "ok" not in out
+        assert "unusable" in err
+
     def test_overlong_integer_exits_2(self, capsys, tmp_path, instance_file):
         doc = self._solved(capsys, instance_file)
         result = tmp_path / "r.json"
@@ -302,6 +324,51 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", instance_file, str(result))
         assert code == 2
         assert "nested too deeply" in err
+
+
+# COPY_OR_AND's clauses with their literals reordered, some repeated, and two
+# tautologies added
+COPY_OR_AND_RAW = """\
+p dqmscnf 5 9
+d 1 4 5 0
+r 2 3 0
+e 4 5 0
+4 -1 4 0
+-2 1 0
+3 2 -4 2 0
+-3 4 0
+2 -5 0
+3 -5 3 0
+-1 -3 5 0
+1 -1 2 0
+5 3 -5 0
+"""
+
+
+class TestClausesAsWritten:
+    """The engine cleans what the parser keeps: a raw twin prints the same."""
+
+    def _outputs(self, capsys, tmp_path, text, method):
+        path = tmp_path / "inst.dqm"
+        path.write_text(text)
+        count = run_cli(capsys, "count", str(path))
+        code, out, err = run_cli(capsys, "solve", str(path), "--json", "--method", method)
+        doc = json.loads(out)
+        result = tmp_path / "r.json"
+        result.write_text(out)
+        check = run_cli(capsys, "check", str(path), str(result))
+        doc["wall_ms"] = None
+        for rec in doc.get("iterations", ()):
+            rec["elapsed_ms"] = None
+        return count, (code, doc, err), check
+
+    @pytest.mark.parametrize("method", ["auto", "global", "incremental"])
+    def test_raw_clauses_print_what_clean_ones_do(self, capsys, tmp_path, method):
+        raw = self._outputs(capsys, tmp_path, COPY_OR_AND_RAW, method)
+        clean = self._outputs(capsys, tmp_path, COPY_OR_AND, method)
+        assert raw == clean
+        assert raw[0] == (0, "4 of 4\n", "")
+        assert raw[2] == (0, "ok: 3 of 4 confirmed\n", "")
 
 
 class TestCount:
@@ -477,6 +544,41 @@ class TestOversizeInput:
         code, _, err = run_cli(capsys, "solve-program", str(path))
         assert code == 2
         assert "line 3" in err and "exceeds the limit" in err
+
+
+_LONG = "9" * 4000  # under int()'s limit of 4300 digits
+_ATK = "width 4\nmode reach\nrandom r\n"
+
+
+@pytest.mark.parametrize("parse,text,line,token", [
+    (parse_program, f"width {_LONG}\nmode reach\n", 1, None),
+    (parse_program, f"width 4\nmode reach\nrandom r in 0..{_LONG}\n", 3, _LONG),
+    (parse_program, f"width 4\nmode reach\nrandom r in {_LONG}..1\n", 3, _LONG),
+    (parse_program, f"{_ATK}win r == {_LONG}\n", 4, _LONG),
+    (parse_program, f"{_ATK}win r == {'9' * 5000}\n", 4, "9" * 5000),
+    (parse_program, f"{_ATK}win {'a' * 5000} == r\n", 4, "a" * 5000),
+    (parse_program, f"{'a' * 5000} r\n", 1, "a" * 5000),
+    (parse_instance, f"p dqmscnf 3 1\nr 1 2 3 0\n{'x' * 5000} 0\n", 3, None),
+    (parse_instance, f"p dqmscnf 3 1\nr 1 2 3 0\n{'9' * 5000} 0\n", 3, None),
+    (parse_instance, f"p dqmscnf {_LONG} 0\nr 1 0\n", 2, None),
+    (parse_instance, f"p dqmscnf {_LONG} 1\nr 1 0\n1 0\n", 3, None),
+    (parse_instance, f"p dqmscnf 1 1\nr 1 0\n{_LONG} 0\n", 3, None),
+    (parse_instance, f"p dqmscnf 1 {_LONG}\nr 1 0\n1 0\n", 3, None),
+    (parse_instance, f"p dqmscnf 1 0\nr {_LONG} 0\n", 2, None),
+    (parse_instance, f"p dqmscnf 1 0\nd {_LONG} {_LONG} 0\n", 2, None),
+], ids=["atk-width", "atk-range-bound", "atk-empty-range", "atk-constant", "atk-integer-too-long",
+        "atk-unassigned-name", "atk-unknown-statement", "dqm-not-an-integer", "dqm-integer-too-long",
+        "dqm-undeclared-in-all", "dqm-missing-before-clause", "dqm-literal", "dqm-clause-count",
+        "dqm-variable-range", "dqm-d-line-duplicate"])
+def test_diagnostics_cut_oversize_tokens_short(parse, text, line, token):
+    # each token is echoed whole up to 20 characters, else cut to 20 and
+    # its length; the position stays
+    with pytest.raises((ProgramError, ParseError)) as err:
+        parse(text)
+    assert len(str(err.value)) < 200
+    assert err.value.line == line
+    if token is not None:
+        assert err.value.col == text.splitlines()[line - 1].index(token) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,10 @@ class TestParse:
         assert p.cnf.clauses == ()
         assert p.deps == {1: frozenset({2})}
 
-    def test_clause_canonicalization_applies(self):
-        p = parse_instance("p dqmscnf 2 1\nr 1 2 0\n2 -1 2 0\n")
-        assert p.cnf.clauses == ((-1, 2),)
+    def test_parse_keeps_clauses_as_written(self):
+        # repeated literals and tautologies are left to the engine's loader
+        p = parse_instance("p dqmscnf 2 2\nr 1 2 0\n2 -1 2 0\n1 -1 0\n")
+        assert p.cnf.clauses == ((2, -1, 2), (1, -1))
 
 
 BAD = [

@@ -275,6 +275,29 @@ class TestLoader:
                 assert not tt_satisfiable(5, clause_lists + [[a] for a in eng.core])
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(min_value=-6, max_value=6).filter(bool), min_size=1, max_size=6),
+                    max_size=12),
+           st.lists(st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=3),
+                    min_size=1, max_size=4),
+           st.sets(st.integers(min_value=1, max_value=6)))
+    def test_raw_clauses_load_like_cleaned_ones(self, raw, probes, proj):
+        # the loader is the package's only clause cleaner: literals in any
+        # order, repeated literals and tautologies load as the sorted,
+        # duplicate-free clauses without the tautologies do
+        clean = [sorted(set(c), key=abs) for c in raw if not any(-lit in c for lit in c)]
+        eng_raw, eng_clean = Engine(6, raw), Engine(6, clean)
+        for assumptions in probes:
+            sat = eng_raw.satisfiable(assumptions)
+            assert sat == eng_clean.satisfiable(assumptions)
+            if sat:
+                assert eng_raw.witness == eng_clean.witness
+        cells_raw, cells_clean = [], []
+        got = enumerate_projected(Cnf.build(6, raw), proj, visit=cells_raw.append)
+        assert got == enumerate_projected(Cnf.build(6, clean), proj, visit=cells_clean.append)
+        assert cells_raw == cells_clean
+
+
 class TestTrailReuse:
     def test_kept_prefix_sees_later_assumptions(self):
         # the second probe keeps level 1 (assumption -1) and then meets 3,
@@ -325,9 +348,8 @@ class TestEnumerateProjected:
         f = Cnf.build(3, [[1, 2, 3], [-1, 2]])
         seen = []
         enumerate_projected(f, [1, 2], visit=seen.append)
-        cells = {(m[1], m[2]) for m in seen}
-        assert len(seen) == len(cells) == 3
-        assert all(set(m) == {1, 2} for m in seen)
+        assert len(seen) == len(set(seen)) == 3
+        assert all(tuple(map(abs, cell)) == (1, 2) for cell in seen)
 
     def test_empty_projection_is_satisfiability_indicator(self):
         assert enumerate_projected(Cnf.build(2, [[1], [2]]), []) == 1
@@ -345,7 +367,7 @@ class TestEnumerateProjected:
         seen = []
         with recorded_blocks() as blocks:
             assert enumerate_projected(f, [1, 2], visit=seen.append) == 3
-        assert seen == [{1: False, 2: False}, {1: True, 2: False}, {1: True, 2: True}]
+        assert seen == [(-1, -2), (1, -2), (1, 2)]
         assert blocks[0] == [1]
 
     @settings(max_examples=300, deadline=None)
@@ -363,7 +385,8 @@ class TestEnumerateProjected:
         # projection variables are numbered first: lexicographic over
         # sorted(proj), false first, whatever the formula
         pv = sorted(proj)
-        want = [dict(zip(pv, cell)) for cell in sorted(tt_projections(8, f.clauses, proj))]
+        want = [tuple(v if b else -v for v, b in zip(pv, cell))
+                for cell in sorted(tt_projections(8, f.clauses, proj))]
         assert visited == want
 
     @settings(max_examples=200, deadline=None)
@@ -389,5 +412,6 @@ class TestEnumerateProjected:
         got = enumerate_projected(f, proj, visit=visited.append)
         assert got == tt_count_projected(5, f.clauses, proj)
         if proj:
-            pv = sorted(proj)
-            assert {tuple(m[v] for v in pv) for m in visited} == tt_projections(5, f.clauses, proj)
+            pv = tuple(sorted(proj))
+            assert all(tuple(map(abs, cell)) == pv for cell in visited)
+            assert {tuple(lit > 0 for lit in cell) for cell in visited} == tt_projections(5, f.clauses, proj)

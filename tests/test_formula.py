@@ -10,7 +10,6 @@ from dqmaxsat.formula import (
     Problem,
     Solution,
     apply_substitution,
-    canonical_clause,
     cofactor,
     minterms_of,
     monomial_holds,
@@ -20,33 +19,10 @@ from dqmaxsat.formula import (
 from naive import assignments, eval_cnf, tt_models
 
 
-def test_canonical_clause_sorts_by_variable():
-    assert canonical_clause([3, -1, 2]) == (-1, 2, 3)
-
-
-def test_canonical_clause_dedups():
-    assert canonical_clause([2, -5, 2]) == (2, -5)
-
-
-def test_canonical_clause_tautology_is_none():
-    assert canonical_clause([1, -1, 4]) is None
-
-
-def test_canonical_clause_rejects_zero():
-    with pytest.raises(ValueError):
-        canonical_clause([1, 0])
-
-
-def test_cnf_build_drops_tautologies_and_range_checks():
-    f = Cnf.build(3, [[1, -1], [3, 2]])
-    assert f.clauses == ((2, 3),)
-    with pytest.raises(ValueError):
-        Cnf.build(2, [[3]])
-
-
-def test_empty_clause_detection():
-    assert Cnf.build(1, [[]]).has_empty_clause()
-    assert not Cnf.build(1, [[1]]).has_empty_clause()
+def test_cnf_build_keeps_clauses_as_given():
+    # literal order, repeated literals and tautologies are the engine's to clean
+    f = Cnf.build(3, [[1, -1], [3, 2, 3], []])
+    assert f.clauses == ((1, -1), (3, 2, 3), ())
 
 
 @pytest.mark.parametrize("u,value,expect", [
@@ -63,7 +39,7 @@ def test_cofactor_three_ways(u, value, expect):
 
 def test_cofactor_can_produce_empty_clause():
     f = Cnf.build(1, [[1]])
-    assert cofactor(f, 1, False).has_empty_clause()
+    assert cofactor(f, 1, False).clauses == ((),)
 
 
 def test_minterms_order_is_binary_counting_positive_first():
@@ -151,6 +127,12 @@ class TestProblem:
         f = Cnf.build(3, [[1, 2, 3]])
         with pytest.raises(ValueError):
             Problem.of(f, max_vars=[1, 2], count_vars=[3], exist_vars=[], deps={1: [2], 2: []})
+
+    @pytest.mark.parametrize("clause", [[3], [1, -3], [0]])
+    def test_rejects_a_literal_outside_the_variables(self, clause):
+        f = Cnf.build(2, [[1, 2], clause])
+        with pytest.raises(ValueError):
+            Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[3], deps={1: []})
 
     def test_every_max_var_needs_a_dependency_set(self):
         f = Cnf.build(2, [[1, 2]])

@@ -52,10 +52,10 @@ class TestExpand:
         # the objective is p.cnf plus the definition clauses of the grown
         # support, nothing else
         assert st.objective == Cnf.build(8, list(copy_or_and.cnf.clauses) + [
-            (-1, -4, 7),
-            (1, -4, -7),
-            (-1, 4, 8),
-            (1, 4, -8),
+            (-4, -1, 7),
+            (-4, 1, -7),
+            (4, -1, 8),
+            (4, 1, -8),
         ])
         st = expand(st, 1, 5)
         table = st.selectors.selectors[1]
