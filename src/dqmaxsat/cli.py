@@ -4,7 +4,7 @@ Subcommands:
 
     solve          solve a prefixed-CNF instance file
     solve-program  bitblast and solve an attacker program
-    check          re-verify a result document against its instance
+    check          recount a result document and compare its other claims
     count          ceiling count: counted assignments reachable at all
     bench          run the bundled instance suite and print a table
 
@@ -16,9 +16,8 @@ verification never reaches stdout.
 ``solve`` and ``solve-program`` take the same options: ``--method``
 (``auto`` by default, else ``global``, ``incremental`` or ``local``),
 ``--budget``, which caps the selectors of ``global`` or the oracle calls of
-``incremental`` and which the ``local`` method refuses, ``--leaf-budget``
-for the number of ``local`` leaves, ``--json`` and ``--trace``. ``bench``
-takes ``--json`` only.
+``incremental`` and which the ``local`` method refuses, ``--json`` and
+``--trace``. ``bench`` takes ``--json`` only.
 
 Exit codes: 0 success, 1 solver or verification failure, 2 usage or
 input-format error.
@@ -40,13 +39,10 @@ from .counting import VerificationMismatch, check_solution, count_projected
 from .dimacs import ParseError, parse_instance, shown
 from .formula import DependencyViolation, MintermFunction, Problem, Solution
 from .incremental import run as run_incremental
-from .local import (
-    DEFAULT_LEAF_BUDGET,
-    NoEligibleVariable,
-    plan_split,
-    solve_local,
-)
+from .local import NoEligibleVariable, plan_split, solve_local
 from .reduction import BudgetExceeded, solve_global
+
+_METHODS = ("global", "incremental", "local")
 
 _SUITE = (
     "copy_or_and.dqm",
@@ -61,7 +57,7 @@ _SUITE = (
 
 
 class DocumentError(ValueError):
-    """A result document is structurally unusable."""
+    """A result document is structurally unusable, or an input file is not text."""
 
 
 class UsageError(ValueError):
@@ -88,19 +84,27 @@ def load_instance_text(text: str, assume: Optional[str] = None) -> tuple[Problem
     return encode(parse_program(text))
 
 
+def _read_text(path: str) -> str:
+    """The file's text; raises DocumentError when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_path(path: str, assume: Optional[str] = None) -> tuple[Problem, Optional[BitMap]]:
     if assume is None:
         if path.endswith(".dqm"):
             assume = "dqmscnf"
         elif path.endswith(".atk"):
             assume = "program"
-    return load_instance_text(Path(path).read_text(), assume)
+    return load_instance_text(_read_text(path), assume)
 
 
-def choose_method(problem: Problem, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> str:
+def choose_method(problem: Problem) -> str:
     """Pick the cheapest applicable method: local when a split exists."""
     try:
-        plan_split(problem, leaf_budget=leaf_budget)
+        plan_split(problem)
         return "local"
     except NoEligibleVariable:
         return "incremental"
@@ -110,7 +114,6 @@ def run_method(
     problem: Problem,
     method: str = "auto",
     budget: Optional[int] = None,
-    leaf_budget: int = DEFAULT_LEAF_BUDGET,
     on_iteration: Optional[Callable] = None,
 ) -> tuple[Solution, str, Optional[list]]:
     """Dispatch one solve; returns (solution, method used, iteration records).
@@ -120,7 +123,7 @@ def run_method(
     also when auto picked it.
     """
     if method == "auto":
-        method = choose_method(problem, leaf_budget)
+        method = choose_method(problem)
     if method == "local" and budget is not None:
         raise UsageError("--budget applies to the global and incremental methods, not to local")
     iterations = None
@@ -136,10 +139,20 @@ def run_method(
 
         solution = run_incremental(problem, budget=budget, on_iteration=note)
     elif method == "local":
-        solution = solve_local(problem, leaf_budget=leaf_budget)
+        solution = solve_local(problem)
     else:
         raise ValueError(f"unknown method {method!r}")
     return solution, method, iterations
+
+
+def _bit_texts(problem: Problem, bitmap: Optional[BitMap],
+               lifted: Optional[tuple[LiftedFunction, ...]]) -> dict[int, dict[str, str]]:
+    """Per chooser, the label and lifted text of its document entry; none without a bitmap."""
+    texts = {x: {} if bitmap is None else {"label": bitmap.bit_label(x)} for x in problem.max_vars}
+    for fn in lifted or ():
+        for var, text in zip(reversed(bitmap.bits[fn.name]), fn.bit_texts):
+            texts[var]["lifted"] = text
+    return texts
 
 
 def result_document(
@@ -157,23 +170,15 @@ def result_document(
     lift(solution, bitmap), which the caller computes once for the
     document and the text summary alike.
     """
-    lifted_text: dict[int, str] = {}
-    for fn in lifted or ():
-        vars_lsb = bitmap.bits[fn.name]
-        for i, var in enumerate(vars_lsb):
-            lifted_text[var] = fn.bit_texts[len(vars_lsb) - 1 - i]
+    texts = _bit_texts(problem, bitmap, lifted)
     functions = {}
     for x in problem.max_vars:
         f = solution.functions[x]
-        entry: dict = {
+        functions[str(x)] = {
             "support": [int(v) for v in f.support],
             "minterms": sorted(sorted(m, key=abs) for m in f.minterms),
+            **texts[x],
         }
-        if bitmap is not None:
-            entry["label"] = bitmap.bit_label(x)
-            if x in lifted_text:
-                entry["lifted"] = lifted_text[x]
-        functions[str(x)] = entry
     doc = {
         "count": solution.achieved_count,
         "total": solution.total,
@@ -202,9 +207,10 @@ def solution_from_document(doc: dict) -> Solution:
             var = int(key)
             if key != str(var):
                 raise ValueError(f"function key {shown(key)} is not a variable number")
-            functions[var] = MintermFunction.of(
-                [_integer(v) for v in entry["support"]],
-                [[_integer(lit) for lit in m] for m in entry["minterms"]])
+            minterms = [[_integer(lit) for lit in m] for m in entry["minterms"]]
+            functions[var] = MintermFunction.of([_integer(v) for v in entry["support"]], minterms)
+            if len(functions[var].minterms) != len(minterms):
+                raise ValueError(f"function {key} repeats a minterm")
         return Solution(functions, _integer(doc["count"]), _integer(doc["total"]))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DocumentError(f"unusable result document: {exc}") from exc
@@ -253,7 +259,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         problem,
         method=args.method,
         budget=args.budget,
-        leaf_budget=args.leaf_budget,
         on_iteration=_trace_printer if args.trace else None,
     )
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -265,16 +270,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    problem, _ = _load_path(args.instance)
-    with open(args.result) as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise DocumentError("result document is nested too deeply") from None
-        except json.JSONDecodeError:
-            raise
-        except ValueError:  # json's own, for more digits than int() converts
-            raise DocumentError("result document has an integer too long to read") from None
+    problem, bitmap = _load_path(args.instance)
+    text = _read_text(args.result)  # outside the try: DocumentError is a ValueError
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise DocumentError("result document is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # json's own, for more digits than int() converts
+        raise DocumentError("result document has an integer too long to read") from None
     solution = solution_from_document(doc)
     keys, choosers = set(solution.functions), set(problem.max_vars)
     if keys != choosers:
@@ -282,7 +287,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "document functions do not match the instance's choosers: "
             f"extra {sorted(keys - choosers)}, missing {sorted(choosers - keys)}"
         )
+    if doc.get("method") not in _METHODS:
+        raise DocumentError(f"result document names no method of {', '.join(_METHODS)}")
     count = check_solution(problem, solution)
+    ratio = count / problem.total
+    if doc.get("ratio") != ratio:
+        raise VerificationMismatch(f"claimed ratio {shown(doc.get('ratio'))}, recount gives {ratio}")
+    texts = _bit_texts(problem, bitmap, None if bitmap is None else lift(solution, bitmap))
+    for x in problem.max_vars:
+        entry = doc["functions"][str(x)]
+        for field in ("label", "lifted"):
+            if entry.get(field) != texts[x].get(field):
+                raise VerificationMismatch(
+                    f"function {x}: {field} {shown(entry.get(field))} is not the recounted function's")
     print(f"ok: {count} of {problem.total} confirmed")
     return 0
 
@@ -365,21 +382,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--method",
-        choices=("auto", "global", "incremental", "local"),
-        default="auto",
-        help="auto splits locally when possible, otherwise runs incremental",
-    )
-    sp.add_argument("--budget", type=_positive_int, default=None,
-                    help="selector budget (global) or iteration cap (incremental); local takes none")
-    sp.add_argument("--leaf-budget", type=_positive_int, default=DEFAULT_LEAF_BUDGET,
-                    help="largest tolerated local leaf count")
-    sp.add_argument("--json", action="store_true", help="emit a result document")
-    sp.add_argument("--trace", action="store_true", help="log incremental iterations to stderr")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process and reused by main."""
@@ -389,15 +391,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="solve a prefixed-CNF instance (.dqm)")
-    sp.add_argument("file")
-    _add_solver_flags(sp)
-    sp.set_defaults(fn=_cmd_solve)
-
-    sp = sub.add_parser("solve-program", help="bitblast and solve an attacker program (.atk)")
-    sp.add_argument("file")
-    _add_solver_flags(sp)
-    sp.set_defaults(fn=_cmd_solve)
+    for name, help_ in (("solve", "solve a prefixed-CNF instance (.dqm)"),
+                        ("solve-program", "bitblast and solve an attacker program (.atk)")):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("file")
+        sp.add_argument("--method", choices=("auto",) + _METHODS, default="auto",
+                        help="auto splits locally when possible, otherwise runs incremental")
+        sp.add_argument("--budget", type=_positive_int, default=None,
+                        help="selector budget (global) or iteration cap (incremental); local takes none")
+        sp.add_argument("--json", action="store_true", help="emit a result document")
+        sp.add_argument("--trace", action="store_true", help="log incremental iterations to stderr")
+        sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("check", help="re-verify a result document against its instance")
     sp.add_argument("instance")

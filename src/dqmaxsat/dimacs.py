@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Union
 
 from .formula import Cnf, Problem
 
@@ -33,8 +32,8 @@ class ParseError(ValueError):
         self.line = line
 
 
-def shown(token: Union[str, int]) -> str:
-    """A token as a diagnostic echoes it: text quoted, numbers bare, cut past 20 characters."""
+def shown(token: object) -> str:
+    """A token as a diagnostic echoes it: text quoted, anything else bare, cut past 20 characters."""
     text = str(token)
     head = repr(text[:20]) if isinstance(token, str) else text[:20]
     return head if len(text) <= 20 else f"{head}... ({len(text)} characters)"

@@ -35,22 +35,19 @@ class Cnf:
 TRUE_CNF = Cnf(0, ())
 
 
-def cofactor(f: Cnf, u: int, value: bool) -> Cnf:
-    """Substitute the constant `value` for variable `u`.
+def cofactor(f: Cnf, lits: Iterable[int]) -> Cnf:
+    """Restrict f by a monomial: make each of its literals true, in one pass.
 
-    Satisfied clauses disappear, falsified literals are deleted. A clause
-    reduced to the empty tuple marks the cofactor unsatisfiable; that is a
-    valid result, not an error.
+    Satisfied clauses disappear, falsified literals are deleted, and the
+    remaining clauses keep their order. A clause reduced to the empty tuple
+    marks the cofactor unsatisfiable; that is a valid result, not an error.
     """
-    sat_lit = u if value else -u
+    true = set(lits)
+    false = {-l for l in true}
     out = []
     for c in f.clauses:
-        if sat_lit in c:
-            continue
-        if -sat_lit in c:
-            out.append(tuple(l for l in c if l != -sat_lit))
-        else:
-            out.append(c)
+        if true.isdisjoint(c):
+            out.append(c if false.isdisjoint(c) else tuple(l for l in c if l not in false))
     return Cnf(f.num_vars, tuple(out))
 
 
@@ -91,6 +88,8 @@ class MintermFunction:
 
     def __post_init__(self) -> None:
         sup = set(self.support)
+        if len(sup) != len(self.support):
+            raise ValueError("support has duplicate variables")
         for m in self.minterms:
             if len(m) != len(sup) or {abs(l) for l in m} != sup:
                 raise ValueError(f"minterm {m} is not complete over support {self.support}")

@@ -309,6 +309,66 @@ class TestCheck:
         assert "ok" not in out
         assert "unusable" in err
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"support": [1, 1], "minterms": [[1]]}, "duplicate variables"),
+        ({"support": [1], "minterms": [[1], [1]]}, "repeats a minterm"),
+    ], ids=["repeated-support-variable", "repeated-minterm"])
+    def test_repeated_entry_exits_2(self, capsys, tmp_path, entry, message):
+        path = tmp_path / "taut.dqm"
+        path.write_text("p dqmscnf 3 1\nd 3 1 0\nr 1 2 0\n1 -1 3 0\n")
+        doc = self._solved(capsys, str(path))
+        doc["functions"]["3"] = entry
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path), str(result))
+        assert code == 2
+        assert "ok" not in out
+        assert "unusable" in err and message in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("ratio", 0.01), ("ratio", "0.25"), ("label", "bogus"), ("lifted", "bogus"),
+    ], ids=["ratio", "ratio-as-text", "label", "lifted"])
+    def test_tampered_claims_exit_1(self, capsys, tmp_path, field, value):
+        path = tmp_path / "guess.atk"
+        path.write_text("width 2\nmode reach\nrandom z\ninput x\nwin z == x\n")
+        code, out, _ = run_cli(capsys, "solve-program", str(path), "--json")
+        doc = json.loads(out)
+        assert (doc["count"], doc["ratio"]) == (1, 0.25)
+        if field == "ratio":
+            doc["ratio"] = value
+        else:
+            for entry in doc["functions"].values():
+                entry[field] = value
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path), str(result))
+        assert code == 1
+        assert "ok" not in out
+        assert field in err and "Traceback" not in err
+
+    def test_dqm_entries_carry_no_label(self, capsys, tmp_path, instance_file):
+        doc = self._solved(capsys, instance_file)
+        doc["functions"]["1"]["label"] = "x"
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "check", instance_file, str(result))
+        assert code == 1
+        assert "label 'x'" in err
+
+    @pytest.mark.parametrize("method", ["nonsense", None, ["local"]], ids=["nonsense", "missing", "list"])
+    def test_unknown_method_exits_2(self, capsys, tmp_path, instance_file, method):
+        doc = self._solved(capsys, instance_file)
+        if method is None:
+            del doc["method"]
+        else:
+            doc["method"] = method
+        result = tmp_path / "r.json"
+        result.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", instance_file, str(result))
+        assert code == 2
+        assert "ok" not in out
+        assert "no method" in err
+
     def test_overlong_integer_exits_2(self, capsys, tmp_path, instance_file):
         doc = self._solved(capsys, instance_file)
         result = tmp_path / "r.json"
@@ -371,6 +431,23 @@ class TestClausesAsWritten:
         assert raw[2] == (0, "ok: 3 of 4 confirmed\n", "")
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "{bin}"), ("solve-program", "{bin}"), ("count", "{bin}"),
+        ("check", "{bin}", "{doc}"), ("check", "{dqm}", "{bin}"),
+    ], ids=["solve", "solve-program", "count", "check-instance", "check-document"])
+    def test_exits_2_naming_the_file(self, capsys, tmp_path, instance_file, argv):
+        binary = tmp_path / "bin.dqm"
+        binary.write_bytes(b"\xff\xfe\x00")
+        doc = tmp_path / "r.json"
+        doc.write_text(run_cli(capsys, "solve", instance_file, "--json")[1])
+        names = {"bin": str(binary), "doc": str(doc), "dqm": instance_file}
+        code, out, err = run_cli(capsys, *(a.format(**names) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert f"{binary} is not UTF-8 text" in err
+
+
 class TestCount:
     def test_ceiling_count(self, capsys, instance_file):
         code, out, _ = run_cli(capsys, "count", instance_file)
@@ -407,7 +484,6 @@ class TestUsage:
 
 class TestSolverBudgets:
     @pytest.mark.parametrize("flag, value", [
-        ("--leaf-budget", "0"), ("--leaf-budget", "-1"),
         ("--budget", "0"), ("--budget", "-3"), ("--budget", "two"),
     ])
     @pytest.mark.parametrize("method", ["auto", "global", "incremental", "local"])
@@ -444,12 +520,6 @@ class TestSolverBudgets:
         with pytest.raises(cli.UsageError):
             cli.run_method(problem, budget=1)
 
-    def test_leaf_budget_one_solves_unsplit(self, capsys, instance_file):
-        code, out, _ = run_cli(capsys, "solve", instance_file, "--method", "local",
-                               "--leaf-budget", "1", "--json")
-        assert code == 0
-        assert json.loads(out)["count"] == 3
-
 
 def _option_strings(parser):
     return {flag for action in parser._actions for flag in action.option_strings}
@@ -463,7 +533,7 @@ class TestParser:
         parser = cli._build_parser()
         (subcommands,) = [a.choices for a in parser._actions if a.choices and a.dest == "command"]
         help_ = {"-h", "--help"}
-        solver = help_ | {"--method", "--budget", "--leaf-budget", "--json", "--trace"}
+        solver = help_ | {"--method", "--budget", "--json", "--trace"}
         assert _option_strings(parser) == help_
         assert {name: _option_strings(sp) for name, sp in subcommands.items()} == {
             "solve": solver,
@@ -478,7 +548,8 @@ class TestParser:
         ("--policy", ("solve", "{file}", "--policy", "fixed-order")),
         ("--leaf-solver", ("solve", "{file}", "--leaf-solver", "incremental")),
         ("--suite", ("bench", "--suite", "default")),
-    ], ids=["seed", "policy", "leaf-solver", "suite"])
+        ("--leaf-budget", ("solve", "{file}", "--leaf-budget", "64")),
+    ], ids=["seed", "policy", "leaf-solver", "suite", "leaf-budget"])
     def test_removed_flags_exit_2(self, capsys, instance_file, flag, argv):
         code, out, err = run_cli(capsys, *(a.format(file=instance_file) for a in argv))
         assert code == 2

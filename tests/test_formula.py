@@ -33,13 +33,35 @@ def test_cofactor_three_ways(u, value, expect):
     # f = (1 | 2) & (-1 | 2): setting 1 keeps the reduced second clause,
     # clearing 1 satisfies it and reduces the first to (2)
     f = Cnf.build(2, [[1, 2], [-1, 2]])
-    got = cofactor(f, u, value)
+    got = cofactor(f, (u if value else -u,))
     assert got.clauses == ((2,),)
 
 
 def test_cofactor_can_produce_empty_clause():
     f = Cnf.build(1, [[1]])
-    assert cofactor(f, 1, False).clauses == ((),)
+    assert cofactor(f, (-1,)).clauses == ((),)
+    # a clause over two split variables, both falsified by the monomial
+    g = Cnf.build(3, [[1, -2], [3]])
+    assert cofactor(g, (-1, 2)).clauses == ((), (3,))
+
+
+def test_cofactor_by_a_monomial_in_one_pass():
+    # satisfied clauses go, falsified literals go, the rest keep their order
+    f = Cnf.build(4, [[3, 1], [-1, 4], [2, 4], [-2, -3, 4], [4, 3]])
+    assert cofactor(f, (-1, 2)).clauses == ((3,), (-3, 4), (4, 3))
+    assert cofactor(f, ()) == f
+
+
+@given(st.lists(st.lists(st.integers(1, 4).flatmap(lambda v: st.sampled_from([v, -v])),
+                         max_size=3), max_size=6),
+       st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), unique_by=abs, max_size=3))
+def test_cofactor_by_a_monomial_keeps_the_models_that_extend_it(clauses, monomial):
+    f = Cnf.build(4, clauses)
+    g = cofactor(f, monomial)
+    for a in assignments(range(1, 5)):
+        if monomial_holds(monomial, a):
+            assert eval_cnf(g.clauses, a) == eval_cnf(f.clauses, a)
+    assert not {abs(l) for l in monomial} & g.variables()
 
 
 def test_minterms_order_is_binary_counting_positive_first():
@@ -87,6 +109,11 @@ class TestMintermFunction:
     def test_rejects_foreign_minterms(self):
         with pytest.raises(ValueError):
             MintermFunction.of((1,), [(2,)])
+
+    def test_rejects_a_repeated_support_variable(self):
+        # a minterm over (1, 1) would otherwise look complete
+        with pytest.raises(ValueError, match="duplicate"):
+            MintermFunction.of((1, 1), [(1,)])
 
     def test_evaluate_matches_membership(self):
         f = MintermFunction.of((1, 3), [(1, 3), (-1, -3)])  # parity-ish: x1 == x3

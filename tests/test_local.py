@@ -1,14 +1,20 @@
 import itertools
+import json
 import random
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dqmaxsat import cli, local
 from dqmaxsat.counting import check_solution
 from dqmaxsat.engine import solve as solve_cnf
 from dqmaxsat.formula import Cnf, Problem
 from dqmaxsat.local import (
+    MAX_SPLIT_VARS,
     NoEligibleVariable,
     functionally_dependent,
+    leaf_problems,
     plan_split,
     solve_local,
 )
@@ -19,23 +25,74 @@ import instances
 from naive import tt_models
 
 
+def _forced_by_enumeration(num_vars, clauses, candidates, count_vars):
+    """The candidates on which no two models agreeing on count_vars differ."""
+    models = tt_models(num_vars, clauses)
+    return frozenset(
+        u for u in candidates
+        if not any(all(a[y] == b[y] for y in count_vars) and a[u] != b[u]
+                   for a, b in itertools.combinations(models, 2))
+    )
+
+
+@pytest.fixture
+def engines_built(monkeypatch):
+    """A list that grows by one for every Engine the local module builds."""
+    built = []
+
+    def counting_engine(*args):
+        built.append(args)
+        return real(*args)
+
+    real = local.Engine
+    monkeypatch.setattr(local, "Engine", counting_engine)
+    return built
+
+
+@st.composite
+def _dependence_cases(draw):
+    num_vars = draw(st.integers(min_value=2, max_value=6))
+    var = st.integers(min_value=1, max_value=num_vars)
+    lit = var.flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lit, min_size=0, max_size=3), max_size=8))
+    count_vars = draw(st.sets(var, max_size=num_vars - 1))
+    rest = sorted(set(range(1, num_vars + 1)) - count_vars)
+    candidates = draw(st.sets(st.sampled_from(rest), min_size=1))
+    return num_vars, clauses, candidates, count_vars
+
+
 class TestFunctionalDependency:
     def test_or_of_counters_is_dependent(self, copy_or_and):
-        assert functionally_dependent(copy_or_and.cnf, 4, [2, 3])
-        assert functionally_dependent(copy_or_and.cnf, 5, [2, 3])
+        assert functionally_dependent(copy_or_and.cnf, [4, 5], [2, 3]) == {4, 5}
 
     def test_unconstrained_variable_is_not(self):
         f = Cnf.build(2, [[1]])
-        assert not functionally_dependent(f, 2, [1])
+        assert functionally_dependent(f, [2], [1]) == frozenset()
 
     def test_half_constrained_helper_is_not(self, two_implications):
         # helper 5 is only forced when 3 holds; otherwise both values extend
-        assert not functionally_dependent(two_implications.cnf, 5, [3, 4])
-        assert not functionally_dependent(two_implications.cnf, 6, [3, 4])
+        assert functionally_dependent(two_implications.cnf, [5, 6], [3, 4]) == frozenset()
 
     def test_rejects_count_variable(self, copy_or_and):
-        with pytest.raises(ValueError):
-            functionally_dependent(copy_or_and.cnf, 2, [2, 3])
+        with pytest.raises(ValueError, match="count variable"):
+            functionally_dependent(copy_or_and.cnf, [4, 2], [2, 3])
+
+    def test_rejects_a_variable_out_of_range(self, copy_or_and):
+        with pytest.raises(ValueError, match="out of range"):
+            functionally_dependent(copy_or_and.cnf, [4, 6], [2, 3])
+
+    def test_no_candidates_build_no_engine(self, copy_or_and, engines_built):
+        assert functionally_dependent(copy_or_and.cnf, [], [2, 3]) == frozenset()
+        assert engines_built == []
+
+    def test_one_plan_builds_at_most_one_engine(self, copy_or_and, two_implications, engines_built):
+        # both signals of copy_or_and are checked on one engine;
+        # two_implications's choosers share no variable, so none is checked
+        assert plan_split(copy_or_and) == (4, 5)
+        assert len(engines_built) == 1
+        with pytest.raises(NoEligibleVariable):
+            plan_split(two_implications)
+        assert len(engines_built) == 1
 
     @pytest.mark.parametrize("seed", range(25))
     def test_conservative_against_model_enumeration(self, seed):
@@ -47,46 +104,58 @@ class TestFunctionalDependency:
             for _ in range(rng.randint(1, 8))
         ]
         f = Cnf.build(num_vars, clauses)
-        u = rng.randint(1, num_vars)
-        ys = [v for v in range(1, num_vars + 1) if v != u and rng.random() < 0.6]
-        verdict = functionally_dependent(f, u, ys)
-        models = tt_models(num_vars, f.clauses)
-        pairs = any(
-            all(a[y] == b[y] for y in ys) and a[u] != b[u]
-            for a, b in itertools.combinations(models, 2)
-        )
-        assert verdict == (not pairs)
+        ys = [v for v in range(1, num_vars + 1) if rng.random() < 0.5]
+        candidates = [v for v in range(1, num_vars + 1) if v not in ys]
+        assert functionally_dependent(f, candidates, ys) == _forced_by_enumeration(
+            num_vars, f.clauses, candidates, ys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_dependence_cases())
+    def test_agrees_with_model_enumeration(self, case):
+        num_vars, clauses, candidates, count_vars = case
+        f = Cnf.build(num_vars, clauses)
+        assert functionally_dependent(f, candidates, count_vars) == _forced_by_enumeration(
+            num_vars, f.clauses, candidates, count_vars)
 
 
 class TestPlanSplit:
     def test_both_signals_split(self, copy_or_and):
-        plan = plan_split(copy_or_and)
-        assert plan.split_vars == (4, 5)
-        assert len(plan.leaves) == 4
+        split = plan_split(copy_or_and)
+        assert split == (4, 5)
+        leaves = leaf_problems(copy_or_and, split)
+        assert len(leaves) == 4
         # leaf 0 fixes both signals true: the objective forces both counters
-        first = plan.leaves[0]
+        first = leaves[0]
         assert first.count_vars == frozenset([2, 3])
         assert first.exist_vars == frozenset()
         assert first.deps == {1: frozenset()}
         assert 4 not in first.cnf.variables() and 5 not in first.cnf.variables()
 
     def test_leaf_order_is_canonical(self, copy_or_and):
-        plan = plan_split(copy_or_and)
+        leaves = leaf_problems(copy_or_and, plan_split(copy_or_and))
         # index 0 = both true; an unsatisfiable cofactor sits at index 2
         # (first signal false, second true is impossible for or/and)
-        assert not solve_cnf(plan.leaves[2].cnf)
+        assert not solve_cnf(leaves[2].cnf)
 
     def test_disjoint_dependency_sets_are_ineligible(self, two_implications):
         with pytest.raises(NoEligibleVariable):
             plan_split(two_implications)
 
-    def test_count_variables_are_eligible_without_dependency_check(self):
+    def test_count_variables_are_eligible_without_dependency_check(self, engines_built):
         f = Cnf.build(3, [[-1, 2, 3]])
         p = Problem.of(f, max_vars=[1], count_vars=[2, 3], exist_vars=[],
                        deps={1: [2]})
-        plan = plan_split(p)
-        assert plan.split_vars == (2,)
-        assert plan.leaves[0].count_vars == frozenset([3])
+        assert plan_split(p) == (2,)
+        assert engines_built == []
+        assert leaf_problems(p, (2,))[0].count_vars == frozenset([3])
+
+    def test_planning_builds_no_problem(self, copy_or_and, monkeypatch):
+        built = []
+        post_init = Problem.__post_init__
+        monkeypatch.setattr(Problem, "__post_init__", lambda q: built.append(q) or post_init(q))
+        assert plan_split(copy_or_and) == (4, 5)
+        assert cli.choose_method(copy_or_and) == "local"
+        assert built == []
 
     def test_no_choosers_is_ineligible(self):
         f = Cnf.build(1, [[1]])
@@ -94,31 +163,22 @@ class TestPlanSplit:
         with pytest.raises(NoEligibleVariable):
             plan_split(p)
 
-    def test_leaf_budget_keeps_a_prefix(self):
-        # four common count variables, budget 4 -> only the first two split
-        f = Cnf.build(5, [[-1, 2], [1, -2]])
-        p = Problem.of(f, max_vars=[1], count_vars=[2, 3, 4, 5], exist_vars=[],
-                       deps={1: [2, 3, 4, 5]})
-        plan = plan_split(p, leaf_budget=4)
-        assert plan.split_vars == (2, 3)
-        assert len(plan.leaves) == 4
-
-
-    @pytest.mark.parametrize("leaf_budget", [0, -1])
-    def test_leaf_budget_below_one_is_rejected(self, copy_or_and, leaf_budget):
-        with pytest.raises(ValueError, match="leaf budget must be at least 1"):
-            plan_split(copy_or_and, leaf_budget=leaf_budget)
-
-    def test_leaf_budget_one_leaves_the_problem_unsplit(self, copy_or_and):
-        plan = plan_split(copy_or_and, leaf_budget=1)
-        assert plan.split_vars == ()
-        assert plan.leaves == (copy_or_and,)
+    def test_seven_common_variables_split_on_the_first_six(self):
+        f = Cnf.build(8, [[-1, 2], [1, -2]])
+        p = Problem.of(f, max_vars=[1], count_vars=range(2, 9), exist_vars=[],
+                       deps={1: range(2, 9)})
+        split = plan_split(p)
+        assert MAX_SPLIT_VARS == 6
+        assert split == (2, 3, 4, 5, 6, 7)
+        leaves = leaf_problems(p, split)
+        assert len(leaves) == 64
+        assert all(leaf.count_vars == {8} and leaf.deps == {1: {8}} for leaf in leaves)
+        assert solve_local(p).achieved_count == 1 << 7
 
 
 class TestSolveLocal:
     def test_leaf_optima_and_recombination(self, copy_or_and):
-        plan = plan_split(copy_or_and)
-        leaf_best = [solve_global(leaf) for leaf in plan.leaves]
+        leaf_best = [solve_global(leaf) for leaf in leaf_problems(copy_or_and, plan_split(copy_or_and))]
         # both-true cofactor forces the chooser on, both-false forces it off
         assert leaf_best[0].functions[1].constant_value() is True
         assert leaf_best[3].functions[1].constant_value() is False
@@ -127,6 +187,21 @@ class TestSolveLocal:
         assert s.achieved_count == 3
         assert s.achieved_count == solve_global(copy_or_and).achieved_count
         assert s.functions[1].support == (4, 5)
+
+    def test_auto_builds_the_leaves_once(self, capsys, monkeypatch):
+        built = []
+        real = local.leaf_problems
+
+        def counting_leaves(p, split):
+            built.append(split)
+            return real(p, split)
+
+        monkeypatch.setattr(local, "leaf_problems", counting_leaves)
+        path = resources.files("dqmaxsat").joinpath("bench", "copy_or_and.dqm")
+        assert cli.main(["solve", str(path), "--method", "auto", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "local"
+        # choose_method only plans: the one local solve builds the leaves
+        assert built == [(4, 5)]
 
     def test_recombined_solution_verifies(self, copy_or_and):
         s = solve_local(copy_or_and)
@@ -151,7 +226,7 @@ class TestSolveLocal:
         for _ in range(20):
             p = instances.random_problem(rng, num_vars=rng.randint(3, 6))
             try:
-                plan = plan_split(p)
+                plan_split(p)
             except NoEligibleVariable:
                 continue
             s = solve_local(p)
