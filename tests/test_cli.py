@@ -482,16 +482,26 @@ class TestUsage:
         assert "error" in err
 
 
+# the message argparse gives for each budget flag: --budget checks its value,
+# --leaf-budget is deleted (the split is capped by local.MAX_SPLIT_VARS), so
+# any use of it is refused as an unknown flag
+_BUDGET_USAGE_ERROR = {
+    "--budget": "argument --budget",
+    "--leaf-budget": "unrecognized arguments: --leaf-budget",
+}
+
+
 class TestSolverBudgets:
     @pytest.mark.parametrize("flag, value", [
         ("--budget", "0"), ("--budget", "-3"), ("--budget", "two"),
+        ("--leaf-budget", "0"), ("--leaf-budget", "-1"),
     ])
     @pytest.mark.parametrize("method", ["auto", "global", "incremental", "local"])
     def test_budget_below_one_is_a_usage_error(self, capsys, instance_file, flag, value, method):
         code, out, err = run_cli(capsys, "solve", instance_file, "--method", method, flag, value)
         assert code == 2
         assert out == ""
-        assert f"argument {flag}" in err
+        assert _BUDGET_USAGE_ERROR[flag] in err
         assert "Traceback" not in err
 
     def test_global_budget_is_applied(self, capsys, instance_file):
