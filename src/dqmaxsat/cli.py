@@ -85,9 +85,9 @@ def load_instance_text(text: str, assume: Optional[str] = None) -> tuple[Problem
 
 
 def _read_text(path: str) -> str:
-    """The file's text; raises DocumentError when it is not UTF-8."""
+    """The file's text without a leading byte-order mark; DocumentError when not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 

@@ -41,6 +41,14 @@ State is indexed by literal: value and watch lists have 2n+1 slots, so
 `vals[lit]` is the value of the literal itself for negative literals too
 (Python's negative indexing puts -v at slot 2n+1-v). Slot 0 is never used.
 
+Propagation compacts each watch list it visits in place, as MiniSat does
+(Eén & Sörensson, "An Extensible SAT-solver", SAT 2003): a clause that
+keeps its watch moves down to the next kept slot, a clause that finds a
+new watch goes to that literal's list, and the list is cut after its last
+kept slot. On a conflict the watches not yet visited move down behind the
+kept ones. Every list therefore keeps its order, and with it propagation
+order, reasons and learned clauses.
+
 After satisfiable() returns True, `witness` holds the model it found as a
 value array (index = variable, 1 true, -1 false). After it returns False,
 `core` holds a subset of the assumptions that the database alone refutes.
@@ -138,6 +146,8 @@ class Engine:
 
         Clauses keep their two watched literals at positions 0 and 1, and
         an implied literal at position 0 (conflict analysis relies on it).
+        Slots ws[:j] hold the visited clauses that keep watching the
+        falsified literal, ws[i:] those not yet visited.
         """
         vals = self._vals
         watches = self._watches
@@ -152,8 +162,7 @@ class Engine:
             ws = watches[falsified]
             if not ws:
                 continue
-            watches[falsified] = keep = []
-            i = 0
+            i = j = 0
             n = len(ws)
             while i < n:
                 c = ws[i]
@@ -165,27 +174,43 @@ class Engine:
                     c[0] = first
                     c[1] = falsified
                 if vals[first] == 1:
-                    keep.append(c)
+                    ws[j] = c
+                    j += 1
                     continue
-                for j in range(2, len(c)):
-                    lit = c[j]
+                k = len(c)
+                if k == 3:
+                    lit = c[2]
                     if vals[lit] != -1:
                         c[1] = lit
-                        c[j] = falsified
+                        c[2] = falsified
                         watches[lit].append(c)
-                        break
-                else:
-                    keep.append(c)
-                    if vals[first] == -1:
-                        keep.extend(ws[i:])
-                        self._qhead = qhead
-                        return c
-                    vals[first] = 1
-                    vals[-first] = -1
-                    v = first if first > 0 else -first
-                    levels[v] = level
-                    reasons[v] = c
-                    trail.append(first)
+                        continue
+                elif k > 3:
+                    for m in range(2, k):
+                        lit = c[m]
+                        if vals[lit] != -1:
+                            c[1] = lit
+                            c[m] = falsified
+                            watches[lit].append(c)
+                            break
+                    else:  # every other literal is false
+                        m = 0
+                    if m:
+                        continue
+                # no replacement watch: c is unit or conflicting
+                ws[j] = c
+                j += 1
+                if vals[first] == -1:
+                    del ws[j:i]
+                    self._qhead = qhead
+                    return c
+                vals[first] = 1
+                vals[-first] = -1
+                v = first if first > 0 else -first
+                levels[v] = level
+                reasons[v] = c
+                trail.append(first)
+            del ws[j:]
         self._qhead = qhead
         return None
 

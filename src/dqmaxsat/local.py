@@ -7,6 +7,14 @@ existential one that the objective pins down as a function of the counted
 variables (otherwise the two cofactors could double-count). plan_split
 only picks up to MAX_SPLIT_VARS eligible variables; solve_local builds the
 leaves once and stitches their strategies together by Shannon expansion.
+
+The leaves' root cells come from one projected enumeration of the whole
+problem over its counted and split variables (leaf_cells), not one per
+leaf. That is exact: every split variable is counted or forced by the
+counted variables, so the enumeration has no more cells than the count
+projection, and the cells that agree with a leaf's monomial are, with the
+split literals dropped, exactly the leaf's own cells, still in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -16,15 +24,17 @@ from typing import Callable, Iterable, Sequence
 from .counting import check_solution
 from .engine import Engine
 from .formula import Cnf, MintermFunction, Problem, Solution, cofactor, minterms_of
+from .oracle import reachable_cells
 from .reduction import solve_global
 
 # at most 2**6 = 64 leaves per split
 MAX_SPLIT_VARS = 6
 
-# leaves are solved by the global reduction; a one-entry table only because
-# the benchmark's spans (perfbench/spans.py) wrap its values, so solve_local
-# looks the solver up here on every call
-LEAF_SOLVERS: dict[str, Callable[[Problem], Solution]] = {"global": solve_global}
+# leaves are solved by the global reduction, once per leaf, each handed its
+# share of the one enumeration (leaf_cells) as root cells; a one-entry table
+# only because the benchmark's spans (perfbench/spans.py) wrap its values, so
+# solve_local looks the solver up here on every call
+LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_global}
 
 
 class NoEligibleVariable(ValueError):
@@ -96,6 +106,23 @@ def leaf_problems(p: Problem, split: Sequence[int]) -> list[Problem]:
             for m in minterms_of(split)]
 
 
+def leaf_cells(p: Problem, split: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """Each leaf's root cells, from one enumeration over count and split variables.
+
+    Entry k belongs to leaf k of leaf_problems(p, split) and equals
+    reachable_cells of that leaf over its counted variables: the cells whose
+    split literals form the k-th monomial, with those literals dropped.
+    """
+    gone = set(split)
+    order = sorted(p.count_vars | gone)
+    at = [i for i, v in enumerate(order) if v in gone]
+    rest = [i for i, v in enumerate(order) if v not in gone]
+    shares: dict[tuple[int, ...], list[tuple[int, ...]]] = {m: [] for m in minterms_of(split)}
+    for cell in reachable_cells(p.cnf, order):
+        shares[tuple([cell[i] for i in at])].append(tuple([cell[i] for i in rest]))
+    return [tuple(share) for share in shares.values()]
+
+
 def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Solution]) -> Solution:
     functions = {}
     for x in p.max_vars:
@@ -112,13 +139,15 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
 def solve_local(p: Problem) -> Solution:
     """Split, solve the leaves one after another, recombine, and recount.
 
-    The summed leaf counts are re-verified against an independent recount of
+    One enumeration gives every leaf its root cells (leaf_cells). The
+    summed leaf counts are re-verified against an independent recount of
     the recombined strategies before being returned; a disagreement raises
     and means a solver bug, never a bad input.
     """
     solve_leaf = LEAF_SOLVERS["global"]
     split = plan_split(p)
-    leaf_solutions = [solve_leaf(leaf) for leaf in leaf_problems(p, split)]
+    leaf_solutions = [solve_leaf(leaf, cells=cells)
+                      for leaf, cells in zip(leaf_problems(p, split), leaf_cells(p, split))]
     solution = _recombine(p, split, leaf_solutions)
     check_solution(p, solution)
     return solution

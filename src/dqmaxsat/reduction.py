@@ -14,7 +14,7 @@ SelectorMap.with_support.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .formula import (
     Cnf,
@@ -79,14 +79,17 @@ def selector_objective(p: Problem, sel: SelectorMap) -> Cnf:
     return Cnf.build(sel.num_vars, clauses)
 
 
-def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[OracleRequest, SelectorMap]:
+def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
+                    cells: Optional[tuple[tuple[int, ...], ...]] = None,
+                    ) -> tuple[OracleRequest, SelectorMap]:
     """Reduce a dependency-constrained instance to one oracle request.
 
     The request's choice variables are the fresh selectors; the original
     choosers are left uncounted since the definition clauses determine them
     pointwise. Incumbent is the all-false (all strategies constant false)
     assignment. The root cells are those of p.cnf, which the selector
-    objective reaches alike.
+    objective reaches alike: `cells` when the caller already has them (they
+    must equal reachable_cells(p.cnf, p.count_vars)), else enumerated here.
     """
     need = sum(1 << len(p.deps[x]) for x in p.max_vars)
     if need > budget:
@@ -97,7 +100,7 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[
         max_vars=sel.selector_vars(),
         count_vars=p.count_vars,
         incumbent={s: False for s in sel.owner},
-        cells=reachable_cells(p.cnf, p.count_vars),
+        cells=reachable_cells(p.cnf, p.count_vars) if cells is None else cells,
     )
     return req, sel
 
@@ -112,9 +115,10 @@ def decode(sel: SelectorMap, alpha: Mapping[int, bool]) -> Solution:
     return Solution(functions=functions)
 
 
-def solve_global(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> Solution:
-    """Optimal strategies via the one-shot reduction."""
-    req, sel = build_reduction(p, budget)
+def solve_global(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
+                 cells: Optional[tuple[tuple[int, ...], ...]] = None) -> Solution:
+    """Optimal strategies via the one-shot reduction; cells as for build_reduction."""
+    req, sel = build_reduction(p, budget, cells)
     res = max_count(req)
     return replace(decode(sel, res.best), achieved_count=res.best_count, total=p.total)
 

@@ -1,13 +1,19 @@
 """Command line behavior: outputs, round-trips, exit codes."""
 
+import codecs
 import functools
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+import dqmaxsat
 from dqmaxsat import cli
 from dqmaxsat.bitvec import ProgramError, parse_program
 from dqmaxsat.dimacs import ParseError, parse_instance
@@ -446,6 +452,39 @@ class TestNotUtf8:
         assert code == 2
         assert out == ""
         assert f"{binary} is not UTF-8 text" in err
+
+
+class TestByteOrderMark:
+    def test_marked_files_print_what_the_plain_ones_print(self, capsys, tmp_path):
+        text = resources.files("dqmaxsat").joinpath("bench", "copy_or_and.dqm").read_bytes()
+
+        def outputs(name, mark):
+            path = tmp_path / f"{name}.dqm"
+            path.write_bytes(mark + text)
+            count = run_cli(capsys, "count", str(path))
+            code, doc, err = run_cli(capsys, "solve", str(path), "--json")
+            doc_path = tmp_path / f"{name}.json"
+            doc_path.write_bytes(mark + doc.encode())
+            check = run_cli(capsys, "check", str(path), str(doc_path))
+            # the wall time is the one part of the document that may differ
+            solve = (code, re.sub(r'"wall_ms": [0-9.e+-]+', '"wall_ms": 0', doc), err)
+            return count, solve, check
+
+        plain = outputs("plain", b"")
+        assert plain[0] == (0, "4 of 4\n", "")
+        assert plain[1][0] == 0 and json.loads(plain[1][1])["count"] == 3
+        assert plain[2] == (0, "ok: 3 of 4 confirmed\n", "")
+        assert outputs("marked", codecs.BOM_UTF8) == plain
+
+
+class TestModuleEntry:
+    def test_python_m_dqmaxsat_runs_the_command_line(self, instance_file):
+        src = os.path.dirname(os.path.dirname(dqmaxsat.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "dqmaxsat", "count", instance_file],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert (done.returncode, done.stdout, done.stderr) == (0, "4 of 4\n", "")
 
 
 class TestCount:

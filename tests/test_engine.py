@@ -338,6 +338,34 @@ class TestTrailReuse:
                 assert not tt_satisfiable(6, clauses + [[a] for a in eng.core])
 
 
+class TestWatchLists:
+    def test_conflict_mid_list_keeps_the_unvisited_watches(self):
+        # all three clauses watch 1; with 1 false, the first implies 2, the
+        # second then conflicts, and the third is never visited
+        eng = Engine(3, [[1, 2], [1, -2], [1, 3]])
+        eng._lim.append(len(eng._trail))
+        eng._enqueue(-1, None)
+        assert eng._propagate() == [-2, 1]
+        assert eng._watches[1] == [[2, 1], [-2, 1], [1, 3]]
+
+    def test_clause_past_a_conflict_still_propagates(self):
+        # unsatisfiable: 3 is forced, then 4 and -2, against [2, -3]; a
+        # conflict on -3's list must not drop [2, -3], which comes after it
+        eng = Engine(4, [[2, 3], [-2, 3], [-4, -2], [4, -3], [1, 2, -3], [2, -3]])
+        assert not eng.satisfiable()
+
+    def test_a_clause_that_moves_its_watch_leaves_the_list(self):
+        eng = Engine(4, [[1, 2, 3], [1, 4], [1, -2, 4, 3]])
+        eng._lim.append(len(eng._trail))
+        eng._enqueue(-1, None)
+        assert eng._propagate() is None
+        # the ternary clause and the long one found new watches; the binary
+        # clause implied 4 and stays
+        assert eng._watches[1] == [[4, 1]]
+        assert eng._watches[3] == [[2, 3, 1]]
+        assert eng._watches[4] == [[4, 1], [-2, 4, 1, 3]]
+
+
 class TestEnumerateProjected:
     def test_counts_distinct_projections(self):
         # z free, projection on 1..2: 3 of 4 cells extend to a model

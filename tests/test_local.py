@@ -1,12 +1,13 @@
+import dataclasses
 import itertools
 import json
 import random
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dqmaxsat import cli, local
+from dqmaxsat import cli, counting, local, oracle
 from dqmaxsat.counting import check_solution
 from dqmaxsat.engine import solve as solve_cnf
 from dqmaxsat.formula import Cnf, Problem
@@ -14,11 +15,12 @@ from dqmaxsat.local import (
     MAX_SPLIT_VARS,
     NoEligibleVariable,
     functionally_dependent,
+    leaf_cells,
     leaf_problems,
     plan_split,
     solve_local,
 )
-from dqmaxsat.oracle import brute_force_dqmaxsat
+from dqmaxsat.oracle import brute_force_dqmaxsat, reachable_cells
 from dqmaxsat.reduction import solve_global
 
 import instances
@@ -174,6 +176,59 @@ class TestPlanSplit:
         assert len(leaves) == 64
         assert all(leaf.count_vars == {8} and leaf.deps == {1: {8}} for leaf in leaves)
         assert solve_local(p).achieved_count == 1 << 7
+
+
+@st.composite
+def _split_problems(draw):
+    """A random problem whose choosers all see a few shared variables, and its split."""
+    p = draw(instances.problems(max_num_vars=7, dep_limit=3))
+    seen = draw(st.sets(st.sampled_from(sorted(p.count_vars | p.exist_vars)),
+                        min_size=1, max_size=3))
+    p = dataclasses.replace(p, deps={x: p.deps[x] | seen for x in p.max_vars})
+    try:
+        split = plan_split(p)
+    except NoEligibleVariable:
+        assume(False)
+    return p, split
+
+
+class TestLeafCells:
+    @settings(max_examples=300, deadline=None)
+    @given(_split_problems())
+    def test_each_share_is_the_leafs_own_enumeration(self, case):
+        p, split = case
+        shares = leaf_cells(p, split)
+        leaves = leaf_problems(p, split)
+        assert len(shares) == len(leaves) == 1 << len(split)
+        for share, leaf in zip(shares, leaves):
+            assert share == reachable_cells(leaf.cnf, leaf.count_vars)
+
+    def test_cells_sorted_by_forced_existential_split_literals(self, copy_or_and):
+        # 4 = (2 or 3) and 5 = (2 and 3) are existential, forced by the counters
+        assert plan_split(copy_or_and) == (4, 5)
+        assert leaf_cells(copy_or_and, (4, 5)) == [
+            ((2, 3),),              # 4, 5
+            ((-2, 3), (2, -3)),     # 4, -5
+            (),                     # -4, 5: "and" without "or"
+            ((-2, -3),),            # -4, -5
+        ]
+
+    def test_one_solve_enumerates_twice(self, monkeypatch):
+        # once for the root cells of all eight leaves, once for the recount
+        calls = []
+        for module in (oracle, counting):
+            real = module.enumerate_projected
+
+            def counted(*args, real=real, **kwargs):
+                calls.append(args[1])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "enumerate_projected", counted)
+        text = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk").read_text()
+        p, _ = cli.load_instance_text(text)
+        assert len(plan_split(p)) == 3
+        assert solve_local(p).achieved_count == 26
+        assert len(calls) == 2
 
 
 class TestSolveLocal:
