@@ -177,39 +177,26 @@ class Engine:
                     ws[j] = c
                     j += 1
                     continue
-                k = len(c)
-                if k == 3:
-                    lit = c[2]
+                for m in range(2, len(c)):
+                    lit = c[m]
                     if vals[lit] != -1:
                         c[1] = lit
-                        c[2] = falsified
+                        c[m] = falsified
                         watches[lit].append(c)
-                        continue
-                elif k > 3:
-                    for m in range(2, k):
-                        lit = c[m]
-                        if vals[lit] != -1:
-                            c[1] = lit
-                            c[m] = falsified
-                            watches[lit].append(c)
-                            break
-                    else:  # every other literal is false
-                        m = 0
-                    if m:
-                        continue
-                # no replacement watch: c is unit or conflicting
-                ws[j] = c
-                j += 1
-                if vals[first] == -1:
-                    del ws[j:i]
-                    self._qhead = qhead
-                    return c
-                vals[first] = 1
-                vals[-first] = -1
-                v = first if first > 0 else -first
-                levels[v] = level
-                reasons[v] = c
-                trail.append(first)
+                        break
+                else:  # no replacement watch: c is unit or conflicting
+                    ws[j] = c
+                    j += 1
+                    if vals[first] == -1:
+                        del ws[j:i]
+                        self._qhead = qhead
+                        return c
+                    vals[first] = 1
+                    vals[-first] = -1
+                    v = first if first > 0 else -first
+                    levels[v] = level
+                    reasons[v] = c
+                    trail.append(first)
             del ws[j:]
         self._qhead = qhead
         return None

@@ -106,12 +106,13 @@ def leaf_problems(p: Problem, split: Sequence[int]) -> list[Problem]:
             for m in minterms_of(split)]
 
 
-def leaf_cells(p: Problem, split: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """Each leaf's root cells, from one enumeration over count and split variables.
+def leaf_cells(p: Problem, split: Sequence[int]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Each leaf's root cells, keyed by its monomial over split.
 
-    Entry k belongs to leaf k of leaf_problems(p, split) and equals
-    reachable_cells of that leaf over its counted variables: the cells whose
-    split literals form the k-th monomial, with those literals dropped.
+    One enumeration over the count and split variables; the share of
+    monomial m equals reachable_cells of the cofactor of p under m over its
+    counted variables: the cells whose split literals form m, with those
+    literals dropped.
     """
     gone = set(split)
     order = sorted(p.count_vars | gone)
@@ -120,7 +121,7 @@ def leaf_cells(p: Problem, split: Sequence[int]) -> list[tuple[tuple[int, ...], 
     shares: dict[tuple[int, ...], list[tuple[int, ...]]] = {m: [] for m in minterms_of(split)}
     for cell in reachable_cells(p.cnf, order):
         shares[tuple([cell[i] for i in at])].append(tuple([cell[i] for i in rest]))
-    return [tuple(share) for share in shares.values()]
+    return {m: tuple(share) for m, share in shares.items()}
 
 
 def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Solution]) -> Solution:
@@ -146,8 +147,9 @@ def solve_local(p: Problem) -> Solution:
     """
     solve_leaf = LEAF_SOLVERS["global"]
     split = plan_split(p)
-    leaf_solutions = [solve_leaf(leaf, cells=cells)
-                      for leaf, cells in zip(leaf_problems(p, split), leaf_cells(p, split))]
+    shares = leaf_cells(p, split)
+    leaf_solutions = [solve_leaf(leaf, cells=shares[m])
+                      for m, leaf in zip(minterms_of(split), leaf_problems(p, split))]
     solution = _recombine(p, split, leaf_solutions)
     check_solution(p, solution)
     return solution

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dqmaxsat import cli, counting, local, oracle
 from dqmaxsat.counting import check_solution
 from dqmaxsat.engine import solve as solve_cnf
-from dqmaxsat.formula import Cnf, Problem
+from dqmaxsat.formula import Cnf, Problem, minterms_of
 from dqmaxsat.local import (
     MAX_SPLIT_VARS,
     NoEligibleVariable,
@@ -198,20 +198,19 @@ class TestLeafCells:
     def test_each_share_is_the_leafs_own_enumeration(self, case):
         p, split = case
         shares = leaf_cells(p, split)
-        leaves = leaf_problems(p, split)
-        assert len(shares) == len(leaves) == 1 << len(split)
-        for share, leaf in zip(shares, leaves):
-            assert share == reachable_cells(leaf.cnf, leaf.count_vars)
+        assert list(shares) == list(minterms_of(split))
+        for m, leaf in zip(minterms_of(split), leaf_problems(p, split)):
+            assert shares[m] == reachable_cells(leaf.cnf, leaf.count_vars)
 
     def test_cells_sorted_by_forced_existential_split_literals(self, copy_or_and):
         # 4 = (2 or 3) and 5 = (2 and 3) are existential, forced by the counters
         assert plan_split(copy_or_and) == (4, 5)
-        assert leaf_cells(copy_or_and, (4, 5)) == [
-            ((2, 3),),              # 4, 5
-            ((-2, 3), (2, -3)),     # 4, -5
-            (),                     # -4, 5: "and" without "or"
-            ((-2, -3),),            # -4, -5
-        ]
+        assert leaf_cells(copy_or_and, (4, 5)) == {
+            (4, 5): ((2, 3),),
+            (4, -5): ((-2, 3), (2, -3)),
+            (-4, 5): (),            # "and" without "or"
+            (-4, -5): ((-2, -3),),
+        }
 
     def test_one_solve_enumerates_twice(self, monkeypatch):
         # once for the root cells of all eight leaves, once for the recount
