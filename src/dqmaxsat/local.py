@@ -5,36 +5,45 @@ two cofactor sub-problems are independent, strictly smaller, and their
 optima add up. Eligibility requires u to be a counted variable, or an
 existential one that the objective pins down as a function of the counted
 variables (otherwise the two cofactors could double-count). plan_split
-only picks up to MAX_SPLIT_VARS eligible variables; solve_local builds the
-leaves once and stitches their strategies together by Shannon expansion.
+only picks up to MAX_SPLIT_VARS eligible variables; solve_local solves
+every leaf and stitches their strategies together by Shannon expansion.
 
-The leaves' root cells come from one projected enumeration of the whole
-problem over its counted and split variables (leaf_cells), not one per
-leaf. That is exact: every split variable is counted or forced by the
-counted variables, so the enumeration has no more cells than the count
-projection, and the cells that agree with a leaf's monomial are, with the
-split literals dropped, exactly the leaf's own cells, still in
-lexicographic order.
+No leaf is built as a problem of its own. The leaves' root cells come from
+one projected enumeration of the whole problem over its counted and split
+variables (leaf_cells), not one per leaf. That is exact: every split
+variable is counted or forced by the counted variables, so the enumeration
+has no more cells than the count projection, and the cells that agree with
+a leaf's monomial are, with the split literals dropped, exactly the leaf's
+own cells, still in lexicographic order. All leaves share one selector
+layout, the dependency sets less the split variables, so one selector
+objective and one oracle engine serve them all: each leaf is one oracle
+call that assumes its monomial first (OracleRequest.given) instead of
+cofactoring by it. The split variables occur in no selector definition and
+no cell, so each probe has the answer it would have on the leaf's
+cofactor, and the engine's learned clauses follow from the objective alone,
+so they hold in every leaf.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
 from .counting import check_solution
 from .engine import Engine
-from .formula import Cnf, MintermFunction, Problem, Solution, cofactor, minterms_of
+from .formula import Cnf, MintermFunction, Problem, Solution, minterms_of
 from .oracle import reachable_cells
-from .reduction import solve_global
+from .reduction import selector_request, solve_request
 
 # at most 2**6 = 64 leaves per split
 MAX_SPLIT_VARS = 6
 
-# leaves are solved by the global reduction, once per leaf, each handed its
-# share of the one enumeration (leaf_cells) as root cells; a one-entry table
-# only because the benchmark's spans (perfbench/spans.py) wrap its values, so
-# solve_local looks the solver up here on every call
-LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_global}
+# leaves are solved by the global reduction's oracle call, once per leaf, on
+# the one engine and selector map of the solve, each request given its
+# monomial and its share of the one enumeration (leaf_cells) as root cells; a
+# one-entry table only because the benchmark's spans (perfbench/spans.py)
+# wrap its values, so solve_local looks the solver up here on every call
+LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_request}
 
 
 class NoEligibleVariable(ValueError):
@@ -92,27 +101,13 @@ def plan_split(p: Problem) -> tuple[int, ...]:
     return tuple(eligible[:MAX_SPLIT_VARS])
 
 
-def leaf_problems(p: Problem, split: Sequence[int]) -> list[Problem]:
-    """The cofactor of p under each monomial over split, in canonical order.
-
-    Leaf k corresponds to the k-th monomial of minterms_of(split), the
-    all-positive one first; the split variables leave every role.
-    """
-    gone = set(split)
-    count_keep = p.count_vars - gone
-    exist_keep = p.exist_vars - gone
-    deps_keep = {x: p.deps[x] - gone for x in p.max_vars}
-    return [Problem(cofactor(p.cnf, m), p.max_vars, count_keep, exist_keep, deps_keep)
-            for m in minterms_of(split)]
-
-
 def leaf_cells(p: Problem, split: Sequence[int]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Each leaf's root cells, keyed by its monomial over split.
 
     One enumeration over the count and split variables; the share of
     monomial m equals reachable_cells of the cofactor of p under m over its
     counted variables: the cells whose split literals form m, with those
-    literals dropped.
+    literals dropped, over p.count_vars less split.
     """
     gone = set(split)
     order = sorted(p.count_vars | gone)
@@ -140,7 +135,9 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
 def solve_local(p: Problem) -> Solution:
     """Split, solve the leaves one after another, recombine, and recount.
 
-    One enumeration gives every leaf its root cells (leaf_cells). The
+    One enumeration gives every leaf its root cells (leaf_cells), and one
+    engine, loaded once with the selector objective over the dependency
+    sets less the split variables, answers every leaf's oracle call. The
     summed leaf counts are re-verified against an independent recount of
     the recombined strategies before being returned; a disagreement raises
     and means a solver bug, never a bad input.
@@ -148,8 +145,12 @@ def solve_local(p: Problem) -> Solution:
     solve_leaf = LEAF_SOLVERS["global"]
     split = plan_split(p)
     shares = leaf_cells(p, split)
-    leaf_solutions = [solve_leaf(leaf, cells=shares[m])
-                      for m, leaf in zip(minterms_of(split), leaf_problems(p, split))]
+    gone = frozenset(split)
+    req, sel = selector_request(p, {x: p.deps[x] - gone for x in p.max_vars})
+    req = replace(req, count_vars=p.count_vars - gone)
+    probe = Engine(req.objective.num_vars, req.objective.clauses)
+    leaf_solutions = [solve_leaf(replace(req, given=m, cells=shares[m]), sel, probe)
+                      for m in minterms_of(split)]
     solution = _recombine(p, split, leaf_solutions)
     check_solution(p, solution)
     return solution

@@ -50,6 +50,7 @@ def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch):
     tracer.install()
     try:
         local_doc = _solve(capsys, "solve-program", str(BENCH / "sum_reach_3.atk"), "--json")
+        local_spans = len(tracer.spans)
         incremental_doc = _solve(capsys, "solve", str(BENCH / "copy_or_and.dqm"),
                                  "--method", "incremental", "--json")
         assert engine.Engine(2, [[1, 2]]).solve() == {1: False, 2: True}
@@ -58,16 +59,25 @@ def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch):
     assert local_doc["method"] == "local" and incremental_doc["method"] == "incremental"
     assert local_doc["count"] == 26 and incremental_doc["count"] == 3
 
+    # the local solve alone, as the benchmark counts per local-reach solve
+    local_layers = spans.analyze(tracer.spans[:local_spans], tracer.main_thread).layers
+    # choose_method plans through cli.plan_split, solve_local through local's,
+    # and the local method recounts before the command line recounts again
+    assert local_layers["local.plan_split"].calls == 2
+    assert local_layers["counting.check_solution"].calls == 2
+    # solve_local looks its leaf solver up in the table the tracer wrapped:
+    # one leaf span per cofactor of sum_reach_3's three split variables, and
+    # each leaf is one oracle call through the name reduction.max_count
+    assert list(local.LEAF_SOLVERS) == ["global"]
+    assert local_layers[spans.LEAF].calls == 8
+    assert local_layers["oracle.max_count"].calls == 8
+    # the leaves share one selector request, built without build_reduction
+    assert "reduction.build_reduction" not in local_layers
+
     split = spans.analyze(tracer.spans, tracer.main_thread)
     layers = split.layers
     # solve-program bitblasts once, through the name cli.encode the tracer wraps
     assert layers["bitvec.encode"].calls == 1
-    # choose_method plans through cli.plan_split, solve_local through local's
-    assert layers["local.plan_split"].calls == 2
-    # solve_local looks its leaf solver up in the table the tracer wrapped:
-    # one leaf span per cofactor of sum_reach_3's three split variables
-    assert list(local.LEAF_SOLVERS) == ["global"]
-    assert layers[spans.LEAF].calls == 8
     expand = layers["incremental.expand"]
     assert expand.calls == 2
     # (objective clauses, filter clauses) off each expanded state

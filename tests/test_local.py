@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dqmaxsat import cli, counting, local, oracle
+from dqmaxsat import cli, counting, local, oracle, reduction
 from dqmaxsat.counting import check_solution
 from dqmaxsat.engine import solve as solve_cnf
 from dqmaxsat.formula import Cnf, Problem, minterms_of
@@ -16,7 +16,6 @@ from dqmaxsat.local import (
     NoEligibleVariable,
     functionally_dependent,
     leaf_cells,
-    leaf_problems,
     plan_split,
     solve_local,
 )
@@ -24,6 +23,7 @@ from dqmaxsat.oracle import brute_force_dqmaxsat, reachable_cells
 from dqmaxsat.reduction import solve_global
 
 import instances
+from instances import leaf_problems
 from naive import tt_models
 
 
@@ -49,6 +49,35 @@ def engines_built(monkeypatch):
     real = local.Engine
     monkeypatch.setattr(local, "Engine", counting_engine)
     return built
+
+
+@pytest.fixture
+def oracle_engines(monkeypatch):
+    """Per max_count call made through the reduction module, the engine it probed on.
+
+    An engine the caller passed is recorded as it is; one that max_count
+    built for itself is recorded when built.
+    """
+    served = []
+    real_engine = oracle.Engine
+    real_max_count = reduction.max_count
+
+    def building(*args):
+        served.append(real_engine(*args))
+        return served[-1]
+
+    def recording(req, probe=None):
+        if probe is not None:
+            served.append(probe)
+        return real_max_count(req, probe)
+
+    monkeypatch.setattr(oracle, "Engine", building)
+    monkeypatch.setattr(reduction, "max_count", recording)
+    return served
+
+
+def _distinct(objects):
+    return len({id(o) for o in objects})
 
 
 @st.composite
@@ -242,20 +271,44 @@ class TestSolveLocal:
         assert s.achieved_count == solve_global(copy_or_and).achieved_count
         assert s.functions[1].support == (4, 5)
 
-    def test_auto_builds_the_leaves_once(self, capsys, monkeypatch):
-        built = []
-        real = local.leaf_problems
-
-        def counting_leaves(p, split):
-            built.append(split)
-            return real(p, split)
-
-        monkeypatch.setattr(local, "leaf_problems", counting_leaves)
+    def test_auto_builds_the_leaves_once(self, capsys, oracle_engines):
         path = resources.files("dqmaxsat").joinpath("bench", "copy_or_and.dqm")
         assert cli.main(["solve", str(path), "--method", "auto", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["method"] == "local"
-        # choose_method only plans: the one local solve builds the leaves
-        assert built == [(4, 5)]
+        # choose_method only plans: the one local solve loads one oracle
+        # engine, and each of the four leaves probes on it
+        assert len(oracle_engines) == 4
+        assert _distinct(oracle_engines) == 1
+
+    def test_eight_leaves_probe_one_engine(self, oracle_engines):
+        text = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk").read_text()
+        p, _ = cli.load_instance_text(text)
+        assert solve_local(p).achieved_count == 26
+        assert len(oracle_engines) == 8
+        assert _distinct(oracle_engines) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_split_problems())
+    def test_shared_engine_leaves_match_their_global_solves(self, case):
+        # every leaf answer of one solve, against the leaf built as a
+        # problem of its own and solved on its own engine
+        p, split = case
+        answers = []
+        solve_leaf = local.LEAF_SOLVERS["global"]
+
+        def recording(*args):
+            answers.append(solve_leaf(*args))
+            return answers[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(local.LEAF_SOLVERS, "global", recording)
+            solve_local(p)
+        leaves = leaf_problems(p, split)
+        assert len(answers) == len(leaves)
+        for got, leaf in zip(answers, leaves):
+            want = solve_global(leaf)
+            assert got.functions == want.functions
+            assert got.achieved_count == want.achieved_count
 
     def test_recombined_solution_verifies(self, copy_or_and):
         s = solve_local(copy_or_and)
