@@ -1,4 +1,10 @@
-"""Projected model counting and independent solution verification."""
+"""Projected model counting and independent solution verification.
+
+A recount substitutes each function as the cubes of its Shannon-tree cover
+(`formula.apply_substitution`), at most min(2^|H|, |M|·|H| + 1) clauses
+for |M| minterms over support H, so its size follows the functions, not
+the width of their supports.
+"""
 
 from __future__ import annotations
 
@@ -31,10 +37,11 @@ def count_projected(f: Cnf, count_vars: Iterable[int], exist_vars: Iterable[int]
 def check_solution(problem: Problem, solution: Solution) -> int:
     """Recount a candidate solution from scratch.
 
-    Substitutes the functions into the objective and re-runs the projected
-    count. Raises DependencyViolation when a function reads outside its
-    variable's dependency set, VerificationMismatch when the solution carries
-    a claimed count that the recount contradicts. Returns the true count.
+    Substitutes the functions into the objective, one clause per cube of
+    each function's cover, and re-runs the projected count. Raises
+    DependencyViolation when a function reads outside its variable's
+    dependency set, VerificationMismatch when the solution carries a claimed
+    count that the recount contradicts. Returns the true count.
     """
     composed = apply_substitution(problem, solution)
     count = count_projected(composed, problem.count_vars)

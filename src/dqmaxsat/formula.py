@@ -4,6 +4,11 @@ Literals are nonzero signed integers (DIMACS convention): ``v`` is the
 positive literal of variable ``v``, ``-v`` its negation. A monomial is a
 tuple of literals, one per variable of its support, sorted by variable id.
 A clause is a tuple of literals, kept as built: only the engine cleans it.
+
+A synthesized function is put back into a formula as disjoint cubes, the
+leaves of its Shannon tree over the ascending support, cut where the
+function is constant: one clause per cube, at most
+min(2^|H|, |M|·|H| + 1) for |M| minterms over |H| support variables.
 """
 
 from __future__ import annotations
@@ -81,7 +86,12 @@ def monomial_holds(m: Sequence[int], assignment: Mapping[int, bool]) -> bool:
 
 @dataclass(frozen=True)
 class MintermFunction:
-    """A Boolean function given as the set of its selected complete monomials."""
+    """A Boolean function given as the set of its selected complete monomials.
+
+    The form is canonical: the support ascends and each minterm lists its
+    literals in support order, which the recount relies on. `.of` and
+    `.constant` build it from any order.
+    """
 
     support: tuple[int, ...]
     minterms: frozenset[tuple[int, ...]]
@@ -90,9 +100,13 @@ class MintermFunction:
         sup = set(self.support)
         if len(sup) != len(self.support):
             raise ValueError("support has duplicate variables")
+        if list(self.support) != sorted(sup):
+            raise ValueError(f"support {self.support} is not in ascending order; build with .of")
         for m in self.minterms:
             if len(m) != len(sup) or {abs(l) for l in m} != sup:
                 raise ValueError(f"minterm {m} is not complete over support {self.support}")
+            if any(abs(l) != v for l, v in zip(m, self.support)):
+                raise ValueError(f"minterm {m} is not sorted by variable; build with .of")
 
     @staticmethod
     def of(support: Sequence[int], minterms: Iterable[Sequence[int]]) -> "MintermFunction":
@@ -203,15 +217,43 @@ def selector_definition_clauses(
     return out
 
 
+def _cubes(fn: MintermFunction) -> list[tuple[tuple[int, ...], bool]]:
+    """The leaves of fn's Shannon tree over its ascending support, with fn's value on each.
+
+    A node is split on the next support variable, positive branch first,
+    unless fn is constant below it. The cubes are disjoint and cover every
+    point of the support; there are at most min(2^|H|, |M|·|H| + 1) of them,
+    since every split node holds a minterm and a minterm lies below one node
+    per depth. The empty support gives the single empty cube.
+    """
+    n = len(fn.support)
+    out = []
+    stack = [((), list(fn.minterms))]
+    while stack:
+        cube, ms = stack.pop()
+        j = len(cube)
+        if not ms or len(ms) == 1 << (n - j):
+            out.append((cube, bool(ms)))
+            continue
+        v = fn.support[j]
+        stack.append((cube + (-v,), [m for m in ms if m[j] < 0]))
+        stack.append((cube + (v,), [m for m in ms if m[j] > 0]))
+    return out
+
+
 def apply_substitution(p: Problem, s: Solution) -> Cnf:
     """Conjoin definition clauses fixing each maximizing variable to its function.
 
-    Complete monomials over a support are mutually exclusive and exhaustive,
-    so constant selection needs no auxiliary variables: a selected monomial m
-    contributes (-m | x), an unselected one (-m | -x). Every assignment of
-    the non-maximizing variables then forces each x to its function value,
-    making the result equivalent to the substituted objective once the
-    maximizing variables are treated as existential.
+    Each function's cubes (`_cubes`) are disjoint and cover its support
+    space, so constant selection needs no auxiliary variables: a cube c on
+    which the function is true contributes (-c | x), one on which it is
+    false (-c | -x). Every assignment of the non-maximizing variables then
+    forces each x to its function value, making the result equivalent to
+    the substituted objective once the maximizing variables are treated as
+    existential. A function with minterm set M over support H adds at most
+    min(2^|H|, |M|·|H| + 1) clauses, none longer than |H| + 1, so the
+    recount's size follows the function, not 2^|H|; a constant adds one
+    unit clause.
     """
     clauses = list(p.cnf.clauses)
     for x in p.max_vars:
@@ -223,7 +265,6 @@ def apply_substitution(p: Problem, s: Solution) -> Cnf:
                 f"function for {x} depends on {sorted(set(fn.support) - p.deps[x])}, "
                 f"outside its dependency set"
             )
-        for m in minterms_of(fn.support):
-            head = x if m in fn.minterms else -x
-            clauses.append(negate_monomial(m) + (head,))
+        for cube, value in _cubes(fn):
+            clauses.append(negate_monomial(cube) + (x if value else -x,))
     return Cnf.build(p.cnf.num_vars, clauses)

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from dqmaxsat.formula import Cnf, Problem, cofactor, minterms_of
+from dqmaxsat.formula import Cnf, MintermFunction, Problem, cofactor, minterms_of
 
 
 def copy_or_and() -> Problem:
@@ -85,6 +85,16 @@ def problems(draw, max_num_vars: int = 7, max_num_max: int = 2, dep_limit: int =
     num_max = draw(st.integers(min_value=1, max_value=max_num_max))
     num_vars = draw(st.integers(min_value=num_max + 1, max_value=max_num_vars))
     return random_problem(rng, num_vars=num_vars, num_max=num_max, dep_limit=dep_limit)
+
+
+@st.composite
+def functions(draw, support) -> MintermFunction:
+    """A random function over support: a set of its minterms, or the complement of one."""
+    terms = minterms_of(support)
+    chosen = draw(st.sets(st.sampled_from(terms)))
+    if draw(st.booleans()):
+        chosen = set(terms) - chosen
+    return MintermFunction.of(support, chosen)
 
 
 def leaf_problems(p: Problem, split) -> list[Problem]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping
 
-from dqmaxsat.formula import Problem, minterms_of
+from dqmaxsat.formula import Problem, Solution, minterms_of
 
 
 def assignments(variables: Iterable[int]):
@@ -46,6 +46,28 @@ def tt_count_projected(num_vars: int, clauses, proj: Iterable[int]) -> int:
     if not set(proj):
         return 1 if tt_satisfiable(num_vars, clauses) else 0
     return len(tt_projections(num_vars, clauses, proj))
+
+
+def minterm_substitution(problem: Problem, solution: Solution) -> list[tuple[int, ...]]:
+    """The objective's clauses plus one clause per complete monomial of each support.
+
+    The minterm encoding that cube covers replaced in the recount: for each
+    chooser x and each monomial m over its support, (-m | x) when m is a
+    minterm of x's function and (-m | -x) otherwise. 2^|H| clauses of width
+    |H| + 1 per chooser; the empty support gives one unit clause.
+    """
+    clauses = list(problem.cnf.clauses)
+    for x in problem.max_vars:
+        fn = solution.functions[x]
+        for m in minterms_of(fn.support):
+            clauses.append(tuple(-l for l in m) + (x if m in fn.minterms else -x,))
+    return clauses
+
+
+def minterm_recount(problem: Problem, solution: Solution) -> int:
+    """The count of the minterm encoding, by truth table."""
+    return tt_count_projected(problem.cnf.num_vars, minterm_substitution(problem, solution),
+                              problem.count_vars)
 
 
 def candidate_functions(support):

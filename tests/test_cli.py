@@ -17,6 +17,7 @@ import dqmaxsat
 from dqmaxsat import cli
 from dqmaxsat.bitvec import ProgramError, parse_program
 from dqmaxsat.dimacs import ParseError, parse_instance
+from dqmaxsat.formula import apply_substitution
 from dqmaxsat.reduction import BudgetExceeded
 
 COPY_OR_AND = """\
@@ -409,6 +410,36 @@ e 4 5 0
 1 -1 2 0
 5 3 -5 0
 """
+
+
+class TestWideSupport:
+    """A one-minterm function over k existentials recounts in about k clauses."""
+
+    @staticmethod
+    def _instance_and_document(k):
+        zs = " ".join(str(v) for v in range(3, k + 3))
+        text = f"p dqmscnf {k + 2} 1\nd 1 {zs} 0\nr 2 0\ne {zs} 0\n1 2 0\n"
+        doc = {"count": 2, "total": 2, "ratio": 1.0, "method": "global", "wall_ms": 0.0,
+               "functions": {"1": {"support": list(range(3, k + 3)),
+                                   "minterms": [list(range(3, k + 3))]}}}
+        return text, doc
+
+    def test_function_clauses_grow_with_the_support_not_its_space(self):
+        k = 16
+        text, doc = self._instance_and_document(k)
+        problem = parse_instance(text)
+        composed = apply_substitution(problem, cli.solution_from_document(doc))
+        assert len(composed.clauses) - len(problem.cnf.clauses) <= 2 * k + 1
+
+    def test_check_confirms_twenty_variables_quickly(self, capsys, tmp_path):
+        text, doc = self._instance_and_document(20)
+        instance, result = tmp_path / "wide.dqm", tmp_path / "wide.json"
+        instance.write_text(text)
+        result.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        outcome = run_cli(capsys, "check", str(instance), str(result))
+        assert time.perf_counter() - t0 < 2.0
+        assert outcome == (0, "ok: 2 of 2 confirmed\n", "")
 
 
 class TestClausesAsWritten:

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from dqmaxsat.counting import VerificationMismatch, check_solution, count_projected
 from dqmaxsat.formula import Cnf, DependencyViolation, MintermFunction, Problem, Solution
 
-from naive import tt_count_projected
+import instances
+from naive import minterm_recount, tt_count_projected
 from test_engine import clauses_strategy
 
 
@@ -81,3 +82,20 @@ def test_check_solution_constant_strategies():
     for value, want in [(True, 2), (False, 2)]:
         s = Solution(functions={1: MintermFunction.constant(value)})
         assert check_solution(p, s) == want
+
+
+def test_check_solution_reads_the_canonical_form():
+    # x1 must hold; a function true on the single point 2 & 3 leaves one cell
+    p = Problem.of(Cnf.build(3, [[1, 2], [1, -2]]), [1], [2, 3], [], {1: [2, 3]})
+    fn = MintermFunction.of((3, 2), [(3, 2)])
+    assert fn == MintermFunction((2, 3), frozenset({(2, 3)}))
+    assert check_solution(p, Solution(functions={1: fn})) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_solution_matches_the_minterm_recount(data):
+    p = data.draw(instances.problems(max_num_vars=7, dep_limit=4))
+    fns = {x: data.draw(instances.functions(sorted(p.deps[x]))) for x in p.max_vars}
+    s = Solution(functions=fns)
+    assert check_solution(p, s) == minterm_recount(p, s)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dqmaxsat.formula import (
     Cnf,
@@ -16,7 +16,8 @@ from dqmaxsat.formula import (
     negate_monomial,
 )
 
-from naive import assignments, eval_cnf, tt_models
+import instances
+from naive import assignments, eval_cnf, minterm_substitution, tt_models
 
 
 def test_cnf_build_keeps_clauses_as_given():
@@ -115,6 +116,17 @@ class TestMintermFunction:
         with pytest.raises(ValueError, match="duplicate"):
             MintermFunction.of((1, 1), [(1,)])
 
+    @pytest.mark.parametrize("support,minterms", [
+        ((3, 2), {(3, 2)}),
+        ((2, 3), {(3, 2)}),
+        ((2, 3), {(2, 3), (-3, 2)}),
+        ((3, 2), set()),
+    ], ids=["descending-support", "unsorted-minterm", "one-unsorted-minterm", "descending-constant"])
+    def test_rejects_a_non_canonical_order(self, support, minterms):
+        # the recount reads the i-th literal of a minterm as the i-th support variable's
+        with pytest.raises(ValueError, match="build with .of"):
+            MintermFunction(support, frozenset(minterms))
+
     def test_evaluate_matches_membership(self):
         f = MintermFunction.of((1, 3), [(1, 3), (-1, -3)])  # parity-ish: x1 == x3
         assert f.evaluate({1: True, 3: True})
@@ -207,3 +219,51 @@ class TestApplySubstitution:
         composed = apply_substitution(p, Solution(functions={1: fn}))
         for m in tt_models(4, composed.clauses):
             assert m[1] == fn.evaluate(m)
+
+
+# one chooser, 1, reading counted variables among 2..7 through no objective
+# clause: every clause of the composed formula is a function clause
+_supports = st.lists(st.integers(min_value=2, max_value=7), unique=True, max_size=6)
+
+
+def _substituted(fn):
+    p = Problem.of(Cnf(7, ()), [1], fn.support, [], {1: fn.support})
+    s = Solution(functions={1: fn})
+    return p, s, apply_substitution(p, s).clauses
+
+
+class TestCubeCover:
+    @settings(max_examples=300, deadline=None)
+    @given(_supports.flatmap(instances.functions))
+    def test_same_models_as_the_minterm_encoding(self, fn):
+        p, s, clauses = _substituted(fn)
+        assert tt_models(7, clauses) == tt_models(7, minterm_substitution(p, s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_supports.flatmap(instances.functions))
+    def test_cubes_partition_the_support_space(self, fn):
+        _, _, clauses = _substituted(fn)
+        assert all(abs(c[-1]) == 1 for c in clauses)
+        cubes = [negate_monomial(c[:-1]) for c in clauses]
+        for a in assignments(fn.support):
+            holding = [j for j, cube in enumerate(cubes) if monomial_holds(cube, a)]
+            assert len(holding) == 1
+            assert (clauses[holding[0]][-1] > 0) == fn.evaluate(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_supports.flatmap(instances.functions))
+    def test_clause_count_and_width_are_bounded(self, fn):
+        _, _, clauses = _substituted(fn)
+        n = len(fn.support)
+        assert len(clauses) <= min(1 << n, len(fn.minterms) * n + 1)
+        assert all(len(c) <= n + 1 for c in clauses)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_constant_over_a_wide_support_is_one_unit(self, value):
+        support = tuple(range(2, 8))
+        fn = MintermFunction.of(support, minterms_of(support) if value else [])
+        assert _substituted(fn)[2] == ((1 if value else -1,),)
+
+    def test_full_split_follows_the_minterm_order(self):
+        fn = MintermFunction.of((2, 3), [(2, 3), (-2, -3)])
+        assert _substituted(fn)[2] == ((-2, -3, 1), (-2, 3, -1), (2, -3, -1), (2, 3, 1))
