@@ -5,7 +5,7 @@ The format follows DIMACS CNF conventions with a quantifier prefix:
     c optional comment lines
     p dqmscnf <num_vars> <num_clauses>
     d <x> <h1> ... <hk> 0        one line per maximizing variable, in order
-    r <y1> ... <ym> 0            counting variables (at least one line)
+    r <y1> ... <ym> 0            counting variables (at least one, on one or more lines)
     e <z1> ... <zj> 0            existential variables (optional)
     <lit> ... <lit> 0            exactly <num_clauses> clause lines
 
@@ -92,6 +92,7 @@ def parse_instance(text: str) -> Problem:
     exist_vars: list[int] = []
     clauses: list[list[int]] = []
     declared: dict[int, int] = {}  # var -> line declaring it
+    r_line = None  # the last `r` line
     stage = -1
 
     def declare(v: int, line_no: int) -> None:
@@ -150,7 +151,11 @@ def parse_instance(text: str) -> Problem:
                 raise ParseError(f"`{kind}` line entries must be positive variables", line_no)
             for v in body:
                 declare(v, line_no)
-            (count_vars if kind == "r" else exist_vars).extend(body)
+            if kind == "r":
+                count_vars.extend(body)
+                r_line = line_no
+            else:
+                exist_vars.extend(body)
         else:
             if len(declared) != num_vars:
                 raise ParseError(
@@ -171,8 +176,10 @@ def parse_instance(text: str) -> Problem:
         raise ParseError("missing `p dqmscnf` header", last)
     if len(declared) != num_vars:
         raise ParseError(f"variables {_undeclared(declared, num_vars)} never declared in the prefix", last)
-    if not count_vars:
+    if r_line is None:
         raise ParseError("at least one `r` line is required", last)
+    if not count_vars:
+        raise ParseError("the `r` lines name no counted variable", r_line)
     if len(clauses) != num_clauses:
         raise ParseError(
             f"expected {shown(num_clauses)} clauses, found {len(clauses)}", last

@@ -8,24 +8,32 @@ variables (otherwise the two cofactors could double-count). plan_split
 only picks up to MAX_SPLIT_VARS eligible variables; solve_local solves
 every leaf and stitches their strategies together by Shannon expansion.
 
-No leaf is built as a problem of its own. The leaves' root cells come from
-one projected enumeration of the whole problem over its counted and split
-variables (leaf_cells), not one per leaf. That is exact: every split
+No leaf is built as a problem of its own, and every leaf's cells come from
+one projected enumeration of the whole problem. That is exact: every split
 variable is counted or forced by the counted variables, so the enumeration
 has no more cells than the count projection, and the cells that agree with
 a leaf's monomial are, with the split literals dropped, exactly the leaf's
-own cells, still in lexicographic order. All leaves share one selector
-layout, the dependency sets less the split variables, so one selector
-objective and one oracle engine serve them all: each leaf is one oracle
-call that assumes its monomial first (OracleRequest.given) instead of
-cofactoring by it. The split variables occur in no selector definition and
-no cell, so each probe has the answer it would have on the leaf's
-cofactor, and the engine's learned clauses follow from the objective alone,
-so they hold in every leaf.
+own cells, still in lexicographic order.
+
+When every chooser sees exactly the split variables (and there are at most
+MAX_SPLIT_VARS choosers), each leaf picks one tuple of constants: Max#SAT
+over constant choices. constant_leaves then answers every leaf from one
+enumeration over the counted, split and chooser variables, tallying the
+cells per leaf and per chooser tuple; no oracle call is made.
+
+Otherwise leaf_cells enumerates over the counted and split variables only.
+All leaves share one selector layout, the dependency sets less the split
+variables, so one selector objective and one oracle engine serve them all:
+each leaf is one oracle call that assumes its monomial first
+(OracleRequest.given) instead of cofactoring by it. The split variables
+occur in no selector definition and no cell, so each probe has the answer
+it would have on the leaf's cofactor, and the engine's learned clauses
+follow from the objective alone, so they hold in every leaf.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
@@ -35,14 +43,17 @@ from .formula import Cnf, MintermFunction, Problem, Solution, minterms_of
 from .oracle import reachable_cells
 from .reduction import selector_request, solve_request
 
-# at most 2**6 = 64 leaves per split
+# at most 2**6 = 64 leaves per split, and as many chooser tuples per cell
+# of constant leaves
 MAX_SPLIT_VARS = 6
 
-# leaves are solved by the global reduction's oracle call, once per leaf, on
-# the one engine and selector map of the solve, each request given its
-# monomial and its share of the one enumeration (leaf_cells) as root cells; a
-# one-entry table only because the benchmark's spans (perfbench/spans.py)
-# wrap its values, so solve_local looks the solver up here on every call
+# leaves with a residual support are solved by the global reduction's
+# oracle call, once per leaf, on the one engine and selector map of the
+# solve, each request given its monomial and its share of the one
+# enumeration (leaf_cells) as root cells; constant leaves (constant_leaves)
+# never come here. A one-entry table only because the benchmark's spans
+# (perfbench/spans.py) wrap its values, so solve_local looks the solver up
+# here on every shared-engine solve
 LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_request}
 
 
@@ -119,6 +130,34 @@ def leaf_cells(p: Problem, split: Sequence[int]) -> dict[tuple[int, ...], tuple[
     return {m: tuple(share) for m, share in shares.items()}
 
 
+def constant_leaves(p: Problem, split: Sequence[int]) -> list[Solution]:
+    """Each leaf's optimum when every chooser sees exactly the split variables.
+
+    One enumeration over the count, split and chooser variables: a cell with
+    split literals m, counted literals y and chooser values a says that leaf
+    m reaches y with the choosers set to a, so each leaf's count for a is its
+    tally of such cells. A leaf answers with the largest tally, ties going
+    to the lexicographically least tuple in p.max_vars order, false first,
+    and all false with count 0 when it has no cell. That is what the global
+    reduction's oracle returns on the leaf: one selector per chooser, in
+    p.max_vars order, searched false first from the all-false incumbent.
+    The leaves come in minterms_of(split) order.
+    """
+    gone = set(split)
+    order = sorted(p.count_vars | gone | set(p.max_vars))
+    at = [i for i, v in enumerate(order) if v in gone]
+    chooser_at = [order.index(x) for x in p.max_vars]
+    tallies: dict[tuple[int, ...], Counter] = {m: Counter() for m in minterms_of(split)}
+    for cell in reachable_cells(p.cnf, order):
+        tallies[tuple([cell[i] for i in at])][tuple([cell[i] > 0 for i in chooser_at])] += 1
+    leaves = []
+    for tally in tallies.values():
+        best = min(tally, key=lambda a: (-tally[a], a), default=(False,) * len(p.max_vars))
+        functions = {x: MintermFunction.constant(v) for x, v in zip(p.max_vars, best)}
+        leaves.append(Solution(functions=functions, achieved_count=tally[best]))
+    return leaves
+
+
 def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Solution]) -> Solution:
     functions = {}
     for x in p.max_vars:
@@ -133,24 +172,30 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
 
 
 def solve_local(p: Problem) -> Solution:
-    """Split, solve the leaves one after another, recombine, and recount.
+    """Split, solve the leaves, recombine, and recount.
 
-    One enumeration gives every leaf its root cells (leaf_cells), and one
-    engine, loaded once with the selector objective over the dependency
-    sets less the split variables, answers every leaf's oracle call. The
-    summed leaf counts are re-verified against an independent recount of
-    the recombined strategies before being returned; a disagreement raises
-    and means a solver bug, never a bad input.
+    Constant leaves, where every chooser sees exactly the split variables
+    and there are at most MAX_SPLIT_VARS choosers, all come from one
+    enumeration (constant_leaves). Otherwise one enumeration gives every
+    leaf its root cells (leaf_cells), and one engine, loaded once with the
+    selector objective over the dependency sets less the split variables,
+    answers every leaf's oracle call, one leaf after another. The summed
+    leaf counts are re-verified against an independent recount of the
+    recombined strategies before being returned; a disagreement raises and
+    means a solver bug, never a bad input.
     """
-    solve_leaf = LEAF_SOLVERS["global"]
     split = plan_split(p)
-    shares = leaf_cells(p, split)
     gone = frozenset(split)
-    req, sel = selector_request(p, {x: p.deps[x] - gone for x in p.max_vars})
-    req = replace(req, count_vars=p.count_vars - gone)
-    probe = Engine(req.objective.num_vars, req.objective.clauses)
-    leaf_solutions = [solve_leaf(replace(req, given=m, cells=shares[m]), sel, probe)
-                      for m in minterms_of(split)]
+    if len(p.max_vars) <= MAX_SPLIT_VARS and all(p.deps[x] == gone for x in p.max_vars):
+        leaf_solutions = constant_leaves(p, split)
+    else:
+        solve_leaf = LEAF_SOLVERS["global"]
+        shares = leaf_cells(p, split)
+        req, sel = selector_request(p, {x: p.deps[x] - gone for x in p.max_vars})
+        req = replace(req, count_vars=p.count_vars - gone)
+        probe = Engine(req.objective.num_vars, req.objective.clauses)
+        leaf_solutions = [solve_leaf(replace(req, given=m, cells=shares[m]), sel, probe)
+                          for m in minterms_of(split)]
     solution = _recombine(p, split, leaf_solutions)
     check_solution(p, solution)
     return solution

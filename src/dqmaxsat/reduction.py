@@ -7,8 +7,9 @@ a plain choice of selector values, solved by one oracle call and decoded
 back into minterm sets. SelectorMap is the one allocator of selector ids
 and selector_objective the one encoding, for any supports, full or
 partial: the global reduction builds its map over the full dependency sets,
-the local method one map over the dependency sets less its split variables
-for all its leaves (selector_request), and the incremental method starts
+the local method, unless its leaves are constant, one map over the
+dependency sets less its split variables for all its leaves
+(selector_request), and the incremental method starts
 from empty supports and grows them with SelectorMap.with_support.
 """
 

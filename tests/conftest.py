@@ -16,3 +16,8 @@ def two_implications():
 @pytest.fixture
 def copy_or():
     return instances.copy_or()
+
+
+@pytest.fixture
+def or_with_free_helper():
+    return instances.or_with_free_helper()

@@ -51,6 +51,19 @@ def copy_or() -> Problem:
                       deps={1: [4]})
 
 
+def or_with_free_helper() -> Problem:
+    """One chooser seeing three counters and a helper no counter forces. Optimum 7 of 8.
+
+    Variables: chooser 1, counted 2, 3 and 4, helper 5. Encodes
+    (1 == (2 or 5)) and (1 and 4 -> 3). The split takes the three counters,
+    and the helper stays in every leaf's support, so the leaves are not
+    constant.
+    """
+    f = Cnf.build(5, [[-1, 2, 5], [1, -2], [1, -5], [-1, -4, 3]])
+    return Problem.of(f, max_vars=[1], count_vars=[2, 3, 4], exist_vars=[5],
+                      deps={1: [2, 3, 4, 5]})
+
+
 def random_problem(rng: random.Random, num_vars: int = 7, num_max: int = 2,
                    dep_limit: int = 2, num_clauses: int | None = None) -> Problem:
     """A random instance with small dependency sets.

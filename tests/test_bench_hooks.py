@@ -7,8 +7,9 @@ modules by timing wrappers, at fixed names: ``cli.plan_split`` next to
 ``expand``; its encode span needs ``cli.encode`` to stay the name that
 solve-program calls. No solver path needs some of them, so only this guard
 keeps them from being removed while the benchmark still wraps them. It loads
-spans.py as it is, installs its tracer, runs one local and one incremental
-solve through the command line, and uninstalls.
+spans.py as it is, installs its tracer, runs two local solves (one with
+constant leaves, one whose leaves still go through ``local.LEAF_SOLVERS``)
+and one incremental solve through the command line, and uninstalls.
 """
 
 import importlib.util
@@ -20,6 +21,9 @@ from pathlib import Path
 import pytest
 
 from dqmaxsat import cli, counting, engine, incremental, local, oracle, reduction
+from dqmaxsat.dimacs import render_instance
+
+import instances
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 BENCH = resources.files("dqmaxsat").joinpath("bench")
@@ -41,23 +45,28 @@ def _solve(capsys, *argv):
     return json.loads(capsys.readouterr().out)
 
 
-def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch):
+def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch, tmp_path):
     spans = _spans_module(monkeypatch)
     originals = {name: getattr(module, name) for name, module in
                  (("plan_split", cli), ("expand", incremental), ("max_count", reduction))}
     solve_method = engine.Engine.__dict__["solve"]
+    helper = tmp_path / "helper.dqm"
+    helper.write_text(render_instance(instances.or_with_free_helper()))
     tracer = spans.Tracer(MODULES)
     tracer.install()
     try:
         local_doc = _solve(capsys, "solve-program", str(BENCH / "sum_reach_3.atk"), "--json")
         local_spans = len(tracer.spans)
+        helper_doc = _solve(capsys, "solve", str(helper), "--json")
+        helper_spans = len(tracer.spans)
         incremental_doc = _solve(capsys, "solve", str(BENCH / "copy_or_and.dqm"),
                                  "--method", "incremental", "--json")
         assert engine.Engine(2, [[1, 2]]).solve() == {1: False, 2: True}
     finally:
         tracer.uninstall()
-    assert local_doc["method"] == "local" and incremental_doc["method"] == "incremental"
-    assert local_doc["count"] == 26 and incremental_doc["count"] == 3
+    assert local_doc["method"] == helper_doc["method"] == "local"
+    assert incremental_doc["method"] == "incremental"
+    assert local_doc["count"] == 26 and helper_doc["count"] == 7 and incremental_doc["count"] == 3
 
     # the local solve alone, as the benchmark counts per local-reach solve
     local_layers = spans.analyze(tracer.spans[:local_spans], tracer.main_thread).layers
@@ -65,14 +74,24 @@ def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch):
     # and the local method recounts before the command line recounts again
     assert local_layers["local.plan_split"].calls == 2
     assert local_layers["counting.check_solution"].calls == 2
-    # solve_local looks its leaf solver up in the table the tracer wrapped:
-    # one leaf span per cofactor of sum_reach_3's three split variables, and
-    # each leaf is one oracle call through the name reduction.max_count
-    assert list(local.LEAF_SOLVERS) == ["global"]
-    assert local_layers[spans.LEAF].calls == 8
-    assert local_layers["oracle.max_count"].calls == 8
-    # the leaves share one selector request, built without build_reduction
+    # every chooser bit of sum_reach_3 sees exactly its three split bits:
+    # the constant leaves come from one enumeration, with no leaf solver
+    # and no oracle call
+    assert spans.LEAF not in local_layers
+    assert "oracle.max_count" not in local_layers
     assert "reduction.build_reduction" not in local_layers
+
+    # the helper's chooser keeps a residual support, so solve_local looks its
+    # leaf solver up in the table the tracer wrapped: one leaf span per
+    # cofactor of its three split variables, and each leaf is one oracle call
+    # through the name reduction.max_count
+    helper_layers = spans.analyze(tracer.spans[local_spans:helper_spans], tracer.main_thread).layers
+    assert list(local.LEAF_SOLVERS) == ["global"]
+    assert helper_layers["local.plan_split"].calls == 2
+    assert helper_layers[spans.LEAF].calls == 8
+    assert helper_layers["oracle.max_count"].calls == 8
+    # the leaves share one selector request, built without build_reduction
+    assert "reduction.build_reduction" not in helper_layers
 
     split = spans.analyze(tracer.spans, tracer.main_thread)
     layers = split.layers

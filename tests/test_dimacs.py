@@ -99,6 +99,8 @@ BAD = [
     ("p dqmscnf 2 1\nr 1 2 0\n1 3 0\n", "undeclared"),
     ("p dqmscnf 2 2\nd 1 2 0\nr 2 0\n1 0\n2 0\n", None),  # valid: control case
     ("p dqmscnf 3 0\nd 1 2 0\nd 2 0\nr 3 0\n", "not on any `r` or `e`"),
+    ("p dqmscnf 0 0\nr 0\n", "line 2: the `r` lines name no counted variable"),
+    ("p dqmscnf 1 0\nd 1 0\nr 0\ne 0\n", "line 3: the `r` lines name no counted variable"),
 ]
 
 

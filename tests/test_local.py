@@ -9,11 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dqmaxsat import cli, counting, local, oracle, reduction
 from dqmaxsat.counting import check_solution
+from dqmaxsat.dimacs import render_instance
 from dqmaxsat.engine import solve as solve_cnf
 from dqmaxsat.formula import Cnf, Problem, minterms_of
 from dqmaxsat.local import (
     MAX_SPLIT_VARS,
     NoEligibleVariable,
+    constant_leaves,
     functionally_dependent,
     leaf_cells,
     plan_split,
@@ -78,6 +80,11 @@ def oracle_engines(monkeypatch):
 
 def _distinct(objects):
     return len({id(o) for o in objects})
+
+
+def _sum_reach_3():
+    text = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk").read_text()
+    return cli.load_instance_text(text)[0]
 
 
 @st.composite
@@ -242,7 +249,7 @@ class TestLeafCells:
         }
 
     def test_one_solve_enumerates_twice(self, monkeypatch):
-        # once for the root cells of all eight leaves, once for the recount
+        # once for the cells of all eight leaves, once for the recount
         calls = []
         for module in (oracle, counting):
             real = module.enumerate_projected
@@ -252,11 +259,86 @@ class TestLeafCells:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, "enumerate_projected", counted)
-        text = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk").read_text()
-        p, _ = cli.load_instance_text(text)
+        p = _sum_reach_3()
         assert len(plan_split(p)) == 3
         assert solve_local(p).achieved_count == 26
         assert len(calls) == 2
+
+
+@st.composite
+def _constant_leaf_problems(draw):
+    """A random problem whose choosers all see exactly its split, and the split."""
+    p = draw(instances.problems(max_num_vars=7, max_num_max=3))
+    seen = draw(st.sets(st.sampled_from(sorted(p.count_vars | p.exist_vars)),
+                        min_size=1, max_size=3))
+    p = dataclasses.replace(p, deps={x: frozenset(seen) for x in p.max_vars})
+    try:
+        split = plan_split(p)
+    except NoEligibleVariable:
+        assume(False)
+    assume(set(split) == seen)
+    return p, split
+
+
+class TestConstantLeaves:
+    @settings(max_examples=300, deadline=None)
+    @given(_constant_leaf_problems())
+    def test_each_leaf_is_its_global_solve(self, case):
+        p, split = case
+        got = constant_leaves(p, split)
+        leaves = leaf_problems(p, split)
+        assert len(got) == len(leaves)
+        for answer, leaf in zip(got, leaves):
+            want = solve_global(leaf)
+            assert answer.functions == want.functions
+            assert answer.achieved_count == want.achieved_count
+
+    def test_ties_go_to_the_least_tuple(self):
+        # exactly one of the choosers 1, 2 may hold: (false, true) and
+        # (true, false) reach both cells of each leaf, and the first wins
+        f = Cnf.build(4, [[1, 2], [-1, -2]])
+        p = Problem.of(f, max_vars=[1, 2], count_vars=[3, 4], exist_vars=[],
+                       deps={1: [3], 2: [3]})
+        assert plan_split(p) == (3,)
+        for leaf in constant_leaves(p, (3,)):
+            assert leaf.achieved_count == 2
+            assert [leaf.functions[x].constant_value() for x in (1, 2)] == [False, True]
+        assert solve_local(p).functions == solve_global(p).functions
+
+    def test_a_leaf_without_cells_is_all_false(self, copy_or_and):
+        # "and" without "or" is impossible: the third leaf has no cell
+        third = constant_leaves(copy_or_and, (4, 5))[2]
+        assert third.achieved_count == 0
+        assert third.functions[1].constant_value() is False
+
+    def test_constant_leaves_make_no_oracle_call(self, oracle_engines, engines_built):
+        p = _sum_reach_3()
+        split = plan_split(p)
+        assert len(split) == 3 and all(p.deps[x] == set(split) for x in p.max_vars)
+        engines_built.clear()
+        assert solve_local(p).achieved_count == 26
+        # one engine for the plan's dependence checks, none to probe on,
+        # and no max_count call through the reduction
+        assert len(engines_built) == 1
+        assert oracle_engines == []
+
+    def test_seven_constant_choosers_take_the_shared_engine(self, monkeypatch):
+        # more choosers than MAX_SPLIT_VARS: each leaf is an oracle call
+        f = Cnf.build(10, [[-8, -9, 3], [-8, 9, -3], [8, -1, -10], [8, 1, 10, 4],
+                           [-4, -5, 9], [-5, 6, -7], [2, 7, 10], [-2, -6]])
+        p = Problem.of(f, max_vars=range(1, 8), count_vars=[8, 9, 10], exist_vars=[],
+                       deps={x: [8] for x in range(1, 8)})
+        assert plan_split(p) == (8,) and len(p.max_vars) > MAX_SPLIT_VARS
+        calls = []
+        solve_leaf = local.LEAF_SOLVERS["global"]
+        monkeypatch.setitem(local.LEAF_SOLVERS, "global",
+                            lambda *args: calls.append(args) or solve_leaf(*args))
+        s = solve_local(p)
+        assert len(calls) == 2
+        want = solve_global(p)
+        assert s.functions == want.functions
+        assert s.achieved_count == want.achieved_count == 6
+        assert brute_force_dqmaxsat(p).achieved_count == 6
 
 
 class TestSolveLocal:
@@ -271,19 +353,21 @@ class TestSolveLocal:
         assert s.achieved_count == solve_global(copy_or_and).achieved_count
         assert s.functions[1].support == (4, 5)
 
-    def test_auto_builds_the_leaves_once(self, capsys, oracle_engines):
-        path = resources.files("dqmaxsat").joinpath("bench", "copy_or_and.dqm")
+    def test_auto_builds_the_leaves_once(self, capsys, oracle_engines, or_with_free_helper, tmp_path):
+        path = tmp_path / "helper.dqm"
+        path.write_text(render_instance(or_with_free_helper))
         assert cli.main(["solve", str(path), "--method", "auto", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["method"] == "local"
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["method"] == "local" and doc["count"] == 7
         # choose_method only plans: the one local solve loads one oracle
-        # engine, and each of the four leaves probes on it
-        assert len(oracle_engines) == 4
+        # engine, and each of the eight leaves probes on it
+        assert len(oracle_engines) == 8
         assert _distinct(oracle_engines) == 1
 
-    def test_eight_leaves_probe_one_engine(self, oracle_engines):
-        text = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk").read_text()
-        p, _ = cli.load_instance_text(text)
-        assert solve_local(p).achieved_count == 26
+    def test_eight_leaves_probe_one_engine(self, oracle_engines, or_with_free_helper):
+        # the helper keeps a residual support, so the leaves are not constant
+        assert plan_split(or_with_free_helper) == (2, 3, 4)
+        assert solve_local(or_with_free_helper).achieved_count == 7
         assert len(oracle_engines) == 8
         assert _distinct(oracle_engines) == 1
 
@@ -293,6 +377,7 @@ class TestSolveLocal:
         # every leaf answer of one solve, against the leaf built as a
         # problem of its own and solved on its own engine
         p, split = case
+        assume(any(p.deps[x] != set(split) for x in p.max_vars))
         answers = []
         solve_leaf = local.LEAF_SOLVERS["global"]
 
