@@ -8,53 +8,44 @@ variables (otherwise the two cofactors could double-count). plan_split
 only picks up to MAX_SPLIT_VARS eligible variables; solve_local solves
 every leaf and stitches their strategies together by Shannon expansion.
 
-No leaf is built as a problem of its own, and every leaf's cells come from
-one projected enumeration of the whole problem. That is exact: every split
-variable is counted or forced by the counted variables, so the enumeration
-has no more cells than the count projection, and the cells that agree with
-a leaf's monomial are, with the split literals dropped, exactly the leaf's
-own cells, still in lexicographic order.
-
 When every chooser sees exactly the split variables (and there are at most
 MAX_SPLIT_VARS choosers), each leaf picks one tuple of constants: Max#SAT
 over constant choices. constant_leaves then answers every leaf from one
-enumeration over the counted, split and chooser variables, tallying the
-cells per leaf and per chooser tuple; no oracle call is made.
+projected enumeration over the counted, split and chooser variables,
+tallying the cells per leaf and per chooser tuple; no oracle call is made.
+That is exact: every split variable is counted or forced by the counted
+variables, so the cells that agree with a leaf's monomial are, with the
+split literals dropped, exactly the leaf's own cells.
 
-Otherwise leaf_cells enumerates over the counted and split variables only.
-All leaves share one selector layout, the dependency sets less the split
-variables, so one selector objective and one oracle engine serve them all:
-each leaf is one oracle call that assumes its monomial first
-(OracleRequest.given) instead of cofactoring by it. The split variables
-occur in no selector definition and no cell, so each probe has the answer
-it would have on the leaf's cofactor, and the engine's learned clauses
-follow from the objective alone, so they hold in every leaf.
+Otherwise each leaf is the cofactor of the problem under its monomial
+(leaf_problems), solved on its own by the global reduction. Leaf counts
+add, so the optima of the whole are the products of the leaves' optima,
+and within one monomial the order of minterms_of is the residual
+support's own order: the product of the leaves' least optima is the least
+optimum of the whole.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
 from .counting import check_solution
 from .engine import Engine
-from .formula import Cnf, MintermFunction, Problem, Solution, minterms_of
+from .formula import Cnf, MintermFunction, Problem, Solution, cofactor, minterms_of
 from .oracle import reachable_cells
-from .reduction import selector_request, solve_request
+from .reduction import solve_global
 
 # at most 2**6 = 64 leaves per split, and as many chooser tuples per cell
 # of constant leaves
 MAX_SPLIT_VARS = 6
 
-# leaves with a residual support are solved by the global reduction's
-# oracle call, once per leaf, on the one engine and selector map of the
-# solve, each request given its monomial and its share of the one
-# enumeration (leaf_cells) as root cells; constant leaves (constant_leaves)
-# never come here. A one-entry table only because the benchmark's spans
-# (perfbench/spans.py) wrap its values, so solve_local looks the solver up
-# here on every shared-engine solve
-LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_request}
+# leaves with a residual support are solved by the global reduction, once
+# per leaf, on the leaf's own cofactor (leaf_problems); constant leaves
+# (constant_leaves) never come here. A one-entry table only because the
+# benchmark's spans (perfbench/spans.py) wrap its values, so solve_local
+# looks the solver up here on every solve with residual leaves
+LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_global}
 
 
 class NoEligibleVariable(ValueError):
@@ -112,22 +103,18 @@ def plan_split(p: Problem) -> tuple[int, ...]:
     return tuple(eligible[:MAX_SPLIT_VARS])
 
 
-def leaf_cells(p: Problem, split: Sequence[int]) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Each leaf's root cells, keyed by its monomial over split.
+def leaf_problems(p: Problem, split: Sequence[int]) -> list[Problem]:
+    """The cofactor of p under each monomial over split, in canonical order.
 
-    One enumeration over the count and split variables; the share of
-    monomial m equals reachable_cells of the cofactor of p under m over its
-    counted variables: the cells whose split literals form m, with those
-    literals dropped, over p.count_vars less split.
+    Leaf k corresponds to the k-th monomial of minterms_of(split), the
+    all-positive one first; the split variables leave every role.
     """
     gone = set(split)
-    order = sorted(p.count_vars | gone)
-    at = [i for i, v in enumerate(order) if v in gone]
-    rest = [i for i, v in enumerate(order) if v not in gone]
-    shares: dict[tuple[int, ...], list[tuple[int, ...]]] = {m: [] for m in minterms_of(split)}
-    for cell in reachable_cells(p.cnf, order):
-        shares[tuple([cell[i] for i in at])].append(tuple([cell[i] for i in rest]))
-    return {m: tuple(share) for m, share in shares.items()}
+    count_keep = p.count_vars - gone
+    exist_keep = p.exist_vars - gone
+    deps_keep = {x: p.deps[x] - gone for x in p.max_vars}
+    return [Problem(cofactor(p.cnf, m), p.max_vars, count_keep, exist_keep, deps_keep)
+            for m in minterms_of(split)]
 
 
 def constant_leaves(p: Problem, split: Sequence[int]) -> list[Solution]:
@@ -176,13 +163,11 @@ def solve_local(p: Problem) -> Solution:
 
     Constant leaves, where every chooser sees exactly the split variables
     and there are at most MAX_SPLIT_VARS choosers, all come from one
-    enumeration (constant_leaves). Otherwise one enumeration gives every
-    leaf its root cells (leaf_cells), and one engine, loaded once with the
-    selector objective over the dependency sets less the split variables,
-    answers every leaf's oracle call, one leaf after another. The summed
-    leaf counts are re-verified against an independent recount of the
-    recombined strategies before being returned; a disagreement raises and
-    means a solver bug, never a bad input.
+    enumeration (constant_leaves). Otherwise each leaf's cofactor is solved
+    by the global reduction, one leaf after another. The summed leaf counts
+    are re-verified against an independent recount of the recombined
+    strategies before being returned; a disagreement raises and means a
+    solver bug, never a bad input.
     """
     split = plan_split(p)
     gone = frozenset(split)
@@ -190,12 +175,7 @@ def solve_local(p: Problem) -> Solution:
         leaf_solutions = constant_leaves(p, split)
     else:
         solve_leaf = LEAF_SOLVERS["global"]
-        shares = leaf_cells(p, split)
-        req, sel = selector_request(p, {x: p.deps[x] - gone for x in p.max_vars})
-        req = replace(req, count_vars=p.count_vars - gone)
-        probe = Engine(req.objective.num_vars, req.objective.clauses)
-        leaf_solutions = [solve_leaf(replace(req, given=m, cells=shares[m]), sel, probe)
-                          for m in minterms_of(split)]
+        leaf_solutions = [solve_leaf(leaf) for leaf in leaf_problems(p, split)]
     solution = _recombine(p, split, leaf_solutions)
     check_solution(p, solution)
     return solution

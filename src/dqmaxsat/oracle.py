@@ -4,10 +4,7 @@ max_count answers requests of the form "which assignment of the choice
 variables leaves the most count-variable cells reachable", always comparing
 against a caller-supplied incumbent. The caller also supplies the cells
 reachable with every choice free, from reachable_cells, so a solve
-enumerates them once however many calls it makes. A request may also carry
-given literals, which every probe assumes first: a caller that asks many
-questions of one objective, each under its own fixed literals, loads one
-engine and hands it to every call (the local method's leaves do).
+enumerates them once however many calls it makes.
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
 and for cross-checking the real solvers.
@@ -39,10 +36,7 @@ class OracleRequest:
     Variables of the objective that are neither choice nor count variables
     are existential. cells are the count-cells the objective reaches with
     the choice variables free, as reachable_cells gives them: one literal
-    per count variable, in ascending variable order. given are literals
-    over the other variables that every probe assumes, so the call answers
-    for the objective restricted by them; cells must be those of that
-    restriction.
+    per count variable, in ascending variable order.
     """
 
     objective: Cnf
@@ -50,7 +44,6 @@ class OracleRequest:
     count_vars: frozenset[int]
     incumbent: Mapping[int, bool]
     cells: tuple[tuple[int, ...], ...]
-    given: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,7 @@ def reachable_cells(f: Cnf, count_vars: Iterable[int]) -> tuple[tuple[int, ...],
     return tuple(cells)
 
 
-def max_count(req: OracleRequest, probe: Optional[Engine] = None) -> OracleResult:
+def max_count(req: OracleRequest) -> OracleResult:
     """Best assignment of the choice variables, incumbent included.
 
     Depth-first branch and bound over the choice variables in ascending id
@@ -94,14 +87,9 @@ def max_count(req: OracleRequest, probe: Optional[Engine] = None) -> OracleResul
     the result is still the lexicographically least optimum.
 
     One engine serves a call, and it only probes: the root's cells come
-    with the request. The engine is the caller's probe when one is passed:
-    it must hold the clauses of req.objective, and it may have served
-    other calls on them, since its learned clauses are resolvents of those
-    clauses alone. Otherwise max_count builds one. The incumbent is counted
-    on it, one probe per root cell under the incumbent's literals, and
-    those probes' witnesses and cores are what the root's cells start
-    with. Every probe puts the given literals first, and cores are kept
-    without them: they hold throughout the call.
+    with the request. The incumbent is counted on it, one probe per root
+    cell under the incumbent's literals, and those probes' witnesses and
+    cores are what the root's cells start with.
     """
     ms = sorted(set(req.max_vars))
     if len(ms) != len(req.max_vars):
@@ -113,26 +101,22 @@ def max_count(req: OracleRequest, probe: Optional[Engine] = None) -> OracleResul
     root_cells = req.cells
     if any(list(map(abs, cell)) != ys for cell in root_cells):
         raise MalformedRequest("a cell is not over exactly the count variables")
-    given = list(req.given)
-    if not req.count_vars.union(ms).isdisjoint(map(abs, given)):
-        raise MalformedRequest("a given literal is on a choice or count variable")
     nv = max([req.objective.num_vars] + ms + ys, default=0)
 
     # a cell entry: the cell, its last witness (None until probed), its cores
     Entry = tuple[tuple[int, ...], Optional[list[int]], list[frozenset[int]]]
 
-    # the incumbent's count: each root cell probed under the given and the
-    # incumbent's literals, which come first so every probe keeps their
-    # levels; the witnesses and cores found here seed the root entries
-    if probe is None:
-        probe = Engine(nv, req.objective.clauses)
-    inc_lits = given + [v if incumbent[v] else -v for v in ms]
+    # the incumbent's count: each root cell probed under the incumbent's
+    # literals, which come first so every probe keeps their levels; the
+    # witnesses and cores found here seed the root entries
+    probe = Engine(nv, req.objective.clauses)
+    inc_lits = [v if incumbent[v] else -v for v in ms]
     roots: list[Entry] = []
     for cell in root_cells:
         if probe.satisfiable([*inc_lits, *cell]):
             roots.append((cell, probe.witness, []))
         else:
-            roots.append((cell, None, [frozenset(probe.core).difference(cell, given)]))
+            roots.append((cell, None, [frozenset(probe.core).difference(cell)]))
     best_count = sum(wit is not None for _, wit, _ in roots)
     best = incumbent
     if len(root_cells) <= best_count:
@@ -153,10 +137,10 @@ def max_count(req: OracleRequest, probe: Optional[Engine] = None) -> OracleResul
                 surviving.append(entry)
             elif not any(core <= here for core in cores):
                 # the shared B&B prefix first: the engine keeps its levels between probes
-                if probe.satisfiable([*given, *assumed, *cell]):
+                if probe.satisfiable([*assumed, *cell]):
                     surviving.append((cell, probe.witness, cores))
                 else:
-                    cores.append(frozenset(probe.core).difference(cell, given))
+                    cores.append(frozenset(probe.core).difference(cell))
             if len(surviving) + remaining <= best_count:
                 return None
         return surviving

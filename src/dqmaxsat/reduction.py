@@ -6,19 +6,17 @@ monomial and tying x to the selected disjunction turns strategy search into
 a plain choice of selector values, solved by one oracle call and decoded
 back into minterm sets. SelectorMap is the one allocator of selector ids
 and selector_objective the one encoding, for any supports, full or
-partial: the global reduction builds its map over the full dependency sets,
-the local method, unless its leaves are constant, one map over the
-dependency sets less its split variables for all its leaves
-(selector_request), and the incremental method starts
-from empty supports and grows them with SelectorMap.with_support.
+partial: the global reduction builds its map over the full dependency sets
+(the local method's leaves with a residual support are global reductions
+of their cofactors), and the incremental method starts from empty supports
+and grows them with SelectorMap.with_support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .engine import Engine
 from .formula import (
     Cnf,
     MintermFunction,
@@ -82,40 +80,28 @@ def selector_objective(p: Problem, sel: SelectorMap) -> Cnf:
     return Cnf.build(sel.num_vars, clauses)
 
 
-def selector_request(p: Problem, supports: Mapping[int, frozenset[int]],
-                     budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[OracleRequest, SelectorMap]:
-    """One oracle request over selectors for p's choosers on the given supports.
+def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
+                    ) -> tuple[OracleRequest, SelectorMap]:
+    """Reduce a dependency-constrained instance to one oracle request.
 
-    The request's choice variables are the fresh selectors; the original
-    choosers are left uncounted since the definition clauses determine them
-    pointwise. Incumbent is the all-false (all strategies constant false)
-    assignment. The request has no root cells yet: they depend on what the
-    caller counts.
+    The request's choice variables are the fresh selectors, over the full
+    dependency sets; the original choosers are left uncounted since the
+    definition clauses determine them pointwise. Incumbent is the all-false
+    (all strategies constant false) assignment. The root cells are those of
+    p.cnf, which the selector objective reaches alike.
     """
-    need = sum(1 << len(supports[x]) for x in p.max_vars)
+    need = sum(1 << len(p.deps[x]) for x in p.max_vars)
     if need > budget:
         raise BudgetExceeded(f"{need} selectors exceed the budget of {budget}")
-    sel = SelectorMap.over(p, supports)
+    sel = SelectorMap.over(p, p.deps)
     req = OracleRequest(
         objective=selector_objective(p, sel),
         max_vars=sel.selector_vars(),
         count_vars=p.count_vars,
         incumbent={s: False for s in sel.owner},
-        cells=(),
+        cells=reachable_cells(p.cnf, p.count_vars),
     )
     return req, sel
-
-
-def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
-                    ) -> tuple[OracleRequest, SelectorMap]:
-    """Reduce a dependency-constrained instance to one oracle request.
-
-    The selectors range over the full dependency sets (selector_request),
-    and the root cells are those of p.cnf, which the selector objective
-    reaches alike.
-    """
-    req, sel = selector_request(p, p.deps, budget)
-    return replace(req, cells=reachable_cells(p.cnf, p.count_vars)), sel
 
 
 def decode(sel: SelectorMap, alpha: Mapping[int, bool]) -> Solution:
@@ -128,20 +114,11 @@ def decode(sel: SelectorMap, alpha: Mapping[int, bool]) -> Solution:
     return Solution(functions=functions)
 
 
-def solve_request(req: OracleRequest, sel: SelectorMap, probe: Optional[Engine] = None) -> Solution:
-    """The strategies max_count picks for req, decoded by sel, with their count.
-
-    probe is passed on to max_count: an engine already loaded with
-    req.objective, or None for one built there.
-    """
-    res = max_count(req, probe)
-    return replace(decode(sel, res.best), achieved_count=res.best_count)
-
-
 def solve_global(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> Solution:
     """Optimal strategies via the one-shot reduction."""
     req, sel = build_reduction(p, budget)
-    return replace(solve_request(req, sel), total=p.total)
+    res = max_count(req)
+    return replace(decode(sel, res.best), achieved_count=res.best_count, total=p.total)
 
 
 def solve_dqbf(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[bool, Solution]:

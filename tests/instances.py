@@ -1,4 +1,4 @@
-"""Hand-built reference instances, random instance generators, and leaf problems."""
+"""Hand-built reference instances and random instance generators."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from dqmaxsat.formula import Cnf, MintermFunction, Problem, cofactor, minterms_of
+from dqmaxsat.formula import Cnf, MintermFunction, Problem, minterms_of
 
 
 def copy_or_and() -> Problem:
@@ -109,18 +109,3 @@ def functions(draw, support) -> MintermFunction:
         chosen = set(terms) - chosen
     return MintermFunction.of(support, chosen)
 
-
-def leaf_problems(p: Problem, split) -> list[Problem]:
-    """The cofactor of p under each monomial over split, in canonical order.
-
-    Leaf k corresponds to the k-th monomial of minterms_of(split), the
-    all-positive one first; the split variables leave every role. The local
-    method builds none of these: they are what its leaves are checked
-    against.
-    """
-    gone = set(split)
-    count_keep = p.count_vars - gone
-    exist_keep = p.exist_vars - gone
-    deps_keep = {x: p.deps[x] - gone for x in p.max_vars}
-    return [Problem(cofactor(p.cnf, m), p.max_vars, count_keep, exist_keep, deps_keep)
-            for m in minterms_of(split)]

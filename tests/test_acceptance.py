@@ -19,7 +19,7 @@ from dqmaxsat.cli import main as cli_main
 from dqmaxsat.counting import check_solution
 from dqmaxsat.formula import Cnf, MintermFunction, Problem, Solution
 from dqmaxsat.incremental import run as run_incremental
-from dqmaxsat.local import NoEligibleVariable, plan_split, solve_local
+from dqmaxsat.local import NoEligibleVariable, leaf_problems, plan_split, solve_local
 from dqmaxsat.oracle import brute_force_dqmaxsat
 from dqmaxsat.reduction import solve_dqbf, solve_global
 
@@ -133,7 +133,7 @@ class TestLocalResolution:
 
     def test_05_four_leaves_recombine_to_the_global_optimum(self):
         problem, _ = _bench_problem("copy_or_and.dqm")
-        leaves = instances.leaf_problems(problem, plan_split(problem))
+        leaves = leaf_problems(problem, plan_split(problem))
         assert len(leaves) == 4
         leaf_solutions = [solve_global(leaf) for leaf in leaves]
         assert leaf_solutions[0].functions[1].constant_value() is True

@@ -83,15 +83,15 @@ def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch, tmp_
 
     # the helper's chooser keeps a residual support, so solve_local looks its
     # leaf solver up in the table the tracer wrapped: one leaf span per
-    # cofactor of its three split variables, and each leaf is one oracle call
-    # through the name reduction.max_count
+    # cofactor of its three split variables, and each leaf is one global
+    # reduction and one oracle call, through the names
+    # reduction.build_reduction and reduction.max_count
     helper_layers = spans.analyze(tracer.spans[local_spans:helper_spans], tracer.main_thread).layers
     assert list(local.LEAF_SOLVERS) == ["global"]
     assert helper_layers["local.plan_split"].calls == 2
     assert helper_layers[spans.LEAF].calls == 8
+    assert helper_layers["reduction.build_reduction"].calls == 8
     assert helper_layers["oracle.max_count"].calls == 8
-    # the leaves share one selector request, built without build_reduction
-    assert "reduction.build_reduction" not in helper_layers
 
     split = spans.analyze(tracer.spans, tracer.main_thread)
     layers = split.layers

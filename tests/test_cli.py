@@ -101,6 +101,12 @@ class TestSolve:
         assert err.count("iteration") == 3
         assert "base solve" in err
 
+    @pytest.mark.parametrize("method", ["global", "local"])
+    def test_trace_logs_incremental_iterations_only(self, capsys, instance_file, method):
+        code, _, err = run_cli(capsys, "solve", instance_file, "--method", method, "--trace")
+        assert code == 0
+        assert err == ""
+
     def test_budget_limits_iterations(self, capsys, instance_file):
         code, out, _ = run_cli(
             capsys, "solve", instance_file, "--method", "incremental", "--budget", "1", "--json"

@@ -1,12 +1,13 @@
 """Golden outputs: count, solve and check print the same bytes as before.
 
 Speed-ups must not change a count, a function or a result document. Each
-case generates one benchmark instance with perfbench/workloads.py (imported
-as it is, not copied), runs ``count``, ``solve``/``solve-program --json``
-and ``check`` through ``cli.main``, and compares the sha256 of the three
-outputs with a pinned digest. The timings ``wall_ms`` and each iteration's
-``elapsed_ms`` are zeroed before hashing; everything else counts, key order
-and layout included.
+case is one instance: a benchmark instance generated with
+perfbench/workloads.py (imported as it is, not copied), or a hand-written
+text for a path no benchmark instance takes. It runs ``count``,
+``solve``/``solve-program --json`` and ``check`` through ``cli.main``, and
+compares the sha256 of the three outputs with a pinned digest. The timings
+``wall_ms`` and each iteration's ``elapsed_ms`` are zeroed before hashing;
+everything else counts, key order and layout included.
 
 A digest changes only when an output does. If a change is meant to alter
 outputs, say so and re-pin; a perf change never should.
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from dqmaxsat import cli
+from dqmaxsat.local import plan_split
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SEED = 1
@@ -67,6 +69,58 @@ GOLDEN = {
 }
 
 
+# local solves whose choosers keep a residual support after the split, so
+# their leaves are not constant: the helper instance of tests/instances.py,
+# and two-input adaptive reach games whose second input also sees an
+# observation of the first input; taken before those leaves went through
+# solve_global
+HAND_WRITTEN = {
+    "or_with_free_helper": (".dqm", """\
+p dqmscnf 5 4
+d 1 2 3 4 5 0
+r 2 3 4 0
+e 5 0
+-1 2 5 0
+1 -2 0
+1 -5 0
+-1 -4 3 0
+"""),
+    "sum_then_observed_window": (".atk", """\
+width 2
+mode reach
+random y1
+random y2
+observe s := y1 + y2
+input x1
+observe o := y1 >= x1
+input x2
+assume x1 <= y2
+win x2 <= y1 && y1 <= x2 + 1
+"""),
+    "difference_then_observed_guess": (".atk", """\
+width 2
+mode reach
+random y1
+random y2
+observe s := y1 - y2
+input x1
+observe o := y1 >= x1
+input x2
+assume x1 <= y2
+win x2 == y1
+"""),
+}
+
+HAND_WRITTEN_GOLDEN = {
+    "or_with_free_helper":
+        "6e86843daccacc5f9a13a1e23739f30d954a27306f9564aa182c2b9e7b49df14",
+    "sum_then_observed_window":
+        "5d175f906691be0a40057a72757f341023c1ef7285f66e3a7e4c14adacfc862a",
+    "difference_then_observed_guess":
+        "7202be5f951cc340a73415b495fb0b9f0a2fc3d971d68d9dbebed30bcccca01b",
+}
+
+
 def _run(capsys, argv: list[str]) -> str:
     assert cli.main(argv) == 0
     return capsys.readouterr().out
@@ -80,16 +134,34 @@ def _masked(document: str) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _digest(tmp_path, capsys, name: str, suffix: str, text: str) -> str:
+    path = tmp_path / (name + suffix)
+    path.write_text(text)
+    solve = "solve-program" if suffix == ".atk" else "solve"
+    counted = _run(capsys, ["count", str(path)])
+    document = _run(capsys, [solve, str(path), "--json"])
+    doc_path = tmp_path / (name + ".json")
+    doc_path.write_text(document)
+    checked = _run(capsys, ["check", str(path), str(doc_path)])
+    return hashlib.sha256("\n".join([counted, _masked(document), checked]).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("workload, index", sorted(GOLDEN))
 def test_outputs_match_pinned_digest(workload, index, tmp_path, capsys):
     inst = workloads.make_instance(workload, SEED, index)
-    path = tmp_path / (inst.name + inst.suffix)
-    path.write_text(inst.text)
-    solve = "solve-program" if inst.suffix == ".atk" else "solve"
-    counted = _run(capsys, ["count", str(path)])
-    document = _run(capsys, [solve, str(path), "--json"])
-    doc_path = tmp_path / (inst.name + ".json")
-    doc_path.write_text(document)
-    checked = _run(capsys, ["check", str(path), str(doc_path)])
-    digest = hashlib.sha256("\n".join([counted, _masked(document), checked]).encode()).hexdigest()
-    assert digest == GOLDEN[workload, index]
+    assert _digest(tmp_path, capsys, inst.name, inst.suffix, inst.text) == GOLDEN[workload, index]
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_hand_written_outputs_match_pinned_digest(name, tmp_path, capsys):
+    suffix, text = HAND_WRITTEN[name]
+    assert _digest(tmp_path, capsys, name, suffix, text) == HAND_WRITTEN_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_hand_written_cases_keep_a_residual_support(name):
+    # they pin local leaves that are not constant: some chooser sees more
+    # than the split variables
+    problem = cli.load_instance_text(HAND_WRITTEN[name][1])[0]
+    split = plan_split(problem)
+    assert any(problem.deps[x] != set(split) for x in problem.max_vars)

@@ -7,25 +7,24 @@ from importlib import resources
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dqmaxsat import cli, counting, local, oracle, reduction
+from dqmaxsat import cli, counting, local, oracle
 from dqmaxsat.counting import check_solution
 from dqmaxsat.dimacs import render_instance
 from dqmaxsat.engine import solve as solve_cnf
-from dqmaxsat.formula import Cnf, Problem, minterms_of
+from dqmaxsat.formula import Cnf, Problem
 from dqmaxsat.local import (
     MAX_SPLIT_VARS,
     NoEligibleVariable,
     constant_leaves,
     functionally_dependent,
-    leaf_cells,
+    leaf_problems,
     plan_split,
     solve_local,
 )
-from dqmaxsat.oracle import brute_force_dqmaxsat, reachable_cells
+from dqmaxsat.oracle import brute_force_dqmaxsat
 from dqmaxsat.reduction import solve_global
 
 import instances
-from instances import leaf_problems
 from naive import tt_models
 
 
@@ -55,31 +54,16 @@ def engines_built(monkeypatch):
 
 @pytest.fixture
 def oracle_engines(monkeypatch):
-    """Per max_count call made through the reduction module, the engine it probed on.
-
-    An engine the caller passed is recorded as it is; one that max_count
-    built for itself is recorded when built.
-    """
-    served = []
-    real_engine = oracle.Engine
-    real_max_count = reduction.max_count
+    """The engines the oracle builds, one per max_count call, in call order."""
+    built = []
+    real = oracle.Engine
 
     def building(*args):
-        served.append(real_engine(*args))
-        return served[-1]
-
-    def recording(req, probe=None):
-        if probe is not None:
-            served.append(probe)
-        return real_max_count(req, probe)
+        built.append(real(*args))
+        return built[-1]
 
     monkeypatch.setattr(oracle, "Engine", building)
-    monkeypatch.setattr(reduction, "max_count", recording)
-    return served
-
-
-def _distinct(objects):
-    return len({id(o) for o in objects})
+    return built
 
 
 def _sum_reach_3():
@@ -228,43 +212,6 @@ def _split_problems(draw):
     return p, split
 
 
-class TestLeafCells:
-    @settings(max_examples=300, deadline=None)
-    @given(_split_problems())
-    def test_each_share_is_the_leafs_own_enumeration(self, case):
-        p, split = case
-        shares = leaf_cells(p, split)
-        assert list(shares) == list(minterms_of(split))
-        for m, leaf in zip(minterms_of(split), leaf_problems(p, split)):
-            assert shares[m] == reachable_cells(leaf.cnf, leaf.count_vars)
-
-    def test_cells_sorted_by_forced_existential_split_literals(self, copy_or_and):
-        # 4 = (2 or 3) and 5 = (2 and 3) are existential, forced by the counters
-        assert plan_split(copy_or_and) == (4, 5)
-        assert leaf_cells(copy_or_and, (4, 5)) == {
-            (4, 5): ((2, 3),),
-            (4, -5): ((-2, 3), (2, -3)),
-            (-4, 5): (),            # "and" without "or"
-            (-4, -5): ((-2, -3),),
-        }
-
-    def test_one_solve_enumerates_twice(self, monkeypatch):
-        # once for the cells of all eight leaves, once for the recount
-        calls = []
-        for module in (oracle, counting):
-            real = module.enumerate_projected
-
-            def counted(*args, real=real, **kwargs):
-                calls.append(args[1])
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, "enumerate_projected", counted)
-        p = _sum_reach_3()
-        assert len(plan_split(p)) == 3
-        assert solve_local(p).achieved_count == 26
-        assert len(calls) == 2
-
-
 @st.composite
 def _constant_leaf_problems(draw):
     """A random problem whose choosers all see exactly its split, and the split."""
@@ -305,6 +252,22 @@ class TestConstantLeaves:
             assert [leaf.functions[x].constant_value() for x in (1, 2)] == [False, True]
         assert solve_local(p).functions == solve_global(p).functions
 
+    def test_one_solve_enumerates_twice(self, monkeypatch):
+        # once for the tallies of all eight leaves, once for the recount
+        calls = []
+        for module in (oracle, counting):
+            real = module.enumerate_projected
+
+            def counted(*args, real=real, **kwargs):
+                calls.append(args[1])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "enumerate_projected", counted)
+        p = _sum_reach_3()
+        assert len(plan_split(p)) == 3
+        assert solve_local(p).achieved_count == 26
+        assert len(calls) == 2
+
     def test_a_leaf_without_cells_is_all_false(self, copy_or_and):
         # "and" without "or" is impossible: the third leaf has no cell
         third = constant_leaves(copy_or_and, (4, 5))[2]
@@ -317,12 +280,11 @@ class TestConstantLeaves:
         assert len(split) == 3 and all(p.deps[x] == set(split) for x in p.max_vars)
         engines_built.clear()
         assert solve_local(p).achieved_count == 26
-        # one engine for the plan's dependence checks, none to probe on,
-        # and no max_count call through the reduction
+        # one engine for the plan's dependence checks, and no max_count call
         assert len(engines_built) == 1
         assert oracle_engines == []
 
-    def test_seven_constant_choosers_take_the_shared_engine(self, monkeypatch):
+    def test_seven_constant_choosers_take_the_leaf_solver(self, monkeypatch):
         # more choosers than MAX_SPLIT_VARS: each leaf is an oracle call
         f = Cnf.build(10, [[-8, -9, 3], [-8, 9, -3], [8, -1, -10], [8, 1, 10, 4],
                            [-4, -5, 9], [-5, 6, -7], [2, 7, 10], [-2, -6]])
@@ -359,41 +321,33 @@ class TestSolveLocal:
         assert cli.main(["solve", str(path), "--method", "auto", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "local" and doc["count"] == 7
-        # choose_method only plans: the one local solve loads one oracle
-        # engine, and each of the eight leaves probes on it
+        # choose_method only plans: the one local solve makes one oracle
+        # call for each of the eight leaves
         assert len(oracle_engines) == 8
-        assert _distinct(oracle_engines) == 1
 
-    def test_eight_leaves_probe_one_engine(self, oracle_engines, or_with_free_helper):
-        # the helper keeps a residual support, so the leaves are not constant
-        assert plan_split(or_with_free_helper) == (2, 3, 4)
+    def test_eight_leaves_solve_their_own_cofactors(self, monkeypatch, oracle_engines,
+                                                     or_with_free_helper):
+        # the helper keeps a residual support, so the leaves are not
+        # constant: each cofactor is one global solve and one oracle call
+        split = plan_split(or_with_free_helper)
+        assert split == (2, 3, 4)
+        leaves = []
+        solve_leaf = local.LEAF_SOLVERS["global"]
+        monkeypatch.setitem(local.LEAF_SOLVERS, "global",
+                            lambda leaf: leaves.append(leaf) or solve_leaf(leaf))
         assert solve_local(or_with_free_helper).achieved_count == 7
+        assert leaves == leaf_problems(or_with_free_helper, split)
         assert len(oracle_engines) == 8
-        assert _distinct(oracle_engines) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(_split_problems())
-    def test_shared_engine_leaves_match_their_global_solves(self, case):
-        # every leaf answer of one solve, against the leaf built as a
-        # problem of its own and solved on its own engine
-        p, split = case
-        assume(any(p.deps[x] != set(split) for x in p.max_vars))
-        answers = []
-        solve_leaf = local.LEAF_SOLVERS["global"]
-
-        def recording(*args):
-            answers.append(solve_leaf(*args))
-            return answers[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(local.LEAF_SOLVERS, "global", recording)
-            solve_local(p)
-        leaves = leaf_problems(p, split)
-        assert len(answers) == len(leaves)
-        for got, leaf in zip(answers, leaves):
-            want = solve_global(leaf)
-            assert got.functions == want.functions
-            assert got.achieved_count == want.achieved_count
+    def test_same_functions_and_count_as_global(self, case):
+        # leaf counts add, so the least optimum of the whole is the product
+        # of the leaves' least optima, residual and constant leaves alike
+        p, _ = case
+        got, want = solve_local(p), solve_global(p)
+        assert got.functions == want.functions
+        assert got.achieved_count == want.achieved_count
 
     def test_recombined_solution_verifies(self, copy_or_and):
         s = solve_local(copy_or_and)
@@ -422,6 +376,8 @@ class TestSolveLocal:
             except NoEligibleVariable:
                 continue
             s = solve_local(p)
-            assert s.achieved_count == solve_global(p).achieved_count
+            want = solve_global(p)
+            assert s.functions == want.functions
+            assert s.achieved_count == want.achieved_count
             assert s.achieved_count == brute_force_dqmaxsat(p).achieved_count
             break

@@ -253,75 +253,29 @@ def test_witnesses_and_cores_skip_probes(monkeypatch):
 def _given_cases(rng: random.Random):
     # _random_request's objective with one or two of its non-choice
     # variables given, counted ones among them leaving the count, as the
-    # local method's split variables do; one request per monomial over them
+    # local method's split variables do; one monomial over them per leaf
     req = _random_request(rng)
     others = [v for v in range(1, req.objective.num_vars + 1) if v not in req.max_vars]
     split = sorted(rng.sample(others, rng.randint(1, min(2, len(others)))))
-    count_vars = req.count_vars - set(split)
-    return req.objective, [
-        OracleRequest(req.objective, req.max_vars, count_vars, req.incumbent,
-                      reachable_cells(cofactor(req.objective, m), count_vars), given=m)
-        for m in minterms_of(split)
-    ]
+    return req, req.count_vars - set(split), minterms_of(split)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_given_literals_answer_for_the_cofactored_objective(seed):
-    # every monomial's request on one engine, as the local method's leaves
-    # are asked, against the reference on the cofactored objective
-    objective, requests = _given_cases(random.Random(seed))
-    probe = Engine(objective.num_vars, objective.clauses)
-    for req in requests:
-        cofactored = OracleRequest(cofactor(objective, req.given), req.max_vars,
-                                   req.count_vars, req.incumbent, req.cells)
-        want_best, want_count = reference_max_count(cofactored)
-        for res in (max_count(req, probe), max_count(req)):
-            assert res.best_count == want_count
-            assert dict(res.best) == want_best
-
-
-@pytest.mark.parametrize("given", [(1,), (-4,), (4, 6)])
-def test_given_literal_on_a_choice_or_count_variable_is_malformed(given):
-    objective = Cnf.build(6, [[-4, 1], [-5, -2], [-5, 3]])
-    req = OracleRequest(objective, (1, 2, 3), frozenset([4, 5]), {1: False, 2: False, 3: False},
-                        reachable_cells(objective, [4, 5]), given=given)
-    with pytest.raises(MalformedRequest):
-        max_count(req)
-
-
-def test_cores_are_kept_without_the_given_literals(monkeypatch):
-    # test_witnesses_and_cores_skip_probes's objective with every clause
-    # weakened by -6: under the given literal 6 it is the same objective.
-    # Its failed probes have cores that hold 6, and the search must still
-    # drop cells by them, making the same probes as on the plain objective.
-    plain = Cnf.build(5, [[-4, 1], [-5, -2], [-5, 3]])
-    weakened = Cnf.build(6, [c + (-6,) for c in plain.clauses])
-    incumbent = {1: False, 2: False, 3: False}
-    cells = reachable_cells(plain, [4, 5])
-    probes = []
-    cores = []
-    satisfiable = Engine.satisfiable
-
-    def recording(self, assumptions=()):
-        result = satisfiable(self, assumptions)
-        probes.append((tuple(assumptions), result))
-        if not result:
-            cores.append(set(self.core))
-        return result
-
-    monkeypatch.setattr(Engine, "satisfiable", recording)
-    res = max_count(OracleRequest(plain, (1, 2, 3), frozenset([4, 5]), incumbent, cells))
-    plain_probes = list(probes)
-    probes.clear()
-    cores.clear()
-    given = max_count(OracleRequest(weakened, (1, 2, 3), frozenset([4, 5]), incumbent,
-                                    cells, given=(6,)))
-    assert (dict(given.best), given.best_count) == (dict(res.best), res.best_count) == (
-        {1: True, 2: False, 3: True}, 4)
-    assert cores and all(6 in core for core in cores)
-    assert all(assumptions[0] == 6 for assumptions, _ in probes)
-    assert [(assumptions[1:], result) for assumptions, result in probes] == plain_probes
-    assert len(plain_probes) == 13
+    # each monomial given as unit clauses of the objective, against the
+    # cofactored objective that the local method solves its leaves on: the
+    # same cells, and the same choices from max_count as from the reference
+    req, count_vars, monomials = _given_cases(random.Random(seed))
+    for m in monomials:
+        units = Cnf.build(req.objective.num_vars, [*req.objective.clauses, *([lit] for lit in m)])
+        cofactored = cofactor(req.objective, m)
+        cells = reachable_cells(cofactored, count_vars)
+        assert reachable_cells(units, count_vars) == cells
+        res = max_count(OracleRequest(cofactored, req.max_vars, count_vars, req.incumbent, cells))
+        want_best, want_count = reference_max_count(
+            OracleRequest(units, req.max_vars, count_vars, req.incumbent, cells))
+        assert res.best_count == want_count
+        assert dict(res.best) == want_best
 
 
 def test_deep_branch_and_bound_needs_no_recursion():
