@@ -11,7 +11,7 @@ from .formula import (
     minterms_of,
 )
 from .counting import VerificationMismatch, check_solution, count_projected
-from .engine import Engine, enumerate_projected, solve
+from .engine import Engine, enumerate_projected
 from .oracle import (
     InstanceTooLarge,
     MalformedRequest,
@@ -42,7 +42,6 @@ __all__ = [
     "count_projected",
     "Engine",
     "enumerate_projected",
-    "solve",
     "InstanceTooLarge",
     "MalformedRequest",
     "OracleRequest",

@@ -9,12 +9,15 @@ engine learned or kept from earlier calls. Learned clauses are resolvents
 of the clause database alone, which keeps them sound across calls with
 different assumptions and across blocking clauses.
 
-Assumptions are placed as the first decisions, in the order given. A call
-keeps the decision levels of the previous call whose decision literal lies
-in the common prefix of the two assumption lists, and backtracks only above
-them (trail reuse, as in Hickey & Bacchus, "Trail Saving on Backtrack",
-SAT 2020). Callers that probe many lists sharing a prefix should put that
-prefix first.
+Every assumption opens its own decision level, in the order given, even
+when it already holds (the level is then empty), as in MiniSat (Eén &
+Sörensson, "An Extensible SAT-solver", SAT 2003). Level i therefore
+belongs to assumption i-1, and free decisions open the levels above the
+last assumption. A call keeps as many levels of the previous call as the
+two assumption lists share a prefix, and backtracks only above them (trail
+reuse, as in Hickey & Bacchus, "Trail Saving on Backtrack", SAT 2020).
+Callers that probe many lists sharing a prefix should put that prefix
+first.
 
 The constructor is the only way clauses enter the database, and the
 package's only clause cleaner. It loads its clause list in one pass: it
@@ -126,10 +129,6 @@ class Engine:
             return None
         return list(d)
 
-    def _attach(self, c: list[int]) -> None:
-        self._watches[c[0]].append(c)
-        self._watches[c[1]].append(c)
-
     # -- assignment primitives ----------------------------------------------
 
     def _enqueue(self, lit: int, reason: Optional[list[int]]) -> None:
@@ -140,6 +139,19 @@ class Engine:
         self._level[v] = len(self._lim)
         self._reason[v] = reason
         self._trail.append(lit)
+
+    def _assert(self, c: list[int]) -> None:
+        """Attach clause c unless it is a unit, and enqueue c[0] as its implication.
+
+        Every other literal of c must be false, c[1] at the deepest level
+        among them, so that the two watches hold.
+        """
+        if len(c) == 1:
+            self._enqueue(c[0], None)
+        else:
+            self._watches[c[0]].append(c)
+            self._watches[c[1]].append(c)
+            self._enqueue(c[0], c)
 
     def _propagate(self) -> Optional[list[int]]:
         """Unit propagation; returns a conflicting clause or None.
@@ -220,7 +232,10 @@ class Engine:
 
         Resolves the conflict clause against reasons of current-level
         literals until one current-level literal remains. Reason clauses
-        keep their enqueued literal at index 0, so the slice skips it.
+        keep their enqueued literal at index 0, so the slice skips it. The
+        backjump level is below the current one: it is the level of a
+        learned literal other than the first, and those were all assigned
+        below it.
         """
         cur = len(self._lim)
         levels = self._level
@@ -260,8 +275,8 @@ class Engine:
         MiniSat's analyzeFinal: walk the trail back from the falsified
         assumption through reasons, collecting the reasonless literals above
         level 0. Those are decisions, and every decision on the trail here is
-        an assumption, because pending assumptions are decided before any
-        free variable and kept levels are decisions on assumptions.
+        an assumption, because every open level belongs to an assumption
+        before `lit` while `lit` is pending.
         """
         core = [lit]
         if self._level[abs(lit)] == 0:
@@ -281,37 +296,26 @@ class Engine:
     # -- search ----------------------------------------------------------------
 
     def _reuse(self, assumptions: list[int]) -> None:
-        """Backtrack to the deepest level that the new assumptions keep.
+        """Keep the levels of the prefix this call's list shares with the last one's.
 
-        Levels are opened by assumptions in list order, then by free
-        decisions; a level survives while its decision literal lies in the
-        prefix that this call's list shares with the previous call's.
+        Level i belongs to assumption i-1, so the kept levels hold exactly
+        the shared assumptions and their consequences.
         """
-        old = self._assumed
         shared = 0
-        for a, b in zip(old, assumptions):
+        for a, b in zip(self._assumed, assumptions):
             if a != b:
                 break
             shared += 1
-        keep = 0
-        p = 0
-        trail = self._trail
-        for start in self._lim:
-            d = trail[start]
-            while p < shared and old[p] != d:
-                p += 1
-            if p == shared:
-                break
-            keep += 1
-        self._backtrack(keep)
+        self._backtrack(shared)
         self._assumed = assumptions
 
     def _search(self, assumptions: list[int]) -> Optional[list[int]]:
         """None when a model extends the assumptions, else an assumption core.
 
-        Continues from the current trail, which must hold only decisions on
-        a prefix of `assumptions` and then free decisions, each on the
-        lowest variable unassigned at its time.
+        Continues from the current trail, whose levels must all belong to
+        assumptions: level i to assumptions[i-1]. The next level goes to
+        assumptions[len(lim)] while any is left, then to a free decision on
+        the lowest unassigned variable.
         """
         if not self.ok:
             return []
@@ -320,45 +324,32 @@ class Engine:
         trail = self._trail
         num_vars = self.num_vars
         cursor = 1
-        pending = 0  # assumptions before this index are true
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                level = len(lim)
-                if level == 0:
+                if not lim:
                     self.ok = False
                     return []
                 learned, back = self._analyze(conflict)
-                if back >= level:
-                    back = level - 1
                 self._backtrack(back)
+                self._assert(learned)
                 cursor = 1
-                pending = 0
-                if len(learned) == 1:
-                    self._enqueue(learned[0], None)
-                else:
-                    self._attach(learned)
-                    self._enqueue(learned[0], learned)
                 continue
-            # extend: first any pending assumption, then lowest unassigned var
-            lit = 0
-            while pending < len(assumptions):
-                a = assumptions[pending]
-                val = vals[a]
-                if val == -1:
-                    return self._final(a)  # clashes with consequences of earlier choices
-                pending += 1
-                if val == 0:
-                    lit = a
-                    break
-            if lit == 0:
-                while cursor <= num_vars and vals[cursor] != 0:
-                    cursor += 1
-                if cursor > num_vars:
-                    return None
-                lit = -cursor  # false first
+            level = len(lim)
+            if level < len(assumptions):
+                lit = assumptions[level]
+                if vals[lit] == -1:
+                    return self._final(lit)  # clashes with consequences of earlier choices
+                lim.append(len(trail))
+                if vals[lit] == 0:  # a level of its own, empty when lit holds
+                    self._enqueue(lit, None)
+                continue
+            while cursor <= num_vars and vals[cursor] != 0:
+                cursor += 1
+            if cursor > num_vars:
+                return None
             lim.append(len(trail))
-            self._enqueue(lit, None)
+            self._enqueue(-cursor, None)  # false first
 
     def _block(self, depth: int) -> bool:
         """Attach a permanent clause negating the decisions of levels 1..depth.
@@ -366,6 +357,10 @@ class Engine:
         Backjumps to level depth - 1, where the clause asserts the negation
         of the deepest decision, and enqueues it. False when depth is 0: the
         clause would be empty, so nothing is left to find.
+
+        Reads trail[lim[i]] as the decision of level i + 1, which holds only
+        for a search without assumptions: a level opened for an assumption
+        that already holds has no decision literal.
         """
         if depth == 0:
             self.ok = False
@@ -374,11 +369,7 @@ class Engine:
         lim = self._lim
         c = [-trail[lim[level]] for level in range(depth - 1, -1, -1)]
         self._backtrack(depth - 1)
-        if depth == 1:
-            self._enqueue(c[0], None)
-        else:
-            self._attach(c)
-            self._enqueue(c[0], c)
+        self._assert(c)
         return True
 
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
@@ -398,11 +389,6 @@ class Engine:
         if not self.satisfiable(assumptions):
             return None
         return {v: self.witness[v] > 0 for v in range(1, self.num_vars + 1)}
-
-
-def solve(f: Cnf, assumptions: Iterable[int] = ()) -> Optional[dict[int, bool]]:
-    """One-shot satisfiability check on a fresh engine."""
-    return Engine(f.num_vars, f.clauses).solve(assumptions)
 
 
 def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
@@ -436,7 +422,8 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
         count += 1
         if visit is not None:
             visit(tuple([v if vals[i] > 0 else -v for i, v in enumerate(proj_vars, 1)]))
-        # the projection decisions open the first levels
+        # the projection decisions open the first levels; with no
+        # assumptions every level starts with its decision (see _block)
         depth = 0
         while depth < len(lim) and abs(trail[lim[depth]]) <= k:
             depth += 1

@@ -121,7 +121,7 @@ def solve_global(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> Solution:
     return replace(decode(sel, res.best), achieved_count=res.best_count, total=p.total)
 
 
-def solve_dqbf(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[bool, Solution]:
+def solve_dqbf(p: Problem) -> tuple[bool, Solution]:
     """Decide a dependency-quantified formula with no existential variables.
 
     Satisfiable exactly when some strategy tuple makes every count-variable
@@ -130,5 +130,5 @@ def solve_dqbf(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> tuple[bool,
     """
     if p.exist_vars:
         raise ValueError("decision form requires an empty existential set")
-    witness = solve_global(p, budget)
+    witness = solve_global(p)
     return witness.achieved_count == p.total, witness

@@ -1,0 +1,91 @@
+"""Digests of the count, solve and check outputs of one instance.
+
+``digest`` runs ``count``, ``solve``/``solve-program --json`` and
+``check`` through ``cli.main`` and returns the sha256 of the three outputs.
+The timings ``wall_ms`` and each iteration's ``elapsed_ms`` are zeroed
+before hashing; everything else counts, key order and layout included.
+``tests/test_golden.py`` pins such digests.
+
+Run as a script, it prints one sha256 per benchmark workload, over the
+digests of the first COUNT instances that ``perfbench/workloads.py``
+generates at SEED. Two trees whose programs print the same bytes print the
+same lines:
+
+    PYTHONPATH=src python3 tests/golden.py --seed 4711 --count 40
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from dqmaxsat import cli
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """perfbench/workloads.py, imported as it is rather than copied."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited with {code}")
+    return out.getvalue()
+
+
+def _masked(document: str) -> str:
+    doc = json.loads(document)
+    doc["wall_ms"] = 0
+    for record in doc.get("iterations", ()):
+        record["elapsed_ms"] = 0
+    return json.dumps(doc, indent=2)
+
+
+def digest(directory: Path, name: str, suffix: str, text: str) -> str:
+    """The sha256 of one instance's outputs; its files go into `directory`."""
+    path = directory / (name + suffix)
+    path.write_text(text)
+    solve = "solve-program" if suffix == ".atk" else "solve"
+    counted = _run(["count", str(path)])
+    document = _run([solve, str(path), "--json"])
+    doc_path = directory / (name + ".json")
+    doc_path.write_text(document)
+    checked = _run(["check", str(path), str(doc_path)])
+    return hashlib.sha256("\n".join([counted, _masked(document), checked]).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description="Print one sha256 per benchmark workload over its first COUNT instances.")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--count", type=int, required=True)
+    args = ap.parse_args(argv)
+    workloads = load_workloads()
+    for workload in workloads.WORKLOADS:
+        with tempfile.TemporaryDirectory() as d:
+            digests = [digest(Path(d), inst.name, inst.suffix, inst.text)
+                       for inst in (workloads.make_instance(workload, args.seed, i)
+                                    for i in range(args.count))]
+        print(workload, hashlib.sha256("\n".join(digests).encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

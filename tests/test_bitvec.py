@@ -13,7 +13,7 @@ from dqmaxsat.bitvec import (
     minimize_minterms,
     parse_program,
 )
-from dqmaxsat.engine import solve
+from dqmaxsat.engine import Engine
 from dqmaxsat.formula import MintermFunction, Solution
 from dqmaxsat.incremental import run as run_incremental
 from dqmaxsat.local import solve_local
@@ -128,7 +128,7 @@ def _observed(text: str, values: dict[str, int]) -> int:
     for name, val in values.items():
         for i, v in enumerate(bitmap.bits[name]):
             assumptions.append(v if val >> i & 1 else -v)
-    model = solve(problem.cnf, assumptions)
+    model = Engine(problem.cnf.num_vars, problem.cnf.clauses).solve(assumptions)
     assert model is not None, "operand assignment should extend to a model"
     return sum(model[v] << i for i, v in enumerate(bitmap.bits["o"]))
 
@@ -185,14 +185,14 @@ class TestBitblasting:
         problem, bitmap = encode(parse_program("width 3\nmode leak\nrandom z in 1..6\ninput x\nobserve o := z >= x\n"))
         for z in (0, 7):
             assumptions = [v if z >> i & 1 else -v for i, v in enumerate(bitmap.bits["z"])]
-            assert solve(problem.cnf, assumptions) is None
+            assert Engine(problem.cnf.num_vars, problem.cnf.clauses).solve(assumptions) is None
 
     def test_assume_is_a_hard_conjunct(self):
         text = "width 2\nmode reach\nrandom a\nassume a >= 2\ninput x\nwin x == a\n"
         problem, bitmap = encode(parse_program(text))
         for a in (0, 1):
             assumptions = [v if a >> i & 1 else -v for i, v in enumerate(bitmap.bits["a"])]
-            assert solve(problem.cnf, assumptions) is None
+            assert Engine(problem.cnf.num_vars, problem.cnf.clauses).solve(assumptions) is None
 
 
 @st.composite

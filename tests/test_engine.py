@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqmaxsat.engine import Engine, enumerate_projected, solve
+from dqmaxsat.engine import Engine, enumerate_projected
 from dqmaxsat.formula import Cnf
 
 from naive import eval_cnf, tt_count_projected, tt_models, tt_projections, tt_satisfiable
@@ -38,6 +38,47 @@ def recorded_blocks(k=None):
         yield blocks
 
 
+@contextmanager
+def recorded_levels():
+    """The level count each _search call starts from, and each _analyze's levels.
+
+    Yields (starts, jumps): jumps gets (conflict level, backjump level) for
+    every conflict analysed.
+    """
+    starts, jumps = [], []
+    search, analyze = Engine._search, Engine._analyze
+
+    def recording_search(eng, assumptions):
+        starts.append(len(eng._lim))
+        return search(eng, assumptions)
+
+    def recording_analyze(eng, conflict):
+        learned, back = analyze(eng, conflict)
+        jumps.append((len(eng._lim), back))
+        return learned, back
+
+    with mock.patch.object(Engine, "_search", recording_search), \
+            mock.patch.object(Engine, "_analyze", recording_analyze):
+        yield starts, jumps
+
+
+def assert_levels_hold_assumptions(eng, assumptions):
+    """Level i holds assumptions[i-1] as true, for every open level up to |A|.
+
+    The level starts with the assumption as its decision, or it is empty
+    because the assumption already held below it.
+    """
+    trail, lim, vals, levels = eng._trail, eng._lim, eng._vals, eng._level
+    for i in range(1, min(len(lim), len(assumptions)) + 1):
+        a = assumptions[i - 1]
+        assert vals[a] == 1
+        if levels[abs(a)] == i:
+            assert trail[lim[i - 1]] == a and eng._reason[abs(a)] is None
+        else:
+            end = lim[i] if i < len(lim) else len(trail)
+            assert levels[abs(a)] < i and lim[i - 1] == end
+
+
 def clauses_strategy(max_vars=6, max_clauses=12):
     lit = st.integers(min_value=1, max_value=max_vars).flatmap(
         lambda v: st.sampled_from([v, -v])
@@ -46,26 +87,29 @@ def clauses_strategy(max_vars=6, max_clauses=12):
 
 
 def test_empty_formula_is_sat():
-    assert solve(Cnf.build(3, [])) == {1: False, 2: False, 3: False}
+    f = Cnf.build(3, [])
+    assert Engine(f.num_vars, f.clauses).solve() == {1: False, 2: False, 3: False}
 
 
 def test_empty_clause_is_unsat():
-    assert solve(Cnf.build(2, [[]])) is None
+    f = Cnf.build(2, [[]])
+    assert Engine(f.num_vars, f.clauses).solve() is None
 
 
 def test_unit_chain():
     f = Cnf.build(3, [[1], [-1, 2], [-2, 3]])
-    assert solve(f) == {1: True, 2: True, 3: True}
+    assert Engine(f.num_vars, f.clauses).solve() == {1: True, 2: True, 3: True}
 
 
 def test_simple_conflict():
-    assert solve(Cnf.build(1, [[1], [-1]])) is None
+    f = Cnf.build(1, [[1], [-1]])
+    assert Engine(f.num_vars, f.clauses).solve() is None
 
 
 def test_model_is_lexicographically_least_false_first():
     # both polarities of 1 extend to models; decision order must pick false
     f = Cnf.build(2, [[1, 2]])
-    assert solve(f) == {1: False, 2: True}
+    assert Engine(f.num_vars, f.clauses).solve() == {1: False, 2: True}
 
 
 def test_pigeonhole_3_into_2_unsat():
@@ -77,7 +121,8 @@ def test_pigeonhole_3_into_2_unsat():
     for j in range(2):
         for a, b in itertools.combinations(range(3), 2):
             clauses.append([-v(a, j), -v(b, j)])
-    assert solve(Cnf.build(6, clauses)) is None
+    f = Cnf.build(6, clauses)
+    assert Engine(f.num_vars, f.clauses).solve() is None
 
 
 def test_assumptions_restrict_models():
@@ -129,7 +174,7 @@ def test_learned_clauses_survive_assumption_changes():
 @given(clauses_strategy())
 def test_agrees_with_truth_table(clause_lists):
     f = Cnf.build(6, clause_lists)
-    model = solve(f)
+    model = Engine(f.num_vars, f.clauses).solve()
     if model is None:
         assert not tt_satisfiable(6, f.clauses)
     else:
@@ -308,6 +353,49 @@ class TestTrailReuse:
         assert not eng.satisfiable([-1, 3])
         assert sorted(eng.core) == [-1, 3]
         assert eng.satisfiable([-1])
+
+    def test_an_assumption_that_holds_opens_its_own_level(self):
+        # 1 implies 2, so assumption 2 already holds when its level opens
+        eng = Engine(3, [[-1, 2]])
+        with recorded_levels() as (starts, _):
+            assert eng.satisfiable([1, 2])
+            assert eng._trail == [1, 2, -3]
+            assert eng._lim == [0, 2, 2]  # level 2 is empty, level 3 decides -3
+            assert eng.satisfiable([1, 2, 3])
+        # the second probe shares [1, 2] and keeps both levels
+        assert starts == [0, 2]
+        assert eng._trail == [1, 2, 3]
+        assert eng._lim == [0, 2, 2]
+
+    # random 3-SAT over 8 variables at 3 to 4.5 clauses per variable, so
+    # that most searches meet conflicts
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 8).flatmap(lambda v: st.sampled_from([v, -v])),
+                             min_size=3, max_size=3),
+                    min_size=24, max_size=36),
+           st.lists(st.integers(min_value=-8, max_value=8).filter(bool), max_size=4),
+           st.lists(st.tuples(st.integers(0, 4),
+                              st.lists(st.integers(min_value=-8, max_value=8).filter(bool),
+                                       max_size=3)),
+                    min_size=1, max_size=8))
+    def test_each_assumption_owns_one_level(self, clause_lists, prefix, ops):
+        eng = Engine(8, Cnf.build(8, clause_lists).clauses)
+        previous, levels = [], 0
+        with recorded_levels() as (starts, jumps):
+            for cut, lits in ops:
+                assumptions = prefix[:cut] + lits
+                shared = 0
+                for a, b in zip(previous, assumptions):
+                    if a != b:
+                        break
+                    shared += 1
+                sat = eng.satisfiable(assumptions)
+                assert starts[-1] == min(shared, levels)
+                if sat:
+                    assert len(eng._lim) >= len(assumptions)
+                assert_levels_hold_assumptions(eng, assumptions)
+                previous, levels = assumptions, len(eng._lim)
+        assert all(0 <= back < level for level, back in jumps)
 
     @settings(max_examples=300, deadline=None)
     @given(clauses_strategy(max_vars=6, max_clauses=10),

@@ -2,42 +2,24 @@
 
 Speed-ups must not change a count, a function or a result document. Each
 case is one instance: a benchmark instance generated with
-perfbench/workloads.py (imported as it is, not copied), or a hand-written
-text for a path no benchmark instance takes. It runs ``count``,
-``solve``/``solve-program --json`` and ``check`` through ``cli.main``, and
-compares the sha256 of the three outputs with a pinned digest. The timings
-``wall_ms`` and each iteration's ``elapsed_ms`` are zeroed before hashing;
-everything else counts, key order and layout included.
+perfbench/workloads.py, or a hand-written text for a path no benchmark
+instance takes. Its digest (``golden.digest``: the sha256 of the three
+outputs, timings zeroed) must equal the pinned one.
 
 A digest changes only when an output does. If a change is meant to alter
 outputs, say so and re-pin; a perf change never should.
 """
-
-import hashlib
-import importlib.util
-import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from dqmaxsat import cli
 from dqmaxsat.local import plan_split
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from golden import digest, load_workloads
+
 SEED = 1
 
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_workloads()
 
 
 # taken at SEED before projection-first enumeration landed
@@ -121,41 +103,16 @@ HAND_WRITTEN_GOLDEN = {
 }
 
 
-def _run(capsys, argv: list[str]) -> str:
-    assert cli.main(argv) == 0
-    return capsys.readouterr().out
-
-
-def _masked(document: str) -> str:
-    doc = json.loads(document)
-    doc["wall_ms"] = 0
-    for record in doc.get("iterations", ()):
-        record["elapsed_ms"] = 0
-    return json.dumps(doc, indent=2)
-
-
-def _digest(tmp_path, capsys, name: str, suffix: str, text: str) -> str:
-    path = tmp_path / (name + suffix)
-    path.write_text(text)
-    solve = "solve-program" if suffix == ".atk" else "solve"
-    counted = _run(capsys, ["count", str(path)])
-    document = _run(capsys, [solve, str(path), "--json"])
-    doc_path = tmp_path / (name + ".json")
-    doc_path.write_text(document)
-    checked = _run(capsys, ["check", str(path), str(doc_path)])
-    return hashlib.sha256("\n".join([counted, _masked(document), checked]).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("workload, index", sorted(GOLDEN))
-def test_outputs_match_pinned_digest(workload, index, tmp_path, capsys):
+def test_outputs_match_pinned_digest(workload, index, tmp_path):
     inst = workloads.make_instance(workload, SEED, index)
-    assert _digest(tmp_path, capsys, inst.name, inst.suffix, inst.text) == GOLDEN[workload, index]
+    assert digest(tmp_path, inst.name, inst.suffix, inst.text) == GOLDEN[workload, index]
 
 
 @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
-def test_hand_written_outputs_match_pinned_digest(name, tmp_path, capsys):
+def test_hand_written_outputs_match_pinned_digest(name, tmp_path):
     suffix, text = HAND_WRITTEN[name]
-    assert _digest(tmp_path, capsys, name, suffix, text) == HAND_WRITTEN_GOLDEN[name]
+    assert digest(tmp_path, name, suffix, text) == HAND_WRITTEN_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))

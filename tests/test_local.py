@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dqmaxsat import cli, counting, local, oracle
 from dqmaxsat.counting import check_solution
 from dqmaxsat.dimacs import render_instance
-from dqmaxsat.engine import solve as solve_cnf
+from dqmaxsat.engine import Engine
 from dqmaxsat.formula import Cnf, Problem
 from dqmaxsat.local import (
     MAX_SPLIT_VARS,
@@ -157,7 +157,8 @@ class TestPlanSplit:
         leaves = leaf_problems(copy_or_and, plan_split(copy_or_and))
         # index 0 = both true; an unsatisfiable cofactor sits at index 2
         # (first signal false, second true is impossible for or/and)
-        assert not solve_cnf(leaves[2].cnf)
+        cnf = leaves[2].cnf
+        assert Engine(cnf.num_vars, cnf.clauses).solve() is None
 
     def test_disjoint_dependency_sets_are_ineligible(self, two_implications):
         with pytest.raises(NoEligibleVariable):
