@@ -15,7 +15,7 @@ verification never reaches stdout.
 
 ``solve`` and ``solve-program`` take the same options: ``--method``
 (``auto`` by default, else ``global``, ``incremental`` or ``local``),
-``--budget``, which caps the selectors of ``global`` or the oracle calls of
+``--budget``, which caps the selectors of ``global`` or the iterations of
 ``incremental`` and which the ``local`` method refuses, ``--json`` and
 ``--trace``. ``bench`` takes ``--json`` only.
 
@@ -118,7 +118,7 @@ def run_method(
 ) -> tuple[Solution, str, Optional[list]]:
     """Dispatch one solve; returns (solution, method used, iteration records).
 
-    budget caps the selectors of global or the oracle calls of incremental;
+    budget caps the selectors of global or the iterations of incremental;
     the local method takes none, and raises UsageError when given one,
     also when auto picked it.
     """

@@ -1,15 +1,17 @@
 """Incremental solving: grow dependency sets one variable at a time.
 
 Starts every chooser on the empty support (a single constant selector) and
-alternates oracle calls with support expansions. Each expansion splits the
+alternates iterations with support expansions. Each expansion splits the
 affected selectors in two along the added variable, re-derives the
 objective from the grown supports with the same selector encoding as the
-global reduction, and carries the previous optimum over as the incumbent.
-The oracle then searches every assignment: one that ignores the new
-variable equals an assignment over the old support, whose count is at most
-the incumbent's, and the oracle accepts only strict improvements. A full
-run makes exactly 1 + sum of |H_i| oracle calls and may be stopped after
-any call, yielding the best strategies over the supports grown so far.
+global reduction, and carries the previous optimum over as the incumbent,
+count included. An iteration asks the oracle for the best assignment: one
+that ignores the new variable equals an assignment over the old support,
+whose count is at most the incumbent's, and the oracle accepts only strict
+improvements. Once the incumbent reaches every count-cell nothing can beat
+it, so the remaining iterations keep it without an oracle call. A full run
+makes exactly 1 + sum of |H_i| iterations and may be stopped after any of
+them, yielding the best strategies over the supports grown so far.
 
 Expansions go round-robin over the choosers in prefix order, skipping
 those whose support is complete; each grows its chooser's support by the
@@ -28,13 +30,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
 from .formula import Cnf, Problem, Solution, TRUE_CNF
-from .oracle import OracleRequest, max_count, reachable_cells
+from .oracle import OracleRequest, OracleResult, max_count, reachable_cells
 from .reduction import SelectorMap, decode, selector_objective
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One oracle call: which expansion preceded it and what it achieved."""
+    """One iteration: which expansion preceded it and what it achieved."""
 
     iteration: int
     expanded_var: Optional[int]
@@ -134,21 +136,30 @@ def run(
     budget: Optional[int] = None,
     on_iteration: Optional[Callable[[IterationRecord], None]] = None,
 ) -> Solution:
-    """Alternate oracle calls and expansions until supports are complete.
+    """Alternate iterations and expansions until supports are complete.
 
-    budget caps the number of oracle calls; when it stops the run early the
-    result is the anytime solution over the partially grown supports. The
-    per-call records (count, elapsed time, decoded functions) go to
-    on_iteration, the only place they are kept.
+    budget caps the number of iterations; when it stops the run early the
+    result is the anytime solution over the partially grown supports. An
+    iteration calls the oracle until the incumbent reaches every cell, and
+    from then on keeps the incumbent, which is what the oracle would
+    return. The per-iteration records (count, elapsed time, decoded
+    functions) go to on_iteration, the only place they are kept.
     """
     if budget is not None and budget < 1:
-        raise ValueError("budget must allow at least one oracle call")
+        raise ValueError("budget must allow at least one iteration")
     st = init(p)
     rotor = 0
     last = None
+    count = -1  # the incumbent's count, which expand keeps
     for iteration in itertools.count(1):
         t0 = time.perf_counter()
-        res = max_count(st.request())
+        if count == len(st.cells):
+            # no assignment reaches more than every cell, and the incumbent
+            # wins ties: max_count would probe each cell and answer the same
+            res = OracleResult(st.incumbent, count)
+        else:
+            res = max_count(st.request())
+        count = res.best_count
         elapsed = (time.perf_counter() - t0) * 1000
         anytime = replace(decode(st.selectors, res.best),
                           achieved_count=res.best_count, total=p.total)

@@ -12,6 +12,12 @@ generates at SEED. Two trees whose programs print the same bytes print the
 same lines:
 
     PYTHONPATH=src python3 tests/golden.py --seed 4711 --count 40
+
+With ``--bundled`` it prints one sha256 over the digests of the bundled
+instances that ``dqms bench`` solves (``cli._SUITE``) instead. That takes
+about 12 s, nearly all of it in guessbits and capacity6:
+
+    PYTHONPATH=src python3 tests/golden.py --bundled
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import io
 import json
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 from dqmaxsat import cli
@@ -71,12 +78,29 @@ def digest(directory: Path, name: str, suffix: str, text: str) -> str:
     return hashlib.sha256("\n".join([counted, _masked(document), checked]).encode()).hexdigest()
 
 
+def bundled_digest() -> str:
+    """One sha256 over the digests of the bundled instances, in suite order."""
+    base = resources.files("dqmaxsat").joinpath("bench")
+    with tempfile.TemporaryDirectory() as d:
+        digests = [digest(Path(d), Path(fname).stem, Path(fname).suffix,
+                          base.joinpath(fname).read_text())
+                   for fname in cli._SUITE]
+    return hashlib.sha256("\n".join(digests).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
-        description="Print one sha256 per benchmark workload over its first COUNT instances.")
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--count", type=int, required=True)
+        description="Print one sha256 per benchmark workload over its first COUNT instances, "
+                    "or one over the bundled instances with --bundled.")
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--count", type=int)
+    ap.add_argument("--bundled", action="store_true")
     args = ap.parse_args(argv)
+    if args.bundled:
+        print("bundled", bundled_digest())
+        return 0
+    if args.seed is None or args.count is None:
+        ap.error("--seed and --count are required without --bundled")
     workloads = load_workloads()
     for workload in workloads.WORKLOADS:
         with tempfile.TemporaryDirectory() as d:

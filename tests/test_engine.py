@@ -86,6 +86,20 @@ def clauses_strategy(max_vars=6, max_clauses=12):
     return st.lists(st.lists(lit, min_size=1, max_size=4), min_size=0, max_size=max_clauses)
 
 
+def three_sat_strategy(num_vars=8):
+    """Random 3-SAT at 3 to 4.5 clauses per variable, so that most searches meet conflicts."""
+    lit = st.sampled_from([v for v in range(-num_vars, num_vars + 1) if v])
+    return st.lists(st.tuples(lit, lit, lit), min_size=3 * num_vars, max_size=num_vars * 9 // 2)
+
+
+def clauses_or_three_sat(max_vars=6, max_clauses=12):
+    """clauses_strategy's draw or random 3-SAT over as many variables.
+
+    The first alone reaches Engine._analyze in a few examples of a few hundred.
+    """
+    return st.one_of(clauses_strategy(max_vars, max_clauses), three_sat_strategy(max_vars))
+
+
 def test_empty_formula_is_sat():
     f = Cnf.build(3, [])
     assert Engine(f.num_vars, f.clauses).solve() == {1: False, 2: False, 3: False}
@@ -171,7 +185,7 @@ def test_learned_clauses_survive_assumption_changes():
 
 
 @settings(max_examples=300, deadline=None)
-@given(clauses_strategy())
+@given(clauses_or_three_sat())
 def test_agrees_with_truth_table(clause_lists):
     f = Cnf.build(6, clause_lists)
     model = Engine(f.num_vars, f.clauses).solve()
@@ -182,7 +196,7 @@ def test_agrees_with_truth_table(clause_lists):
 
 
 @settings(max_examples=200, deadline=None)
-@given(clauses_strategy(max_vars=5), st.lists(st.sampled_from([1, -1, 2, -2]), max_size=2, unique_by=abs))
+@given(clauses_or_three_sat(max_vars=5), st.lists(st.sampled_from([1, -1, 2, -2]), max_size=2, unique_by=abs))
 def test_assumption_solves_agree_with_conditioned_table(clause_lists, assumptions):
     f = Cnf.build(5, clause_lists)
     conditioned = list(f.clauses) + [[a] for a in assumptions]
@@ -235,7 +249,7 @@ class TestWitnessAndCore:
         assert eng.witness[1:] == [-1, 1, 1]
 
     @settings(max_examples=300, deadline=None)
-    @given(clauses_strategy(max_vars=6),
+    @given(clauses_or_three_sat(max_vars=6),
            st.lists(st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=5),
                     min_size=1, max_size=4))
     def test_witness_and_core_agree_with_truth_table(self, clause_lists, probes):
@@ -367,12 +381,8 @@ class TestTrailReuse:
         assert eng._trail == [1, 2, 3]
         assert eng._lim == [0, 2, 2]
 
-    # random 3-SAT over 8 variables at 3 to 4.5 clauses per variable, so
-    # that most searches meet conflicts
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.integers(1, 8).flatmap(lambda v: st.sampled_from([v, -v])),
-                             min_size=3, max_size=3),
-                    min_size=24, max_size=36),
+    @given(three_sat_strategy(),
            st.lists(st.integers(min_value=-8, max_value=8).filter(bool), max_size=4),
            st.lists(st.tuples(st.integers(0, 4),
                               st.lists(st.integers(min_value=-8, max_value=8).filter(bool),
@@ -398,7 +408,7 @@ class TestTrailReuse:
         assert all(0 <= back < level for level, back in jumps)
 
     @settings(max_examples=300, deadline=None)
-    @given(clauses_strategy(max_vars=6, max_clauses=10),
+    @given(clauses_or_three_sat(max_vars=6, max_clauses=10),
            st.lists(st.integers(min_value=-6, max_value=6).filter(bool), max_size=4),
            st.lists(st.one_of(
                st.tuples(st.just("probe"), st.integers(0, 4),
@@ -487,7 +497,7 @@ class TestEnumerateProjected:
         assert blocks[0] == [1]
 
     @settings(max_examples=300, deadline=None)
-    @given(clauses_strategy(max_vars=8, max_clauses=14),
+    @given(clauses_or_three_sat(max_vars=8, max_clauses=14),
            st.sets(st.integers(min_value=1, max_value=8), max_size=8))
     def test_enumeration_order_matches_restarts(self, clause_lists, proj):
         # mostly short clauses over up to 8 variables: propagation often puts
@@ -506,7 +516,7 @@ class TestEnumerateProjected:
         assert visited == want
 
     @settings(max_examples=200, deadline=None)
-    @given(clauses_strategy(max_vars=8, max_clauses=14),
+    @given(clauses_or_three_sat(max_vars=8, max_clauses=14),
            st.sets(st.integers(min_value=1, max_value=8), max_size=8))
     def test_blocking_clauses_hold_only_projection_decisions(self, clause_lists, proj):
         # enumerate_projected numbers the projection variables 1..k
@@ -520,7 +530,7 @@ class TestEnumerateProjected:
         assert len(blocks) == got
 
     @settings(max_examples=200, deadline=None)
-    @given(clauses_strategy(max_vars=5, max_clauses=8),
+    @given(clauses_or_three_sat(max_vars=5, max_clauses=8),
            st.sets(st.integers(min_value=1, max_value=5), max_size=5))
     def test_matches_truth_table_projection(self, clause_lists, proj):
         f = Cnf.build(5, clause_lists)

@@ -1,16 +1,19 @@
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqmaxsat.counting import check_solution
 from dqmaxsat.formula import Cnf, Problem, selector_definition_clauses
 from dataclasses import replace
 
-from dqmaxsat.incremental import expand, init, run
+from dqmaxsat import incremental
+from dqmaxsat.incremental import IterationRecord, _choose, expand, init, run
 from dqmaxsat import oracle
 from dqmaxsat.oracle import brute_force_dqmaxsat, max_count, reachable_cells
-from dqmaxsat.reduction import solve_global
+from dqmaxsat.reduction import decode, solve_global
 
 import instances
 from naive import tt_models
@@ -109,6 +112,21 @@ class TestExpand:
             copy_or_and.count_vars)
         assert carried == first.best_count
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_expansion_keeps_the_incumbents_count(self, data):
+        # the settled skip in run relies on this for every incumbent, not
+        # only for an optimal one
+        p = data.draw(instances.problems(dep_limit=3))
+        state = init(p)
+        state = replace(state, incumbent={s: data.draw(st.booleans()) for s in state.incumbent})
+        count = check_solution(p, decode(state.selectors, state.incumbent))
+        while not state.finished() and data.draw(st.booleans()):
+            x = data.draw(st.sampled_from([x for x in p.max_vars if state.remaining(x)]))
+            u = data.draw(st.sampled_from(sorted(state.remaining(x))))
+            state = expand(state, x, u)
+            assert check_solution(p, decode(state.selectors, state.incumbent)) == count
+
     def test_large_support_expands_linearly(self):
         # x1 copies y2 and sees all 8 counted variables y2..y9: 256 selectors
         # after the last split, 2 definition clauses each
@@ -142,6 +160,34 @@ PINNED_ITERATIONS = {
 }
 
 
+def reference_records(p):
+    """run's records from a loop that calls max_count at every iteration."""
+    state, rotor, last, records = init(p), 0, None, []
+    for iteration in itertools.count(1):
+        res = max_count(state.request())
+        solution = replace(decode(state.selectors, res.best),
+                           achieved_count=res.best_count, total=p.total)
+        records.append(IterationRecord(
+            iteration=iteration,
+            expanded_var=last[0] if last else None,
+            expanded_on=last[1] if last else None,
+            count=res.best_count,
+            elapsed_ms=0.0,
+            solution=solution,
+        ))
+        state = replace(state, incumbent=dict(res.best))
+        if state.finished():
+            return records
+        x, u = _choose(state, rotor)
+        rotor = (p.max_vars.index(x) + 1) % len(p.max_vars)
+        state = expand(state, x, u)
+        last = (x, u)
+
+
+def untimed(records):
+    return [{k: v for k, v in r.as_dict().items() if k != "elapsed_ms"} for r in records]
+
+
 class TestRun:
     def test_call_counts_and_trace(self, copy_or_and):
         solution, records = collect(copy_or_and)
@@ -153,7 +199,7 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["copy_or_and", "two_implications", "copy_or"])
     def test_one_enumeration_per_run(self, name, monkeypatch):
-        # every oracle call reuses the cells init enumerated
+        # every iteration reuses the cells init enumerated
         p = getattr(instances, name)()
         enumerations = []
         calls = []
@@ -226,6 +272,35 @@ class TestRun:
         assert counts == sorted(counts)
         assert solution.achieved_count == brute_force_dqmaxsat(p).achieved_count
         assert check_solution(p, solution) == solution.achieved_count
+
+    @pytest.mark.parametrize("name, calls, counts", [
+        ("two_implications", 1, [3, 3, 3]),
+        ("or_with_free_helper", 2, [6, 7, 7, 7, 7]),
+        ("copy_or_and", 3, [2, 3, 3]),
+    ])
+    def test_oracle_stops_once_the_incumbent_reaches_every_cell(
+            self, name, calls, counts, monkeypatch):
+        p = getattr(instances, name)()
+        made = []
+
+        def counting_max_count(req):
+            made.append(req)
+            return max_count(req)
+
+        monkeypatch.setattr(incremental, "max_count", counting_max_count)
+        _, records = collect(p)
+        assert [r.count for r in records] == counts
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("name", [f"random_{seed}" for seed in range(20)]
+                             + sorted(PINNED_ITERATIONS))
+    def test_records_match_an_oracle_call_per_iteration(self, name):
+        if name.startswith("random_"):
+            p = instances.random_problem(random.Random(int(name[7:])), num_vars=6)
+        else:
+            p = getattr(instances, name)()
+        _, records = collect(p)
+        assert untimed(records) == untimed(reference_records(p))
 
     @pytest.mark.parametrize("seed", range(20, 30))
     def test_anytime_solutions_verify(self, seed):
