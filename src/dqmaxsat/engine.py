@@ -7,7 +7,7 @@ model the engine returns is the lexicographically least model (false before
 true, lowest id first) of the clauses and the assumptions, whatever the
 engine learned or kept from earlier calls. Learned clauses are resolvents
 of the clause database alone, which keeps them sound across calls with
-different assumptions and across blocking clauses.
+different assumptions and across the branches of an enumeration.
 
 Every assumption opens its own decision level, in the order given, even
 when it already holds (the level is then empty), as in MiniSat (Eén &
@@ -30,15 +30,14 @@ checks its assumption literals the same way.
 
 enumerate_projected decides the projection first: it renumbers the
 projection variables to 1..k in ascending order, so the lowest-id rule
-assigns all of them before it decides any other variable. The decisions
-on projection variables then force the whole cell under the current
-database, and the blocking clause negates only those decisions, not every
-projection literal (Toda & Soh, "Implementing Efficient All Solutions SAT
-Solvers", JEA 2016). Cells come in lexicographic order over the sorted
-projection, false first, whatever the formula. Enumeration never
-restarts: after each model it attaches the blocking clause as a permanent
-clause, backjumps to the level where that clause asserts its deepest
-literal, and continues the search there.
+assigns all of them before any other variable, and the projection
+decisions force the whole cell. It walks them depth first and attaches no
+clause per model (Grumberg, Schuster & Yadgar, SAT 2004; Toda & Soh, JEA
+2016): after each model it reopens the deepest projection decision still
+on its first branch on the negated literal. That level becomes the floor:
+the search never backjumps below it, and a conflict on it means that no
+model is left below it. Cells come in lexicographic order over the sorted
+projection, false first, whatever the formula.
 
 State is indexed by literal: value and watch lists have 2n+1 slots, so
 `vals[lit]` is the value of the literal itself for negative literals too
@@ -81,6 +80,7 @@ class Engine:
         # literal-indexed: clauses watching that literal
         self._watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
         self._assumed: list[int] = []  # the previous call's assumptions
+        self._floor = 0  # the deepest second-branch level of an enumeration
         self.witness: list[int] = []
         self.core: list[int] = []
         # one pass: check every literal, attach every clause, queue the
@@ -316,6 +316,9 @@ class Engine:
         assumptions: level i to assumptions[i-1]. The next level goes to
         assumptions[len(lim)] while any is left, then to a free decision on
         the lowest unassigned variable.
+
+        In an enumeration the levels up to the floor hold decisions instead:
+        a conflict backjumps no lower, and one on the floor returns [].
         """
         if not self.ok:
             return []
@@ -327,11 +330,12 @@ class Engine:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                if not lim:
-                    self.ok = False
+                if len(lim) == self._floor:
+                    if not lim:
+                        self.ok = False
                     return []
                 learned, back = self._analyze(conflict)
-                self._backtrack(back)
+                self._backtrack(max(back, self._floor))
                 self._assert(learned)
                 cursor = 1
                 continue
@@ -351,26 +355,13 @@ class Engine:
             lim.append(len(trail))
             self._enqueue(-cursor, None)  # false first
 
-    def _block(self, depth: int) -> bool:
-        """Attach a permanent clause negating the decisions of levels 1..depth.
-
-        Backjumps to level depth - 1, where the clause asserts the negation
-        of the deepest decision, and enqueues it. False when depth is 0: the
-        clause would be empty, so nothing is left to find.
-
-        Reads trail[lim[i]] as the decision of level i + 1, which holds only
-        for a search without assumptions: a level opened for an assumption
-        that already holds has no decision literal.
-        """
-        if depth == 0:
-            self.ok = False
-            return False
-        trail = self._trail
-        lim = self._lim
-        c = [-trail[lim[level]] for level in range(depth - 1, -1, -1)]
-        self._backtrack(depth - 1)
-        self._assert(c)
-        return True
+    def _flip(self, level: int) -> None:
+        """Reopen `level` on its negated decision, its second branch, as the floor."""
+        lit = -self._trail[self._lim[level - 1]]
+        self._backtrack(level - 1)
+        self._lim.append(len(self._trail))
+        self._enqueue(lit, None)
+        self._floor = level
 
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
         """Whether a model extends the assumption literals; sets `witness` or `core`."""
@@ -398,9 +389,10 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
     visit gets each as a cell, one literal per projection variable in
     ascending order; cells come in lexicographic order, false first. The
     projection variables are renumbered to 1..k, so they are decided
-    before any other variable, and each model is blocked by a
-    clause over its projection decisions alone: those decisions and the
-    clauses so far force the whole cell, so the clause removes exactly it.
+    before any other variable and force the whole cell. After each model,
+    and when no model is left below the floor, the deepest projection
+    decision still on its first branch (false; the second is true) is
+    flipped, and no clause is attached.
     """
     proj_vars = sorted(set(proj))
     k = len(proj_vars)
@@ -418,15 +410,21 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
     trail = eng._trail
     lim = eng._lim
     count = 0
-    while eng._search([]) is None:
-        count += 1
-        if visit is not None:
-            visit(tuple([v if vals[i] > 0 else -v for i, v in enumerate(proj_vars, 1)]))
-        # the projection decisions open the first levels; with no
-        # assumptions every level starts with its decision (see _block)
-        depth = 0
-        while depth < len(lim) and abs(trail[lim[depth]]) <= k:
-            depth += 1
-        if not eng._block(depth):
+    while True:
+        if eng._search([]) is None:
+            count += 1
+            if visit is not None:
+                visit(tuple([v if vals[i] > 0 else -v for i, v in enumerate(proj_vars, 1)]))
+            # the projection decisions open the first levels, and with no
+            # assumptions every level starts with its decision
+            level = 0
+            while level < len(lim) and abs(trail[lim[level]]) <= k:
+                level += 1
+        else:  # no model left below the floor
+            level = eng._floor
+        # decisions are false first, so a true one is a second branch
+        while level and trail[lim[level - 1]] > 0:
+            level -= 1
+        if not level:
             return count
-    return count
+        eng._flip(level)

@@ -13,6 +13,15 @@ same lines:
 
     PYTHONPATH=src python3 tests/golden.py --seed 4711 --count 40
 
+With ``--cells`` it prints one sha256 per workload over every projected
+enumeration that count, solve and check run on those instances instead:
+for each call of ``enumerate_projected`` as ``oracle`` and ``counting``
+import it, the sorted projection, the count and the cells in the order
+visited. Two trees that enumerate the same cells in the same order print
+the same lines:
+
+    PYTHONPATH=src python3 tests/golden.py --seed 4711 --count 40 --cells
+
 With ``--bundled`` it prints one sha256 over the digests of the bundled
 instances that ``dqms bench`` solves (``cli._SUITE``) instead. That takes
 about 12 s, nearly all of it in guessbits and capacity6:
@@ -32,8 +41,9 @@ import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
-from dqmaxsat import cli
+from dqmaxsat import cli, counting, oracle
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -78,6 +88,33 @@ def digest(directory: Path, name: str, suffix: str, text: str) -> str:
     return hashlib.sha256("\n".join([counted, _masked(document), checked]).encode()).hexdigest()
 
 
+@contextlib.contextmanager
+def recorded_enumerations():
+    """Every enumerate_projected call that oracle and counting make, in order.
+
+    Yields a list that gets (sorted projection, count, cells in visit
+    order) for each call.
+    """
+    calls = []
+    real = oracle.enumerate_projected
+
+    def recording(f, proj, visit=None):
+        cells = []
+
+        def seen(cell):
+            cells.append(cell)
+            if visit is not None:
+                visit(cell)
+
+        count = real(f, proj, visit=seen)
+        calls.append((sorted(set(proj)), count, cells))
+        return count
+
+    with mock.patch.object(oracle, "enumerate_projected", recording), \
+            mock.patch.object(counting, "enumerate_projected", recording):
+        yield calls
+
+
 def bundled_digest() -> str:
     """One sha256 over the digests of the bundled instances, in suite order."""
     base = resources.files("dqmaxsat").joinpath("bench")
@@ -91,9 +128,11 @@ def bundled_digest() -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description="Print one sha256 per benchmark workload over its first COUNT instances, "
+                    "or over their projected enumerations with --cells, "
                     "or one over the bundled instances with --bundled.")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--count", type=int)
+    ap.add_argument("--cells", action="store_true")
     ap.add_argument("--bundled", action="store_true")
     args = ap.parse_args(argv)
     if args.bundled:
@@ -103,11 +142,12 @@ def main(argv=None) -> int:
         ap.error("--seed and --count are required without --bundled")
     workloads = load_workloads()
     for workload in workloads.WORKLOADS:
-        with tempfile.TemporaryDirectory() as d:
+        with tempfile.TemporaryDirectory() as d, recorded_enumerations() as calls:
             digests = [digest(Path(d), inst.name, inst.suffix, inst.text)
                        for inst in (workloads.make_instance(workload, args.seed, i)
                                     for i in range(args.count))]
-        print(workload, hashlib.sha256("\n".join(digests).encode()).hexdigest())
+        text = repr(calls) if args.cells else "\n".join(digests)
+        print(workload, hashlib.sha256(text.encode()).hexdigest())
     return 0
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from contextlib import contextmanager
 from unittest import mock
@@ -5,37 +6,66 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqmaxsat.bitvec import encode, parse_program
 from dqmaxsat.engine import Engine, enumerate_projected
 from dqmaxsat.formula import Cnf
 
-from naive import eval_cnf, tt_count_projected, tt_models, tt_projections, tt_satisfiable
+from naive import (eval_cnf, tt_count_projected, tt_models, tt_projections, tt_projections_by_rows,
+                   tt_satisfiable)
 
 
 @contextmanager
-def recorded_blocks(k=None):
-    """Every blocking clause enumerate_projected attaches, as a list of literals.
+def recorded_flips(k=None):
+    """Every second branch enumerate_projected opens, as (level, literal).
 
-    With k given, also asserts at each block that all variables 1..k are
-    assigned, that the clause negates exactly the decisions on them, and
-    that every deeper level is a decision on a variable above k.
+    With k given, also asserts at each flip that the level holds a
+    first-branch decision on one of the variables 1..k, that every deeper
+    level deciding one of them is already a second branch, and that every
+    second branch opened so far still holds its literal.
     """
-    blocks = []
-    block = Engine._block
+    flips = []
+    seconds = {}  # engine -> its second branches as (level, literal), ascending
+    flip = Engine._flip
 
-    def recording(eng, depth):
+    def recording(eng, level):
         trail, lim = eng._trail, eng._lim
         decisions = [trail[start] for start in lim]
+        d = decisions[level - 1]
         if k is not None:
-            assert all(eng._vals[v] for v in range(1, k + 1))
-            assert all(abs(d) <= k for d in decisions[:depth])
-            assert all(abs(d) > k for d in decisions[depth:])
-            assert all(eng._reason[abs(d)] is None and eng._level[abs(d)] == level
-                       for level, d in enumerate(decisions, 1))
-        blocks.append([-d for d in decisions[:depth]])
-        return block(eng, depth)
+            second = seconds.setdefault(eng, [])
+            assert all(decisions[l - 1] == lit for l, lit in second)
+            assert level not in dict(second)
+            assert abs(d) <= k and eng._reason[abs(d)] is None and eng._level[abs(d)] == level
+            deeper = [l for l in range(level + 1, len(lim) + 1) if abs(decisions[l - 1]) <= k]
+            assert set(deeper) <= set(dict(second))
+            seconds[eng] = [(l, lit) for l, lit in second if l < level] + [(level, -d)]
+        flips.append((level, -d))
+        flip(eng, level)
+        assert eng._trail[eng._lim[level - 1]] == -d and len(eng._lim) == eng._floor == level
 
-    with mock.patch.object(Engine, "_block", recording):
-        yield blocks
+    with mock.patch.object(Engine, "_flip", recording):
+        yield flips
+
+
+@contextmanager
+def only_learned_clauses_attached():
+    """Assert that every clause _assert attaches is the one _analyze just learned."""
+    pending = []
+    analyze, attach = Engine._analyze, Engine._assert
+
+    def recording_analyze(eng, conflict):
+        learned, back = analyze(eng, conflict)
+        pending.append(learned)
+        return learned, back
+
+    def checked_assert(eng, c):
+        assert pending and pending.pop() is c, f"{c} attached outside conflict analysis"
+        attach(eng, c)
+
+    with mock.patch.object(Engine, "_analyze", recording_analyze), \
+            mock.patch.object(Engine, "_assert", checked_assert):
+        yield
+    assert not pending
 
 
 @contextmanager
@@ -486,15 +516,16 @@ class TestEnumerateProjected:
         f = Cnf.build(3, [[1], [2, 3]])
         assert enumerate_projected(f, [1, 4]) == 2
 
-    def test_implied_projection_literals_are_not_blocked(self):
-        # deciding -1 implies -2 on level 1, so the first blocking clause is
-        # [1] alone, a unit, and enumeration resumes at level 0
+    def test_implied_projection_literals_are_not_flipped(self):
+        # deciding -1 implies -2 on level 1, so the first flip reopens level
+        # 1 on 1; then -2 is a decision on level 2, and the second flip
+        # reopens level 2 on 2
         f = Cnf.build(3, [[1, -2]])
         seen = []
-        with recorded_blocks() as blocks:
+        with recorded_flips() as flips:
             assert enumerate_projected(f, [1, 2], visit=seen.append) == 3
         assert seen == [(-1, -2), (1, -2), (1, 2)]
-        assert blocks[0] == [1]
+        assert flips == [(1, 1), (2, 2)]
 
     @settings(max_examples=300, deadline=None)
     @given(clauses_or_three_sat(max_vars=8, max_clauses=14),
@@ -515,19 +546,48 @@ class TestEnumerateProjected:
                 for cell in sorted(tt_projections(8, f.clauses, proj))]
         assert visited == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(three_sat_strategy(12), st.sets(st.integers(min_value=1, max_value=12), max_size=12))
+    def test_enumeration_order_matches_truth_table_at_twelve_variables(self, clause_lists, proj):
+        # longer searches, where an analysed backjump sometimes lands below
+        # the deepest second branch and is held there
+        f = Cnf.build(12, clause_lists)
+        visited = []
+        got = enumerate_projected(f, proj, visit=visited.append)
+        pv = sorted(proj)
+        want = [tuple(v if b else -v for v, b in zip(pv, cell))
+                for cell in sorted(tt_projections_by_rows(12, f.clauses, proj))]
+        assert visited == want and got == len(want)
+
     @settings(max_examples=200, deadline=None)
     @given(clauses_or_three_sat(max_vars=8, max_clauses=14),
            st.sets(st.integers(min_value=1, max_value=8), max_size=8))
-    def test_blocking_clauses_hold_only_projection_decisions(self, clause_lists, proj):
+    def test_flips_negate_only_first_branch_projection_decisions(self, clause_lists, proj):
         # enumerate_projected numbers the projection variables 1..k
         k = len(proj)
         f = Cnf.build(8, clause_lists)
-        with recorded_blocks(k) as blocks:
+        with recorded_flips(k) as flips, only_learned_clauses_attached():
             got = enumerate_projected(f, proj)
         assert got == tt_count_projected(8, f.clauses, proj)
-        # one block per model; the last one finds nothing left to decide
-        # or leads the search to refute the database
-        assert len(blocks) == got
+        # every model after the first lies in a subtree opened by a flip
+        assert len(flips) >= got - 1
+
+    def test_a_long_enumeration_attaches_only_learned_clauses(self):
+        # the three-probe width-4 leak game, projected onto the counted
+        # variables, the choosers and what they see: 12,748 cells, count and
+        # order pinned while a clause was still attached per model, which
+        # made the last models about four times as slow as the first
+        game = "\n".join(["width 4", "mode leak", "random z in 1..13",
+                          "input x1", "observe y1 := z >= x1",
+                          "input x2", "observe y2 := z <= x2",
+                          "input x3", "observe y3 := z >= x3"])
+        p, _ = encode(parse_program(game))
+        proj = set(p.count_vars).union(p.max_vars, *p.deps.values())
+        cells = []
+        with only_learned_clauses_attached():
+            assert enumerate_projected(p.cnf, proj, visit=cells.append) == 12748
+        assert hashlib.sha256(repr(cells).encode()).hexdigest() == \
+            "8edf0c86ac9c7f6038d982661259b436f16426a3f511aaad6244eb98a1afc6dc"
 
     @settings(max_examples=200, deadline=None)
     @given(clauses_or_three_sat(max_vars=5, max_clauses=8),
