@@ -2,20 +2,20 @@
 
 Starts every chooser on the empty support (a single constant selector) and
 alternates iterations with support expansions. Each expansion splits the
-affected selectors in two along the added variable, re-derives the
-objective from the grown supports with the same selector encoding as the
-global reduction, and carries the previous optimum over as the incumbent,
-count included. An iteration asks the oracle for the best assignment: one
-that ignores the new variable equals an assignment over the old support,
-whose count is at most the incumbent's, and the oracle accepts only strict
-improvements. Once the incumbent reaches every count-cell nothing can beat
+affected selectors in two along the added variable and carries the
+previous optimum over as the incumbent, count included. An oracle call
+derives the objective from the supports, with the same selector encoding
+as the global reduction; no other step builds one. An iteration asks the
+oracle for the best assignment: one that ignores the new variable equals
+an assignment over the old support, whose count is at most the
+incumbent's, and the oracle accepts only strict improvements. Once the incumbent reaches every count-cell nothing can beat
 it, so the remaining iterations keep it without an oracle call. A full run
 makes exactly 1 + sum of |H_i| iterations and may be stopped after any of
 them, yielding the best strategies over the supports grown so far.
 
-Expansions go round-robin over the choosers in prefix order, skipping
-those whose support is complete; each grows its chooser's support by the
-lowest remaining dependency variable.
+schedule lists the expansions, which depend only on the problem:
+round-robin over the choosers in prefix order, skipping those whose
+support is complete, each taking its chooser's lowest remaining variable.
 
 Every call's objective reaches the same count-cells as the problem's own
 CNF, whatever the supports, so init enumerates them once and every
@@ -24,6 +24,7 @@ request of the run carries them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, replace
@@ -63,7 +64,6 @@ class IterationRecord:
 class IncrementalState:
     problem: Problem
     selectors: SelectorMap
-    objective: Cnf
     incumbent: Mapping[int, bool]
     # the count-cells of problem.cnf, which every objective reaches alike
     cells: tuple[tuple[int, ...], ...]
@@ -71,20 +71,15 @@ class IncrementalState:
     # read state.filter.clauses off every expand
     filter = TRUE_CNF
 
+    @functools.cached_property
+    def objective(self) -> Cnf:
+        return selector_objective(self.problem, self.selectors)
+
     def remaining(self, x: int) -> frozenset[int]:
         return self.problem.deps[x].difference(self.selectors.supports[x])
 
-    def finished(self) -> bool:
-        return all(not self.remaining(x) for x in self.problem.max_vars)
-
     def request(self) -> OracleRequest:
-        return OracleRequest(
-            objective=self.objective,
-            max_vars=self.selectors.selector_vars(),
-            count_vars=self.problem.count_vars,
-            incumbent=self.incumbent,
-            cells=self.cells,
-        )
+        return OracleRequest(self.objective, self.incumbent, self.cells)
 
 
 def init(p: Problem) -> IncrementalState:
@@ -93,7 +88,6 @@ def init(p: Problem) -> IncrementalState:
     return IncrementalState(
         problem=p,
         selectors=selectors,
-        objective=selector_objective(p, selectors),
         incumbent={s: False for s in selectors.owner},
         cells=reachable_cells(p.cnf, p.count_vars),
     )
@@ -116,19 +110,17 @@ def expand(st: IncrementalState, x: int, u: int) -> IncrementalState:
     for m_old, s in st.selectors.selectors[x].items():
         for lit in (u, -u):
             incumbent[new_table[tuple(sorted(m_old + (lit,), key=abs))]] = st.incumbent[s]
-    return replace(
-        st,
-        selectors=selectors,
-        objective=selector_objective(st.problem, selectors),
-        incumbent=incumbent,
-    )
+    return replace(st, selectors=selectors, incumbent=incumbent)
 
 
-def _choose(st: IncrementalState, rotor: int) -> tuple[int, int]:
-    """The first chooser from position rotor on with variables left, and its lowest one."""
-    order = st.problem.max_vars
-    x = next(v for v in order[rotor:] + order[:rotor] if st.remaining(v))
-    return x, min(st.remaining(x))
+def schedule(p: Problem) -> list[tuple[int, int]]:
+    """Every (chooser, variable) expansion of a full run, in order.
+
+    Round k takes the k-th lowest dependency variable of each chooser that
+    has one, the choosers in prefix order.
+    """
+    columns = [[(x, u) for u in sorted(p.deps[x])] for x in p.max_vars]
+    return [step for rnd in itertools.zip_longest(*columns) for step in rnd if step]
 
 
 def run(
@@ -148,10 +140,10 @@ def run(
     if budget is not None and budget < 1:
         raise ValueError("budget must allow at least one iteration")
     st = init(p)
-    rotor = 0
-    last = None
     count = -1  # the incumbent's count, which expand keeps
-    for iteration in itertools.count(1):
+    for iteration, (x, u) in enumerate([(None, None), *schedule(p)], 1):
+        if x is not None:
+            st = expand(st, x, u)
         t0 = time.perf_counter()
         if count == len(st.cells):
             # no assignment reaches more than every cell, and the incumbent
@@ -165,8 +157,8 @@ def run(
                           achieved_count=res.best_count, total=p.total)
         record = IterationRecord(
             iteration=iteration,
-            expanded_var=last[0] if last else None,
-            expanded_on=last[1] if last else None,
+            expanded_var=x,
+            expanded_on=u,
             count=res.best_count,
             elapsed_ms=elapsed,
             solution=anytime,
@@ -174,9 +166,6 @@ def run(
         st = replace(st, incumbent=dict(res.best))
         if on_iteration is not None:
             on_iteration(record)
-        if st.finished() or (budget is not None and iteration >= budget):
-            return anytime
-        x, u = _choose(st, rotor)
-        rotor = (st.problem.max_vars.index(x) + 1) % len(st.problem.max_vars)
-        st = expand(st, x, u)
-        last = (x, u)
+        if budget is not None and iteration >= budget:
+            break
+    return anytime

@@ -32,16 +32,13 @@ class InstanceTooLarge(ValueError):
 class OracleRequest:
     """One maximization query.
 
-    incumbent must be a total assignment of the choice variables max_vars.
-    Variables of the objective that are neither choice nor count variables
-    are existential. cells are the count-cells the objective reaches with
-    the choice variables free, as reachable_cells gives them: one literal
-    per count variable, in ascending variable order.
+    The choice variables are the incumbent's keys. cells are the
+    count-cells the objective reaches with them free, as reachable_cells
+    gives them: one literal per count variable, in ascending order. Other
+    variables of the objective are existential.
     """
 
     objective: Cnf
-    max_vars: tuple[int, ...]
-    count_vars: frozenset[int]
     incumbent: Mapping[int, bool]
     cells: tuple[tuple[int, ...], ...]
 
@@ -69,6 +66,9 @@ def reachable_cells(f: Cnf, count_vars: Iterable[int]) -> tuple[tuple[int, ...],
 def max_count(req: OracleRequest) -> OracleResult:
     """Best assignment of the choice variables, incumbent included.
 
+    The count variables are read off the first cell; a request whose cells
+    are not all over them, in ascending order, is malformed.
+
     Depth-first branch and bound over the choice variables in ascending id
     order, false branch first, accepting only strict improvements; the
     first optimum found is therefore the lexicographically least one, and
@@ -91,16 +91,12 @@ def max_count(req: OracleRequest) -> OracleResult:
     cell under the incumbent's literals, and those probes' witnesses and
     cores are what the root's cells start with.
     """
-    ms = sorted(set(req.max_vars))
-    if len(ms) != len(req.max_vars):
-        raise MalformedRequest("duplicate choice variable")
-    if set(req.incumbent) != set(ms):
-        raise MalformedRequest("incumbent is not a total assignment of the choice variables")
+    ms = sorted(req.incumbent)
     incumbent = {v: bool(req.incumbent[v]) for v in ms}
-    ys = sorted(req.count_vars)
     root_cells = req.cells
-    if any(list(map(abs, cell)) != ys for cell in root_cells):
-        raise MalformedRequest("a cell is not over exactly the count variables")
+    ys = [abs(lit) for lit in root_cells[0]] if root_cells else []
+    if ys != sorted(set(ys)) or any(list(map(abs, cell)) != ys for cell in root_cells):
+        raise MalformedRequest("the cells are not over one ascending set of variables")
     nv = max([req.objective.num_vars] + ms + ys, default=0)
 
     # a cell entry: the cell, its last witness (None until probed), its cores

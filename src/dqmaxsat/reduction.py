@@ -65,9 +65,6 @@ class SelectorMap:
         return SelectorMap({**self.supports, x: support}, {**self.selectors, x: table},
                            owner, self.num_vars + len(table))
 
-    def selector_vars(self) -> tuple[int, ...]:
-        return tuple(sorted(self.owner))
-
 
 def selector_objective(p: Problem, sel: SelectorMap) -> Cnf:
     """The objective p.cnf plus every chooser's selector definition clauses.
@@ -96,8 +93,6 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
     sel = SelectorMap.over(p, p.deps)
     req = OracleRequest(
         objective=selector_objective(p, sel),
-        max_vars=sel.selector_vars(),
-        count_vars=p.count_vars,
         incumbent={s: False for s in sel.owner},
         cells=reachable_cells(p.cnf, p.count_vars),
     )

@@ -10,6 +10,12 @@ keeps them from being removed while the benchmark still wraps them. It loads
 spans.py as it is, installs its tracer, runs two local solves (one with
 constant leaves, one whose leaves still go through ``local.LEAF_SOLVERS``)
 and one incremental solve through the command line, and uninstalls.
+
+``IncrementalState.objective`` is built on first read, so the tracer's read
+of it off each expanded state builds it. That read comes after the
+``expand`` span has ended, so under ``--trace 1`` the build's time goes to
+the enclosing span instead of ``incremental.expand``; only the per-layer
+split moves, and the oracle call that follows reuses the built objective.
 """
 
 import importlib.util

@@ -10,10 +10,10 @@ from dqmaxsat.formula import Cnf, Problem, selector_definition_clauses
 from dataclasses import replace
 
 from dqmaxsat import incremental
-from dqmaxsat.incremental import IterationRecord, _choose, expand, init, run
+from dqmaxsat.incremental import IterationRecord, expand, init, run, schedule
 from dqmaxsat import oracle
 from dqmaxsat.oracle import brute_force_dqmaxsat, max_count, reachable_cells
-from dqmaxsat.reduction import decode, solve_global
+from dqmaxsat.reduction import decode, selector_objective, solve_global
 
 import instances
 from naive import tt_models
@@ -121,7 +121,7 @@ class TestExpand:
         state = init(p)
         state = replace(state, incumbent={s: data.draw(st.booleans()) for s in state.incumbent})
         count = check_solution(p, decode(state.selectors, state.incumbent))
-        while not state.finished() and data.draw(st.booleans()):
+        while any(state.remaining(x) for x in p.max_vars) and data.draw(st.booleans()):
             x = data.draw(st.sampled_from([x for x in p.max_vars if state.remaining(x)]))
             u = data.draw(st.sampled_from(sorted(state.remaining(x))))
             state = expand(state, x, u)
@@ -160,9 +160,27 @@ PINNED_ITERATIONS = {
 }
 
 
+def rotor_expansions(p):
+    """The expansions of a full run as a rotor picks them, one at a time: the
+    first chooser from the rotor's position on with variables left takes its
+    lowest one, and the rotor moves just past that chooser."""
+    remaining = {x: set(p.deps[x]) for x in p.max_vars}
+    rotor, expansions = 0, []
+    while any(remaining.values()):
+        order = p.max_vars[rotor:] + p.max_vars[:rotor]
+        x = next(v for v in order if remaining[v])
+        u = min(remaining[x])
+        remaining[x].remove(u)
+        rotor = (p.max_vars.index(x) + 1) % len(p.max_vars)
+        expansions.append((x, u))
+    return expansions
+
+
 def reference_records(p):
-    """run's records from a loop that calls max_count at every iteration."""
-    state, rotor, last, records = init(p), 0, None, []
+    """run's records from a loop that calls max_count at every iteration and
+    takes its expansions from the rotor rather than from schedule."""
+    state, last, records = init(p), None, []
+    expansions = iter(rotor_expansions(p))
     for iteration in itertools.count(1):
         res = max_count(state.request())
         solution = replace(decode(state.selectors, res.best),
@@ -176,12 +194,17 @@ def reference_records(p):
             solution=solution,
         ))
         state = replace(state, incumbent=dict(res.best))
-        if state.finished():
+        last = next(expansions, None)
+        if last is None:
             return records
-        x, u = _choose(state, rotor)
-        rotor = (p.max_vars.index(x) + 1) % len(p.max_vars)
-        state = expand(state, x, u)
-        last = (x, u)
+        state = expand(state, *last)
+
+
+def named_problem(name):
+    """random_<seed> is instances.random_problem at that seed, any other name an instance."""
+    if name.startswith("random_"):
+        return instances.random_problem(random.Random(int(name[7:])), num_vars=6)
+    return getattr(instances, name)()
 
 
 def untimed(records):
@@ -292,13 +315,42 @@ class TestRun:
         assert [r.count for r in records] == counts
         assert len(made) == calls
 
+    @pytest.mark.parametrize("name", sorted(PINNED_ITERATIONS) + ["random_1", "random_3"])
+    def test_settled_iterations_build_no_objective(self, name, monkeypatch):
+        # the objective is built when an oracle call reads it, and only then;
+        # random_1 settles after its first expansion, random_3 at its first call
+        p = named_problem(name)
+        built, made = [], []
+
+        def counting_objective(*args):
+            built.append(1)
+            return selector_objective(*args)
+
+        def counting_max_count(req):
+            made.append(1)
+            return max_count(req)
+
+        monkeypatch.setattr(incremental, "selector_objective", counting_objective)
+        monkeypatch.setattr(incremental, "max_count", counting_max_count)
+        _, records = collect(p)
+        assert len(built) == len(made)
+        if name.startswith("random_"):
+            assert len(made) < len(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances.problems(max_num_max=3, dep_limit=3))
+    def test_schedule_is_the_rotor_order(self, p):
+        steps = schedule(p)
+        assert steps == rotor_expansions(p)
+        assert len(steps) == sum(len(p.deps[x]) for x in p.max_vars)
+        for x in p.max_vars:
+            mine = [u for chooser, u in steps if chooser == x]
+            assert mine == sorted(mine)
+
     @pytest.mark.parametrize("name", [f"random_{seed}" for seed in range(20)]
                              + sorted(PINNED_ITERATIONS))
     def test_records_match_an_oracle_call_per_iteration(self, name):
-        if name.startswith("random_"):
-            p = instances.random_problem(random.Random(int(name[7:])), num_vars=6)
-        else:
-            p = getattr(instances, name)()
+        p = named_problem(name)
         _, records = collect(p)
         assert untimed(records) == untimed(reference_records(p))
 

@@ -27,14 +27,19 @@ from naive import (
     tt_count_projected,
 )
 
+def count_vars_of(req: OracleRequest) -> list[int]:
+    """The count variables, read off the cells as max_count reads them."""
+    return [abs(lit) for lit in req.cells[0]] if req.cells else []
+
+
 def reference_max_count(req: OracleRequest):
     """Reference for max_count by plain enumeration: incumbent first, then
     every choice assignment in ascending-id false-first order, strict
     improvements."""
-    ms = sorted(req.max_vars)
-    ys = sorted(req.count_vars)
+    ms = sorted(req.incumbent)
+    ys = count_vars_of(req)
     nv = max([req.objective.num_vars] + ms + ys, default=0)
-    rest = [v for v in range(1, nv + 1) if v not in req.max_vars]
+    rest = [v for v in range(1, nv + 1) if v not in req.incumbent]
 
     def count_of(alpha):
         cells = set()
@@ -60,8 +65,6 @@ def _single_chooser_request():
     obj = Cnf.build(6, list(p.cnf.clauses) + [[-1, 6], [1, -6]])
     return OracleRequest(
         objective=obj,
-        max_vars=(6,),
-        count_vars=frozenset([2, 3]),
         incumbent={6: False},
         cells=reachable_cells(obj, [2, 3]),
     )
@@ -76,8 +79,6 @@ def _split_chooser_request(incumbent=None):
     ])
     return OracleRequest(
         objective=obj,
-        max_vars=(7, 8),
-        count_vars=frozenset([2, 3]),
         incumbent=incumbent or {7: False, 8: False},
         cells=reachable_cells(obj, [2, 3]),
     )
@@ -95,32 +96,27 @@ def test_split_chooser_finds_the_copy_strategy():
     assert dict(res.best) == {7: True, 8: False}
 
 
-def test_partial_incumbent_is_malformed():
-    req = _split_chooser_request(incumbent={7: False})
-    with pytest.raises(MalformedRequest):
-        max_count(req)
-
-
-def test_duplicate_choice_variable_is_malformed():
-    req = _single_chooser_request()
-    bad = OracleRequest(req.objective, (6, 6), req.count_vars, {6: False}, req.cells)
-    with pytest.raises(MalformedRequest):
-        max_count(bad)
-
-
 @pytest.mark.parametrize("cell", [(2,), (3, 2), (-2, 4), (2, 3, 4), ()])
 def test_cell_over_other_variables_is_malformed(cell):
-    # cells hold one literal per count variable, in ascending order
+    # cells hold one literal per count variable, in ascending order; the
+    # count variables are read off the first cell, so the odd cell is tried
+    # last and first
     req = _single_chooser_request()
-    bad = OracleRequest(req.objective, req.max_vars, req.count_vars, req.incumbent,
-                        req.cells + (cell,))
+    for cells in (req.cells + (cell,), (cell,) + req.cells):
+        with pytest.raises(MalformedRequest):
+            max_count(OracleRequest(req.objective, req.incumbent, cells))
+
+
+def test_cells_over_descending_variables_are_malformed():
+    req = _single_chooser_request()
+    reversed_cells = tuple(cell[::-1] for cell in req.cells)
     with pytest.raises(MalformedRequest):
-        max_count(bad)
+        max_count(OracleRequest(req.objective, req.incumbent, reversed_cells))
 
 
 def test_no_choice_variables_counts_the_objective():
     f = Cnf.build(3, [[1, 2], [-3, 1]])
-    req = OracleRequest(f, (), frozenset([1, 2]), {}, reachable_cells(f, [1, 2]))
+    req = OracleRequest(f, {}, reachable_cells(f, [1, 2]))
     res = max_count(req)
     assert res.best_count == 3
     assert dict(res.best) == {}
@@ -141,7 +137,7 @@ def _random_request(rng: random.Random):
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     incumbent = {v: False for v in ms}
     f = Cnf.build(num_vars, clauses)
-    return OracleRequest(f, tuple(ms), frozenset(ys), incumbent, reachable_cells(f, ys))
+    return OracleRequest(f, incumbent, reachable_cells(f, ys))
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -157,8 +153,8 @@ def _random_request_with_incumbent(rng: random.Random):
     # incremental passes its previous best, so the incumbent is any total
     # assignment; drawn last, so the objective is _random_request's
     req = _random_request(rng)
-    incumbent = {v: rng.random() < 0.5 for v in req.max_vars}
-    return OracleRequest(req.objective, req.max_vars, req.count_vars, incumbent, req.cells)
+    incumbent = {v: rng.random() < 0.5 for v in sorted(req.incumbent)}
+    return OracleRequest(req.objective, incumbent, req.cells)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -204,8 +200,6 @@ def test_witnesses_and_cores_skip_probes(monkeypatch):
     objective = Cnf.build(5, [[-4, 1], [-5, -2], [-5, 3]])
     req = OracleRequest(
         objective=objective,
-        max_vars=(1, 2, 3),
-        count_vars=frozenset([4, 5]),
         incumbent={1: False, 2: False, 3: False},
         cells=reachable_cells(objective, [4, 5]),
     )
@@ -255,9 +249,9 @@ def _given_cases(rng: random.Random):
     # variables given, counted ones among them leaving the count, as the
     # local method's split variables do; one monomial over them per leaf
     req = _random_request(rng)
-    others = [v for v in range(1, req.objective.num_vars + 1) if v not in req.max_vars]
+    others = [v for v in range(1, req.objective.num_vars + 1) if v not in req.incumbent]
     split = sorted(rng.sample(others, rng.randint(1, min(2, len(others)))))
-    return req, req.count_vars - set(split), minterms_of(split)
+    return req, set(count_vars_of(req)) - set(split), minterms_of(split)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -271,9 +265,8 @@ def test_given_literals_answer_for_the_cofactored_objective(seed):
         cofactored = cofactor(req.objective, m)
         cells = reachable_cells(cofactored, count_vars)
         assert reachable_cells(units, count_vars) == cells
-        res = max_count(OracleRequest(cofactored, req.max_vars, count_vars, req.incumbent, cells))
-        want_best, want_count = reference_max_count(
-            OracleRequest(units, req.max_vars, count_vars, req.incumbent, cells))
+        res = max_count(OracleRequest(cofactored, req.incumbent, cells))
+        want_best, want_count = reference_max_count(OracleRequest(units, req.incumbent, cells))
         assert res.best_count == want_count
         assert dict(res.best) == want_best
 
@@ -302,10 +295,9 @@ def test_incumbent_is_a_floor(seed):
     req = _random_request(random.Random(seed))
     if req is None:
         return
-    units = [[v] if req.incumbent[v] else [-v] for v in sorted(req.max_vars)]
+    units = [[v] if req.incumbent[v] else [-v] for v in sorted(req.incumbent)]
     floor = tt_count_projected(
-        req.objective.num_vars, list(req.objective.clauses) + units,
-        sorted(req.count_vars))
+        req.objective.num_vars, list(req.objective.clauses) + units, count_vars_of(req))
     assert max_count(req).best_count >= floor
 
 

@@ -24,8 +24,7 @@ def test_selector_layout_two_signal_chooser(copy_or_and):
     req, sel = build_reduction(copy_or_and)
     # canonical monomial order over support (4, 5): ++, +-, -+, --
     assert sel.selectors[1] == {(4, 5): 6, (4, -5): 7, (-4, 5): 8, (-4, -5): 9}
-    assert req.max_vars == (6, 7, 8, 9)
-    assert req.count_vars == frozenset([2, 3])
+    assert req.cells == reachable_cells(copy_or_and.cnf, [2, 3])
     assert req.incumbent == {6: False, 7: False, 8: False, 9: False}
     # 8 objective clauses plus 2 per monomial
     assert len(req.objective.clauses) == 8 + 8
@@ -35,7 +34,7 @@ def test_selector_layout_two_choosers(two_implications):
     req, sel = build_reduction(two_implications)
     assert sel.selectors[1] == {(5,): 7, (-5,): 8}
     assert sel.selectors[2] == {(6,): 9, (-6,): 10}
-    assert req.max_vars == (7, 8, 9, 10)
+    assert sorted(req.incumbent) == [7, 8, 9, 10]
 
 
 def test_empty_dependency_sets_degenerate_to_plain_choice():
@@ -143,8 +142,8 @@ def test_reduced_count_equals_recount_for_every_selector_assignment(copy_or_and)
     # objective equals substituting the decoded functions and recounting
     req, sel = build_reduction(copy_or_and)
     for bits in itertools.product([False, True], repeat=4):
-        alpha = dict(zip(req.max_vars, bits))
-        units = [(s,) if alpha[s] else (-s,) for s in req.max_vars]
+        alpha = dict(zip(sorted(req.incumbent), bits))
+        units = [(s,) if alpha[s] else (-s,) for s in sorted(req.incumbent)]
         reduced = Cnf(req.objective.num_vars, req.objective.clauses + tuple(units))
         direct = count_projected(reduced, copy_or_and.count_vars)
         assert direct == check_solution(copy_or_and, decode(sel, alpha))
@@ -156,8 +155,8 @@ def test_reduced_count_equals_recount_random(seed):
     p = instances.random_problem(rng, num_vars=rng.randint(3, 6), num_max=rng.randint(1, 2))
     req, sel = build_reduction(p)
     for _ in range(6):
-        alpha = {s: rng.random() < 0.5 for s in req.max_vars}
-        units = [(s,) if alpha[s] else (-s,) for s in req.max_vars]
+        alpha = {s: rng.random() < 0.5 for s in sorted(req.incumbent)}
+        units = [(s,) if alpha[s] else (-s,) for s in sorted(req.incumbent)]
         reduced = Cnf(req.objective.num_vars, req.objective.clauses + tuple(units))
         assert count_projected(reduced, p.count_vars) == check_solution(p, decode(sel, alpha))
 
