@@ -19,7 +19,10 @@ support is complete, each taking its chooser's lowest remaining variable.
 
 Every call's objective reaches the same count-cells as the problem's own
 CNF, whatever the supports, so init enumerates them once and every
-request of the run carries them.
+request of the run carries them. Every call goes through oracle.oracle_call
+with one ChainTable for the run: its rows span the full dependency sets, so
+one enumeration serves every partial support, and once the table answers a
+call it answers every later chain-shaped one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
 from .formula import Cnf, Problem, Solution, TRUE_CNF
-from .oracle import OracleRequest, OracleResult, max_count, reachable_cells
+from .oracle import ChainTable, OracleRequest, OracleResult, max_count, oracle_call, reachable_cells
 from .reduction import SelectorMap, decode, selector_objective
 
 
@@ -140,6 +143,7 @@ def run(
     if budget is not None and budget < 1:
         raise ValueError("budget must allow at least one iteration")
     st = init(p)
+    table = ChainTable(p, st.cells)
     count = -1  # the incumbent's count, which expand keeps
     for iteration, (x, u) in enumerate([(None, None), *schedule(p)], 1):
         if x is not None:
@@ -147,10 +151,10 @@ def run(
         t0 = time.perf_counter()
         if count == len(st.cells):
             # no assignment reaches more than every cell, and the incumbent
-            # wins ties: max_count would probe each cell and answer the same
+            # wins ties: the oracle would answer the same
             res = OracleResult(st.incumbent, count)
         else:
-            res = max_count(st.request())
+            res = oracle_call(table, st.selectors, st.request(), max_count)
         count = res.best_count
         elapsed = (time.perf_counter() - t0) * 1000
         anytime = replace(decode(st.selectors, res.best),

@@ -3,13 +3,15 @@
 A strategy for a chooser x with dependency set H is exactly a subset of the
 2^|H| complete monomials over H. Allocating one fresh selector variable per
 monomial and tying x to the selected disjunction turns strategy search into
-a plain choice of selector values, solved by one oracle call and decoded
-back into minterm sets. SelectorMap is the one allocator of selector ids
-and selector_objective the one encoding, for any supports, full or
-partial: the global reduction builds its map over the full dependency sets
-(the local method's leaves with a residual support are global reductions
-of their cofactors), and the incremental method starts from empty supports
-and grows them with SelectorMap.with_support.
+a plain choice of selector values, solved by one oracle call
+(oracle.oracle_call, which a chain-shaped instance's row table may answer
+instead of max_count) and decoded back into minterm sets. SelectorMap is
+the one allocator of selector ids and selector_objective the one encoding,
+for any supports, full or partial: the global reduction builds its map
+over the full dependency sets (the local method's leaves with a residual
+support are global reductions of their cofactors), and the incremental
+method starts from empty supports and grows them with
+SelectorMap.with_support.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .formula import (
     minterms_of,
     selector_definition_clauses,
 )
-from .oracle import OracleRequest, max_count, reachable_cells
+from .oracle import ChainTable, OracleRequest, max_count, oracle_call, reachable_cells
 
 DEFAULT_SELECTOR_BUDGET = 1 << 20
 
@@ -112,7 +114,7 @@ def decode(sel: SelectorMap, alpha: Mapping[int, bool]) -> Solution:
 def solve_global(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> Solution:
     """Optimal strategies via the one-shot reduction."""
     req, sel = build_reduction(p, budget)
-    res = max_count(req)
+    res = oracle_call(ChainTable(p, req.cells), sel, req, max_count)
     return replace(decode(sel, res.best), achieved_count=res.best_count, total=p.total)
 
 

@@ -2,6 +2,7 @@
 
 import codecs
 import functools
+import hashlib
 import json
 import os
 import re
@@ -17,8 +18,8 @@ import dqmaxsat
 from dqmaxsat import cli
 from dqmaxsat.bitvec import ProgramError, parse_program
 from dqmaxsat.dimacs import ParseError, parse_instance
-from dqmaxsat.formula import apply_substitution
-from dqmaxsat.reduction import BudgetExceeded
+from dqmaxsat.formula import Cnf, Problem, apply_substitution, minterms_of
+from dqmaxsat.reduction import BudgetExceeded, solve_global
 
 COPY_OR_AND = """\
 p dqmscnf 5 7
@@ -416,6 +417,47 @@ e 4 5 0
 1 -1 2 0
 5 3 -5 0
 """
+
+
+class TestChainShapedCalls:
+    """Runs whose oracle calls the row table answers, where the B&B took minutes."""
+
+    # the iterations of the B&B on every call, from a full run of it (about
+    # 410 s on a 2-vCPU x86 host), each dumped by json.dumps with its
+    # elapsed_ms zeroed
+    SUM_REACH_3_ITERATIONS = "0a41bb6bad29364be5804d777fcf00b84ebb92171564f3fbb385a0a29d864887"
+
+    def test_sum_reach_3_incremental(self, capsys):
+        path = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk")
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "solve-program", str(path), "--method", "incremental",
+                               "--json")
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["method"] == "incremental" and doc["count"] == 26
+        iterations = doc["iterations"]
+        assert [(r["expanded_var"], r["expanded_on"], r["count"]) for r in iterations] == [
+            (None, None, 20), (10, 7, 20), (11, 7, 20), (12, 7, 20), (10, 8, 20),
+            (11, 8, 20), (12, 8, 20), (10, 9, 23), (11, 9, 23), (12, 9, 26)]
+        for r in iterations:
+            r["elapsed_ms"] = 0
+        digest = hashlib.sha256(json.dumps(iterations).encode()).hexdigest()
+        assert digest == self.SUM_REACH_3_ITERATIONS
+        # tens of milliseconds; the B&B alone takes minutes
+        assert elapsed < 10
+
+    def test_copy_chooser_of_eight_counters_under_global(self):
+        # one chooser x <-> y1 that sees all eight counters: 256 selectors,
+        # and the B&B grew about 20x per counter (over 300 s at eight)
+        ys = list(range(2, 10))
+        p = Problem.of(Cnf.build(9, [[-1, 2], [1, -2]]), max_vars=[1], count_vars=ys,
+                       exist_vars=[], deps={1: ys})
+        t0 = time.perf_counter()
+        s = solve_global(p)
+        assert time.perf_counter() - t0 < 10
+        assert s.achieved_count == 256
+        assert s.functions[1].minterms == {m for m in minterms_of(ys) if m[0] > 0}
 
 
 class TestWideSupport:

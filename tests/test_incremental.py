@@ -222,19 +222,23 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["copy_or_and", "two_implications", "copy_or"])
     def test_one_enumeration_per_run(self, name, monkeypatch):
-        # every iteration reuses the cells init enumerated
+        # every iteration reuses the cells init enumerated, and the rows of
+        # the DP's table, where it answers (one chooser and four cells:
+        # 2^1 <= 4), are enumerated once for the whole run
+        rows = {"copy_or_and": 1, "two_implications": 0, "copy_or": 1}[name]
         p = getattr(instances, name)()
         enumerations = []
         calls = []
         enumerate_projected = oracle.enumerate_projected
 
-        def counting_enumerate(*args, **kwargs):
-            enumerations.append(1)
-            return enumerate_projected(*args, **kwargs)
+        def counting_enumerate(f, proj, *args, **kwargs):
+            enumerations.append(sorted(proj))
+            return enumerate_projected(f, proj, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "enumerate_projected", counting_enumerate)
         solution = run(p, on_iteration=calls.append)
-        assert len(enumerations) == 1
+        table = sorted(p.count_vars.union(p.max_vars, *p.deps.values()))
+        assert enumerations == [sorted(p.count_vars)] + [table] * rows
         assert len(calls) == 1 + sum(len(p.deps[x]) for x in p.max_vars)
         assert solution.achieved_count == brute_force_dqmaxsat(p).achieved_count
         assert init(p).cells == reachable_cells(p.cnf, p.count_vars)
@@ -303,14 +307,16 @@ class TestRun:
     ])
     def test_oracle_stops_once_the_incumbent_reaches_every_cell(
             self, name, calls, counts, monkeypatch):
+        # counted at the one dispatch that every oracle call goes through,
+        # whether the DP or max_count answers it
         p = getattr(instances, name)()
         made = []
 
-        def counting_max_count(req):
+        def counting_oracle_call(table, sel, req, bnb):
             made.append(req)
-            return max_count(req)
+            return oracle.oracle_call(table, sel, req, bnb)
 
-        monkeypatch.setattr(incremental, "max_count", counting_max_count)
+        monkeypatch.setattr(incremental, "oracle_call", counting_oracle_call)
         _, records = collect(p)
         assert [r.count for r in records] == counts
         assert len(made) == calls
@@ -326,12 +332,12 @@ class TestRun:
             built.append(1)
             return selector_objective(*args)
 
-        def counting_max_count(req):
+        def counting_oracle_call(*args):
             made.append(1)
-            return max_count(req)
+            return oracle.oracle_call(*args)
 
         monkeypatch.setattr(incremental, "selector_objective", counting_objective)
-        monkeypatch.setattr(incremental, "max_count", counting_max_count)
+        monkeypatch.setattr(incremental, "oracle_call", counting_oracle_call)
         _, records = collect(p)
         assert len(built) == len(made)
         if name.startswith("random_"):

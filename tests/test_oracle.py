@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +10,20 @@ from dqmaxsat.counting import check_solution
 from dqmaxsat.engine import Engine
 from dqmaxsat import oracle
 from dqmaxsat.formula import Cnf, Problem, Solution, cofactor, minterms_of
+from dqmaxsat.incremental import expand, init, schedule
+from dqmaxsat.incremental import run as run_incremental
 from dqmaxsat.oracle import (
+    ChainTable,
     InstanceTooLarge,
     MalformedRequest,
     OracleRequest,
+    OracleResult,
     brute_force_dqmaxsat,
     max_count,
+    oracle_call,
     reachable_cells,
 )
-from dqmaxsat.reduction import solve_global
+from dqmaxsat.reduction import build_reduction, solve_global
 
 import instances
 from naive import (
@@ -284,10 +290,11 @@ def test_deep_branch_and_bound_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 36)
     try:
-        s = solve_global(p)
+        # max_count itself: solve_global would take the DP's answer here
+        res = max_count(build_reduction(p)[0])
     finally:
         sys.setrecursionlimit(limit)
-    assert s.achieved_count == 32
+    assert res.best_count == 32
 
 
 @pytest.mark.parametrize("seed", range(40, 70))
@@ -359,3 +366,142 @@ class TestBruteForce:
         for x in p.max_vars:
             assert s.functions[x].minterms == want_fns[x]
         assert check_solution(p, s) == want_count
+
+
+def _answers(res):
+    return None if res is None else (dict(res.best), res.best_count)
+
+
+class TestChainTable:
+    """The DP's entry, called directly, against max_count on the same call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances.problems(max_num_vars=7, max_num_max=3, dep_limit=2))
+    def test_every_incremental_call_matches_max_count(self, p):
+        # one table for the whole run, as incremental.run keeps it; the
+        # incumbent carried over is max_count's answer. The dispatch with
+        # the table asked first answers every call as max_count does too
+        state = init(p)
+        table, first = ChainTable(p, state.cells), ChainTable(p, state.cells)
+        first.up_front = True
+        for step in [None, *schedule(p)]:
+            if step is not None:
+                state = expand(state, *step)
+            want = max_count(state.request())
+            got = table.solve(state.selectors, state.incumbent)
+            if got is not None:
+                assert _answers(got) == _answers(want)
+            assert _answers(oracle_call(first, state.selectors, state.request(), max_count)) == _answers(want)
+            state = replace(state, incumbent=dict(want.best))
+        brute = brute_force_dqmaxsat(p).achieved_count
+        assert want.best_count == brute
+        assert run_incremental(p).achieved_count == solve_global(p).achieved_count == brute
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances.problems(max_num_vars=7, max_num_max=3, dep_limit=2), st.randoms())
+    def test_global_reduction_with_a_random_incumbent(self, p, rnd):
+        req, sel = build_reduction(p)
+        incumbent = {s: rnd.random() < 0.5 for s in sorted(req.incumbent)}
+        req = OracleRequest(req.objective, incumbent, req.cells)
+        got = ChainTable(p, req.cells).solve(sel, incumbent)
+        if got is not None:
+            assert _answers(got) == _answers(max_count(req))
+
+    @pytest.fixture
+    def row_tables(self, monkeypatch):
+        """The projections the tables enumerate rows over, in call order."""
+        made = []
+        real = oracle.enumerate_projected
+
+        def recording(f, proj, visit=None):
+            made.append(sorted(proj))
+            return real(f, proj, visit)
+
+        monkeypatch.setattr(oracle, "enumerate_projected", recording)
+        return made
+
+    def test_supports_that_are_not_nested(self, two_implications, row_tables):
+        # chooser 1 sees helper 5 and chooser 2 helper 6: the shape fails
+        # before any row is enumerated
+        state = init(two_implications)
+        for step in schedule(two_implications):
+            state = expand(state, *step)
+        assert state.selectors.supports == {1: (5,), 2: (6,)}
+        row_tables.clear()
+        assert ChainTable(two_implications, state.cells).solve(state.selectors, state.incumbent) is None
+        assert row_tables == []
+        # the same over counted variables, which need no forcing: chooser 1
+        # sees 3 and chooser 2 sees 4. A DP that took them as nested would
+        # let chooser 2 answer each value of 3 on its own and claim all 4
+        # cells, where the optimum is 3
+        f = Cnf.build(4, [[-1, 3], [2, -3, 1], [-2, -3, -4], [3, 2]])
+        p = Problem.of(f, max_vars=[1, 2], count_vars=[3, 4], exist_vars=[], deps={1: [3], 2: [4]})
+        req, sel = build_reduction(p)
+        assert ChainTable(p, req.cells).solve(sel, req.incumbent) is None
+        assert max_count(req).best_count == brute_force_dqmaxsat(p).achieved_count == 3
+
+    def test_an_observation_no_cell_forces(self, or_with_free_helper, row_tables):
+        # the helper 5 decides the chooser when counter 2 is false, so no
+        # cell forces it; the counters alone are fine
+        p = or_with_free_helper
+        req, sel = build_reduction(p)
+        state = expand(init(p), 1, 2)
+        table = ChainTable(p, req.cells)
+        row_tables.clear()
+        assert table.solve(sel, req.incumbent) is None
+        assert row_tables == []
+        assert _answers(table.solve(state.selectors, state.incumbent)) == _answers(max_count(state.request()))
+        assert row_tables == [[1, 2, 3, 4, 5]]
+
+    def test_rows_past_the_bound(self, row_tables):
+        # chooser 1 will see the existential 3, which no cell forces: with
+        # the empty support the call is chain-shaped, but 3 doubles the rows
+        # of most (cell, chooser) pairs, so the enumeration stops past Tb = 4
+        # and the table answers no call after
+        f = Cnf.build(3, [[-1, 2, 3]])
+        p = Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[3], deps={1: [3]})
+        state = init(p)
+        table = ChainTable(p, state.cells)
+        assert (table.bound, table.up_front) == (4, True)
+        row_tables.clear()
+        assert table.solve(state.selectors, state.incumbent) is None
+        assert table.solve(state.selectors, state.incumbent) is None
+        assert row_tables == [[1, 2, 3]]
+        assert oracle_call(table, state.selectors, state.request(), max_count) == max_count(state.request())
+
+    def test_the_rule(self, monkeypatch):
+        # up front while 2^|X| <= |cells| and Tb <= ROW_GUARD; otherwise the
+        # B&B gets Tb probes
+        f = Cnf.build(3, [[1, 2, 3]])
+        p = Problem.of(f, max_vars=[1], count_vars=[2, 3], exist_vars=[], deps={1: [2]})
+        cells = reachable_cells(f, [2, 3])
+        assert len(cells) == 4
+        assert ChainTable(p, cells).up_front
+        assert ChainTable(p, cells).bound == 8
+        assert not ChainTable(p, cells[:1]).up_front
+        monkeypatch.setattr(oracle, "ROW_GUARD", 7)
+        assert not ChainTable(p, cells).up_front
+
+    def test_a_spent_budget_hands_the_call_to_the_table(self):
+        # the copy chooser of y1 over three counters: 8 cells and 2 tuples,
+        # so Tb = 16; with the table not asked up front, the B&B spends more
+        # than 16 probes, asks it, and the table answers every later call
+        f = Cnf.build(4, [[-1, 2], [1, -2]])
+        p = Problem.of(f, max_vars=[1], count_vars=[2, 3, 4], exist_vars=[],
+                       deps={1: [2, 3, 4]})
+        req, sel = build_reduction(p)
+        want = max_count(req)
+        asked = []
+
+        def escalate():
+            asked.append(1)
+            return OracleResult({}, -1)
+
+        assert max_count(req, 1000, escalate) == want and asked == []
+        assert max_count(req, 0, escalate) == OracleResult({}, -1) and asked == [1]
+        # an escalation that gives no answer lets the search finish
+        assert max_count(req, 0, lambda: asked.append(2)) == want and asked == [1, 2]
+        table = ChainTable(p, req.cells)
+        table.up_front = False
+        assert oracle_call(table, sel, req, max_count) == want
+        assert table.up_front
