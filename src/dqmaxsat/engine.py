@@ -52,8 +52,8 @@ kept ones. Every list therefore keeps its order, and with it propagation
 order, reasons and learned clauses.
 
 After satisfiable() returns True, `witness` holds the model it found as a
-value array (index = variable, 1 true, -1 false). After it returns False,
-`core` holds a subset of the assumptions that the database alone refutes.
+value array (index = variable, 1 true, -1 false). A False answer carries
+nothing more: the engine finds no assumption core.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class Engine:
         self._assumed: list[int] = []  # the previous call's assumptions
         self._floor = 0  # the deepest second-branch level of an enumeration
         self.witness: list[int] = []
-        self.core: list[int] = []
         # one pass: check every literal, attach every clause, queue the
         # units, then propagate once
         cl = [list(c) for c in clauses]
@@ -269,30 +268,6 @@ class Engine:
         back = levels[abs(learned[1])] if len(learned) > 1 else 0
         return learned, back
 
-    def _final(self, lit: int) -> list[int]:
-        """Assumptions that force the pending assumption `lit` false.
-
-        MiniSat's analyzeFinal: walk the trail back from the falsified
-        assumption through reasons, collecting the reasonless literals above
-        level 0. Those are decisions, and every decision on the trail here is
-        an assumption, because every open level belongs to an assumption
-        before `lit` while `lit` is pending.
-        """
-        core = [lit]
-        if self._level[abs(lit)] == 0:
-            return core
-        seen = {abs(lit)}
-        for t in reversed(self._trail[self._lim[0]:]):
-            v = abs(t)
-            if v not in seen:
-                continue
-            r = self._reason[v]
-            if r is None:
-                core.append(t)
-            else:
-                seen.update(abs(q) for q in r[1:] if self._level[abs(q)] > 0)
-        return core
-
     # -- search ----------------------------------------------------------------
 
     def _reuse(self, assumptions: list[int]) -> None:
@@ -309,8 +284,8 @@ class Engine:
         self._backtrack(shared)
         self._assumed = assumptions
 
-    def _search(self, assumptions: list[int]) -> Optional[list[int]]:
-        """None when a model extends the assumptions, else an assumption core.
+    def _search(self, assumptions: list[int]) -> bool:
+        """Whether a model extends the assumptions.
 
         Continues from the current trail, whose levels must all belong to
         assumptions: level i to assumptions[i-1]. The next level goes to
@@ -318,10 +293,10 @@ class Engine:
         the lowest unassigned variable.
 
         In an enumeration the levels up to the floor hold decisions instead:
-        a conflict backjumps no lower, and one on the floor returns [].
+        a conflict backjumps no lower, and one on the floor returns False.
         """
         if not self.ok:
-            return []
+            return False
         vals = self._vals
         lim = self._lim
         trail = self._trail
@@ -333,7 +308,7 @@ class Engine:
                 if len(lim) == self._floor:
                     if not lim:
                         self.ok = False
-                    return []
+                    return False
                 learned, back = self._analyze(conflict)
                 self._backtrack(max(back, self._floor))
                 self._assert(learned)
@@ -343,7 +318,7 @@ class Engine:
             if level < len(assumptions):
                 lit = assumptions[level]
                 if vals[lit] == -1:
-                    return self._final(lit)  # clashes with consequences of earlier choices
+                    return False  # clashes with consequences of earlier choices
                 lim.append(len(trail))
                 if vals[lit] == 0:  # a level of its own, empty when lit holds
                     self._enqueue(lit, None)
@@ -351,7 +326,7 @@ class Engine:
             while cursor <= num_vars and vals[cursor] != 0:
                 cursor += 1
             if cursor > num_vars:
-                return None
+                return True
             lim.append(len(trail))
             self._enqueue(-cursor, None)  # false first
 
@@ -364,16 +339,14 @@ class Engine:
         self._floor = level
 
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
-        """Whether a model extends the assumption literals; sets `witness` or `core`."""
+        """Whether a model extends the assumption literals; sets `witness` if so."""
         lits = list(assumptions)
         self._check_range(lits)
         self._reuse(lits)
-        core = self._search(lits)
-        if core is None:
-            self.witness = self._vals[:self.num_vars + 1]
-            return True
-        self.core = core
-        return False
+        if not self._search(lits):
+            return False
+        self.witness = self._vals[:self.num_vars + 1]
+        return True
 
     def solve(self, assumptions: Iterable[int] = ()) -> Optional[dict[int, bool]]:
         """A total model extending the assumption literals, or None."""
@@ -411,7 +384,7 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
     lim = eng._lim
     count = 0
     while True:
-        if eng._search([]) is None:
+        if eng._search([]):
             count += 1
             if visit is not None:
                 visit(tuple([v if vals[i] > 0 else -v for i, v in enumerate(proj_vars, 1)]))

@@ -8,10 +8,11 @@ derives the objective from the supports, with the same selector encoding
 as the global reduction; no other step builds one. An iteration asks the
 oracle for the best assignment: one that ignores the new variable equals
 an assignment over the old support, whose count is at most the
-incumbent's, and the oracle accepts only strict improvements. Once the incumbent reaches every count-cell nothing can beat
-it, so the remaining iterations keep it without an oracle call. A full run
-makes exactly 1 + sum of |H_i| iterations and may be stopped after any of
-them, yielding the best strategies over the supports grown so far.
+incumbent's, and the oracle accepts only strict improvements. Once the
+incumbent reaches every count-cell nothing can beat it, so the remaining
+iterations keep it without an oracle call. A full run makes exactly 1 +
+sum of |H_i| iterations and may be stopped after any of them, yielding
+the best strategies over the supports grown so far.
 
 schedule lists the expansions, which depend only on the problem:
 round-robin over the choosers in prefix order, skipping those whose
@@ -21,8 +22,9 @@ Every call's objective reaches the same count-cells as the problem's own
 CNF, whatever the supports, so init enumerates them once and every
 request of the run carries them. Every call goes through oracle.oracle_call
 with one ChainTable for the run: its rows span the full dependency sets, so
-one enumeration serves every partial support, and once the table answers a
-call it answers every later chain-shaped one.
+one enumeration serves every partial support. The table also holds the
+run's one B&B probe budget: once the calls together pass it, the table is
+asked first on every later call.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ calls it makes. Two answers give the same result, the incumbent on a tie
 and otherwise the lexicographically least optimum:
 
 - max_count, a branch and bound (B&B) over the selectors that probes cells
-  on a SAT engine, for any request;
+  on a SAT engine and keeps each cell's last model, for any request;
 - ChainTable.solve, a dynamic program over one table of rows per solve, for
   chain-shaped calls: the choosers' supports are nested, and every newly
   observed variable is counted or forced. Such a call is an exist/random
@@ -18,12 +18,13 @@ and otherwise the lexicographically least optimum:
 
 oracle_call picks between them by the table's size bound Tb = |cells| ·
 2^|X| for |X| choosers. The DP answers up front when 2^|X| <= |cells| and
-Tb <= ROW_GUARD. Otherwise the B&B runs with a budget of Tb probes; if it
-runs out on a chain-shaped call, the DP answers that call and every later
-one of the solve. The rows are enumerated once, and never past Tb rows;
-past them the solve stays on the B&B. So the DP runs only where its table
-is provably small, or where the B&B has spent as many probes as the table
-can have rows.
+Tb <= ROW_GUARD. Otherwise the B&B runs with one budget of Tb probes for
+the whole solve: the table counts the probes of all its calls. Once they
+pass Tb, the table is asked first on that call and every later one, and
+a call it cannot answer goes on the B&B without a budget. The rows are
+enumerated once, and never past Tb rows; past them the solve stays on
+the B&B. So the DP runs only where its table is provably small, or where
+the solve's B&B has spent as many probes as the table can have rows.
 
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
@@ -33,7 +34,6 @@ and for cross-checking the real solvers.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
@@ -90,8 +90,8 @@ def reachable_cells(f: Cnf, count_vars: Iterable[int]) -> tuple[tuple[int, ...],
     return tuple(cells)
 
 
-def max_count(req: OracleRequest, budget: Optional[int] = None,
-              escalate: Optional[Callable[[], Optional[OracleResult]]] = None,
+def max_count(req: OracleRequest,
+              budget: Optional[Callable[[int], Optional[OracleResult]]] = None,
               ) -> OracleResult:
     """Best assignment of the choice variables, incumbent included.
 
@@ -105,24 +105,22 @@ def max_count(req: OracleRequest, budget: Optional[int] = None,
     still individually reachable below it; the list only shrinks along a
     branch, bounding every completion from above.
 
-    Whether a cell stays reachable at a child node is settled in one of
-    three ways. A cell carries the last model the engine found for it; if
-    that model agrees with the child's new literal, it is a model of the
-    child's query too, and the cell is kept. A cell also keeps the
-    assumption cores of its failed probes; if one lies inside the child's
-    literals, the cell is dropped. Otherwise the engine is asked. Each way
-    gives the answer an engine call would, so the search accepts the same
-    strict improvements in the same order as one that asks every time, and
-    the result is still the lexicographically least optimum.
+    A cell carries the last model the engine found for it. If that model
+    agrees with a child's new literal, it is a model of the child's query
+    too, and the cell is kept without a probe; otherwise the engine is
+    asked. Either way gives the answer an engine call would, so the search
+    accepts the same strict improvements in the same order as one that asks
+    every time, and the result is still the lexicographically least optimum.
 
     One engine serves a call, and it only probes: the root's cells come
     with the request. The incumbent is counted on it, one probe per root
-    cell under the incumbent's literals, and those probes' witnesses and
-    cores are what the root's cells start with.
+    cell under the incumbent's literals, and those probes' models are what
+    the root's cells start with.
 
-    With a budget, once the engine has probed more than budget times,
-    escalate() is asked once for the answer. An answer it gives is returned
-    as it is; None lets the search go on without a budget.
+    budget, when given, is charged the probes as they are spent: once per
+    node, the root's with the first node (a call whose incumbent reaches
+    every cell searches nothing and charges nothing). An answer it returns
+    is returned as it is; None lets the search go on.
     """
     ms = sorted(req.incumbent)
     incumbent = {v: bool(req.incumbent[v]) for v in ms}
@@ -132,29 +130,25 @@ def max_count(req: OracleRequest, budget: Optional[int] = None,
         raise MalformedRequest("the cells are not over one ascending set of variables")
     nv = max([req.objective.num_vars] + ms + ys, default=0)
 
-    # a cell entry: the cell, its last witness (None until probed), its cores
-    Entry = tuple[tuple[int, ...], Optional[list[int]], list[frozenset[int]]]
+    # a cell entry: the cell and its last witness (None until one is found)
+    Entry = tuple[tuple[int, ...], Optional[list[int]]]
 
     # the incumbent's count: each root cell probed under the incumbent's
     # literals, which come first so every probe keeps their levels; the
-    # witnesses and cores found here seed the root entries
+    # witnesses found here seed the root entries
     probe = Engine(nv, req.objective.clauses)
     inc_lits = [v if incumbent[v] else -v for v in ms]
-    roots: list[Entry] = []
-    for cell in root_cells:
-        if probe.satisfiable([*inc_lits, *cell]):
-            roots.append((cell, probe.witness, []))
-        else:
-            roots.append((cell, None, [frozenset(probe.core).difference(cell)]))
-    best_count = sum(wit is not None for _, wit, _ in roots)
+    roots: list[Entry] = [
+        (cell, probe.witness if probe.satisfiable([*inc_lits, *cell]) else None)
+        for cell in root_cells
+    ]
+    best_count = sum(wit is not None for _, wit in roots)
     best = incumbent
     if len(root_cells) <= best_count:
         return OracleResult(best, best_count)
 
     assumed: list[int] = []
-    here: set[int] = set()  # the literals of assumed
-    spent = len(root_cells)  # the probes so far
-    limit = math.inf if budget is None else budget
+    spent = len(root_cells)  # probes not yet charged to the budget
 
     def refine(cells: list[Entry], lit: int) -> Optional[list[Entry]]:
         # None = this branch provably cannot strictly beat best_count
@@ -164,16 +158,14 @@ def max_count(req: OracleRequest, budget: Optional[int] = None,
         remaining = len(cells)
         for entry in cells:
             remaining -= 1
-            cell, wit, cores = entry
+            cell, wit = entry
             if wit is not None and wit[v] == value:
                 surviving.append(entry)
-            elif not any(core <= here for core in cores):
+            else:
                 # the shared B&B prefix first: the engine keeps its levels between probes
                 spent += 1
                 if probe.satisfiable([*assumed, *cell]):
-                    surviving.append((cell, probe.witness, cores))
-                else:
-                    cores.append(frozenset(probe.core).difference(cell))
+                    surviving.append((cell, probe.witness))
             if len(surviving) + remaining <= best_count:
                 return None
         return surviving
@@ -182,6 +174,11 @@ def max_count(req: OracleRequest, budget: Optional[int] = None,
     # node's cells and how many of its two branches have been tried
     stack: list[list] = [[roots, 0]]
     while stack:
+        if spent and budget is not None:
+            res = budget(spent)
+            if res is not None:
+                return res
+            spent = 0
         frame = stack[-1]
         cells, tried = frame
         if len(cells) > best_count and len(assumed) == len(ms):
@@ -190,23 +187,17 @@ def max_count(req: OracleRequest, budget: Optional[int] = None,
         if tried == 2 or len(cells) <= best_count:
             stack.pop()
             if assumed:
-                here.discard(assumed.pop())
+                assumed.pop()
             continue
         frame[1] = tried + 1
         v = ms[len(assumed)]
         lit = v if tried else -v
         assumed.append(lit)
-        here.add(lit)
         narrowed = refine(cells, lit)
-        if spent > limit:
-            limit = math.inf
-            res = escalate()
-            if res is not None:
-                return res
         if narrowed is not None:
             stack.append([narrowed, 0])
             continue
-        here.discard(assumed.pop())
+        assumed.pop()
 
     return OracleResult(best, best_count)
 
@@ -224,8 +215,10 @@ class ChainTable:
     solve, partial supports included. bound is Tb = |cells| · 2^|X|: as
     many rows as the table has when every dependency variable is forced.
     The enumeration stops past it, and the table answers no call after.
-    up_front says whether oracle_call asks the table before the B&B;
-    oracle_call sets it once the table has answered an escalated call.
+    It is also the B&B's probe budget for the whole solve: spent counts
+    the probes of every B&B call that oracle_call budgets. up_front says
+    whether oracle_call asks the table before the B&B; oracle_call sets it
+    once spent passes bound.
     """
 
     def __init__(self, p: Problem, cells: tuple[tuple[int, ...], ...]):
@@ -233,6 +226,7 @@ class ChainTable:
         tuples = 1 << len(p.max_vars)
         self.bound = len(cells) * tuples
         self.up_front = tuples <= len(cells) and self.bound <= ROW_GUARD
+        self.spent = 0
         # the rows, once enumerated (False past the bound), each row's cell,
         # and each variable's column
         self._rows: list[tuple[int, ...]] | bool | None = None
@@ -391,21 +385,25 @@ def oracle_call(table: ChainTable, sel: "SelectorMap", req: OracleRequest,
     bnb is max_count; callers pass it through their own module's name,
     which the benchmark's spans (perfbench/spans.py) wrap. While the table
     answers up front, a call it cannot answer goes to the B&B unbudgeted.
-    Otherwise the B&B gets a budget of table.bound probes, and when that
-    runs out the table is asked; once it answers, it answers every later
-    call of the solve up front.
+    Otherwise the B&B charges its probes to the solve's count, and once
+    that passes table.bound the table is asked; from then on it is asked
+    first on every call of the solve. A call it cannot answer goes on
+    without a budget.
     """
     if table.up_front:
         res = table.solve(sel, req.incumbent)
         return res if res is not None else bnb(req)
 
-    def escalate() -> Optional[OracleResult]:
-        res = table.solve(sel, req.incumbent)
-        if res is not None:
-            table.up_front = True
-        return res
+    def budget(probes: int) -> Optional[OracleResult]:
+        if table.up_front:  # asked already in this call
+            return None
+        table.spent += probes
+        if table.spent <= table.bound:
+            return None
+        table.up_front = True
+        return table.solve(sel, req.incumbent)
 
-    return bnb(req, table.bound, escalate)
+    return bnb(req, budget)
 
 
 def _var_mask(v: int, num_vars: int) -> int:

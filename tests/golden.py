@@ -24,7 +24,7 @@ the same lines:
 
 With ``--bundled`` it prints one sha256 over the digests of the bundled
 instances that ``dqms bench`` solves (``cli._SUITE``) instead. That takes
-about 3 s, nearly all of it in capacity6 and capacity:
+about 1.5 s, most of it in capacity6 and capacity:
 
     PYTHONPATH=src python3 tests/golden.py --bundled
 """

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import dqmaxsat
-from dqmaxsat import cli
+from dqmaxsat import cli, incremental
 from dqmaxsat.bitvec import ProgramError, parse_program
 from dqmaxsat.dimacs import ParseError, parse_instance
+from dqmaxsat.engine import Engine
 from dqmaxsat.formula import Cnf, Problem, apply_substitution, minterms_of
 from dqmaxsat.reduction import BudgetExceeded, solve_global
 
@@ -458,6 +459,34 @@ class TestChainShapedCalls:
         assert time.perf_counter() - t0 < 10
         assert s.achieved_count == 256
         assert s.functions[1].minterms == {m for m in minterms_of(ys) if m[0] > 0}
+
+
+    def test_capacity_spends_one_probe_budget_per_solve(self, capsys, monkeypatch):
+        # 8 cells and 9 choosers: Tb = 8 * 2^9 = 4,096 probes for the whole
+        # incremental run. Once they pass it, the table answers every later
+        # call; budgeted per call instead, the run probed 14,297 times
+        inside, probes = [], []
+        satisfiable, max_count = Engine.satisfiable, incremental.max_count
+
+        def counting(self, assumptions=()):
+            probes.append(bool(inside))
+            return satisfiable(self, assumptions)
+
+        def bnb(*args):
+            inside.append(1)
+            try:
+                return max_count(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Engine, "satisfiable", counting)
+        monkeypatch.setattr(incremental, "max_count", bnb)
+        path = resources.files("dqmaxsat").joinpath("bench", "capacity.atk")
+        code, out, _ = run_cli(capsys, "solve-program", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["method"], doc["count"]) == ("incremental", 8)
+        assert sum(probes) <= 4096 + 8 + 1
 
 
 class TestWideSupport:

@@ -206,7 +206,7 @@ def test_out_of_range_assumption_is_rejected():
 
 
 def test_learned_clauses_survive_assumption_changes():
-    # unsat core under assumption 1, other branch stays reachable
+    # unsatisfiable under assumption 1, other branch stays reachable
     f = Cnf.build(3, [[-1, 2], [-1, -2]])
     eng = Engine(f.num_vars, f.clauses)
     assert not eng.satisfiable([1])
@@ -238,41 +238,6 @@ def test_assumption_solves_agree_with_conditioned_table(clause_lists, assumption
 
 
 class TestWitnessAndCore:
-    def test_core_names_only_the_clashing_assumptions(self):
-        # 1 forces 2, which forces -3; assumption 4 plays no part
-        eng = Engine(4, [[-1, 2], [-2, -3]])
-        assert not eng.satisfiable([1, 3, 4])
-        assert sorted(eng.core) == [1, 3]
-
-    def test_assumption_false_at_level_0_is_its_own_core(self):
-        eng = Engine(2, [[-1]])
-        assert not eng.satisfiable([2, 1])
-        assert eng.core == [1]
-
-    def test_contradictory_assumptions_are_the_core(self):
-        eng = Engine(2)
-        assert not eng.satisfiable([1, 2, -1])
-        assert sorted(eng.core) == [-1, 1]
-
-    def test_level_0_unsat_database_gives_an_empty_core(self):
-        eng = Engine(2, [[1], [-1]])
-        assert not eng.satisfiable([2])
-        assert eng.core == []
-
-    def test_unsat_found_by_search_gives_an_empty_core(self):
-        # pigeonhole 3 into 2 needs conflicts before it is refuted at level 0
-        def v(i, j):
-            return 2 * i + j + 1
-
-        clauses = [[v(i, 0), v(i, 1)] for i in range(3)]
-        for j in range(2):
-            for a, b in itertools.combinations(range(3), 2):
-                clauses.append([-v(a, j), -v(b, j)])
-        eng = Engine(6, clauses)
-        assert not eng.satisfiable([1])
-        assert not eng.satisfiable([2])
-        assert eng.core == []
-
     def test_witness_is_the_false_first_model(self):
         eng = Engine(3, [[1, 2]])
         assert eng.satisfiable([3])
@@ -293,9 +258,6 @@ class TestWitnessAndCore:
             if sat:
                 model = {v: eng.witness[v] > 0 for v in range(1, 7)}
                 assert eval_cnf(list(f.clauses) + units, model)
-            else:
-                assert set(eng.core) <= set(assumptions)
-                assert not tt_satisfiable(6, list(f.clauses) + [[a] for a in eng.core])
 
 
 class TestLoader:
@@ -310,13 +272,11 @@ class TestLoader:
         assert eng.satisfiable()
         assert eng.witness[1:] == [-1, -1, -1]
         assert not eng.satisfiable([2])
-        assert eng.core == [2]
 
     def test_clashing_units_make_the_engine_unsat(self):
         eng = Engine(2, [[1], [2], [-1]])
         assert not eng.ok
         assert not eng.satisfiable()
-        assert eng.core == []
 
     def test_units_propagate_into_longer_clauses(self):
         # both long clauses are attached before the units are queued; under
@@ -359,9 +319,6 @@ class TestLoader:
             if sat:
                 # the least model, false before true, lowest variable first
                 assert {v: eng.witness[v] > 0 for v in range(1, 6)} == models[0]
-            else:
-                assert set(eng.core) <= set(assumptions)
-                assert not tt_satisfiable(5, clause_lists + [[a] for a in eng.core])
 
 
     @settings(max_examples=300, deadline=None)
@@ -395,7 +352,6 @@ class TestTrailReuse:
         assert eng.satisfiable([-1, -3])
         assert eng.witness[1:] == [-1, 1, -1]
         assert not eng.satisfiable([-1, 3])
-        assert sorted(eng.core) == [-1, 3]
         assert eng.satisfiable([-1])
 
     def test_an_assumption_that_holds_opens_its_own_level(self):
@@ -461,9 +417,6 @@ class TestTrailReuse:
             if sat:
                 # the least model, false before true, lowest variable first
                 assert {v: eng.witness[v] > 0 for v in range(1, 7)} == models[0]
-            else:
-                assert set(eng.core) <= set(assumptions)
-                assert not tt_satisfiable(6, clauses + [[a] for a in eng.core])
 
 
 class TestWatchLists:

@@ -130,7 +130,6 @@ def test_no_choice_variables_counts_the_objective():
 
 def _random_request(rng: random.Random):
     # up to 8 choice variables, so cells keep witnesses over several levels
-    # and cores learned in one subtree apply in its cousins
     num_choice = rng.randint(1, 8)
     num_vars = num_choice + rng.randint(2, 5)
     ms = rng.sample(range(1, num_vars + 1), num_choice)
@@ -202,7 +201,9 @@ def test_one_engine_and_no_enumeration_per_call(monkeypatch):
 
 def test_witnesses_and_cores_skip_probes(monkeypatch):
     # choices 1..3, counted 4, 5: y4 needs x1, y5 needs x3 and not x2, so
-    # all four cells are reachable only under x1 & -x2 & x3
+    # all four cells are reachable only under x1 & -x2 & x3. The B&B keeps
+    # witnesses only: a cell whose witness agrees with a node's new literal
+    # is kept without a probe
     objective = Cnf.build(5, [[-4, 1], [-5, -2], [-5, 3]])
     req = OracleRequest(
         objective=objective,
@@ -224,30 +225,62 @@ def test_witnesses_and_cores_skip_probes(monkeypatch):
     assert res.best_count == 4
     assert probes == [
         # the incumbent (-1, -2, -3), one probe per root cell: it reaches
-        # one cell, and its witness and cores seed the root entries
+        # one cell, whose witness seeds its root entry; the other three
+        # start with none
         ((-1, -2, -3), (-4, -5), True),
-        ((-1, -2, -3), (-4, 5), False),  # core {-3}
-        ((-1, -2, -3), (4, -5), False),  # core {-1}
-        ((-1, -2, -3), (4, 5), False),  # core {-1}
-        # node (-1): cell (-4, -5) keeps the incumbent's witness, cells
-        # (4, -5) and (4, 5) are dropped by their core {-1}
+        ((-1, -2, -3), (-4, 5), False),
+        ((-1, -2, -3), (4, -5), False),
+        ((-1, -2, -3), (4, 5), False),
+        # node (-1): cell (-4, -5) keeps the incumbent's witness, which has
+        # -1; the three others are probed, and (-4, 5) is reached
         ((-1,), (-4, 5), True),
+        ((-1,), (4, -5), False),
+        ((-1,), (4, 5), False),
         # node (-1, -2): both cells keep their witnesses, which have -2
-        # node (-1, -2, -3): cell (-4, -5) keeps its witness and cell
-        # (-4, 5) is dropped by its core {-3}, so 1 cell cannot beat 1
-        ((-1, -2, 3), (-4, -5), True),  # cell (-4, 5) keeps its witness
-        # leaf: 2 cells beat the incumbent's 1
+        # node (-1, -2, -3): cell (-4, -5) keeps its witness; cell (-4, 5)
+        # has 3 in its witness and fails its probe, so 1 cell cannot beat 1
+        ((-1, -2, -3), (-4, 5), False),
+        # node (-1, -2, 3): cell (-4, 5) keeps its witness, which has 3
+        ((-1, -2, 3), (-4, -5), True),
+        # leaf: 2 cells beat the incumbent's 1; node (-1) cannot beat 2
+        # node (1): no cell has a witness with 1
         ((1,), (-4, -5), True),
         ((1,), (-4, 5), True),
         ((1,), (4, -5), True),
         ((1,), (4, 5), True),
         # node (1, -2): all four cells keep their witnesses, which have -2
-        # node (1, -2, -3): cell (-4, 5) is dropped by its core {-3} from
-        # the incumbent's probe; the two others keep their witnesses
+        # node (1, -2, -3): the cells with -3 in their witnesses keep them;
+        # the two with 3 fail their probes, so 2 cells cannot beat 2
+        ((1, -2, -3), (-4, 5), False),
         ((1, -2, -3), (4, 5), False),
+        # node (1, -2, 3): the cells with 3 in their witnesses keep them
         ((1, -2, 3), (-4, -5), True),
         ((1, -2, 3), (4, -5), True),
+        # leaf: 4 cells, every cell, so no branch can beat it
     ]
+
+
+def test_the_budget_hook_is_optional(copy_or_and, monkeypatch):
+    # a hook that never answers leaves the search as it is without one, and
+    # is charged every probe, node by node; the root's 4 with the first
+    req = build_reduction(copy_or_and)[0]
+    probes = []
+    satisfiable = Engine.satisfiable
+
+    def counting(self, assumptions=()):
+        probes.append(1)
+        return satisfiable(self, assumptions)
+
+    monkeypatch.setattr(Engine, "satisfiable", counting)
+    want = max_count(req)
+    assert want.best_count == 3
+    made = len(probes)
+    probes.clear()
+    charged = []
+    assert max_count(req, charged.append) == want
+    assert sum(charged) == len(probes) == made and charged[0] == len(req.cells) == 4
+    # an answer the hook gives is returned as it is
+    assert max_count(req, lambda spent: OracleResult({}, -1)) == OracleResult({}, -1)
 
 
 def _given_cases(rng: random.Random):
@@ -379,11 +412,12 @@ class TestChainTable:
     @given(instances.problems(max_num_vars=7, max_num_max=3, dep_limit=2))
     def test_every_incremental_call_matches_max_count(self, p):
         # one table for the whole run, as incremental.run keeps it; the
-        # incumbent carried over is max_count's answer. The dispatch with
-        # the table asked first answers every call as max_count does too
+        # incumbent carried over is max_count's answer. The dispatch answers
+        # every call as max_count does too, with the table asked first and
+        # with it asked only once the run's probe budget is spent
         state = init(p)
-        table, first = ChainTable(p, state.cells), ChainTable(p, state.cells)
-        first.up_front = True
+        table, first, budgeted = (ChainTable(p, state.cells) for _ in range(3))
+        first.up_front, budgeted.up_front = True, False
         for step in [None, *schedule(p)]:
             if step is not None:
                 state = expand(state, *step)
@@ -391,7 +425,8 @@ class TestChainTable:
             got = table.solve(state.selectors, state.incumbent)
             if got is not None:
                 assert _answers(got) == _answers(want)
-            assert _answers(oracle_call(first, state.selectors, state.request(), max_count)) == _answers(want)
+            for dispatch in (first, budgeted):
+                assert _answers(oracle_call(dispatch, state.selectors, state.request(), max_count)) == _answers(want)
             state = replace(state, incumbent=dict(want.best))
         brute = brute_force_dqmaxsat(p).achieved_count
         assert want.best_count == brute
@@ -439,6 +474,12 @@ class TestChainTable:
         req, sel = build_reduction(p)
         assert ChainTable(p, req.cells).solve(sel, req.incumbent) is None
         assert max_count(req).best_count == brute_force_dqmaxsat(p).achieved_count == 3
+        # with the solve's budget spent, the call goes on the B&B once the
+        # table declines it, and the table is asked first from then on
+        table = ChainTable(p, req.cells)
+        table.up_front, table.spent = False, table.bound
+        assert oracle_call(table, sel, req, max_count) == max_count(req)
+        assert table.up_front
 
     def test_an_observation_no_cell_forces(self, or_with_free_helper, row_tables):
         # the helper 5 decides the chooser when counter 2 is false, so no
@@ -491,17 +532,39 @@ class TestChainTable:
                        deps={1: [2, 3, 4]})
         req, sel = build_reduction(p)
         want = max_count(req)
-        asked = []
-
-        def escalate():
-            asked.append(1)
-            return OracleResult({}, -1)
-
-        assert max_count(req, 1000, escalate) == want and asked == []
-        assert max_count(req, 0, escalate) == OracleResult({}, -1) and asked == [1]
-        # an escalation that gives no answer lets the search finish
-        assert max_count(req, 0, lambda: asked.append(2)) == want and asked == [1, 2]
+        charged = []
+        assert max_count(req, charged.append) == want and sum(charged) > 16
         table = ChainTable(p, req.cells)
         table.up_front = False
         assert oracle_call(table, sel, req, max_count) == want
-        assert table.up_front
+        assert table.up_front and 16 < table.spent < sum(charged)
+
+    def test_the_budget_is_one_per_solve(self, monkeypatch):
+        # two choosers over counters 3 and 7 that both come to see 5: 2 cells
+        # and 4 chooser tuples, so Tb = 8 and the table is not asked up
+        # front. The run's first call probes 4 times and its second 5: each
+        # stays under Tb, but together they pass it, and the table answers
+        # the second
+        f = Cnf.build(7, [[3, -1], [-3, 5], [-7, 5], [-5, -7], [-5, 7, -6], [1, 6, -5]])
+        p = Problem.of(f, max_vars=[1, 2], count_vars=[3, 7], exist_vars=[4, 5, 6],
+                       deps={1: [5], 2: [5]})
+        state = init(p)
+        table = ChainTable(p, state.cells)
+        assert (table.bound, table.up_front) == (8, False)
+        answered = []
+        solve = table.solve
+
+        def recording(sel, incumbent):
+            res = solve(sel, incumbent)
+            answered.append(res is not None)
+            return res
+
+        monkeypatch.setattr(table, "solve", recording)
+        first = oracle_call(table, state.selectors, state.request(), max_count)
+        assert first == max_count(state.request())
+        assert (table.spent, table.up_front, answered) == (4, False, [])
+        assert schedule(p)[0] == (1, 5)
+        state = expand(replace(state, incumbent=dict(first.best)), 1, 5)
+        second = oracle_call(table, state.selectors, state.request(), max_count)
+        assert second == max_count(state.request())
+        assert (table.up_front, answered) == (True, [True])
