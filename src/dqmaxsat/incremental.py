@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Optional
 
 from .formula import Cnf, Problem, Solution, TRUE_CNF
 from .oracle import ChainTable, OracleRequest, OracleResult, max_count, oracle_call, reachable_cells
-from .reduction import SelectorMap, decode, selector_objective
+from .reduction import SelectorMap, check_selectors, decode, selector_objective
 
 
 @dataclass(frozen=True)
@@ -135,19 +135,22 @@ def run(
 ) -> Solution:
     """Alternate iterations and expansions until supports are complete.
 
-    budget caps the number of iterations; when it stops the run early the
-    result is the anytime solution over the partially grown supports. An
-    iteration calls the oracle until the incumbent reaches every cell, and
-    from then on keeps the incumbent, which is what the oracle would
-    return. The per-iteration records (count, elapsed time, decoded
-    functions) go to on_iteration, the only place they are kept.
+    budget caps the iterations; stopped early, the run returns the anytime
+    solution over the partially grown supports. Supports that need more
+    selectors than the global reduction allows raise BudgetExceeded up
+    front. An iteration calls the oracle until the incumbent reaches every
+    cell, and from then on keeps the incumbent, which is what the oracle
+    would return. The per-iteration records go to on_iteration, the only
+    place they are kept.
     """
     if budget is not None and budget < 1:
         raise ValueError("budget must allow at least one iteration")
+    steps = schedule(p)[:None if budget is None else budget - 1]
+    check_selectors(sum(y == x for y, _ in steps) for x in p.max_vars)
     st = init(p)
     table = ChainTable(p, st.cells)
     count = -1  # the incumbent's count, which expand keeps
-    for iteration, (x, u) in enumerate([(None, None), *schedule(p)], 1):
+    for iteration, (x, u) in enumerate([(None, None), *steps], 1):
         if x is not None:
             st = expand(st, x, u)
         t0 = time.perf_counter()
@@ -172,6 +175,4 @@ def run(
         st = replace(st, incumbent=dict(res.best))
         if on_iteration is not None:
             on_iteration(record)
-        if budget is not None and iteration >= budget:
-            break
     return anytime

@@ -4,9 +4,9 @@ A variable u common to all dependency sets can be fixed to a constant: the
 two cofactor sub-problems are independent, strictly smaller, and their
 optima add up. Eligibility requires u to be a counted variable, or an
 existential one that the objective pins down as a function of the counted
-variables (otherwise the two cofactors could double-count). plan_split
-only picks up to MAX_SPLIT_VARS eligible variables; solve_local solves
-every leaf and stitches their strategies together by Shannon expansion.
+variables (otherwise the two cofactors could double-count); that test is
+oracle.ChainTable's too. plan_split picks up to MAX_SPLIT_VARS of them;
+solve_local solves the leaves and joins them by Shannon expansion.
 
 When every chooser sees exactly the split variables (and there are at most
 MAX_SPLIT_VARS choosers), each leaf picks one tuple of constants: Max#SAT
@@ -27,6 +27,7 @@ optimum of the whole.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
@@ -47,57 +48,57 @@ MAX_SPLIT_VARS = 6
 # looks the solver up here on every solve with residual leaves
 LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_global}
 
+# per formula, for as long as it lives: (unshared candidates, shared set) -> forced
+_VERDICTS: "weakref.WeakKeyDictionary[Cnf, dict]" = weakref.WeakKeyDictionary()
+
 
 class NoEligibleVariable(ValueError):
     """No variable qualifies for splitting; use another method."""
 
 
 def functionally_dependent(
-    f: Cnf, candidates: Iterable[int], count_vars: Iterable[int]
+    f: Cnf, candidates: Iterable[int], shared: Iterable[int]
 ) -> frozenset[int]:
-    """The candidates that the count variables force in every model of f.
+    """The candidates that the shared variables force in every model of f.
 
-    Padoa's method: every non-count variable gets a copy in a doubled
-    formula, and u is forced when no two models agree on all count variables
-    yet differ on u. Sharing only the count variables makes the verdict hold
-    however the other variables are later constrained, so one check covers
-    every substitution. One engine holds the doubled formula, and each
-    candidate is one assumption query (u true, its copy false): the copies
-    are symmetric, so that also answers the opposite pair. No candidates, no
-    engine.
+    Shared candidates come back as forced. For the others, Padoa's method:
+    every unshared variable gets a copy in a doubled formula, and u is
+    forced when no two models agree on the shared variables yet differ on
+    u; the verdict holds however the unshared ones are later constrained.
+    One engine holds the doubled formula, one assumption query per
+    candidate (u true, its copy false; the copies are symmetric). Verdicts
+    are kept in _VERDICTS for as long as f lives: asked again, no engine.
     """
-    ys = set(count_vars)
-    n = f.num_vars
-    us = set(candidates)
+    us, ys, n = frozenset(candidates), frozenset(shared), f.num_vars
     for u in us:
-        if u in ys:
-            raise ValueError(f"{u} is a count variable")
         if not 1 <= u <= n:
             raise ValueError(f"variable {u} out of range")
-    if not us:
-        return frozenset()
-    # literal-indexed, as in the engine (shadow[-v] is -shadow[v]): count
-    # variables map to themselves, the others to their copy n above
-    shadow = [0] + [v if v in ys else v + n for v in range(1, n + 1)]
-    shadow += [-s for s in reversed(shadow[1:])]
-    engine = Engine(2 * n, list(f.clauses) + [[shadow[lit] for lit in c] for c in f.clauses])
-    return frozenset(u for u in us if not engine.satisfiable((u, -shadow[u])))
+    unshared = us - ys
+    if not unshared:
+        return us
+    verdicts = _VERDICTS.setdefault(f, {})
+    key = (unshared, ys)
+    if key not in verdicts:
+        # literal-indexed, as in the engine (shadow[-v] is -shadow[v]): shared
+        # variables map to themselves, the others to their copy n above
+        shadow = [0] + [v if v in ys else v + n for v in range(1, n + 1)]
+        shadow += [-s for s in reversed(shadow[1:])]
+        engine = Engine(2 * n, list(f.clauses) + [[shadow[lit] for lit in c] for c in f.clauses])
+        verdicts[key] = frozenset(u for u in unshared if not engine.satisfiable((u, -shadow[u])))
+    return (us & ys) | verdicts[key]
 
 
 def plan_split(p: Problem) -> tuple[int, ...]:
     """The variables to split p on, in ascending order.
 
-    Eligible are the counted variables every chooser sees and the seen
-    existential ones the counted variables force; the smallest
-    MAX_SPLIT_VARS of them are kept. Raises NoEligibleVariable when there
-    are none.
+    Eligible are the variables every chooser sees that the counted
+    variables force (counted ones among them); the smallest MAX_SPLIT_VARS
+    are kept. Raises NoEligibleVariable when there are none.
     """
     if not p.max_vars:
         raise NoEligibleVariable("no choosers, nothing to split for")
     common = frozenset.intersection(*(p.deps[x] for x in p.max_vars))
-    existential = common - p.count_vars
-    forced = functionally_dependent(p.cnf, existential, p.count_vars) if existential else frozenset()
-    eligible = sorted((common & p.count_vars) | forced)
+    eligible = sorted(functionally_dependent(p.cnf, common, p.count_vars))
     if not eligible:
         raise NoEligibleVariable("no common dependency variable qualifies")
     return tuple(eligible[:MAX_SPLIT_VARS])

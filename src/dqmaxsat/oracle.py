@@ -232,8 +232,6 @@ class ChainTable:
         self._rows: list[tuple[int, ...]] | bool | None = None
         self._cells: list[tuple[int, ...]] = []
         self._column: dict[int, int] = {}
-        # Padoa verdicts by (candidates, shared variables)
-        self._forced: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
 
     def solve(self, sel: "SelectorMap", incumbent: Mapping[int, bool]) -> Optional[OracleResult]:
         """What max_count returns for this call, or None when the call is not chain-shaped.
@@ -276,8 +274,8 @@ class ChainTable:
         or forced by the counted variables and the earlier blocks'
         choosers: then a cell and the earlier choices fix what a block
         sees, so the cells below different observations are disjoint and
-        their counts add. Forcing is Padoa's method
-        (local.functionally_dependent with those variables shared).
+        their counts add. Forcing is Padoa's method, whose verdicts
+        local.functionally_dependent keeps; the table keeps none.
         """
         from . import local  # local imports this module
 
@@ -292,13 +290,8 @@ class ChainTable:
             if not seen <= set(support):
                 return None
             new = sorted(set(support) - seen)
-            candidates = frozenset(new) - p.count_vars
-            if candidates:
-                key = (candidates, p.count_vars.union(earlier))
-                if key not in self._forced:
-                    self._forced[key] = local.functionally_dependent(p.cnf, *key)
-                if self._forced[key] != candidates:
-                    return None
+            if local.functionally_dependent(p.cnf, new, p.count_vars.union(earlier)) != set(new):
+                return None
             blocks.append((support, by_support[support], new))
             seen = frozenset(support)
             earlier += by_support[support]

@@ -68,6 +68,12 @@ class SelectorMap:
                            owner, self.num_vars + len(table))
 
 
+def check_selectors(sizes: Iterable[int], budget: int = DEFAULT_SELECTOR_BUDGET) -> None:
+    """Raise BudgetExceeded when supports of these sizes need more than budget selectors."""
+    if (need := sum(1 << k for k in sizes)) > budget:
+        raise BudgetExceeded(f"{need} selectors exceed the budget of {budget}")
+
+
 def selector_objective(p: Problem, sel: SelectorMap) -> Cnf:
     """The objective p.cnf plus every chooser's selector definition clauses.
 
@@ -89,9 +95,7 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
     (all strategies constant false) assignment. The root cells are those of
     p.cnf, which the selector objective reaches alike.
     """
-    need = sum(1 << len(p.deps[x]) for x in p.max_vars)
-    if need > budget:
-        raise BudgetExceeded(f"{need} selectors exceed the budget of {budget}")
+    check_selectors((len(h) for h in p.deps.values()), budget)
     sel = SelectorMap.over(p, p.deps)
     req = OracleRequest(
         objective=selector_objective(p, sel),

@@ -658,6 +658,27 @@ class TestSolverBudgets:
         assert "exceed the budget of 3" in err
         assert run_cli(capsys, "solve", instance_file, "--method", "global", "--budget", "4")[0] == 0
 
+    @pytest.mark.parametrize("method", ["incremental", "auto"])
+    def test_incremental_counts_the_selectors_it_will_reach(self, capsys, tmp_path, method):
+        # two choosers, each seeing its own 22 existential variables: a full
+        # run grows to 2 * 2^22 selectors, past the global reduction's budget,
+        # and is refused before its first iteration; auto finds no split
+        first, second = range(5, 27), range(27, 49)
+        path = tmp_path / "wide.dqm"
+        path.write_text("p dqmscnf 48 4\n"
+                        f"d 1 {' '.join(map(str, first))} 0\n"
+                        f"d 2 {' '.join(map(str, second))} 0\n"
+                        "r 3 4 0\n"
+                        f"e {' '.join(map(str, [*first, *second]))} 0\n"
+                        "-1 3 0\n1 -3 0\n-2 4 0\n2 -4 0\n")
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "solve", str(path), "--method", method)
+        assert time.perf_counter() - t0 < 5
+        assert (code, out) == (1, "")
+        assert "8388608 selectors exceed the budget of 1048576" in err
+        # three iterations grow each support to one variable: 4 selectors
+        assert run_cli(capsys, "solve", str(path), "--method", method, "--budget", "3")[0] == 0
+
     def test_run_method_applies_a_zero_budget(self):
         problem, _ = cli.load_instance_text(COPY_OR_AND)
         with pytest.raises(BudgetExceeded):

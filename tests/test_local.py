@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import json
 import random
+import weakref
 from importlib import resources
 
 import pytest
@@ -22,7 +24,7 @@ from dqmaxsat.local import (
     solve_local,
 )
 from dqmaxsat.oracle import brute_force_dqmaxsat
-from dqmaxsat.reduction import solve_global
+from dqmaxsat.reduction import SelectorMap, solve_global
 
 import instances
 from naive import tt_models
@@ -40,7 +42,12 @@ def _forced_by_enumeration(num_vars, clauses, candidates, count_vars):
 
 @pytest.fixture
 def engines_built(monkeypatch):
-    """A list that grows by one for every Engine the local module builds."""
+    """A list that grows by one for every Engine the local module builds.
+
+    The verdict store starts empty, so no verdict of an earlier test saves
+    an engine here.
+    """
+    local._VERDICTS.clear()
     built = []
 
     def counting_engine(*args):
@@ -95,9 +102,12 @@ class TestFunctionalDependency:
         # helper 5 is only forced when 3 holds; otherwise both values extend
         assert functionally_dependent(two_implications.cnf, [5, 6], [3, 4]) == frozenset()
 
-    def test_rejects_count_variable(self, copy_or_and):
-        with pytest.raises(ValueError, match="count variable"):
-            functionally_dependent(copy_or_and.cnf, [4, 2], [2, 3])
+    def test_shared_candidates_are_determined(self, copy_or_and, engines_built):
+        assert functionally_dependent(copy_or_and.cnf, [4, 2], [2, 3]) == {2, 4}
+        # shared candidates alone need no engine
+        engines_built.clear()
+        assert functionally_dependent(copy_or_and.cnf, [3, 2], [2, 3]) == {2, 3}
+        assert engines_built == []
 
     def test_rejects_a_variable_out_of_range(self, copy_or_and):
         with pytest.raises(ValueError, match="out of range"):
@@ -115,6 +125,27 @@ class TestFunctionalDependency:
         with pytest.raises(NoEligibleVariable):
             plan_split(two_implications)
         assert len(engines_built) == 1
+
+    def test_a_question_asked_again_builds_no_engine(self, copy_or_and, engines_built):
+        # kept by (unshared candidates, shared set): the shared candidate 2
+        # does not make a new question, and another shared set does
+        assert functionally_dependent(copy_or_and.cnf, [4, 5], [2, 3]) == {4, 5}
+        assert functionally_dependent(copy_or_and.cnf, [5, 4, 2], [3, 2]) == {2, 4, 5}
+        assert len(engines_built) == 1
+        assert functionally_dependent(copy_or_and.cnf, [4, 5], [2]) == frozenset()
+        assert len(engines_built) == 2
+
+    def test_verdicts_live_as_long_as_their_formula(self, engines_built):
+        # a solve leaves its formula's verdicts behind, and they go with it,
+        # so a long run of solves keeps no formula alive
+        p = _sum_reach_3()
+        assert cli.run_method(p)[1] == "local"
+        assert len(local._VERDICTS) == 1
+        formula = weakref.ref(p.cnf)
+        del p
+        gc.collect()
+        assert formula() is None
+        assert len(local._VERDICTS) == 0
 
     @pytest.mark.parametrize("seed", range(25))
     def test_conservative_against_model_enumeration(self, seed):
@@ -281,9 +312,31 @@ class TestConstantLeaves:
         assert len(split) == 3 and all(p.deps[x] == set(split) for x in p.max_vars)
         engines_built.clear()
         assert solve_local(p).achieved_count == 26
-        # one engine for the plan's dependence checks, and no max_count call
-        assert len(engines_built) == 1
+        # the plan's dependence checks were made above, and no max_count call
+        assert engines_built == []
         assert oracle_engines == []
+
+    def test_an_auto_solve_builds_one_engine_for_its_two_plans(self, monkeypatch, engines_built):
+        plans = []
+        monkeypatch.setattr(local, "plan_split",
+                            lambda p, real=plan_split: plans.append(p) or real(p))
+        monkeypatch.setattr(cli, "plan_split", local.plan_split)
+        solution, method, _ = cli.run_method(_sum_reach_3())
+        assert (method, solution.achieved_count) == ("local", 26)
+        assert len(plans) == 2
+        assert len(engines_built) == 1
+
+    def test_the_chain_test_reuses_the_plans_verdicts(self, engines_built):
+        # every chooser sees exactly the split: the table's one block is the
+        # plan's question, asked of the same formula with the same shared set
+        p = _sum_reach_3()
+        plan_split(p)
+        engines_built.clear()
+        table = oracle.ChainTable(p, oracle.reachable_cells(p.cnf, p.count_vars))
+        sel = SelectorMap.over(p, p.deps)
+        res = table.solve(sel, {s: False for s in sel.owner})
+        assert res is not None and res.best_count == 26
+        assert engines_built == []
 
     def test_seven_constant_choosers_take_the_leaf_solver(self, monkeypatch):
         # more choosers than MAX_SPLIT_VARS: each leaf is an oracle call

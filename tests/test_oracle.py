@@ -199,7 +199,7 @@ def test_one_engine_and_no_enumeration_per_call(monkeypatch):
         assert (len(built), len(enumerations)) == (1, 0)
 
 
-def test_witnesses_and_cores_skip_probes(monkeypatch):
+def test_witnesses_skip_probes(monkeypatch):
     # choices 1..3, counted 4, 5: y4 needs x1, y5 needs x3 and not x2, so
     # all four cells are reachable only under x1 & -x2 & x3. The B&B keeps
     # witnesses only: a cell whose witness agrees with a node's new literal
@@ -283,7 +283,7 @@ def test_the_budget_hook_is_optional(copy_or_and, monkeypatch):
     assert max_count(req, lambda spent: OracleResult({}, -1)) == OracleResult({}, -1)
 
 
-def _given_cases(rng: random.Random):
+def _cofactor_cases(rng: random.Random):
     # _random_request's objective with one or two of its non-choice
     # variables given, counted ones among them leaving the count, as the
     # local method's split variables do; one monomial over them per leaf
@@ -298,7 +298,7 @@ def test_given_literals_answer_for_the_cofactored_objective(seed):
     # each monomial given as unit clauses of the objective, against the
     # cofactored objective that the local method solves its leaves on: the
     # same cells, and the same choices from max_count as from the reference
-    req, count_vars, monomials = _given_cases(random.Random(seed))
+    req, count_vars, monomials = _cofactor_cases(random.Random(seed))
     for m in monomials:
         units = Cnf.build(req.objective.num_vars, [*req.objective.clauses, *([lit] for lit in m)])
         cofactored = cofactor(req.objective, m)
