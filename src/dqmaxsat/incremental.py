@@ -19,12 +19,13 @@ round-robin over the choosers in prefix order, skipping those whose
 support is complete, each taking its chooser's lowest remaining variable.
 
 Every call's objective reaches the same count-cells as the problem's own
-CNF, whatever the supports, so init enumerates them once and every
-request of the run carries them. Every call goes through oracle.oracle_call
-with one ChainTable for the run: its rows span the full dependency sets, so
-one enumeration serves every partial support. The table also holds the
-run's one B&B probe budget: once the calls together pass it, the table is
-asked first on every later call.
+CNF, whatever the supports, so every request of the run carries the cells
+of the one ChainTable that init builds for the run. Every call goes
+through oracle.oracle_call with that table: its rows span the full
+dependency sets, so one enumeration serves every partial support, and
+where the full supports are chain-shaped it gives the cells too. The table
+also holds the run's one B&B probe budget: once the calls together pass
+it, the table is asked first on every later call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
 from .formula import Cnf, Problem, Solution, TRUE_CNF
-from .oracle import ChainTable, OracleRequest, OracleResult, max_count, oracle_call, reachable_cells
+from .oracle import ChainTable, OracleRequest, OracleResult, max_count, oracle_call
 from .reduction import SelectorMap, check_selectors, decode, selector_objective
 
 
@@ -70,8 +71,8 @@ class IncrementalState:
     problem: Problem
     selectors: SelectorMap
     incumbent: Mapping[int, bool]
-    # the count-cells of problem.cnf, which every objective reaches alike
-    cells: tuple[tuple[int, ...], ...]
+    # the run's row table; its cells, those of problem.cnf, every objective reaches alike
+    table: ChainTable
     # always empty; kept only because the benchmark's spans (perfbench/spans.py)
     # read state.filter.clauses off every expand
     filter = TRUE_CNF
@@ -84,17 +85,17 @@ class IncrementalState:
         return self.problem.deps[x].difference(self.selectors.supports[x])
 
     def request(self) -> OracleRequest:
-        return OracleRequest(self.objective, self.incumbent, self.cells)
+        return OracleRequest(self.objective, self.incumbent, self.table.cells)
 
 
 def init(p: Problem) -> IncrementalState:
-    """Empty supports: one constant selector per chooser, incumbent all false."""
+    """Empty supports: one constant selector per chooser, incumbent all false, and the run's table."""
     selectors = SelectorMap.over(p, {x: () for x in p.max_vars})
     return IncrementalState(
         problem=p,
         selectors=selectors,
         incumbent={s: False for s in selectors.owner},
-        cells=reachable_cells(p.cnf, p.count_vars),
+        table=ChainTable(p),
     )
 
 
@@ -148,18 +149,17 @@ def run(
     steps = schedule(p)[:None if budget is None else budget - 1]
     check_selectors(sum(y == x for y, _ in steps) for x in p.max_vars)
     st = init(p)
-    table = ChainTable(p, st.cells)
     count = -1  # the incumbent's count, which expand keeps
     for iteration, (x, u) in enumerate([(None, None), *steps], 1):
         if x is not None:
             st = expand(st, x, u)
         t0 = time.perf_counter()
-        if count == len(st.cells):
+        if count == len(st.table.cells):
             # no assignment reaches more than every cell, and the incumbent
             # wins ties: the oracle would answer the same
             res = OracleResult(st.incumbent, count)
         else:
-            res = oracle_call(table, st.selectors, st.request(), max_count)
+            res = oracle_call(st.table, st.selectors, st.request(), max_count)
         count = res.best_count
         elapsed = (time.perf_counter() - t0) * 1000
         anytime = replace(decode(st.selectors, res.best),

@@ -10,12 +10,9 @@ solve_local solves the leaves and joins them by Shannon expansion.
 
 When every chooser sees exactly the split variables (and there are at most
 MAX_SPLIT_VARS choosers), each leaf picks one tuple of constants: Max#SAT
-over constant choices. constant_leaves then answers every leaf from one
-projected enumeration over the counted, split and chooser variables,
-tallying the cells per leaf and per chooser tuple; no oracle call is made.
-That is exact: every split variable is counted or forced by the counted
-variables, so the cells that agree with a leaf's monomial are, with the
-split literals dropped, exactly the leaf's own cells.
+over constant choices, the one-block case of oracle.ChainTable's DP.
+solve_local then solves the whole instance by the global reduction, whose
+table answers it from one enumeration.
 
 Otherwise each leaf is the cofactor of the problem under its monomial
 (leaf_problems), solved on its own by the global reduction. Leaf counts
@@ -28,24 +25,22 @@ optimum of the whole.
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .counting import check_solution
 from .engine import Engine
 from .formula import Cnf, MintermFunction, Problem, Solution, cofactor, minterms_of
-from .oracle import reachable_cells
 from .reduction import solve_global
 
-# at most 2**6 = 64 leaves per split, and as many chooser tuples per cell
-# of constant leaves
+# at most 2**6 = 64 leaves per split; constant choices are solved whole for
+# at most as many choosers, past them leaf by leaf, one selector per chooser
 MAX_SPLIT_VARS = 6
 
-# leaves with a residual support are solved by the global reduction, once
-# per leaf, on the leaf's own cofactor (leaf_problems); constant leaves
-# (constant_leaves) never come here. A one-entry table only because the
-# benchmark's spans (perfbench/spans.py) wrap its values, so solve_local
-# looks the solver up here on every solve with residual leaves
+# leaves are solved by the global reduction, once per leaf, on the leaf's
+# own cofactor (leaf_problems); an instance of constant choices solved
+# whole never comes here. A one-entry table only because the benchmark's
+# spans (perfbench/spans.py) wrap its values, so solve_local looks the
+# solver up here on every solve it splits into leaves
 LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_global}
 
 # per formula, for as long as it lives: (unshared candidates, shared set) -> forced
@@ -118,34 +113,6 @@ def leaf_problems(p: Problem, split: Sequence[int]) -> list[Problem]:
             for m in minterms_of(split)]
 
 
-def constant_leaves(p: Problem, split: Sequence[int]) -> list[Solution]:
-    """Each leaf's optimum when every chooser sees exactly the split variables.
-
-    One enumeration over the count, split and chooser variables: a cell with
-    split literals m, counted literals y and chooser values a says that leaf
-    m reaches y with the choosers set to a, so each leaf's count for a is its
-    tally of such cells. A leaf answers with the largest tally, ties going
-    to the lexicographically least tuple in p.max_vars order, false first,
-    and all false with count 0 when it has no cell. That is what the global
-    reduction's oracle returns on the leaf: one selector per chooser, in
-    p.max_vars order, searched false first from the all-false incumbent.
-    The leaves come in minterms_of(split) order.
-    """
-    gone = set(split)
-    order = sorted(p.count_vars | gone | set(p.max_vars))
-    at = [i for i, v in enumerate(order) if v in gone]
-    chooser_at = [order.index(x) for x in p.max_vars]
-    tallies: dict[tuple[int, ...], Counter] = {m: Counter() for m in minterms_of(split)}
-    for cell in reachable_cells(p.cnf, order):
-        tallies[tuple([cell[i] for i in at])][tuple([cell[i] > 0 for i in chooser_at])] += 1
-    leaves = []
-    for tally in tallies.values():
-        best = min(tally, key=lambda a: (-tally[a], a), default=(False,) * len(p.max_vars))
-        functions = {x: MintermFunction.constant(v) for x, v in zip(p.max_vars, best)}
-        leaves.append(Solution(functions=functions, achieved_count=tally[best]))
-    return leaves
-
-
 def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Solution]) -> Solution:
     functions = {}
     for x in p.max_vars:
@@ -162,21 +129,19 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
 def solve_local(p: Problem) -> Solution:
     """Split, solve the leaves, recombine, and recount.
 
-    Constant leaves, where every chooser sees exactly the split variables
-    and there are at most MAX_SPLIT_VARS choosers, all come from one
-    enumeration (constant_leaves). Otherwise each leaf's cofactor is solved
-    by the global reduction, one leaf after another. The summed leaf counts
-    are re-verified against an independent recount of the recombined
-    strategies before being returned; a disagreement raises and means a
-    solver bug, never a bad input.
+    Constant choices, where every chooser sees exactly the split variables
+    and there are at most MAX_SPLIT_VARS choosers, are solved whole by the
+    global reduction: its least optimum is the product of the leaves'.
+    Otherwise each leaf's cofactor is solved by the global reduction, one
+    leaf after another. The count is re-verified against an independent
+    recount of the strategies before being returned; a disagreement
+    raises and means a solver bug, never a bad input.
     """
     split = plan_split(p)
-    gone = frozenset(split)
-    if len(p.max_vars) <= MAX_SPLIT_VARS and all(p.deps[x] == gone for x in p.max_vars):
-        leaf_solutions = constant_leaves(p, split)
+    if len(p.max_vars) <= MAX_SPLIT_VARS and all(p.deps[x] == set(split) for x in p.max_vars):
+        solution = solve_global(p)
     else:
         solve_leaf = LEAF_SOLVERS["global"]
-        leaf_solutions = [solve_leaf(leaf) for leaf in leaf_problems(p, split)]
-    solution = _recombine(p, split, leaf_solutions)
+        solution = _recombine(p, split, [solve_leaf(leaf) for leaf in leaf_problems(p, split)])
     check_solution(p, solution)
     return solution

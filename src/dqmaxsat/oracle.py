@@ -2,10 +2,10 @@
 
 Requests ask "which assignment of the choice variables leaves the most
 count-variable cells reachable", always comparing against a caller-supplied
-incumbent. The caller also supplies the cells reachable with every choice
-free, from reachable_cells, so a solve enumerates them once however many
-calls it makes. Two answers give the same result, the incumbent on a tie
-and otherwise the lexicographically least optimum:
+incumbent. The cells reachable with every choice free come with the
+request; the solve's ChainTable gives them, so a solve enumerates them once
+however many calls it makes. Two answers give the same result, the
+incumbent on a tie and otherwise the lexicographically least optimum:
 
 - max_count, a branch and bound (B&B) over the selectors that probes cells
   on a SAT engine and keeps each cell's last model, for any request;
@@ -13,8 +13,9 @@ and otherwise the lexicographically least optimum:
   chain-shaped calls: the choosers' supports are nested, and every newly
   observed variable is counted or forced. Such a call is an exist/random
   game tree (Littman, Majercik & Pitassi, JAR 2001), a max over chooser
-  tuples, then a sum over the observed values; Max#SAT is its one-block
-  case (Fremont, Rabe & Seshia, AAAI 2017).
+  tuples, then a sum over the observed values; Max#SAT over constant
+  choices is its one-block case (Fremont, Rabe & Seshia, AAAI 2017), and
+  this DP is the only code that solves it.
 
 oracle_call picks between them by the table's size bound Tb = |cells| ·
 2^|X| for |X| choosers. The DP answers up front when 2^|X| <= |cells| and
@@ -25,6 +26,9 @@ a call it cannot answer goes on the B&B without a budget. The rows are
 enumerated once, and never past Tb rows; past them the solve stays on
 the B&B. So the DP runs only where its table is provably small, or where
 the solve's B&B has spent as many probes as the table can have rows.
+Where the rule could hold with every cell reachable and the full supports
+are chain-shaped, the table enumerates its rows first and projects the
+cells off them, so such a solve enumerates once in all.
 
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 from .engine import Engine, enumerate_projected
@@ -207,31 +212,43 @@ class _PastBound(Exception):
 
 
 class ChainTable:
-    """The rows of one solve, and the DP that answers its chain-shaped calls.
+    """The cells and rows of one solve, and the DP that answers its chain-shaped calls.
 
     The rows R are the models of the problem's CNF projected onto the
-    counted variables, the choosers and every dependency variable. They
-    come from one enumeration, on first use, and serve every call of the
-    solve, partial supports included. bound is Tb = |cells| · 2^|X|: as
-    many rows as the table has when every dependency variable is forced.
-    The enumeration stops past it, and the table answers no call after.
-    It is also the B&B's probe budget for the whole solve: spent counts
-    the probes of every B&B call that oracle_call budgets. up_front says
-    whether oracle_call asks the table before the B&B; oracle_call sets it
-    once spent passes bound.
+    counted variables, the choosers and every dependency variable; they
+    serve every call of the solve, partial supports included. cells are
+    the CNF's count-cells as reachable_cells gives them, which every
+    request of the solve carries. Where the full supports are chain-shaped,
+    |X| <= |Y| and 2^(|X|+|Y|) <= ROW_GUARD, the rows come first and the
+    cells are their projection; otherwise the cells come first, and the
+    rows on first use, never past the bound.
+
+    bound is Tb = |cells| · 2^|X|: as many rows as the table has when every
+    dependency variable is forced, and the B&B's probe budget for the whole
+    solve: spent counts the probes of every B&B call that oracle_call
+    budgets. up_front says whether oracle_call asks the table before the
+    B&B; oracle_call sets it once spent passes bound.
     """
 
-    def __init__(self, p: Problem, cells: tuple[tuple[int, ...], ...]):
+    def __init__(self, p: Problem):
         self.problem = p
-        tuples = 1 << len(p.max_vars)
-        self.bound = len(cells) * tuples
-        self.up_front = tuples <= len(cells) and self.bound <= ROW_GUARD
-        self.spent = 0
-        # the rows, once enumerated (False past the bound), each row's cell,
-        # and each variable's column
+        xs, ys = len(p.max_vars), len(p.count_vars)
+        order = sorted(p.count_vars.union(p.max_vars, *p.deps.values()))
+        # the rows (False past the bound), each variable's column, a row's cell
         self._rows: list[tuple[int, ...]] | bool | None = None
-        self._cells: list[tuple[int, ...]] = []
-        self._column: dict[int, int] = {}
+        self._column = {v: i for i, v in enumerate(order)}
+        self._cell = _columns([self._column[y] for y in sorted(p.count_vars)])
+        if xs <= ys and 1 << (xs + ys) <= ROW_GUARD and \
+                self._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None:
+            # every dependency variable is forced, so the rows are at most Tb
+            self._rows = []
+            enumerate_projected(p.cnf, order, visit=self._rows.append)
+            self.cells = tuple(sorted(set(map(self._cell, self._rows))))
+        else:
+            self.cells = reachable_cells(p.cnf, p.count_vars)
+        self.bound = len(self.cells) << xs
+        self.up_front = 1 << xs <= len(self.cells) and self.bound <= ROW_GUARD
+        self.spent = 0
 
     def solve(self, sel: "SelectorMap", incumbent: Mapping[int, bool]) -> Optional[OracleResult]:
         """What max_count returns for this call, or None when the call is not chain-shaped.
@@ -240,35 +257,48 @@ class ChainTable:
         over its supports, and incumbent assigns every one of them. Each
         chooser's selector at a group's observation restricts its value
         there, and a group whose allowed tuples have no rows counts 0. The
-        answer then takes |selectors| + 2 evaluations of the tree and no
-        SAT call: the optimum with nothing fixed; the incumbent's count,
-        which is returned on a tie; otherwise each selector in ascending id
-        is fixed false, or true if false drops the value below the optimum.
-        That is the lexicographically least optimum, the first leaf
-        max_count's false-first search accepts at the optimum count.
+        incumbent is returned when it ties the optimum. Otherwise each
+        selector is fixed in ascending id false, or true if false drops the
+        value below the optimum: the lexicographically least optimum, the
+        first leaf max_count's false-first search accepts, with no SAT call.
+        A selector's observation includes the first block's support values,
+        so it lies under one root group, and fixing it re-evaluates only
+        that group; a selector under none stays false.
         """
         if self._rows is False:
             return None
-        blocks = self._blocks(sel)
+        blocks = self._blocks(sel.supports)
+        if blocks == []:  # no choosers: every cell counts
+            return OracleResult({}, len(self.cells))
         if blocks is None or not self._enumerate():
             return None
-        tree = self._tree(list(range(len(self._rows))), blocks, sel, 0)
-        best_count = _value(tree, {})
-        ms = sorted(incumbent)
-        current = {v: bool(incumbent[v]) for v in ms}
-        if _value(tree, current) == best_count:
+        tree = self._tree(self._rows, blocks, sel, 0)
+        optima = [_best(sels, children, {}) for sels, children in tree]
+        best_count = sum(optima)
+        current = {v: bool(incumbent[v]) for v in sorted(incumbent)}
+        if sum([_best(sels, children, current) for sels, children in tree]) == best_count:
             return OracleResult(current, best_count)
-        fixed: dict[int, bool] = {}
-        for s in ms:
-            fixed[s] = False
-            if _value(tree, fixed) < best_count:
-                fixed[s] = True
-        return OracleResult(fixed, best_count)
+        # each selector under its root group, by its literals on the first block's support
+        first = set(blocks[0][0])
+        under: dict[tuple[int, ...], list[int]] = {}
+        for s in current:
+            under.setdefault(tuple([lit for lit in sel.owner[s][1] if abs(lit) in first]), []).append(s)
+        best = dict.fromkeys(current, False)
+        for (sels, children), optimum in zip(tree, optima):
+            fixed: dict[int, bool] = {}
+            for s in under[sel.owner[sels[0]][1]]:
+                fixed[s] = False
+                if _best(sels, children, fixed) < optimum:
+                    fixed[s] = True
+            best.update(fixed)
+        return OracleResult(best, best_count)
 
-    def _blocks(self, sel: "SelectorMap") -> Optional[list[tuple[tuple[int, ...], list[int], list[int]]]]:
-        """The choosers grouped by support, smallest first, or None if the call is not chain-shaped.
+    def _blocks(self, supports: Mapping[int, tuple[int, ...]],
+                ) -> Optional[list[tuple[tuple[int, ...], list[int], list[int]]]]:
+        """The choosers grouped by support, smallest first, or None if the supports are not chain-shaped.
 
-        A block is (its support, its choosers in prefix order, the support
+        supports gives each chooser's support in ascending order. A block
+        is (its support, its choosers in prefix order, the support
         variables the earlier blocks did not see). The supports must be
         totally ordered by inclusion, and each newly seen variable counted
         or forced by the counted variables and the earlier blocks'
@@ -282,7 +312,7 @@ class ChainTable:
         p = self.problem
         by_support: dict[tuple[int, ...], list[int]] = {}
         for x in p.max_vars:
-            by_support.setdefault(sel.supports[x], []).append(x)
+            by_support.setdefault(supports[x], []).append(x)
         blocks = []
         seen: frozenset[int] = frozenset()
         earlier: list[int] = []
@@ -301,7 +331,6 @@ class ChainTable:
         """Enumerate the rows unless done already; False when they run past the bound."""
         if self._rows is None:
             p = self.problem
-            order = sorted(p.count_vars.union(p.max_vars, *p.deps.values()))
             rows: list[tuple[int, ...]] = []
 
             def keep(row: tuple[int, ...]) -> None:
@@ -310,65 +339,64 @@ class ChainTable:
                 rows.append(row)
 
             try:
-                enumerate_projected(p.cnf, order, visit=keep)
+                enumerate_projected(p.cnf, list(self._column), visit=keep)
             except _PastBound:
                 self._rows = False
                 return False
-            cell_columns = [i for i, v in enumerate(order) if v in p.count_vars]
             self._rows = rows
-            self._cells = [tuple([row[c] for c in cell_columns]) for row in rows]
-            self._column = {v: i for i, v in enumerate(order)}
         return self._rows is not False
 
-    def _tree(self, members: list[int], blocks, sel: "SelectorMap", k: int) -> list | int:
+    def _tree(self, rows: list[tuple[int, ...]], blocks, sel: "SelectorMap", k: int) -> list:
         """The DP's tree for block k over the given rows, which agree on what blocks < k saw and chose.
 
         A node lists the block's observation groups among the rows, each as
         the selectors of the block's choosers at that observation and the
-        subtree under each chooser tuple that has rows. Past the last block
-        a leaf is the number of distinct cells of its rows.
+        subtree under each chooser tuple that has rows. Under the last
+        block a leaf is the number of distinct cells of its rows.
         """
-        if k == len(blocks):
-            cells = self._cells
-            return len({cells[i] for i in members})
-        rows = self._rows
+        cell = self._cell
         support, xs, new = blocks[k]
         column = self._column
-        new_cols = [column[v] for v in new]
-        support_cols = [column[v] for v in support]
-        x_cols = [column[x] for x in xs]
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i in members:
-            groups.setdefault(tuple([rows[i][c] for c in new_cols]), []).append(i)
+        width = len(new)
+        # one pass over the rows, by observation and chooser tuple
+        seen_and_chosen = _columns([column[v] for v in new + xs])
+        below: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for row in rows:
+            below.setdefault(seen_and_chosen(row), []).append(row)
+        groups: dict[tuple[int, ...], list] = {}
+        for key, group_rows in below.items():
+            groups.setdefault(key[:width], []).append((key[width:], group_rows))
+        observe = _columns([column[v] for v in support])
+        last = k + 1 == len(blocks)
         node = []
         for group in groups.values():
-            first = rows[group[0]]
-            observed = tuple([first[c] for c in support_cols])
-            by_tuple: dict[tuple[bool, ...], list[int]] = {}
-            for i in group:
-                by_tuple.setdefault(tuple([rows[i][c] > 0 for c in x_cols]), []).append(i)
+            observed = observe(group[0][1][0])
             node.append(([sel.selectors[x][observed] for x in xs],
-                         [(t, self._tree(below, blocks, sel, k + 1)) for t, below in by_tuple.items()]))
+                         [(tuple([lit > 0 for lit in t]),
+                           len(set(map(cell, tuple_rows))) if last else self._tree(tuple_rows, blocks, sel, k + 1))
+                          for t, tuple_rows in group]))
         return node
 
 
-def _value(node: list | int, fixed: Mapping[int, bool]) -> int:
-    """The tree's count with the fixed selectors' values imposed: a sum over groups of a max over tuples."""
-    if type(node) is int:
-        return node
-    total = 0
-    for sels, children in node:
-        best = 0
-        for t, child in children:
-            for s, b in zip(sels, t):
-                if fixed.get(s, b) != b:
-                    break
-            else:
-                v = _value(child, fixed)
-                if v > best:
-                    best = v
-        total += best
-    return total
+def _columns(cols: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """What reads these columns off a row, as a tuple."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    return lambda row: tuple([row[c] for c in cols])
+
+
+def _best(sels: list[int], children: list, fixed: Mapping[int, bool]) -> int:
+    """A group's count with the fixed selectors imposed: a max over its allowed tuples of their subtrees."""
+    best = 0
+    for t, child in children:
+        for s, b in zip(sels, t):
+            if fixed.get(s, b) != b:
+                break
+        else:
+            v = child if type(child) is int else sum([_best(*group, fixed) for group in child])
+            if v > best:
+                best = v
+    return best
 
 
 def oracle_call(table: ChainTable, sel: "SelectorMap", req: OracleRequest,

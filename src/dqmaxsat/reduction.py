@@ -8,10 +8,10 @@ a plain choice of selector values, solved by one oracle call
 instead of max_count) and decoded back into minterm sets. SelectorMap is
 the one allocator of selector ids and selector_objective the one encoding,
 for any supports, full or partial: the global reduction builds its map
-over the full dependency sets (the local method's leaves with a residual
-support are global reductions of their cofactors), and the incremental
-method starts from empty supports and grows them with
-SelectorMap.with_support.
+over the full dependency sets (the local method solves an instance of
+constant choices by it whole, and each leaf with a residual support on
+its cofactor), and the incremental method starts from empty supports and
+grows them with SelectorMap.with_support.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .formula import (
     minterms_of,
     selector_definition_clauses,
 )
-from .oracle import ChainTable, OracleRequest, max_count, oracle_call, reachable_cells
+from .oracle import ChainTable, OracleRequest, max_count, oracle_call
 
 DEFAULT_SELECTOR_BUDGET = 1 << 20
 
@@ -86,23 +86,26 @@ def selector_objective(p: Problem, sel: SelectorMap) -> Cnf:
 
 
 def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
-                    ) -> tuple[OracleRequest, SelectorMap]:
+                    ) -> tuple[OracleRequest, SelectorMap, ChainTable]:
     """Reduce a dependency-constrained instance to one oracle request.
 
     The request's choice variables are the fresh selectors, over the full
     dependency sets; the original choosers are left uncounted since the
     definition clauses determine them pointwise. Incumbent is the all-false
     (all strategies constant false) assignment. The root cells are those of
-    p.cnf, which the selector objective reaches alike.
+    p.cnf, which the selector objective reaches alike; the solve's row
+    table, returned with the request, gives them. The selector budget is
+    checked before anything is enumerated.
     """
     check_selectors((len(h) for h in p.deps.values()), budget)
     sel = SelectorMap.over(p, p.deps)
+    table = ChainTable(p)
     req = OracleRequest(
         objective=selector_objective(p, sel),
         incumbent={s: False for s in sel.owner},
-        cells=reachable_cells(p.cnf, p.count_vars),
+        cells=table.cells,
     )
-    return req, sel
+    return req, sel, table
 
 
 def decode(sel: SelectorMap, alpha: Mapping[int, bool]) -> Solution:
@@ -117,8 +120,8 @@ def decode(sel: SelectorMap, alpha: Mapping[int, bool]) -> Solution:
 
 def solve_global(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> Solution:
     """Optimal strategies via the one-shot reduction."""
-    req, sel = build_reduction(p, budget)
-    res = oracle_call(ChainTable(p, req.cells), sel, req, max_count)
+    req, sel, table = build_reduction(p, budget)
+    res = oracle_call(table, sel, req, max_count)
     return replace(decode(sel, res.best), achieved_count=res.best_count, total=p.total)
 
 

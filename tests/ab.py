@@ -10,7 +10,9 @@ documents must be identical once ``wall_ms`` and each iteration's
 ``elapsed_ms`` are dropped; the script stops at the first that differs. A
 tree's time on an instance is its fastest solve. The script prints, per
 workload, the median and quartiles of the per-instance ratios change /
-parent, so below 1 means the change is faster:
+parent, so below 1 means the change is faster, and the tail: the largest
+ratio, and the median ratio over the quarter of the instances that the
+parent solved slowest:
 
     python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40
 
@@ -77,9 +79,9 @@ def solve(cli, argv: list[str]) -> tuple[float, dict]:
     return ms, doc
 
 
-def compare(trees: dict, instances, directory: Path, repeat: int) -> list[float]:
-    """The per-instance ratios change / parent of the fastest solves."""
-    ratios = []
+def compare(trees: dict, instances, directory: Path, repeat: int) -> list[tuple[float, float]]:
+    """Per instance, the parent's fastest solve in ms and the ratio change / parent of the fastest solves."""
+    pairs = []
     for k, inst in enumerate(instances):
         path = directory / (inst.name + inst.suffix)
         path.write_text(inst.text)
@@ -93,8 +95,8 @@ def compare(trees: dict, instances, directory: Path, repeat: int) -> list[float]
                 best[name] = min(best[name], ms)
         if docs["parent"] != docs["change"]:
             raise SystemExit(f"{inst.name}: the documents differ")
-        ratios.append(best["change"] / best["parent"])
-    return ratios
+        pairs.append((best["parent"], best["change"] / best["parent"]))
+    return pairs
 
 
 def main(argv=None) -> int:
@@ -114,9 +116,13 @@ def main(argv=None) -> int:
     for workload in args.workload or workloads.WORKLOADS:
         instances = [workloads.make_instance(workload, args.seed, i) for i in range(args.count)]
         with tempfile.TemporaryDirectory() as d:
-            ratios = compare(trees, instances, Path(d), args.repeat)
+            pairs = compare(trees, instances, Path(d), args.repeat)
+        ratios = [ratio for _, ratio in pairs]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-        print(f"{workload}: median {median:.3f} [{q1:.3f}, {q3:.3f}] over {len(ratios)} instances")
+        slowest = sorted(pairs, reverse=True)[:max(1, len(pairs) // 4)]
+        tail = statistics.median(ratio for _, ratio in slowest)
+        print(f"{workload}: median {median:.3f} [{q1:.3f}, {q3:.3f}], max {max(ratios):.3f}, "
+              f"slowest quarter {tail:.3f} over {len(ratios)} instances")
     return 0
 
 

@@ -7,9 +7,10 @@ modules by timing wrappers, at fixed names: ``cli.plan_split`` next to
 ``expand``; its encode span needs ``cli.encode`` to stay the name that
 solve-program calls. No solver path needs some of them, so only this guard
 keeps them from being removed while the benchmark still wraps them. It loads
-spans.py as it is, installs its tracer, runs two local solves (one with
-constant leaves, one whose leaves still go through ``local.LEAF_SOLVERS``)
-and one incremental solve through the command line, and uninstalls.
+spans.py as it is, installs its tracer, runs two local solves (one of
+constant choices, solved whole, and one whose leaves go through
+``local.LEAF_SOLVERS``) and one incremental solve through the command line,
+and uninstalls.
 
 ``IncrementalState.objective`` is built on first read, so the tracer's read
 of it off each expanded state builds it. That read comes after the
@@ -81,11 +82,11 @@ def test_tracer_wraps_a_local_and_an_incremental_solve(capsys, monkeypatch, tmp_
     assert local_layers["local.plan_split"].calls == 2
     assert local_layers["counting.check_solution"].calls == 2
     # every chooser bit of sum_reach_3 sees exactly its three split bits:
-    # the constant leaves come from one enumeration, with no leaf solver
-    # and no oracle call
+    # the whole instance is one global reduction, with no leaf solver, and
+    # its row table answers it with no max_count call
     assert spans.LEAF not in local_layers
     assert "oracle.max_count" not in local_layers
-    assert "reduction.build_reduction" not in local_layers
+    assert local_layers["reduction.build_reduction"].calls == 1
 
     # the helper's chooser keeps a residual support, so solve_local looks its
     # leaf solver up in the table the tracer wrapped: one leaf span per

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import dqmaxsat
-from dqmaxsat import cli, incremental
+from dqmaxsat import cli, incremental, oracle
 from dqmaxsat.bitvec import ProgramError, parse_program
 from dqmaxsat.dimacs import ParseError, parse_instance
 from dqmaxsat.engine import Engine
@@ -657,6 +657,16 @@ class TestSolverBudgets:
         assert code == 1
         assert "exceed the budget of 3" in err
         assert run_cli(capsys, "solve", instance_file, "--method", "global", "--budget", "4")[0] == 0
+
+    def test_an_over_budget_global_solve_enumerates_nothing(self, capsys, monkeypatch, instance_file):
+        # the selectors are counted before the row table enumerates anything
+        enumerated = []
+        monkeypatch.setattr(oracle, "enumerate_projected",
+                            lambda *args, real=oracle.enumerate_projected, **kwargs:
+                            enumerated.append(args[1]) or real(*args, **kwargs))
+        code, _, err = run_cli(capsys, "solve", instance_file, "--method", "global", "--budget", "3")
+        assert code == 1 and "exceed the budget of 3" in err
+        assert enumerated == []
 
     @pytest.mark.parametrize("method", ["incremental", "auto"])
     def test_incremental_counts_the_selectors_it_will_reach(self, capsys, tmp_path, method):

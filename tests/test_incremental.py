@@ -222,10 +222,11 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["copy_or_and", "two_implications", "copy_or"])
     def test_one_enumeration_per_run(self, name, monkeypatch):
-        # every iteration reuses the cells init enumerated, and the rows of
-        # the DP's table, where it answers (one chooser and four cells:
-        # 2^1 <= 4), are enumerated once for the whole run
-        rows = {"copy_or_and": 1, "two_implications": 0, "copy_or": 1}[name]
+        # init's table enumerates once for the whole run: its rows, whose
+        # projection gives the cells, where the full supports are
+        # chain-shaped (one chooser that sees forced helpers); otherwise
+        # the cells, and the DP, not asked up front here (two choosers and
+        # three cells), never needs the rows
         p = getattr(instances, name)()
         enumerations = []
         calls = []
@@ -238,10 +239,10 @@ class TestRun:
         monkeypatch.setattr(oracle, "enumerate_projected", counting_enumerate)
         solution = run(p, on_iteration=calls.append)
         table = sorted(p.count_vars.union(p.max_vars, *p.deps.values()))
-        assert enumerations == [sorted(p.count_vars)] + [table] * rows
+        assert enumerations == [sorted(p.count_vars) if name == "two_implications" else table]
         assert len(calls) == 1 + sum(len(p.deps[x]) for x in p.max_vars)
         assert solution.achieved_count == brute_force_dqmaxsat(p).achieved_count
-        assert init(p).cells == reachable_cells(p.cnf, p.count_vars)
+        assert init(p).table.cells == reachable_cells(p.cnf, p.count_vars)
 
     def test_round_robin_alternates(self, two_implications):
         solution, records = collect(two_implications)

@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dqmaxsat import cli, counting, local, oracle
+from dqmaxsat import cli, counting, local, oracle, reduction
 from dqmaxsat.counting import check_solution
 from dqmaxsat.dimacs import render_instance
 from dqmaxsat.engine import Engine
@@ -17,7 +17,6 @@ from dqmaxsat.formula import Cnf, Problem
 from dqmaxsat.local import (
     MAX_SPLIT_VARS,
     NoEligibleVariable,
-    constant_leaves,
     functionally_dependent,
     leaf_problems,
     plan_split,
@@ -27,7 +26,7 @@ from dqmaxsat.oracle import brute_force_dqmaxsat
 from dqmaxsat.reduction import SelectorMap, solve_global
 
 import instances
-from naive import tt_models
+from naive import tt_models, tt_projections
 
 
 def _forced_by_enumeration(num_vars, clauses, candidates, count_vars):
@@ -259,18 +258,30 @@ def _constant_leaf_problems(draw):
     return p, split
 
 
+def _constant_choice_optimum(p, split):
+    """Max#SAT over constant choices by truth table: per leaf, the best chooser tuple's cells."""
+    total = 0
+    for m in itertools.product(*((v, -v) for v in split)):
+        total += max(
+            len(tt_projections(p.cnf.num_vars,
+                               [*p.cnf.clauses, *([x if b else -x] for x, b in zip(p.max_vars, t)),
+                                *([lit] for lit in m)],
+                               sorted(p.count_vars)))
+            for t in itertools.product((False, True), repeat=len(p.max_vars)))
+    return total
+
+
 class TestConstantLeaves:
+    """Every chooser sees exactly the split: the whole instance is one block of the DP."""
+
     @settings(max_examples=300, deadline=None)
     @given(_constant_leaf_problems())
     def test_each_leaf_is_its_global_solve(self, case):
         p, split = case
-        got = constant_leaves(p, split)
-        leaves = leaf_problems(p, split)
-        assert len(got) == len(leaves)
-        for answer, leaf in zip(got, leaves):
-            want = solve_global(leaf)
-            assert answer.functions == want.functions
-            assert answer.achieved_count == want.achieved_count
+        got = solve_local(p)
+        want = local._recombine(p, split, [solve_global(leaf) for leaf in leaf_problems(p, split)])
+        assert got.functions == want.functions
+        assert got.achieved_count == want.achieved_count == _constant_choice_optimum(p, split)
 
     def test_ties_go_to_the_least_tuple(self):
         # exactly one of the choosers 1, 2 may hold: (false, true) and
@@ -279,13 +290,13 @@ class TestConstantLeaves:
         p = Problem.of(f, max_vars=[1, 2], count_vars=[3, 4], exist_vars=[],
                        deps={1: [3], 2: [3]})
         assert plan_split(p) == (3,)
-        for leaf in constant_leaves(p, (3,)):
-            assert leaf.achieved_count == 2
-            assert [leaf.functions[x].constant_value() for x in (1, 2)] == [False, True]
-        assert solve_local(p).functions == solve_global(p).functions
+        s = solve_local(p)
+        assert s.achieved_count == 4
+        assert [s.functions[x].constant_value() for x in (1, 2)] == [False, True]
 
     def test_one_solve_enumerates_twice(self, monkeypatch):
-        # once for the tallies of all eight leaves, once for the recount
+        # once for the table's rows, whose projection gives the cells, and
+        # once for the recount
         calls = []
         for module in (oracle, counting):
             real = module.enumerate_projected
@@ -301,20 +312,27 @@ class TestConstantLeaves:
         assert len(calls) == 2
 
     def test_a_leaf_without_cells_is_all_false(self, copy_or_and):
-        # "and" without "or" is impossible: the third leaf has no cell
-        third = constant_leaves(copy_or_and, (4, 5))[2]
-        assert third.achieved_count == 0
-        assert third.functions[1].constant_value() is False
+        # "and" without "or" is impossible: the chooser is false there
+        s = solve_local(copy_or_and)
+        assert s.achieved_count == 3
+        assert (-4, 5) not in s.functions[1].minterms
 
-    def test_constant_leaves_make_no_oracle_call(self, oracle_engines, engines_built):
+    def test_constant_leaves_make_no_oracle_call(self, monkeypatch, oracle_engines):
+        # an auto solve plans and then solves the whole instance: the table's
+        # one enumeration gives the cells and answers the one oracle call
         p = _sum_reach_3()
         split = plan_split(p)
         assert len(split) == 3 and all(p.deps[x] == set(split) for x in p.max_vars)
-        engines_built.clear()
-        assert solve_local(p).achieved_count == 26
-        # the plan's dependence checks were made above, and no max_count call
-        assert engines_built == []
-        assert oracle_engines == []
+        searched, enumerated = [], []
+        monkeypatch.setattr(reduction, "max_count",
+                            lambda *args, real=reduction.max_count: searched.append(args) or real(*args))
+        monkeypatch.setattr(oracle, "enumerate_projected",
+                            lambda *args, real=oracle.enumerate_projected, **kwargs:
+                            enumerated.append(args[1]) or real(*args, **kwargs))
+        solution, method, _ = cli.run_method(p)
+        assert (method, solution.achieved_count) == ("local", 26)
+        assert searched == [] and oracle_engines == []
+        assert len(enumerated) == 1
 
     def test_an_auto_solve_builds_one_engine_for_its_two_plans(self, monkeypatch, engines_built):
         plans = []
@@ -332,7 +350,7 @@ class TestConstantLeaves:
         p = _sum_reach_3()
         plan_split(p)
         engines_built.clear()
-        table = oracle.ChainTable(p, oracle.reachable_cells(p.cnf, p.count_vars))
+        table = oracle.ChainTable(p)
         sel = SelectorMap.over(p, p.deps)
         res = table.solve(sel, {s: False for s in sel.owner})
         assert res is not None and res.best_count == 26

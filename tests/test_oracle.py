@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqmaxsat.cli import load_instance_text
 from dqmaxsat.counting import check_solution
 from dqmaxsat.engine import Engine
 from dqmaxsat import oracle
@@ -416,7 +417,7 @@ class TestChainTable:
         # every call as max_count does too, with the table asked first and
         # with it asked only once the run's probe budget is spent
         state = init(p)
-        table, first, budgeted = (ChainTable(p, state.cells) for _ in range(3))
+        table, first, budgeted = (ChainTable(p) for _ in range(3))
         first.up_front, budgeted.up_front = True, False
         for step in [None, *schedule(p)]:
             if step is not None:
@@ -435,10 +436,10 @@ class TestChainTable:
     @settings(max_examples=300, deadline=None)
     @given(instances.problems(max_num_vars=7, max_num_max=3, dep_limit=2), st.randoms())
     def test_global_reduction_with_a_random_incumbent(self, p, rnd):
-        req, sel = build_reduction(p)
+        req, sel, table = build_reduction(p)
         incumbent = {s: rnd.random() < 0.5 for s in sorted(req.incumbent)}
         req = OracleRequest(req.objective, incumbent, req.cells)
-        got = ChainTable(p, req.cells).solve(sel, incumbent)
+        got = table.solve(sel, incumbent)
         if got is not None:
             assert _answers(got) == _answers(max_count(req))
 
@@ -455,28 +456,80 @@ class TestChainTable:
         monkeypatch.setattr(oracle, "enumerate_projected", recording)
         return made
 
+    @settings(max_examples=300, deadline=None)
+    @given(instances.problems(max_num_vars=7, max_num_max=3, dep_limit=2))
+    def test_the_table_gives_the_cells(self, p):
+        # from its rows, deduplicated and sorted, where it enumerates them
+        # up front; otherwise from reachable_cells
+        assert ChainTable(p).cells == reachable_cells(p.cnf, p.count_vars)
+
+    def test_chain_shaped_full_supports_enumerate_the_rows_alone(self, copy_or_and, row_tables):
+        # one chooser whose helpers the counters force: the rows come first,
+        # and the cells are their projection
+        table = ChainTable(copy_or_and)
+        assert row_tables == [[1, 2, 3, 4, 5]]
+        assert table.cells == ((-2, -3), (-2, 3), (2, -3), (2, 3))
+        assert (table.bound, table.up_front) == (8, True)
+
+    def test_more_choosers_than_counted_variables_enumerate_the_cells_alone(self, row_tables):
+        # two blind two-bit threshold probes: chain-shaped, but 2^|X| = 16
+        # chooser tuples exceed the 4 cells any two observations can reach,
+        # so the table cannot be asked up front and the rows wait
+        text = ("width 2\nmode leak\nrandom z\ninput x1\nobserve y1 := z >= x1\n"
+                "input x2\nobserve y2 := z >= x2\n")
+        p = load_instance_text(text)[0]
+        assert (len(p.max_vars), len(p.count_vars)) == (4, 2)
+        table = ChainTable(p)
+        assert table._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None
+        assert not table.up_front
+        assert row_tables == [sorted(p.count_vars)]
+        row_tables.clear()
+        assert solve_global(p).achieved_count == 4
+        assert row_tables == [sorted(p.count_vars)]
+
+    def test_two_root_groups(self, row_tables):
+        # chooser 1 sees counted 2, chooser 2 sees 2 and 3: the root groups
+        # are the values of 2, and each selector lies under one of them
+        f = Cnf.build(5, [[-1, 2, 4], [1, -2, -3], [-4, -5, 3], [5, -1], [1, 4, -5],
+                          [-2, 1, 5], [3, 4, 5]])
+        p = Problem.of(f, max_vars=[1, 4], count_vars=[2, 3, 5], exist_vars=[],
+                       deps={1: [2], 4: [2, 3]})
+        req, sel, table = build_reduction(p)
+        assert row_tables == [[1, 2, 3, 4, 5]]
+        blocks = table._blocks(sel.supports)
+        assert [support for support, _, _ in blocks] == [(2,), (2, 3)]
+        tree = table._tree(table._rows, blocks, sel, 0)
+        assert len(tree) == 2
+        want = max_count(req)
+        assert _answers(table.solve(sel, req.incumbent)) == _answers(want)
+        assert want.best_count == brute_force_dqmaxsat(p).achieved_count
+        for rnd in map(random.Random, range(20)):
+            incumbent = {s: rnd.random() < 0.5 for s in sorted(req.incumbent)}
+            got = table.solve(sel, incumbent)
+            assert _answers(got) == _answers(max_count(OracleRequest(req.objective, incumbent, req.cells)))
+
     def test_supports_that_are_not_nested(self, two_implications, row_tables):
         # chooser 1 sees helper 5 and chooser 2 helper 6: the shape fails
-        # before any row is enumerated
+        # before any row is enumerated, and the table enumerates the cells
         state = init(two_implications)
         for step in schedule(two_implications):
             state = expand(state, *step)
         assert state.selectors.supports == {1: (5,), 2: (6,)}
         row_tables.clear()
-        assert ChainTable(two_implications, state.cells).solve(state.selectors, state.incumbent) is None
-        assert row_tables == []
+        assert ChainTable(two_implications).solve(state.selectors, state.incumbent) is None
+        assert row_tables == [[3, 4]]
         # the same over counted variables, which need no forcing: chooser 1
         # sees 3 and chooser 2 sees 4. A DP that took them as nested would
         # let chooser 2 answer each value of 3 on its own and claim all 4
         # cells, where the optimum is 3
         f = Cnf.build(4, [[-1, 3], [2, -3, 1], [-2, -3, -4], [3, 2]])
         p = Problem.of(f, max_vars=[1, 2], count_vars=[3, 4], exist_vars=[], deps={1: [3], 2: [4]})
-        req, sel = build_reduction(p)
-        assert ChainTable(p, req.cells).solve(sel, req.incumbent) is None
+        req, sel, table = build_reduction(p)
+        assert table.solve(sel, req.incumbent) is None
         assert max_count(req).best_count == brute_force_dqmaxsat(p).achieved_count == 3
         # with the solve's budget spent, the call goes on the B&B once the
         # table declines it, and the table is asked first from then on
-        table = ChainTable(p, req.cells)
+        table = ChainTable(p)
         table.up_front, table.spent = False, table.bound
         assert oracle_call(table, sel, req, max_count) == max_count(req)
         assert table.up_front
@@ -485,9 +538,9 @@ class TestChainTable:
         # the helper 5 decides the chooser when counter 2 is false, so no
         # cell forces it; the counters alone are fine
         p = or_with_free_helper
-        req, sel = build_reduction(p)
+        req, sel, table = build_reduction(p)
+        assert row_tables == [[2, 3, 4]]
         state = expand(init(p), 1, 2)
-        table = ChainTable(p, req.cells)
         row_tables.clear()
         assert table.solve(sel, req.incumbent) is None
         assert row_tables == []
@@ -502,7 +555,7 @@ class TestChainTable:
         f = Cnf.build(3, [[-1, 2, 3]])
         p = Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[3], deps={1: [3]})
         state = init(p)
-        table = ChainTable(p, state.cells)
+        table = ChainTable(p)
         assert (table.bound, table.up_front) == (4, True)
         row_tables.clear()
         assert table.solve(state.selectors, state.incumbent) is None
@@ -515,13 +568,15 @@ class TestChainTable:
         # B&B gets Tb probes
         f = Cnf.build(3, [[1, 2, 3]])
         p = Problem.of(f, max_vars=[1], count_vars=[2, 3], exist_vars=[], deps={1: [2]})
-        cells = reachable_cells(f, [2, 3])
-        assert len(cells) == 4
-        assert ChainTable(p, cells).up_front
-        assert ChainTable(p, cells).bound == 8
-        assert not ChainTable(p, cells[:1]).up_front
+        assert len(ChainTable(p).cells) == 4
+        assert ChainTable(p).up_front
+        assert ChainTable(p).bound == 8
+        one_cell = Problem.of(Cnf.build(3, [[1, 2, 3], [2], [3]]), max_vars=[1],
+                              count_vars=[2, 3], exist_vars=[], deps={1: [2]})
+        assert len(ChainTable(one_cell).cells) == 1
+        assert not ChainTable(one_cell).up_front
         monkeypatch.setattr(oracle, "ROW_GUARD", 7)
-        assert not ChainTable(p, cells).up_front
+        assert not ChainTable(p).up_front
 
     def test_a_spent_budget_hands_the_call_to_the_table(self):
         # the copy chooser of y1 over three counters: 8 cells and 2 tuples,
@@ -530,11 +585,11 @@ class TestChainTable:
         f = Cnf.build(4, [[-1, 2], [1, -2]])
         p = Problem.of(f, max_vars=[1], count_vars=[2, 3, 4], exist_vars=[],
                        deps={1: [2, 3, 4]})
-        req, sel = build_reduction(p)
+        req, sel, _ = build_reduction(p)
         want = max_count(req)
         charged = []
         assert max_count(req, charged.append) == want and sum(charged) > 16
-        table = ChainTable(p, req.cells)
+        table = ChainTable(p)
         table.up_front = False
         assert oracle_call(table, sel, req, max_count) == want
         assert table.up_front and 16 < table.spent < sum(charged)
@@ -549,7 +604,7 @@ class TestChainTable:
         p = Problem.of(f, max_vars=[1, 2], count_vars=[3, 7], exist_vars=[4, 5, 6],
                        deps={1: [5], 2: [5]})
         state = init(p)
-        table = ChainTable(p, state.cells)
+        table = ChainTable(p)
         assert (table.bound, table.up_front) == (8, False)
         answered = []
         solve = table.solve

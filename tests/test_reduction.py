@@ -21,7 +21,7 @@ import instances
 
 
 def test_selector_layout_two_signal_chooser(copy_or_and):
-    req, sel = build_reduction(copy_or_and)
+    req, sel, _ = build_reduction(copy_or_and)
     # canonical monomial order over support (4, 5): ++, +-, -+, --
     assert sel.selectors[1] == {(4, 5): 6, (4, -5): 7, (-4, 5): 8, (-4, -5): 9}
     assert req.cells == reachable_cells(copy_or_and.cnf, [2, 3])
@@ -31,7 +31,7 @@ def test_selector_layout_two_signal_chooser(copy_or_and):
 
 
 def test_selector_layout_two_choosers(two_implications):
-    req, sel = build_reduction(two_implications)
+    req, sel, _ = build_reduction(two_implications)
     assert sel.selectors[1] == {(5,): 7, (-5,): 8}
     assert sel.selectors[2] == {(6,): 9, (-6,): 10}
     assert sorted(req.incumbent) == [7, 8, 9, 10]
@@ -40,14 +40,14 @@ def test_selector_layout_two_choosers(two_implications):
 def test_empty_dependency_sets_degenerate_to_plain_choice():
     f = Cnf.build(2, [[1, 2]])
     p = Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[], deps={1: []})
-    req, sel = build_reduction(p)
+    req, sel, _ = build_reduction(p)
     assert sel.selectors[1] == {(): 3}
     assert ( -1, 3) in req.objective.clauses
     assert (1, -3) in req.objective.clauses
 
 
 def test_selector_freshness_and_bijection(two_implications):
-    req, sel = build_reduction(two_implications)
+    req, sel, _ = build_reduction(two_implications)
     for s, (x, m) in sel.owner.items():
         assert s > two_implications.cnf.num_vars
         assert sel.selectors[x][m] == s
@@ -120,19 +120,19 @@ def test_budget_guard(copy_or_and):
 
 class TestDecode:
     def test_named_assignment(self, copy_or_and):
-        _, sel = build_reduction(copy_or_and)
+        _, sel, _ = build_reduction(copy_or_and)
         alpha = {6: True, 7: True, 8: False, 9: False}
         s = decode(sel, alpha)
         assert s.functions[1].minterms == frozenset([(4, 5), (4, -5)])
 
     def test_all_false_gives_constant_false_on_full_support(self, copy_or_and):
-        _, sel = build_reduction(copy_or_and)
+        _, sel, _ = build_reduction(copy_or_and)
         s = decode(sel, {6: False, 7: False, 8: False, 9: False})
         assert s.functions[1].support == (4, 5)
         assert s.functions[1].constant_value() is False
 
     def test_all_true_gives_constant_true(self, copy_or_and):
-        _, sel = build_reduction(copy_or_and)
+        _, sel, _ = build_reduction(copy_or_and)
         s = decode(sel, {6: True, 7: True, 8: True, 9: True})
         assert s.functions[1].constant_value() is True
 
@@ -140,7 +140,7 @@ class TestDecode:
 def test_reduced_count_equals_recount_for_every_selector_assignment(copy_or_and):
     # the reduction is exact: for any selector choice, counting the reduced
     # objective equals substituting the decoded functions and recounting
-    req, sel = build_reduction(copy_or_and)
+    req, sel, _ = build_reduction(copy_or_and)
     for bits in itertools.product([False, True], repeat=4):
         alpha = dict(zip(sorted(req.incumbent), bits))
         units = [(s,) if alpha[s] else (-s,) for s in sorted(req.incumbent)]
@@ -153,7 +153,7 @@ def test_reduced_count_equals_recount_for_every_selector_assignment(copy_or_and)
 def test_reduced_count_equals_recount_random(seed):
     rng = random.Random(seed)
     p = instances.random_problem(rng, num_vars=rng.randint(3, 6), num_max=rng.randint(1, 2))
-    req, sel = build_reduction(p)
+    req, sel, _ = build_reduction(p)
     for _ in range(6):
         alpha = {s: rng.random() < 0.5 for s in sorted(req.incumbent)}
         units = [(s,) if alpha[s] else (-s,) for s in sorted(req.incumbent)]
