@@ -10,25 +10,25 @@ incumbent on a tie and otherwise the lexicographically least optimum:
 - max_count, a branch and bound (B&B) over the selectors that probes cells
   on a SAT engine and keeps each cell's last model, for any request;
 - ChainTable.solve, a dynamic program over one table of rows per solve, for
-  chain-shaped calls: the choosers' supports are nested, and every newly
-  observed variable is counted or forced. Such a call is an exist/random
-  game tree (Littman, Majercik & Pitassi, JAR 2001), a max over chooser
-  tuples, then a sum over the observed values; Max#SAT over constant
-  choices is its one-block case (Fremont, Rabe & Seshia, AAAI 2017), and
-  this DP is the only code that solves it.
+  chain-shaped calls of a problem whose full supports are chain-shaped:
+  the choosers' supports are nested, and every newly observed variable is
+  counted or forced. Such a call is an exist/random game tree (Littman,
+  Majercik & Pitassi, JAR 2001), a max over chooser tuples, then a sum
+  over the observed values; Max#SAT over constant choices is its
+  one-block case (Fremont, Rabe & Seshia, AAAI 2017), and this DP is the
+  only code that solves it.
 
-oracle_call picks between them by the table's size bound Tb = |cells| ·
-2^|X| for |X| choosers. The DP answers up front when 2^|X| <= |cells| and
-Tb <= ROW_GUARD. Otherwise the B&B runs with one budget of Tb probes for
-the whole solve: the table counts the probes of all its calls. Once they
-pass Tb, the table is asked first on that call and every later one, and
-a call it cannot answer goes on the B&B without a budget. The rows are
-enumerated once, and never past Tb rows; past them the solve stays on
-the B&B. So the DP runs only where its table is provably small, or where
-the solve's B&B has spent as many probes as the table can have rows.
-Where the rule could hold with every cell reachable and the full supports
-are chain-shaped, the table enumerates its rows first and projects the
-cells off them, so such a solve enumerates once in all.
+oracle_call asks the table first exactly when it holds its rows. Forcing
+bounds them by Tb = |cells| · 2^|X| for |X| choosers, one row per cell and
+chooser tuple. The table enumerates them at construction where a full
+table is small (|X| <= |Y| and 2^(|X|+|Y|) <= ROW_GUARD) and projects the
+cells off them, so such a solve enumerates once in all. Otherwise the B&B
+runs with one budget of Tb probes for the whole solve: the table counts
+the probes of all its calls. Once they pass Tb, the table enumerates its
+rows, which the solve has then paid for in probes, and is asked first on
+that call and every later one. A call it cannot answer goes on the B&B
+without a budget, and so does every call of a problem whose full supports
+are not chain-shaped.
 
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
@@ -48,7 +48,8 @@ from .formula import Cnf, MintermFunction, Problem, Solution, minterms_of
 if TYPE_CHECKING:
     from .reduction import SelectorMap
 
-# the DP answers up front only when its table can have at most this many rows
+# a table enumerates its rows at construction only where a full table of
+# |cells| · 2^|X| rows, with every cell reachable, has at most this many
 ROW_GUARD = 1 << 17
 
 
@@ -207,10 +208,6 @@ def max_count(req: OracleRequest,
     return OracleResult(best, best_count)
 
 
-class _PastBound(Exception):
-    """The row enumeration went past the table's size bound."""
-
-
 class ChainTable:
     """The cells and rows of one solve, and the DP that answers its chain-shaped calls.
 
@@ -218,60 +215,58 @@ class ChainTable:
     counted variables, the choosers and every dependency variable; they
     serve every call of the solve, partial supports included. cells are
     the CNF's count-cells as reachable_cells gives them, which every
-    request of the solve carries. Where the full supports are chain-shaped,
-    |X| <= |Y| and 2^(|X|+|Y|) <= ROW_GUARD, the rows come first and the
-    cells are their projection; otherwise the cells come first, and the
-    rows on first use, never past the bound.
+    request of the solve carries. The table answers only problems whose
+    full supports are chain-shaped: then every dependency variable is
+    forced by a cell and the choosers, so R has at most bound = Tb =
+    |cells| · 2^|X| rows, one per cell and chooser tuple.
 
-    bound is Tb = |cells| · 2^|X|: as many rows as the table has when every
-    dependency variable is forced, and the B&B's probe budget for the whole
-    solve: spent counts the probes of every B&B call that oracle_call
-    budgets. up_front says whether oracle_call asks the table before the
-    B&B; oracle_call sets it once spent passes bound.
+    Where |X| <= |Y| and 2^(|X|+|Y|) <= ROW_GUARD, the construction tests
+    the full shape and, where it holds, enumerates the rows and takes the
+    cells as their projection; otherwise the cells come first. _rows is
+    the list of rows once enumerated, None before, and False when the full
+    supports are not chain-shaped. spent counts the probes of every B&B
+    call that oracle_call budgets against bound.
     """
 
     def __init__(self, p: Problem):
         self.problem = p
         xs, ys = len(p.max_vars), len(p.count_vars)
         order = sorted(p.count_vars.union(p.max_vars, *p.deps.values()))
-        # the rows (False past the bound), each variable's column, a row's cell
         self._rows: list[tuple[int, ...]] | bool | None = None
+        # each variable's column, and what reads a row's cell
         self._column = {v: i for i, v in enumerate(order)}
         self._cell = _columns([self._column[y] for y in sorted(p.count_vars)])
-        if xs <= ys and 1 << (xs + ys) <= ROW_GUARD and \
-                self._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None:
-            # every dependency variable is forced, so the rows are at most Tb
-            self._rows = []
-            enumerate_projected(p.cnf, order, visit=self._rows.append)
+        if xs <= ys and 1 << (xs + ys) <= ROW_GUARD and self._enumerate():
             self.cells = tuple(sorted(set(map(self._cell, self._rows))))
         else:
             self.cells = reachable_cells(p.cnf, p.count_vars)
         self.bound = len(self.cells) << xs
-        self.up_front = 1 << xs <= len(self.cells) and self.bound <= ROW_GUARD
         self.spent = 0
 
     def solve(self, sel: "SelectorMap", incumbent: Mapping[int, bool]) -> Optional[OracleResult]:
         """What max_count returns for this call, or None when the call is not chain-shaped.
 
-        Also None when the rows run past the bound. The selectors are sel's,
-        over its supports, and incumbent assigns every one of them. Each
-        chooser's selector at a group's observation restricts its value
-        there, and a group whose allowed tuples have no rows counts 0. The
-        incumbent is returned when it ties the optimum. Otherwise each
-        selector is fixed in ascending id false, or true if false drops the
-        value below the optimum: the lexicographically least optimum, the
-        first leaf max_count's false-first search accepts, with no SAT call.
-        A selector's observation includes the first block's support values,
-        so it lies under one root group, and fixing it re-evaluates only
-        that group; a selector under none stays false.
+        Also None when the full supports are not chain-shaped; otherwise
+        the rows are enumerated first if they are not yet. The selectors
+        are sel's, over its supports, and incumbent assigns every one of
+        them. Each chooser's selector at a group's observation restricts
+        its value there, and a group whose allowed tuples have no rows
+        counts 0. The incumbent is returned when it ties the optimum.
+        Otherwise each selector is fixed in ascending id false, or true if
+        false drops the value below the optimum: the lexicographically
+        least optimum, the first leaf max_count's false-first search
+        accepts, with no SAT call. A selector's observation includes the
+        first block's support values, so it lies under one root group, and
+        fixing it re-evaluates only that group; a selector under none stays
+        false.
         """
-        if self._rows is False:
+        if not self._enumerate():
             return None
         blocks = self._blocks(sel.supports)
+        if blocks is None:
+            return None
         if blocks == []:  # no choosers: every cell counts
             return OracleResult({}, len(self.cells))
-        if blocks is None or not self._enumerate():
-            return None
         tree = self._tree(self._rows, blocks, sel, 0)
         optima = [_best(sels, children, {}) for sels, children in tree]
         best_count = sum(optima)
@@ -328,22 +323,14 @@ class ChainTable:
         return blocks
 
     def _enumerate(self) -> bool:
-        """Enumerate the rows unless done already; False when they run past the bound."""
+        """Enumerate the rows unless done already; False when the full supports are not chain-shaped."""
         if self._rows is None:
             p = self.problem
-            rows: list[tuple[int, ...]] = []
-
-            def keep(row: tuple[int, ...]) -> None:
-                if len(rows) == self.bound:
-                    raise _PastBound
-                rows.append(row)
-
-            try:
-                enumerate_projected(p.cnf, list(self._column), visit=keep)
-            except _PastBound:
+            if self._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is None:
                 self._rows = False
-                return False
-            self._rows = rows
+            else:
+                self._rows = []
+                enumerate_projected(p.cnf, list(self._column), visit=self._rows.append)
         return self._rows is not False
 
     def _tree(self, rows: list[tuple[int, ...]], blocks, sel: "SelectorMap", k: int) -> list:
@@ -401,27 +388,26 @@ def _best(sels: list[int], children: list, fixed: Mapping[int, bool]) -> int:
 
 def oracle_call(table: ChainTable, sel: "SelectorMap", req: OracleRequest,
                 bnb: Callable[..., OracleResult]) -> OracleResult:
-    """max_count's answer to req, from the table or from the B&B by the size-bound rule.
+    """max_count's answer to req, from the table where it holds its rows, otherwise from the B&B.
 
     bnb is max_count; callers pass it through their own module's name,
-    which the benchmark's spans (perfbench/spans.py) wrap. While the table
-    answers up front, a call it cannot answer goes to the B&B unbudgeted.
-    Otherwise the B&B charges its probes to the solve's count, and once
-    that passes table.bound the table is asked; from then on it is asked
-    first on every call of the solve. A call it cannot answer goes on
-    without a budget.
+    which the benchmark's spans (perfbench/spans.py) wrap. A table that
+    holds its rows is asked first, and a call it cannot answer goes to the
+    B&B; so does every call where the full supports are not chain-shaped.
+    Before the rows are enumerated, the B&B charges its probes to the
+    solve's count, and once that passes table.bound the table enumerates
+    its rows and is asked, on that call and first on every later one.
     """
-    if table.up_front:
+    if table._rows is not None:
         res = table.solve(sel, req.incumbent)
         return res if res is not None else bnb(req)
 
     def budget(probes: int) -> Optional[OracleResult]:
-        if table.up_front:  # asked already in this call
+        if table._rows is not None:  # asked already in this call
             return None
         table.spent += probes
         if table.spent <= table.bound:
             return None
-        table.up_front = True
         return table.solve(sel, req.incumbent)
 
     return bnb(req, budget)

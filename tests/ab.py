@@ -16,6 +16,12 @@ parent solved slowest:
 
     python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40
 
+With ``--bundled`` the trees solve the bundled instances that ``dqms
+bench`` solves (``cli._SUITE``, read from CHANGE) the same way instead,
+and the script prints each one's fastest solve per tree and their ratio:
+
+    python3 tests/ab.py PARENT CHANGE --bundled --repeat 5
+
 PARENT and CHANGE are checkouts, each holding ``src/dqmaxsat``; make the
 parent's with ``git archive``. A tree against a copy of itself shows how
 far the host's noise alone moves the ratios.
@@ -34,6 +40,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -102,17 +109,33 @@ def compare(trees: dict, instances, directory: Path, repeat: int) -> list[tuple[
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description="Solve the benchmark's instances with two source trees in one process "
-                    "and print the per-instance time ratios change / parent per workload.")
+                    "and print the per-instance time ratios change / parent per workload, "
+                    "or each bundled instance's ratio with --bundled.")
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--count", type=int, required=True)
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--count", type=int)
+    ap.add_argument("--bundled", action="store_true",
+                    help="time the bundled instances instead of the benchmark's")
     ap.add_argument("--repeat", type=int, default=3, help="solves per tree and instance (default 3)")
     ap.add_argument("--workload", action="append", help="one workload; repeat for more (default all)")
     args = ap.parse_args(argv)
-    workloads = load_workloads()
+    if not args.bundled and (args.seed is None or args.count is None):
+        ap.error("--seed and --count are required without --bundled")
     trees = {name: load_tree(root, f"ab_{name}")
              for name, root in (("parent", args.parent), ("change", args.change))}
+    if args.bundled:
+        base = args.change / "src" / "dqmaxsat" / "bench"
+        bundled = [SimpleNamespace(name=Path(fname).stem, suffix=Path(fname).suffix,
+                                   text=(base / fname).read_text())
+                   for fname in trees["change"]._SUITE]
+        with tempfile.TemporaryDirectory() as d:
+            pairs = compare(trees, bundled, Path(d), args.repeat)
+        for inst, (parent_ms, ratio) in zip(bundled, pairs):
+            print(f"{inst.name}: parent {parent_ms:.1f} ms, change {parent_ms * ratio:.1f} ms, "
+                  f"ratio {ratio:.3f}")
+        return 0
+    workloads = load_workloads()
     for workload in args.workload or workloads.WORKLOADS:
         instances = [workloads.make_instance(workload, args.seed, i) for i in range(args.count)]
         with tempfile.TemporaryDirectory() as d:

@@ -225,8 +225,8 @@ class TestRun:
         # init's table enumerates once for the whole run: its rows, whose
         # projection gives the cells, where the full supports are
         # chain-shaped (one chooser that sees forced helpers); otherwise
-        # the cells, and the DP, not asked up front here (two choosers and
-        # three cells), never needs the rows
+        # the cells, and the table, whose full supports are not nested
+        # here, answers no call and never enumerates the rows
         p = getattr(instances, name)()
         enumerations = []
         calls = []

@@ -406,6 +406,19 @@ def _answers(res):
     return None if res is None else (dict(res.best), res.best_count)
 
 
+def _refused(req, budget=None):
+    """A B&B for calls the table must answer itself."""
+    raise AssertionError("the B&B was asked")
+
+
+def _recorded(budgeted: list):
+    """max_count, noting for each call whether it ran on a budget."""
+    def bnb(req, budget=None):
+        budgeted.append(budget is not None)
+        return max_count(req, budget)
+    return bnb
+
+
 class TestChainTable:
     """The DP's entry, called directly, against max_count on the same call."""
 
@@ -414,11 +427,11 @@ class TestChainTable:
     def test_every_incremental_call_matches_max_count(self, p):
         # one table for the whole run, as incremental.run keeps it; the
         # incumbent carried over is max_count's answer. The dispatch answers
-        # every call as max_count does too, with the table asked first and
-        # with it asked only once the run's probe budget is spent
+        # every call as max_count does too, both on the table asked directly,
+        # which holds its rows from the first call on and so is asked first,
+        # and on one left to the run's probe budget
         state = init(p)
-        table, first, budgeted = (ChainTable(p) for _ in range(3))
-        first.up_front, budgeted.up_front = True, False
+        table, budgeted = ChainTable(p), ChainTable(p)
         for step in [None, *schedule(p)]:
             if step is not None:
                 state = expand(state, *step)
@@ -426,7 +439,7 @@ class TestChainTable:
             got = table.solve(state.selectors, state.incumbent)
             if got is not None:
                 assert _answers(got) == _answers(want)
-            for dispatch in (first, budgeted):
+            for dispatch in (table, budgeted):
                 assert _answers(oracle_call(dispatch, state.selectors, state.request(), max_count)) == _answers(want)
             state = replace(state, incumbent=dict(want.best))
         brute = brute_force_dqmaxsat(p).achieved_count
@@ -465,24 +478,29 @@ class TestChainTable:
 
     def test_chain_shaped_full_supports_enumerate_the_rows_alone(self, copy_or_and, row_tables):
         # one chooser whose helpers the counters force: the rows come first,
-        # and the cells are their projection
-        table = ChainTable(copy_or_and)
+        # the cells are their projection, and the table, which holds its
+        # rows, answers the call with no B&B
+        req, sel, table = build_reduction(copy_or_and)
         assert row_tables == [[1, 2, 3, 4, 5]]
         assert table.cells == ((-2, -3), (-2, 3), (2, -3), (2, 3))
-        assert (table.bound, table.up_front) == (8, True)
+        assert table.bound == 8
+        assert oracle_call(table, sel, req, _refused) == max_count(req)
 
     def test_more_choosers_than_counted_variables_enumerate_the_cells_alone(self, row_tables):
         # two blind two-bit threshold probes: chain-shaped, but 2^|X| = 16
         # chooser tuples exceed the 4 cells any two observations can reach,
-        # so the table cannot be asked up front and the rows wait
+        # so the rows wait, and the global call's B&B answers within its
+        # budget of Tb = 64 probes
         text = ("width 2\nmode leak\nrandom z\ninput x1\nobserve y1 := z >= x1\n"
                 "input x2\nobserve y2 := z >= x2\n")
         p = load_instance_text(text)[0]
         assert (len(p.max_vars), len(p.count_vars)) == (4, 2)
-        table = ChainTable(p)
+        req, sel, table = build_reduction(p)
         assert table._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None
-        assert not table.up_front
         assert row_tables == [sorted(p.count_vars)]
+        budgeted = []
+        assert oracle_call(table, sel, req, _recorded(budgeted)) == max_count(req)
+        assert budgeted == [True] and 0 < table.spent <= table.bound == 64
         row_tables.clear()
         assert solve_global(p).achieved_count == 4
         assert row_tables == [sorted(p.count_vars)]
@@ -527,85 +545,94 @@ class TestChainTable:
         req, sel, table = build_reduction(p)
         assert table.solve(sel, req.incumbent) is None
         assert max_count(req).best_count == brute_force_dqmaxsat(p).achieved_count == 3
-        # with the solve's budget spent, the call goes on the B&B once the
-        # table declines it, and the table is asked first from then on
-        table = ChainTable(p)
-        table.up_front, table.spent = False, table.bound
-        assert oracle_call(table, sel, req, max_count) == max_count(req)
-        assert table.up_front
+        # the full supports are not nested either, so the table answers no
+        # call: the B&B answers it without a budget, and no row is enumerated
+        row_tables.clear()
+        budgeted = []
+        assert oracle_call(table, sel, req, _recorded(budgeted)) == max_count(req)
+        assert (budgeted, table.spent, row_tables) == ([False], 0, [])
 
     def test_an_observation_no_cell_forces(self, or_with_free_helper, row_tables):
         # the helper 5 decides the chooser when counter 2 is false, so no
-        # cell forces it; the counters alone are fine
+        # cell forces it and the full support is not chain-shaped: the table
+        # answers no call, not even one over the counters alone, which the
+        # B&B answers with no row enumerated
         p = or_with_free_helper
         req, sel, table = build_reduction(p)
         assert row_tables == [[2, 3, 4]]
         state = expand(init(p), 1, 2)
         row_tables.clear()
         assert table.solve(sel, req.incumbent) is None
-        assert row_tables == []
-        assert _answers(table.solve(state.selectors, state.incumbent)) == _answers(max_count(state.request()))
-        assert row_tables == [[1, 2, 3, 4, 5]]
+        assert table.solve(state.selectors, state.incumbent) is None
+        budgeted = []
+        assert oracle_call(table, state.selectors, state.request(), _recorded(budgeted)) == \
+            max_count(state.request())
+        assert (budgeted, row_tables) == ([False], [])
 
     def test_rows_past_the_bound(self, row_tables):
         # chooser 1 will see the existential 3, which no cell forces: with
-        # the empty support the call is chain-shaped, but 3 doubles the rows
-        # of most (cell, chooser) pairs, so the enumeration stops past Tb = 4
-        # and the table answers no call after
+        # the empty support the call is chain-shaped, but 3 would double the
+        # rows of most (cell, chooser) pairs past Tb = 4. The full support
+        # is not chain-shaped, so the table answers no call and enumerates
+        # no row
         f = Cnf.build(3, [[-1, 2, 3]])
         p = Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[3], deps={1: [3]})
         state = init(p)
         table = ChainTable(p)
-        assert (table.bound, table.up_front) == (4, True)
+        assert table.bound == 4
         row_tables.clear()
         assert table.solve(state.selectors, state.incumbent) is None
-        assert table.solve(state.selectors, state.incumbent) is None
-        assert row_tables == [[1, 2, 3]]
         assert oracle_call(table, state.selectors, state.request(), max_count) == max_count(state.request())
+        assert row_tables == []
 
     def test_the_rule(self, monkeypatch):
-        # up front while 2^|X| <= |cells| and Tb <= ROW_GUARD; otherwise the
-        # B&B gets Tb probes
+        # a table that holds its rows is asked first, even where 2^|X| = 2
+        # chooser tuples exceed its one cell; one whose full table could
+        # pass ROW_GUARD leaves the call to the B&B on a budget of Tb probes
         f = Cnf.build(3, [[1, 2, 3]])
         p = Problem.of(f, max_vars=[1], count_vars=[2, 3], exist_vars=[], deps={1: [2]})
-        assert len(ChainTable(p).cells) == 4
-        assert ChainTable(p).up_front
-        assert ChainTable(p).bound == 8
         one_cell = Problem.of(Cnf.build(3, [[1, 2, 3], [2], [3]]), max_vars=[1],
                               count_vars=[2, 3], exist_vars=[], deps={1: [2]})
-        assert len(ChainTable(one_cell).cells) == 1
-        assert not ChainTable(one_cell).up_front
+        for problem, cells in ((p, 4), (one_cell, 1)):
+            req, sel, table = build_reduction(problem)
+            assert (len(table.cells), table.bound) == (cells, 2 * cells)
+            assert oracle_call(table, sel, req, _refused) == max_count(req)
         monkeypatch.setattr(oracle, "ROW_GUARD", 7)
-        assert not ChainTable(p).up_front
+        req, sel, table = build_reduction(p)
+        budgeted = []
+        assert oracle_call(table, sel, req, _recorded(budgeted)) == max_count(req)
+        assert budgeted == [True]
 
-    def test_a_spent_budget_hands_the_call_to_the_table(self):
+    def test_a_spent_budget_hands_the_call_to_the_table(self, monkeypatch):
         # the copy chooser of y1 over three counters: 8 cells and 2 tuples,
-        # so Tb = 16; with the table not asked up front, the B&B spends more
-        # than 16 probes, asks it, and the table answers every later call
+        # so Tb = 16; with a ROW_GUARD below 2^(|X|+|Y|) the table does not
+        # enumerate its rows up front, the B&B spends more than 16 probes,
+        # asks it, and the table, which then holds its rows, answers every
+        # later call first
         f = Cnf.build(4, [[-1, 2], [1, -2]])
         p = Problem.of(f, max_vars=[1], count_vars=[2, 3, 4], exist_vars=[],
                        deps={1: [2, 3, 4]})
-        req, sel, _ = build_reduction(p)
+        monkeypatch.setattr(oracle, "ROW_GUARD", 8)
+        req, sel, table = build_reduction(p)
         want = max_count(req)
         charged = []
         assert max_count(req, charged.append) == want and sum(charged) > 16
-        table = ChainTable(p)
-        table.up_front = False
         assert oracle_call(table, sel, req, max_count) == want
-        assert table.up_front and 16 < table.spent < sum(charged)
+        assert 16 < table.spent < sum(charged)
+        assert oracle_call(table, sel, req, _refused) == want
 
-    def test_the_budget_is_one_per_solve(self, monkeypatch):
-        # two choosers over counters 3 and 7 that both come to see 5: 2 cells
-        # and 4 chooser tuples, so Tb = 8 and the table is not asked up
-        # front. The run's first call probes 4 times and its second 5: each
-        # stays under Tb, but together they pass it, and the table answers
-        # the second
-        f = Cnf.build(7, [[3, -1], [-3, 5], [-7, 5], [-5, -7], [-5, 7, -6], [1, 6, -5]])
-        p = Problem.of(f, max_vars=[1, 2], count_vars=[3, 7], exist_vars=[4, 5, 6],
-                       deps={1: [5], 2: [5]})
+    def test_the_budget_is_one_per_solve(self, monkeypatch, row_tables):
+        # chooser 2 sees nothing and chooser 1 comes to see counter 4: 2
+        # cells and 4 chooser tuples, so Tb = 8, and with |X| > |Y| the rows
+        # wait. The run's first call probes 5 times and its second 4: each
+        # stays under Tb, but together they pass it, and the table
+        # enumerates its rows and answers the second
+        f = Cnf.build(4, [[2, -4, 3], [-1, -4], [-3, 4, -2], [1, 4]])
+        p = Problem.of(f, max_vars=[1, 2], count_vars=[4], exist_vars=[3],
+                       deps={1: [4], 2: []})
         state = init(p)
-        table = ChainTable(p)
-        assert (table.bound, table.up_front) == (8, False)
+        table = state.table
+        assert table.bound == 8
         answered = []
         solve = table.solve
 
@@ -617,9 +644,42 @@ class TestChainTable:
         monkeypatch.setattr(table, "solve", recording)
         first = oracle_call(table, state.selectors, state.request(), max_count)
         assert first == max_count(state.request())
-        assert (table.spent, table.up_front, answered) == (4, False, [])
-        assert schedule(p)[0] == (1, 5)
-        state = expand(replace(state, incumbent=dict(first.best)), 1, 5)
+        assert (table.spent, answered, row_tables) == (5, [], [[4]])
+        assert schedule(p) == [(1, 4)]
+        state = expand(replace(state, incumbent=dict(first.best)), 1, 4)
         second = oracle_call(table, state.selectors, state.request(), max_count)
         assert second == max_count(state.request())
-        assert (table.up_front, answered) == (True, [True])
+        assert (answered, row_tables) == ([True], [[4], [1, 2, 4]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances.problems(max_num_vars=7, max_num_max=3, dep_limit=2))
+    def test_forced_rows_fit_the_bound(self, p):
+        # where the full supports are chain-shaped, a row is fixed by its
+        # cell and its chooser tuple, so the rows number at most Tb
+        table = ChainTable(p)
+        if table._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None:
+            assert table._enumerate()
+            assert len(table._rows) <= table.bound
+
+    def test_a_run_whose_full_supports_are_not_chain_shaped(self, row_tables):
+        # both choosers come to see counter 4 and the existential 3, which
+        # 4 alone does not force. With chooser 1's support grown to 3 the
+        # call is chain-shaped, since chooser 2's choice forces 3 there, but
+        # the table answers no call of the run: the budget passes Tb = 8 on
+        # the second call, the B&B answers it and every later one, and no
+        # row is enumerated
+        f = Cnf.build(4, [[1, 4], [2, 3], [3, -2, 1], [-3, -4, 2]])
+        p = Problem.of(f, max_vars=[1, 2], count_vars=[4], exist_vars=[3],
+                       deps={1: [3, 4], 2: [3, 4]})
+        state = init(p)
+        table = state.table
+        row_tables.clear()
+        for step in [None, *schedule(p)]:
+            if step is not None:
+                state = expand(state, *step)
+            res = oracle_call(table, state.selectors, state.request(), max_count)
+            assert res == max_count(state.request())
+            state = replace(state, incumbent=dict(res.best))
+        assert table.spent > table.bound == 8
+        assert row_tables == []
+        assert res.best_count == brute_force_dqmaxsat(p).achieved_count
