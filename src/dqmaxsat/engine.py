@@ -31,13 +31,19 @@ checks its assumption literals the same way.
 enumerate_projected decides the projection first: it renumbers the
 projection variables to 1..k in ascending order, so the lowest-id rule
 assigns all of them before any other variable, and the projection
-decisions force the whole cell. It walks them depth first and attaches no
-clause per model (Grumberg, Schuster & Yadgar, SAT 2004; Toda & Soh, JEA
-2016): after each model it reopens the deepest projection decision still
-on its first branch on the negated literal. That level becomes the floor:
-the search never backjumps below it, and a conflict on it means that no
-model is left below it. Cells come in lexicographic order over the sorted
-projection, false first, whatever the formula.
+decisions force the whole cell. It walks them depth first in its own loop
+over the engine's state and attaches no clause per model (Grumberg,
+Schuster & Yadgar, SAT 2004; Toda & Soh, JEA 2016): after each model it
+reopens the deepest projection decision still on its first branch on the
+negated literal. Decisions increase with the level, so that level is found
+from the top of the stack, past the few levels above the projection and
+then past the second branches. The reopened level becomes the floor, a
+local of the loop: no backjump goes below it, and a conflict on it means
+that no model is left below it. Every variable below a level's decision was
+assigned before that level opened, so after a flip or a backjump the scan
+for the next decision resumes at the decision of the first removed level
+rather than at variable 1. Cells come in lexicographic order over the
+sorted projection, false first, whatever the formula.
 
 State is indexed by literal: value and watch lists have 2n+1 slots, so
 `vals[lit]` is the value of the literal itself for negative literals too
@@ -80,7 +86,6 @@ class Engine:
         # literal-indexed: clauses watching that literal
         self._watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
         self._assumed: list[int] = []  # the previous call's assumptions
-        self._floor = 0  # the deepest second-branch level of an enumeration
         self.witness: list[int] = []
         # one pass: check every literal, attach every clause, queue the
         # units, then propagate once
@@ -290,10 +295,7 @@ class Engine:
         Continues from the current trail, whose levels must all belong to
         assumptions: level i to assumptions[i-1]. The next level goes to
         assumptions[len(lim)] while any is left, then to a free decision on
-        the lowest unassigned variable.
-
-        In an enumeration the levels up to the floor hold decisions instead:
-        a conflict backjumps no lower, and one on the floor returns False.
+        the lowest unassigned variable. satisfiable is its only caller.
         """
         if not self.ok:
             return False
@@ -305,12 +307,11 @@ class Engine:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                if len(lim) == self._floor:
-                    if not lim:
-                        self.ok = False
+                if not lim:
+                    self.ok = False
                     return False
                 learned, back = self._analyze(conflict)
-                self._backtrack(max(back, self._floor))
+                self._backtrack(back)
                 self._assert(learned)
                 cursor = 1
                 continue
@@ -331,12 +332,11 @@ class Engine:
             self._enqueue(-cursor, None)  # false first
 
     def _flip(self, level: int) -> None:
-        """Reopen `level` on its negated decision, its second branch, as the floor."""
+        """Reopen `level` on its negated decision, its second branch."""
         lit = -self._trail[self._lim[level - 1]]
         self._backtrack(level - 1)
         self._lim.append(len(self._trail))
         self._enqueue(lit, None)
-        self._floor = level
 
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
         """Whether a model extends the assumption literals; sets `witness` if so."""
@@ -362,10 +362,12 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
     visit gets each as a cell, one literal per projection variable in
     ascending order; cells come in lexicographic order, false first. The
     projection variables are renumbered to 1..k, so they are decided
-    before any other variable and force the whole cell. After each model,
-    and when no model is left below the floor, the deepest projection
-    decision still on its first branch (false; the second is true) is
-    flipped, and no clause is attached.
+    before any other variable and force the whole cell. The walk is its
+    own loop over the engine's state, with the decisions, learned clauses
+    and backjumps of Engine._search: after each model, and when a conflict
+    on the floor leaves no model below it, the deepest projection decision
+    still on its first branch (false; the second is true) is flipped and
+    becomes the floor, and no clause is attached.
     """
     proj_vars = sorted(set(proj))
     k = len(proj_vars)
@@ -379,25 +381,46 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
         renumber[old] = new
         renumber[-old] = -new
     eng = Engine(nv, [[renumber.get(lit, lit) for lit in c] for c in f.clauses])
-    vals = eng._vals
-    trail = eng._trail
-    lim = eng._lim
+    if not eng.ok:
+        return 0
+    vals, trail, lim = eng._vals, eng._trail, eng._lim
+    levels, reasons = eng._level, eng._reason
+    propagate = eng._propagate
+    floor = 0  # the deepest second branch: no backjump goes below it
+    cursor = 1  # no variable below it is unassigned
     count = 0
     while True:
-        if eng._search([]):
+        conflict = propagate()
+        if conflict is None:
+            while cursor <= nv and vals[cursor]:
+                cursor += 1
+            if cursor <= nv:  # decide the lowest unassigned variable, false first
+                lim.append(len(trail))
+                vals[-cursor] = 1
+                vals[cursor] = -1
+                levels[cursor] = len(lim)
+                reasons[cursor] = None
+                trail.append(-cursor)
+                continue
             count += 1
             if visit is not None:
                 visit(tuple([v if vals[i] > 0 else -v for i, v in enumerate(proj_vars, 1)]))
-            # the projection decisions open the first levels, and with no
-            # assumptions every level starts with its decision
-            level = 0
-            while level < len(lim) and abs(trail[lim[level]]) <= k:
-                level += 1
-        else:  # no model left below the floor
-            level = eng._floor
-        # decisions are false first, so a true one is a second branch
-        while level and trail[lim[level - 1]] > 0:
+        elif len(lim) > floor:
+            learned, back = eng._analyze(conflict)
+            if back < floor:
+                back = floor
+            # every variable below the first removed level's decision stays assigned
+            cursor = abs(trail[lim[back]])
+            eng._backtrack(back)
+            eng._assert(learned)
+            continue
+        # a model, or no model left below the floor: from the top, step
+        # down past the levels above the projection and the second branches
+        level = len(lim)
+        while level and not -k <= trail[lim[level - 1]] < 0:
             level -= 1
         if not level:
             return count
+        cursor = -trail[lim[level - 1]]
         eng._flip(level)
+        floor = level

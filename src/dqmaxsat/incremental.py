@@ -3,16 +3,17 @@
 Starts every chooser on the empty support (a single constant selector) and
 alternates iterations with support expansions. Each expansion splits the
 affected selectors in two along the added variable and carries the
-previous optimum over as the incumbent, count included. An oracle call
+previous optimum over as the incumbent, count included. A B&B call
 derives the objective from the supports, with the same selector encoding
-as the global reduction; no other step builds one. An iteration asks the
-oracle for the best assignment: one that ignores the new variable equals
-an assignment over the old support, whose count is at most the
-incumbent's, and the oracle accepts only strict improvements. Once the
-incumbent reaches every count-cell nothing can beat it, so the remaining
-iterations keep it without an oracle call. A full run makes exactly 1 +
-sum of |H_i| iterations and may be stopped after any of them, yielding
-the best strategies over the supports grown so far.
+as the global reduction; no other step builds one, and a call the row
+table answers builds none. An iteration asks the oracle for the best
+assignment: one that ignores the new variable equals an assignment over
+the old support, whose count is at most the incumbent's, and the oracle
+accepts only strict improvements. Once the incumbent reaches every
+count-cell nothing can beat it, so the remaining iterations keep it
+without an oracle call. A full run makes exactly 1 + sum of |H_i|
+iterations and may be stopped after any of them, yielding the best
+strategies over the supports grown so far.
 
 schedule lists the expansions, which depend only on the problem:
 round-robin over the choosers in prefix order, skipping those whose
@@ -37,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional
 
 from .formula import Cnf, Problem, Solution, TRUE_CNF
-from .oracle import ChainTable, OracleRequest, OracleResult, max_count, oracle_call
+from .oracle import ChainTable, DeferredRequest, OracleRequest, OracleResult, max_count, oracle_call
 from .reduction import SelectorMap, check_selectors, decode, selector_objective
 
 
@@ -85,7 +86,8 @@ class IncrementalState:
         return self.problem.deps[x].difference(self.selectors.supports[x])
 
     def request(self) -> OracleRequest:
-        return OracleRequest(self.objective, self.incumbent, self.table.cells)
+        """This state's oracle request; its objective is built when the B&B reads it."""
+        return DeferredRequest(lambda: self.objective, self.incumbent, self.table.cells)
 
 
 def init(p: Problem) -> IncrementalState:

@@ -37,6 +37,7 @@ and for cross-checking the real solvers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -74,6 +75,24 @@ class OracleRequest:
     objective: Cnf
     incumbent: Mapping[int, bool]
     cells: tuple[tuple[int, ...], ...]
+
+
+class DeferredRequest(OracleRequest):
+    """A request whose objective is built on its first read.
+
+    Only max_count reads it, so a call that the row table answers builds
+    none.
+    """
+
+    def __init__(self, objective: Callable[[], Cnf], incumbent: Mapping[int, bool],
+                 cells: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "_build", objective)
+        object.__setattr__(self, "incumbent", incumbent)
+        object.__setattr__(self, "cells", cells)
+
+    @functools.cached_property
+    def objective(self) -> Cnf:
+        return self._build()
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .formula import (
     minterms_of,
     selector_definition_clauses,
 )
-from .oracle import ChainTable, OracleRequest, max_count, oracle_call
+from .oracle import ChainTable, DeferredRequest, OracleRequest, max_count, oracle_call
 
 DEFAULT_SELECTOR_BUDGET = 1 << 20
 
@@ -94,17 +94,15 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
     definition clauses determine them pointwise. Incumbent is the all-false
     (all strategies constant false) assignment. The root cells are those of
     p.cnf, which the selector objective reaches alike; the solve's row
-    table, returned with the request, gives them. The selector budget is
-    checked before anything is enumerated.
+    table, returned with the request, gives them. The objective is built
+    when the B&B first reads it, so a solve the table answers builds none.
+    The selector budget is checked before anything is enumerated.
     """
     check_selectors((len(h) for h in p.deps.values()), budget)
     sel = SelectorMap.over(p, p.deps)
     table = ChainTable(p)
-    req = OracleRequest(
-        objective=selector_objective(p, sel),
-        incumbent={s: False for s in sel.owner},
-        cells=table.cells,
-    )
+    req = DeferredRequest(lambda: selector_objective(p, sel), {s: False for s in sel.owner},
+                          table.cells)
     return req, sel, table
 
 

@@ -3,22 +3,25 @@
 Loads the ``dqmaxsat`` package of each tree under its own name, so both
 run in one process on the same inputs. For each of the first COUNT
 instances that ``perfbench/workloads.py`` generates at SEED, each tree
-solves it REPEAT times through its own ``cli.main`` (``solve`` or
-``solve-program --json``, as the benchmark runs it). The trees take turns,
-and which one goes first alternates from instance to instance. Their
-documents must be identical once ``wall_ms`` and each iteration's
-``elapsed_ms`` are dropped; the script stops at the first that differs. A
-tree's time on an instance is its fastest solve. The script prints, per
-workload, the median and quartiles of the per-instance ratios change /
-parent, so below 1 means the change is faster, and the tail: the largest
-ratio, and the median ratio over the quarter of the instances that the
-parent solved slowest:
+runs one command on it REPEAT times through its own ``cli.main``, as the
+benchmark runs it: ``solve`` (or ``solve-program``) ``--json`` by default,
+or ``count``, or ``check`` with ``--op``. Before timing ``check``, each
+tree solves the instance once, untimed, and both check the parent's
+document. The trees take turns, and which one goes first alternates from
+instance to instance. Their outputs must be identical once ``wall_ms`` and
+each iteration's ``elapsed_ms`` are dropped from solve documents; the
+script stops at the first that differs. A tree's time on an instance is
+its fastest run. The script prints, per workload, the median and quartiles
+of the per-instance ratios change / parent, so below 1 means the change is
+faster, and the tail: the largest ratio, and the median ratio over the
+quarter of the instances that the parent ran slowest:
 
     python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40
+    python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40 --op count
 
-With ``--bundled`` the trees solve the bundled instances that ``dqms
+With ``--bundled`` the trees run the bundled instances that ``dqms
 bench`` solves (``cli._SUITE``, read from CHANGE) the same way instead,
-and the script prints each one's fastest solve per tree and their ratio:
+and the script prints each one's fastest run per tree and their ratio:
 
     python3 tests/ab.py PARENT CHANGE --bundled --repeat 5
 
@@ -43,6 +46,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+SOLVES = ("solve", "solve-program")
 
 
 def load_workloads():
@@ -70,8 +74,8 @@ def load_tree(root: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def solve(cli, argv: list[str]) -> tuple[float, dict]:
-    """Milliseconds of one solve command, and its document without the timings."""
+def run(cli, argv: list[str]) -> tuple[float, str]:
+    """Milliseconds of one command, and what it printed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         t0 = time.perf_counter()
@@ -79,45 +83,64 @@ def solve(cli, argv: list[str]) -> tuple[float, dict]:
         ms = (time.perf_counter() - t0) * 1000.0
     if code != 0:
         raise RuntimeError(f"{' '.join(argv)} exited with {code}")
-    doc = json.loads(out.getvalue())
+    return ms, out.getvalue()
+
+
+def masked(argv: list[str], text: str) -> object:
+    """A solve's document without its timings; any other output as it is."""
+    if argv[0] not in SOLVES:
+        return text
+    doc = json.loads(text)
     del doc["wall_ms"]
     for record in doc.get("iterations", ()):
         del record["elapsed_ms"]
-    return ms, doc
+    return doc
 
 
-def compare(trees: dict, instances, directory: Path, repeat: int) -> list[tuple[float, float]]:
-    """Per instance, the parent's fastest solve in ms and the ratio change / parent of the fastest solves."""
+def compare(trees: dict, instances, directory: Path, repeat: int,
+            op: str) -> list[tuple[float, float]]:
+    """Per instance, the parent's fastest run of op in ms and the ratio change / parent of the fastest runs."""
     pairs = []
     for k, inst in enumerate(instances):
         path = directory / (inst.name + inst.suffix)
         path.write_text(inst.text)
         argv = ["solve-program" if inst.suffix == ".atk" else "solve", str(path), "--json"]
+        if op == "count":
+            argv = ["count", str(path)]
+        elif op == "check":
+            docs = {name: run(trees[name], argv)[1] for name in trees}
+            if masked(argv, docs["parent"]) != masked(argv, docs["change"]):
+                raise SystemExit(f"{inst.name}: the solve documents differ")
+            doc_path = directory / (inst.name + ".json")
+            doc_path.write_text(docs["parent"])
+            argv = ["check", str(path), str(doc_path)]
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         best = {name: float("inf") for name in order}
-        docs = {}
+        outputs = {}
         for _ in range(repeat):
             for name in order:
-                ms, docs[name] = solve(trees[name], argv)
+                ms, outputs[name] = run(trees[name], argv)
                 best[name] = min(best[name], ms)
-        if docs["parent"] != docs["change"]:
-            raise SystemExit(f"{inst.name}: the documents differ")
+        if masked(argv, outputs["parent"]) != masked(argv, outputs["change"]):
+            raise SystemExit(f"{inst.name}: the {op} outputs differ")
         pairs.append((best["parent"], best["change"] / best["parent"]))
     return pairs
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
-        description="Solve the benchmark's instances with two source trees in one process "
-                    "and print the per-instance time ratios change / parent per workload, "
-                    "or each bundled instance's ratio with --bundled.")
+        description="Run one command on the benchmark's instances with two source trees in "
+                    "one process and print the per-instance time ratios change / parent per "
+                    "workload, or each bundled instance's ratio with --bundled.")
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--seed", type=int)
     ap.add_argument("--count", type=int)
     ap.add_argument("--bundled", action="store_true",
                     help="time the bundled instances instead of the benchmark's")
-    ap.add_argument("--repeat", type=int, default=3, help="solves per tree and instance (default 3)")
+    ap.add_argument("--op", choices=("count", "solve", "check"), default="solve",
+                    help="the command to time (default solve)")
+    ap.add_argument("--repeat", type=int, default=3, help="runs per tree and instance (default 3)")
     ap.add_argument("--workload", action="append", help="one workload; repeat for more (default all)")
     args = ap.parse_args(argv)
     if not args.bundled and (args.seed is None or args.count is None):
@@ -130,7 +153,7 @@ def main(argv=None) -> int:
                                    text=(base / fname).read_text())
                    for fname in trees["change"]._SUITE]
         with tempfile.TemporaryDirectory() as d:
-            pairs = compare(trees, bundled, Path(d), args.repeat)
+            pairs = compare(trees, bundled, Path(d), args.repeat, args.op)
         for inst, (parent_ms, ratio) in zip(bundled, pairs):
             print(f"{inst.name}: parent {parent_ms:.1f} ms, change {parent_ms * ratio:.1f} ms, "
                   f"ratio {ratio:.3f}")
@@ -139,7 +162,7 @@ def main(argv=None) -> int:
     for workload in args.workload or workloads.WORKLOADS:
         instances = [workloads.make_instance(workload, args.seed, i) for i in range(args.count)]
         with tempfile.TemporaryDirectory() as d:
-            pairs = compare(trees, instances, Path(d), args.repeat)
+            pairs = compare(trees, instances, Path(d), args.repeat, args.op)
         ratios = [ratio for _, ratio in pairs]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
         slowest = sorted(pairs, reverse=True)[:max(1, len(pairs) // 4)]

@@ -18,6 +18,9 @@ from naive import (eval_cnf, tt_count_projected, tt_models, tt_projections, tt_p
 def recorded_flips(k=None):
     """Every second branch enumerate_projected opens, as (level, literal).
 
+    Asserts at each flip that every variable below the reopened decision
+    is still assigned, and that the reopened level is the top one; and at
+    each backjump that it lands no lower than the last flip, the floor.
     With k given, also asserts at each flip that the level holds a
     first-branch decision on one of the variables 1..k, that every deeper
     level deciding one of them is already a second branch, and that every
@@ -25,7 +28,8 @@ def recorded_flips(k=None):
     """
     flips = []
     seconds = {}  # engine -> its second branches as (level, literal), ascending
-    flip = Engine._flip
+    floors = {}  # engine -> the level of its last flip
+    flip, attach = Engine._flip, Engine._assert
 
     def recording(eng, level):
         trail, lim = eng._trail, eng._lim
@@ -41,31 +45,69 @@ def recorded_flips(k=None):
             seconds[eng] = [(l, lit) for l, lit in second if l < level] + [(level, -d)]
         flips.append((level, -d))
         flip(eng, level)
-        assert eng._trail[eng._lim[level - 1]] == -d and len(eng._lim) == eng._floor == level
+        assert eng._trail[eng._lim[level - 1]] == -d and len(eng._lim) == level
+        assert all(eng._vals[v] for v in range(1, abs(d)))
+        floors[eng] = level
 
-    with mock.patch.object(Engine, "_flip", recording):
+    def checked_assert(eng, c):
+        # the learned clause is attached right after the backjump
+        assert len(eng._lim) >= floors.get(eng, 0)
+        attach(eng, c)
+
+    with mock.patch.object(Engine, "_flip", recording), \
+            mock.patch.object(Engine, "_assert", checked_assert):
         yield flips
 
 
 @contextmanager
 def only_learned_clauses_attached():
-    """Assert that every clause _assert attaches is the one _analyze just learned."""
+    """Assert that every clause _assert attaches is the one _analyze just learned.
+
+    In an enumeration, also asserts at each backjump that every variable
+    below the decision of the first level it removes is still assigned.
+    """
     pending = []
     analyze, attach = Engine._analyze, Engine._assert
 
     def recording_analyze(eng, conflict):
         learned, back = analyze(eng, conflict)
-        pending.append(learned)
+        pending.append((learned, [eng._trail[start] for start in eng._lim]))
         return learned, back
 
     def checked_assert(eng, c):
-        assert pending and pending.pop() is c, f"{c} attached outside conflict analysis"
+        assert pending, f"{c} attached outside conflict analysis"
+        learned, decisions = pending.pop()
+        assert learned is c, f"{c} attached outside conflict analysis"
+        removed = decisions[len(eng._lim)]
+        assert all(eng._vals[v] for v in range(1, abs(removed)))
         attach(eng, c)
 
     with mock.patch.object(Engine, "_analyze", recording_analyze), \
             mock.patch.object(Engine, "_assert", checked_assert):
         yield
     assert not pending
+
+
+@contextmanager
+def recorded_decisions():
+    """Every level enumerate_projected opens, as its decision literal, in order.
+
+    Asserts at each that the decision is on the lowest unassigned variable,
+    read when the level is first propagated.
+    """
+    decisions = []
+    propagate = Engine._propagate
+
+    def recording(eng):
+        trail, lim = eng._trail, eng._lim
+        if lim and eng._qhead == lim[-1] == len(trail) - 1:  # a fresh level
+            d = trail[-1]
+            assert all(eng._vals[v] for v in range(1, abs(d)))
+            decisions.append(d)
+        return propagate(eng)
+
+    with mock.patch.object(Engine, "_propagate", recording):
+        yield decisions
 
 
 @contextmanager
@@ -480,6 +522,21 @@ class TestEnumerateProjected:
         assert seen == [(-1, -2), (1, -2), (1, 2)]
         assert flips == [(1, 1), (2, 2)]
 
+    def test_a_backjump_resumes_decisions_at_the_lowest_unassigned_variable(self):
+        # -1 on level 1; -2 on level 2 implies -3; -4 on level 3 implies 5,
+        # which conflicts. The learned clause [4, 1] backjumps to level 1,
+        # which unassigns 2 and the implied 3, both below the last decision
+        # 4: the next decision is -2 again, not -5
+        f = Cnf.build(5, [[2, -3], [1, 5, 4], [-5, 4]])
+        seen = []
+        with recorded_decisions() as decisions, recorded_flips(5) as flips, \
+                only_learned_clauses_attached():
+            assert enumerate_projected(f, range(1, 6), visit=seen.append) == \
+                tt_count_projected(5, f.clauses, range(1, 6))
+        assert decisions[:5] == [-1, -2, -4, -2, -5]
+        # the first model's levels decide -1, -2 and -5; the last is flipped
+        assert seen[0] == (-1, -2, -3, 4, -5) and flips[0] == (3, 5)
+
     @settings(max_examples=300, deadline=None)
     @given(clauses_or_three_sat(max_vars=8, max_clauses=14),
            st.sets(st.integers(min_value=1, max_value=8), max_size=8))
@@ -519,7 +576,7 @@ class TestEnumerateProjected:
         # enumerate_projected numbers the projection variables 1..k
         k = len(proj)
         f = Cnf.build(8, clause_lists)
-        with recorded_flips(k) as flips, only_learned_clauses_attached():
+        with recorded_flips(k) as flips, only_learned_clauses_attached(), recorded_decisions():
             got = enumerate_projected(f, proj)
         assert got == tt_count_projected(8, f.clauses, proj)
         # every model after the first lies in a subtree opened by a flip

@@ -324,10 +324,11 @@ class TestRun:
 
     @pytest.mark.parametrize("name", sorted(PINNED_ITERATIONS) + ["random_1", "random_3"])
     def test_settled_iterations_build_no_objective(self, name, monkeypatch):
-        # the objective is built when an oracle call reads it, and only then;
-        # random_1 settles after its first expansion, random_3 at its first call
+        # the objective is built when the B&B of an oracle call reads it, and
+        # only then; random_1 settles after its first expansion, random_3 at
+        # its first call
         p = named_problem(name)
-        built, made = [], []
+        built, made, searched = [], [], []
 
         def counting_objective(*args):
             built.append(1)
@@ -337,12 +338,29 @@ class TestRun:
             made.append(1)
             return oracle.oracle_call(*args)
 
+        def counting_max_count(*args):
+            searched.append(1)
+            return max_count(*args)
+
         monkeypatch.setattr(incremental, "selector_objective", counting_objective)
         monkeypatch.setattr(incremental, "oracle_call", counting_oracle_call)
+        monkeypatch.setattr(incremental, "max_count", counting_max_count)
         _, records = collect(p)
-        assert len(built) == len(made)
+        assert len(built) == len(searched) <= len(made)
         if name.startswith("random_"):
             assert len(made) < len(records)
+
+    def test_a_table_answered_run_builds_no_objective(self, copy_or_and, monkeypatch):
+        # copy_or_and's table holds its rows from the start and answers all
+        # three calls, so no B&B runs and no objective is built
+        def refused(*args):
+            raise AssertionError("nothing reads the objective when the table answers")
+
+        monkeypatch.setattr(incremental, "selector_objective", refused)
+        monkeypatch.setattr(incremental, "max_count", refused)
+        solution, records = collect(copy_or_and)
+        assert [r.count for r in records] == [2, 3, 3]
+        assert check_solution(copy_or_and, solution) == 3
 
     @settings(max_examples=200, deadline=None)
     @given(instances.problems(max_num_max=3, dep_limit=3))

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqmaxsat import reduction
 from dqmaxsat.counting import check_solution, count_projected
 from dqmaxsat.formula import Cnf, MintermFunction, Problem, minterms_of, selector_definition_clauses
 from dqmaxsat.oracle import brute_force_dqmaxsat, reachable_cells
@@ -110,6 +111,30 @@ def test_selector_objective_reaches_the_cells_of_the_problem(p, data):
     sel = SelectorMap.over(p, supports)
     objective = selector_objective(p, sel)
     assert reachable_cells(objective, p.count_vars) == reachable_cells(p.cnf, p.count_vars)
+
+
+def test_a_table_answered_solve_builds_no_objective(copy_or_and, monkeypatch):
+    # copy_or_and's table holds its rows at construction and answers the
+    # solve's one call, so no B&B runs and no objective is built
+    built = []
+
+    def counting_objective(*args):
+        built.append(1)
+        return selector_objective(*args)
+
+    def refused(*args):
+        raise AssertionError("the table answers this solve")
+
+    monkeypatch.setattr(reduction, "selector_objective", counting_objective)
+    monkeypatch.setattr(reduction, "max_count", refused)
+    solution = solve_global(copy_or_and)
+    assert solution.achieved_count == check_solution(copy_or_and, solution) == 3
+    assert not built
+    # the request builds its objective on the first read, once
+    req, sel, _ = build_reduction(copy_or_and)
+    assert not built
+    assert req.objective is req.objective == selector_objective(copy_or_and, sel)
+    assert len(built) == 1
 
 
 def test_budget_guard(copy_or_and):
