@@ -35,9 +35,9 @@ decisions force the whole cell. It walks them depth first in its own loop
 over the engine's state and attaches no clause per model (Grumberg,
 Schuster & Yadgar, SAT 2004; Toda & Soh, JEA 2016): after each model it
 reopens the deepest projection decision still on its first branch on the
-negated literal. Decisions increase with the level, so that level is found
-from the top of the stack, past the few levels above the projection and
-then past the second branches. The reopened level becomes the floor, a
+negated literal, inline. Decisions increase with the level, so that level
+is found from the top of the stack, past the few levels above the
+projection and then past the second branches. The reopened level becomes the floor, a
 local of the loop: no backjump goes below it, and a conflict on it means
 that no model is left below it. Every variable below a level's decision was
 assigned before that level opened, so after a flip or a backjump the scan
@@ -55,7 +55,9 @@ keeps its watch moves down to the next kept slot, a clause that finds a
 new watch goes to that literal's list, and the list is cut after its last
 kept slot. On a conflict the watches not yet visited move down behind the
 kept ones. Every list therefore keeps its order, and with it propagation
-order, reasons and learned clauses.
+order, reasons and learned clauses. A clause whose other watch holds is
+kept as it is; any other is normalized before it moves, implies or
+conflicts, so reasons and conflicts keep the layout analysis reads.
 
 After satisfiable() returns True, `witness` holds the model it found as a
 value array (index = variable, 1 true, -1 false). A False answer carries
@@ -162,8 +164,9 @@ class Engine:
 
         Clauses keep their two watched literals at positions 0 and 1, and
         an implied literal at position 0 (conflict analysis relies on it).
-        Slots ws[:j] hold the visited clauses that keep watching the
-        falsified literal, ws[i:] those not yet visited.
+        Normalizing puts the falsified literal at position 1. Slots ws[:j]
+        hold the visited clauses that keep watching the falsified literal,
+        ws[i:] those not yet visited.
         """
         vals = self._vals
         watches = self._watches
@@ -171,10 +174,10 @@ class Engine:
         levels = self._level
         reasons = self._reason
         level = len(self._lim)
-        qhead = self._qhead
-        while qhead < len(trail):
-            falsified = -trail[qhead]
-            qhead += 1
+        lits = iter(trail)
+        lits.__setstate__(self._qhead)  # a list iterator sees later appends
+        for assigned in lits:
+            falsified = -assigned
             ws = watches[falsified]
             if not ws:
                 continue
@@ -183,29 +186,35 @@ class Engine:
             while i < n:
                 c = ws[i]
                 i += 1
-                # normalize: falsified literal at position 1
                 first = c[0]
                 if first == falsified:
                     first = c[1]
+                    if vals[first] == 1:
+                        ws[j] = c
+                        j += 1
+                        continue
                     c[0] = first
                     c[1] = falsified
-                if vals[first] == 1:
+                elif vals[first] == 1:
                     ws[j] = c
                     j += 1
                     continue
-                for m in range(2, len(c)):
+                m = 2
+                end = len(c)
+                while m < end:
                     lit = c[m]
                     if vals[lit] != -1:
                         c[1] = lit
                         c[m] = falsified
                         watches[lit].append(c)
                         break
+                    m += 1
                 else:  # no replacement watch: c is unit or conflicting
                     ws[j] = c
                     j += 1
                     if vals[first] == -1:
                         del ws[j:i]
-                        self._qhead = qhead
+                        self._qhead = len(trail) - lits.__length_hint__()
                         return c
                     vals[first] = 1
                     vals[-first] = -1
@@ -213,8 +222,9 @@ class Engine:
                     levels[v] = level
                     reasons[v] = c
                     trail.append(first)
-            del ws[j:]
-        self._qhead = qhead
+            if j < n:
+                del ws[j:]
+        self._qhead = len(trail)
         return None
 
     def _backtrack(self, level: int) -> None:
@@ -331,13 +341,6 @@ class Engine:
             lim.append(len(trail))
             self._enqueue(-cursor, None)  # false first
 
-    def _flip(self, level: int) -> None:
-        """Reopen `level` on its negated decision, its second branch."""
-        lit = -self._trail[self._lim[level - 1]]
-        self._backtrack(level - 1)
-        self._lim.append(len(self._trail))
-        self._enqueue(lit, None)
-
     def satisfiable(self, assumptions: Iterable[int] = ()) -> bool:
         """Whether a model extends the assumption literals; sets `witness` if so."""
         lits = list(assumptions)
@@ -370,6 +373,8 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
     becomes the floor, and no clause is attached.
     """
     proj_vars = sorted(set(proj))
+    if proj_vars and proj_vars[0] < 1:
+        raise ValueError(f"projection variable {proj_vars[0]} out of range")
     k = len(proj_vars)
     nv = max(f.num_vars, proj_vars[-1]) if proj_vars else f.num_vars
     # projection variables to 1..k, the others above them; a literal out of
@@ -421,6 +426,18 @@ def enumerate_projected(f: Cnf, proj: Iterable[int], visit=None) -> int:
             level -= 1
         if not level:
             return count
+        # reopen it on the second branch: its variable true at the same start
         cursor = -trail[lim[level - 1]]
-        eng._flip(level)
+        start = lim[level - 1]
+        for lit in trail[start:]:
+            vals[lit] = 0
+            vals[-lit] = 0
+        del trail[start:]
+        del lim[level:]
+        eng._qhead = start
+        vals[cursor] = 1
+        vals[-cursor] = -1
+        levels[cursor] = level
+        reasons[cursor] = None
+        trail.append(cursor)
         floor = level

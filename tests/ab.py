@@ -5,7 +5,8 @@ run in one process on the same inputs. For each of the first COUNT
 instances that ``perfbench/workloads.py`` generates at SEED, each tree
 runs one command on it REPEAT times through its own ``cli.main``, as the
 benchmark runs it: ``solve`` (or ``solve-program``) ``--json`` by default,
-or ``count``, or ``check`` with ``--op``. Before timing ``check``, each
+or ``count``, or ``check`` with ``--op``; repeat ``--op`` to time several
+commands on both trees loaded once. Before timing ``check``, each
 tree solves the instance once, untimed, and both check the parent's
 document. The trees take turns, and which one goes first alternates from
 instance to instance. Their outputs must be identical once ``wall_ms`` and
@@ -14,10 +15,11 @@ script stops at the first that differs. A tree's time on an instance is
 its fastest run. The script prints, per workload, the median and quartiles
 of the per-instance ratios change / parent, so below 1 means the change is
 faster, and the tail: the largest ratio, and the median ratio over the
-quarter of the instances that the parent ran slowest:
+quarter of the instances that the parent ran slowest, one line per
+workload and command:
 
     python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40
-    python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40 --op count
+    python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40 --op count --op check --op solve
 
 With ``--bundled`` the trees run the bundled instances that ``dqms
 bench`` solves (``cli._SUITE``, read from CHANGE) the same way instead,
@@ -138,13 +140,14 @@ def main(argv=None) -> int:
     ap.add_argument("--count", type=int)
     ap.add_argument("--bundled", action="store_true",
                     help="time the bundled instances instead of the benchmark's")
-    ap.add_argument("--op", choices=("count", "solve", "check"), default="solve",
-                    help="the command to time (default solve)")
+    ap.add_argument("--op", choices=("count", "solve", "check"), action="append",
+                    help="a command to time; repeat for more (default solve)")
     ap.add_argument("--repeat", type=int, default=3, help="runs per tree and instance (default 3)")
     ap.add_argument("--workload", action="append", help="one workload; repeat for more (default all)")
     args = ap.parse_args(argv)
     if not args.bundled and (args.seed is None or args.count is None):
         ap.error("--seed and --count are required without --bundled")
+    ops = args.op or ["solve"]
     trees = {name: load_tree(root, f"ab_{name}")
              for name, root in (("parent", args.parent), ("change", args.change))}
     if args.bundled:
@@ -152,23 +155,26 @@ def main(argv=None) -> int:
         bundled = [SimpleNamespace(name=Path(fname).stem, suffix=Path(fname).suffix,
                                    text=(base / fname).read_text())
                    for fname in trees["change"]._SUITE]
-        with tempfile.TemporaryDirectory() as d:
-            pairs = compare(trees, bundled, Path(d), args.repeat, args.op)
-        for inst, (parent_ms, ratio) in zip(bundled, pairs):
-            print(f"{inst.name}: parent {parent_ms:.1f} ms, change {parent_ms * ratio:.1f} ms, "
-                  f"ratio {ratio:.3f}")
+        for op in ops:
+            with tempfile.TemporaryDirectory() as d:
+                pairs = compare(trees, bundled, Path(d), args.repeat, op)
+            for inst, (parent_ms, ratio) in zip(bundled, pairs):
+                print(f"{inst.name} {op}: parent {parent_ms:.1f} ms, "
+                      f"change {parent_ms * ratio:.1f} ms, ratio {ratio:.3f}")
         return 0
     workloads = load_workloads()
     for workload in args.workload or workloads.WORKLOADS:
         instances = [workloads.make_instance(workload, args.seed, i) for i in range(args.count)]
-        with tempfile.TemporaryDirectory() as d:
-            pairs = compare(trees, instances, Path(d), args.repeat, args.op)
-        ratios = [ratio for _, ratio in pairs]
-        q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-        slowest = sorted(pairs, reverse=True)[:max(1, len(pairs) // 4)]
-        tail = statistics.median(ratio for _, ratio in slowest)
-        print(f"{workload}: median {median:.3f} [{q1:.3f}, {q3:.3f}], max {max(ratios):.3f}, "
-              f"slowest quarter {tail:.3f} over {len(ratios)} instances")
+        for op in ops:
+            with tempfile.TemporaryDirectory() as d:
+                pairs = compare(trees, instances, Path(d), args.repeat, op)
+            ratios = [ratio for _, ratio in pairs]
+            q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+            slowest = sorted(pairs, reverse=True)[:max(1, len(pairs) // 4)]
+            tail = statistics.median(ratio for _, ratio in slowest)
+            print(f"{workload} {op}: median {median:.3f} [{q1:.3f}, {q3:.3f}], "
+                  f"max {max(ratios):.3f}, slowest quarter {tail:.3f} over {len(ratios)} instances",
+                  flush=True)
     return 0
 
 

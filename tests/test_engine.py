@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from contextlib import contextmanager
 from unittest import mock
 
@@ -18,43 +19,51 @@ from naive import (eval_cnf, tt_count_projected, tt_models, tt_projections, tt_p
 def recorded_flips(k=None):
     """Every second branch enumerate_projected opens, as (level, literal).
 
-    Asserts at each flip that every variable below the reopened decision
-    is still assigned, and that the reopened level is the top one; and at
-    each backjump that it lands no lower than the last flip, the floor.
-    With k given, also asserts at each flip that the level holds a
-    first-branch decision on one of the variables 1..k, that every deeper
-    level deciding one of them is already a second branch, and that every
-    second branch opened so far still holds its literal.
+    A flip is a fresh level whose decision is positive, read when the level
+    is first propagated: enumeration decides false first, so only a second
+    branch decides true. Asserts at each flip that every variable below the
+    reopened decision is still assigned, and that the reopened level is the
+    top one and held the negated decision when last propagated; and at each
+    backjump that it lands no lower than the last flip, the floor. With k
+    given, also asserts at each flip that the level held a first-branch
+    decision on one of the variables 1..k, that every deeper level deciding
+    one of them was already a second branch, and that every second branch
+    opened so far still holds its literal.
     """
     flips = []
     seconds = {}  # engine -> its second branches as (level, literal), ascending
     floors = {}  # engine -> the level of its last flip
-    flip, attach = Engine._flip, Engine._assert
+    before = {}  # engine -> its decisions when last propagated
+    propagate, attach = Engine._propagate, Engine._assert
 
-    def recording(eng, level):
+    def recording(eng):
         trail, lim = eng._trail, eng._lim
         decisions = [trail[start] for start in lim]
-        d = decisions[level - 1]
-        if k is not None:
-            second = seconds.setdefault(eng, [])
-            assert all(decisions[l - 1] == lit for l, lit in second)
-            assert level not in dict(second)
-            assert abs(d) <= k and eng._reason[abs(d)] is None and eng._level[abs(d)] == level
-            deeper = [l for l in range(level + 1, len(lim) + 1) if abs(decisions[l - 1]) <= k]
-            assert set(deeper) <= set(dict(second))
-            seconds[eng] = [(l, lit) for l, lit in second if l < level] + [(level, -d)]
-        flips.append((level, -d))
-        flip(eng, level)
-        assert eng._trail[eng._lim[level - 1]] == -d and len(eng._lim) == level
-        assert all(eng._vals[v] for v in range(1, abs(d)))
-        floors[eng] = level
+        if lim and eng._qhead == lim[-1] == len(trail) - 1 and trail[-1] > 0:
+            level, d = len(lim), -trail[-1]
+            last = before[eng]
+            assert last[level - 1] == d and decisions[:level - 1] == last[:level - 1]
+            if k is not None:
+                second = seconds.setdefault(eng, [])
+                assert all(last[l - 1] == lit for l, lit in second)
+                assert level not in dict(second)
+                assert abs(d) <= k
+                deeper = [l for l in range(level + 1, len(last) + 1) if abs(last[l - 1]) <= k]
+                assert set(deeper) <= set(dict(second))
+                seconds[eng] = [(l, lit) for l, lit in second if l < level] + [(level, -d)]
+            assert eng._reason[-d] is None and eng._level[-d] == level
+            assert all(eng._vals[v] for v in range(1, -d))
+            flips.append((level, -d))
+            floors[eng] = level
+        before[eng] = decisions
+        return propagate(eng)
 
     def checked_assert(eng, c):
         # the learned clause is attached right after the backjump
         assert len(eng._lim) >= floors.get(eng, 0)
         attach(eng, c)
 
-    with mock.patch.object(Engine, "_flip", recording), \
+    with mock.patch.object(Engine, "_propagate", recording), \
             mock.patch.object(Engine, "_assert", checked_assert):
         yield flips
 
@@ -132,6 +141,41 @@ def recorded_levels():
     with mock.patch.object(Engine, "_search", recording_search), \
             mock.patch.object(Engine, "_analyze", recording_analyze):
         yield starts, jumps
+
+
+@contextmanager
+def checked_watches():
+    """Assert the watch invariants after every _propagate.
+
+    Each clause in a watch list sits in exactly the lists of c[0] and c[1],
+    every implied literal is at position 0 of its reason, and every list
+    keeps the relative order of the clauses it held before the call, with
+    the clauses it gained behind them.
+    """
+    propagate = Engine._propagate
+
+    def checking(eng):
+        lists = [list(map(id, ws)) for ws in eng._watches]
+        conflict = propagate(eng)
+        homes = {}
+        for lit, ws in enumerate(eng._watches):
+            ids = list(map(id, ws))
+            now, before = set(ids), set(lists[lit])
+            old = [i for i in ids if i in before]
+            assert old == [i for i in lists[lit] if i in now]
+            assert ids[:len(old)] == old
+            for c in ws:
+                homes.setdefault(id(c), (c, []))[1].append(lit)
+        n = len(eng._watches)
+        for c, at in homes.values():
+            assert sorted(at) == sorted([c[0] % n, c[1] % n])
+        for lit in eng._trail:
+            r = eng._reason[abs(lit)]
+            assert r is None or r[0] == lit
+        return conflict
+
+    with mock.patch.object(Engine, "_propagate", checking):
+        yield
 
 
 def assert_levels_hold_assumptions(eng, assumptions):
@@ -489,6 +533,64 @@ class TestWatchLists:
         assert eng._watches[4] == [[4, 1], [-2, 4, 1, 3]]
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(three_sat_strategy(8), st.lists(st.one_of(
+        st.lists(st.integers(min_value=-8, max_value=8).filter(bool), max_size=4),
+        st.sets(st.integers(min_value=1, max_value=8), max_size=8)), min_size=1, max_size=6))
+    def test_propagation_keeps_the_watch_invariants(self, clause_lists, ops):
+        # assumption probes (lists) on one engine, interleaved with
+        # enumerations (sets) on engines of their own
+        f = Cnf.build(8, clause_lists)
+        with checked_watches():
+            eng = Engine(f.num_vars, f.clauses)
+            for op in ops:
+                if isinstance(op, list):
+                    eng.satisfiable(op)
+                else:
+                    enumerate_projected(f, op)
+
+
+class TestTrace:
+    def test_learned_clauses_and_trails_are_pinned(self):
+        # every learned clause with its backjump level, and the trail at
+        # each satisfiable answer and each enumerated model, over 200 random
+        # formulas. Answers alone cannot show a change in propagation
+        # order: the engine returns the least model whatever it learned
+        rng = random.Random(2718)
+        h = hashlib.sha256()
+        engines = []
+        init, analyze = Engine.__init__, Engine._analyze
+
+        def recording_init(eng, *args):
+            init(eng, *args)
+            engines.append(eng)
+
+        def recording_analyze(eng, conflict):
+            learned, back = analyze(eng, conflict)
+            h.update(f"learn {learned} {back}\n".encode())
+            return learned, back
+
+        def visit(cell):
+            h.update(f"model {cell} {engines[-1]._trail}\n".encode())
+
+        with mock.patch.object(Engine, "__init__", recording_init), \
+                mock.patch.object(Engine, "_analyze", recording_analyze):
+            for _ in range(200):
+                nv = rng.randint(6, 12)
+                lits = [v for v in range(-nv, nv + 1) if v]
+                clauses = [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), 3)]
+                           for _ in range(rng.randint(3 * nv, 9 * nv // 2))]
+                f = Cnf.build(nv, clauses)
+                eng = Engine(f.num_vars, f.clauses)
+                prefix = rng.sample(lits, 3)
+                for _ in range(4):
+                    assumptions = prefix[:rng.randint(0, 3)] + rng.sample(lits, rng.randint(0, 2))
+                    sat = eng.satisfiable(assumptions)
+                    h.update(f"sat {assumptions} {sat} {eng._trail}\n".encode())
+                enumerate_projected(f, rng.sample(range(1, nv + 1), rng.randint(0, nv)), visit)
+        assert h.hexdigest() == "9c5e264d85550c9a39e79f3d977fa089076aa225e2d77e19b1942ef0057f00b8"
+
+
 class TestEnumerateProjected:
     def test_counts_distinct_projections(self):
         # z free, projection on 1..2: 3 of 4 cells extend to a model
@@ -510,6 +612,12 @@ class TestEnumerateProjected:
         # var 4 is unconstrained, doubling the projected count
         f = Cnf.build(3, [[1], [2, 3]])
         assert enumerate_projected(f, [1, 4]) == 2
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_a_projection_variable_below_1_is_rejected(self, bad):
+        f = Cnf.build(2, [[1, 2]])
+        with pytest.raises(ValueError, match=f"^projection variable {bad} out of range$"):
+            enumerate_projected(f, [1, bad])
 
     def test_implied_projection_literals_are_not_flipped(self):
         # deciding -1 implies -2 on level 1, so the first flip reopens level
