@@ -10,8 +10,9 @@ Subcommands:
 
 ``solve`` and ``solve-program`` print a human-readable summary by default
 and a machine-readable result document with ``--json``.  Every emitted
-result is recounted from scratch first; a result that fails its own
-verification never reaches stdout.
+result is recounted from scratch first, on the problem as loaded rather
+than the reduced one the solve ran on (``run_method``); a result that
+fails its own verification never reaches stdout.
 
 ``solve`` and ``solve-program`` take the same options: ``--method``
 (``auto`` by default, else ``global``, ``incremental`` or ``local``),
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 from .bitvec import BitMap, LiftedFunction, ProgramError, encode, lift, parse_program
 from .counting import VerificationMismatch, check_solution, count_projected
 from .dimacs import ParseError, parse_instance, shown
-from .formula import DependencyViolation, MintermFunction, Problem, Solution
+from .formula import DependencyViolation, MintermFunction, Problem, Solution, eliminate_unseen
 from .incremental import run as run_incremental
 from .local import NoEligibleVariable, plan_split, solve_local
 from .reduction import BudgetExceeded, solve_global
@@ -118,10 +119,19 @@ def run_method(
 ) -> tuple[Solution, str, Optional[list]]:
     """Dispatch one solve; returns (solution, method used, iteration records).
 
+    The solve runs on eliminate_unseen(problem), reduced once here: the
+    method choice, the dependence checks, the row table, every B&B probe
+    and the local method's recount. The functions read only dependency
+    variables, which the reduction keeps, and their count is the same on
+    problem as given; callers recount them on that problem, which the
+    reduction leaves as it is, so a fault in it cannot reach a printed
+    answer.
+
     budget caps the selectors of global or the iterations of incremental;
     the local method takes none, and raises UsageError when given one,
     also when auto picked it.
     """
+    problem = eliminate_unseen(problem)
     if method == "auto":
         method = choose_method(problem)
     if method == "local" and budget is not None:

@@ -110,9 +110,12 @@ class Engine:
             else:
                 self.ok = False
         vals = self._vals
-        for lit in units:
+        trail = self._trail
+        for lit in units:  # at level 0, with no reason: the defaults
             if vals[lit] == 0:
-                self._enqueue(lit, None)
+                vals[lit] = 1
+                vals[-lit] = -1
+                trail.append(lit)
             elif vals[lit] == -1:
                 self.ok = False
         if self.ok:
@@ -167,6 +170,12 @@ class Engine:
         Normalizing puts the falsified literal at position 1. Slots ws[:j]
         hold the visited clauses that keep watching the falsified literal,
         ws[i:] those not yet visited.
+
+        qhead, the trail position where the next call starts, holds only
+        after a None return, until the caller backtracks: a conflict leaves
+        it where this call started. Every caller then either gives up the
+        engine as unsatisfiable or backtracks below the conflict level,
+        which sets it to the start of the first removed level.
         """
         vals = self._vals
         watches = self._watches
@@ -214,7 +223,6 @@ class Engine:
                     j += 1
                     if vals[first] == -1:
                         del ws[j:i]
-                        self._qhead = len(trail) - lits.__length_hint__()
                         return c
                     vals[first] = 1
                     vals[-first] = -1

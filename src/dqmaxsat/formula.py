@@ -9,6 +9,11 @@ A synthesized function is put back into a formula as disjoint cubes, the
 leaves of its Shannon tree over the ascending support, cut where the
 function is constant: one clause per cube, at most
 min(2^|H|, |M|·|H| + 1) for |M| minterms over |H| support variables.
+
+A solve runs on eliminate_unseen(problem): the formula with the
+existential variables that no chooser sees eliminated where that pays,
+each fixed false by a unit clause. Every projected count the solve takes
+is the same on it, and the answer is recounted on the problem as loaded.
 """
 
 from __future__ import annotations
@@ -54,6 +59,98 @@ def cofactor(f: Cnf, lits: Iterable[int]) -> Cnf:
         if true.isdisjoint(c):
             out.append(c if false.isdisjoint(c) else tuple(l for l in c if l not in false))
     return Cnf(f.num_vars, tuple(out))
+
+
+def eliminate_unseen(p: "Problem") -> "Problem":
+    """p with the existential variables that no chooser sees eliminated where that pays.
+
+    One pass of bounded variable elimination (Eén & Biere, SAT 2005) over
+    the existential variables outside every dependency set, highest id
+    first, so that a gate output goes before its inputs. A variable v goes
+    when the distinct non-tautological resolvents of its clauses on v are
+    no more than those clauses, and replaces them. The formula left is
+    ∃v of the one before. Since no chooser sees v, every projected count
+    under any strategies stays the same (Lagniez & Marquis, AAAI 2014),
+    and so do Padoa's verdicts and the cells, rows and optima that the
+    oracle derives from the formula.
+
+    Each eliminated variable keeps its id and role and is fixed false by a
+    unit clause, its only occurrence, so no engine branches on it; apart
+    from those units the clause count never grows. Tautologies are
+    dropped. The other clauses that stay keep their order, the resolvents
+    follow in the order made, each with its literals by ascending variable,
+    then the units by ascending variable. Returns p itself when nothing
+    goes.
+    """
+    seen = p.count_vars.union(p.max_vars, *p.deps.values())
+    candidates = sorted(p.exist_vars - seen, reverse=True)
+    if not candidates:
+        return p
+    n = p.cnf.num_vars
+    # a clause as a bit set over literal codes, 2v for v and 2v+1 for -v;
+    # a dropped clause is None
+    code = {}
+    for v in range(1, n + 1):
+        code[v] = 1 << 2 * v
+        code[-v] = 2 << 2 * v
+    even = sum(code[v] for v in range(1, n + 1))
+    clauses = list(p.cnf.clauses)
+    masks: list[Optional[int]] = []
+    occurs: list[list[int]] = [[] for _ in range(2 * n + 1)]  # literal-indexed
+    for i, c in enumerate(clauses):
+        m = 0
+        for lit in c:
+            m |= code[lit]
+        if m & m >> 1 & even:
+            m = None
+        else:
+            for lit in c if m.bit_count() == len(c) else _literals(m):
+                occurs[lit].append(i)
+        masks.append(m)
+    gone = []
+    for v in candidates:
+        pos = [i for i in occurs[v] if masks[i] is not None]
+        neg = [i for i in occurs[-v] if masks[i] is not None]
+        replaced = len(pos) + len(neg)
+        pb, nb = code[v], code[-v]
+        rests = [masks[j] ^ nb for j in neg]
+        resolvents: dict[int, None] = {}
+        for i in pos:
+            c = masks[i] ^ pb
+            clash = (c & even) << 1 | c >> 1 & even
+            for d in rests:
+                if not clash & d:
+                    resolvents[c | d] = None
+            if len(resolvents) > replaced:
+                break
+        else:
+            for i in pos:
+                masks[i] = None
+            for i in neg:
+                masks[i] = None
+            for r in resolvents:
+                lits = _literals(r)
+                for lit in lits:
+                    occurs[lit].append(len(masks))
+                masks.append(r)
+                clauses.append(lits)
+            gone.append(v)
+    if not gone:
+        return p
+    clauses = [c for c, m in zip(clauses, masks) if m is not None]
+    clauses += [(-v,) for v in reversed(gone)]
+    return Problem(Cnf(n, tuple(clauses)), p.max_vars, p.count_vars, p.exist_vars, p.deps)
+
+
+def _literals(mask: int) -> tuple[int, ...]:
+    """The clause that a bit set of eliminate_unseen holds, by ascending variable."""
+    lits = []
+    while mask:
+        low = mask & -mask
+        b = low.bit_length() - 1
+        lits.append(-(b >> 1) if b & 1 else b >> 1)
+        mask ^= low
+    return tuple(lits)
 
 
 def minterms_of(support: Sequence[int]) -> list[tuple[int, ...]]:

@@ -1,12 +1,14 @@
 """In-process A/B of two source trees on the benchmark's instances.
 
 Loads the ``dqmaxsat`` package of each tree under its own name, so both
-run in one process on the same inputs. For each of the first COUNT
-instances that ``perfbench/workloads.py`` generates at SEED, each tree
-runs one command on it REPEAT times through its own ``cli.main``, as the
-benchmark runs it: ``solve`` (or ``solve-program``) ``--json`` by default,
-or ``count``, or ``check`` with ``--op``; repeat ``--op`` to time several
-commands on both trees loaded once. Before timing ``check``, each
+run in one process on the same inputs. It takes COUNT of the instances
+that ``perfbench/workloads.py`` generates at SEED: the first COUNT, or
+with ``--start N --stride K`` those at indices N, N+K, ..., so that one
+family of a workload that interleaves several is timed alone. Each tree
+runs one command on each instance REPEAT times through its own
+``cli.main``, as the benchmark runs it: ``solve`` (or ``solve-program``)
+``--json`` by default, or ``count``, or ``check`` with ``--op``; repeat
+``--op`` to time several commands on both trees loaded once. Before timing ``check``, each
 tree solves the instance once, untimed, and both check the parent's
 document. The trees take turns, and which one goes first alternates from
 instance to instance. Their outputs must be identical once ``wall_ms`` and
@@ -20,6 +22,8 @@ workload and command:
 
     python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40
     python3 tests/ab.py PARENT CHANGE --seed 4711 --count 40 --op count --op check --op solve
+    python3 tests/ab.py PARENT CHANGE --seed 4711 --count 20 --start 1 --stride 2 \
+        --workload incremental-probes
 
 With ``--bundled`` the trees run the bundled instances that ``dqms
 bench`` solves (``cli._SUITE``, read from CHANGE) the same way instead,
@@ -144,9 +148,14 @@ def main(argv=None) -> int:
                     help="a command to time; repeat for more (default solve)")
     ap.add_argument("--repeat", type=int, default=3, help="runs per tree and instance (default 3)")
     ap.add_argument("--workload", action="append", help="one workload; repeat for more (default all)")
+    ap.add_argument("--start", type=int, default=0, help="index of the first instance (default 0)")
+    ap.add_argument("--stride", type=int, default=1,
+                    help="step between the indices of the instances timed (default 1)")
     args = ap.parse_args(argv)
     if not args.bundled and (args.seed is None or args.count is None):
         ap.error("--seed and --count are required without --bundled")
+    if args.start < 0 or args.stride < 1:
+        ap.error("--start must be at least 0 and --stride at least 1")
     ops = args.op or ["solve"]
     trees = {name: load_tree(root, f"ab_{name}")
              for name, root in (("parent", args.parent), ("change", args.change))}
@@ -164,7 +173,8 @@ def main(argv=None) -> int:
         return 0
     workloads = load_workloads()
     for workload in args.workload or workloads.WORKLOADS:
-        instances = [workloads.make_instance(workload, args.seed, i) for i in range(args.count)]
+        indices = range(args.start, args.start + args.count * args.stride, args.stride)
+        instances = [workloads.make_instance(workload, args.seed, i) for i in indices]
         for op in ops:
             with tempfile.TemporaryDirectory() as d:
                 pairs = compare(trees, instances, Path(d), args.repeat, op)

@@ -181,3 +181,26 @@ def best_interval_hits(width: int) -> int:
     for pairs in per_sum.values():
         total += max(sum(a <= g <= b for a, b in pairs) for g in range(n))
     return total
+
+
+def eliminate_by_sets(p: Problem) -> tuple[list[frozenset[int]], list[int]]:
+    """What formula.eliminate_unseen leaves, as clause sets, and the variables it eliminates.
+
+    The same rule over clause sets, searched afresh for every variable:
+    tautologies go first, then each existential variable that no chooser
+    sees, highest first, goes when its distinct non-tautological
+    resolvents are no more than its clauses. The clauses left are
+    returned in no particular order, the eliminated variables as tried.
+    """
+    seen = p.count_vars.union(p.max_vars, *p.deps.values())
+    clauses = [frozenset(c) for c in p.cnf.clauses if not any(-lit in c for lit in c)]
+    gone = []
+    for v in sorted(p.exist_vars - seen, reverse=True):
+        pos = [c for c in clauses if v in c]
+        neg = [c for c in clauses if -v in c]
+        resolvents = {(a - {v}) | (b - {-v}) for a in pos for b in neg}
+        resolvents = {r for r in resolvents if not any(-lit in r for lit in r)}
+        if len(resolvents) <= len(pos) + len(neg):
+            clauses = [c for c in clauses if v not in c and -v not in c] + list(resolvents)
+            gone.append(v)
+    return clauses, gone

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, round-trips, exit codes."""
 
 import codecs
+import dataclasses
 import functools
 import hashlib
 import json
@@ -19,7 +20,7 @@ from dqmaxsat import cli, incremental, oracle
 from dqmaxsat.bitvec import ProgramError, parse_program
 from dqmaxsat.dimacs import ParseError, parse_instance
 from dqmaxsat.engine import Engine
-from dqmaxsat.formula import Cnf, Problem, apply_substitution, minterms_of
+from dqmaxsat.formula import Cnf, Problem, apply_substitution, eliminate_unseen, minterms_of
 from dqmaxsat.reduction import BudgetExceeded, solve_global
 
 COPY_OR_AND = """\
@@ -418,6 +419,36 @@ e 4 5 0
 1 -1 2 0
 5 3 -5 0
 """
+
+
+class TestRecountOnTheLoadedFormula:
+    """The printed answer is recounted on the formula as loaded, not on the one the solve ran on."""
+
+    @staticmethod
+    def _lossy(monkeypatch):
+        # the reduction also drops its first clause, so the solve runs on a
+        # formula with more models than the loaded one
+        def eliminate(problem):
+            q = eliminate_unseen(problem)
+            return dataclasses.replace(q, cnf=Cnf(q.cnf.num_vars, q.cnf.clauses[1:]))
+
+        monkeypatch.setattr(cli, "eliminate_unseen", eliminate)
+
+    def test_a_lossy_reduction_is_caught(self, capsys, monkeypatch):
+        path = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk")
+        self._lossy(monkeypatch)
+        code, out, err = run_cli(capsys, "solve-program", str(path), "--json")
+        assert (code, out) == (1, "")
+        assert "error: claimed 28 models, recount found 25" in err
+
+    def test_check_takes_no_reduction(self, capsys, monkeypatch, tmp_path):
+        path = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk")
+        code, out, _ = run_cli(capsys, "solve-program", str(path), "--json")
+        assert code == 0
+        doc = tmp_path / "doc.json"
+        doc.write_text(out)
+        self._lossy(monkeypatch)
+        assert run_cli(capsys, "check", str(path), str(doc))[:2] == (0, "ok: 26 of 64 confirmed\n")
 
 
 class TestChainShapedCalls:

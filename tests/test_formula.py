@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +13,17 @@ from dqmaxsat.formula import (
     Solution,
     apply_substitution,
     cofactor,
+    eliminate_unseen,
     minterms_of,
     monomial_holds,
     negate_monomial,
 )
 
+from dqmaxsat import cli
+from dqmaxsat.engine import enumerate_projected
+
 import instances
-from naive import assignments, eval_cnf, minterm_substitution, tt_models
+from naive import assignments, eliminate_by_sets, eval_cnf, minterm_substitution, tt_models
 
 
 def test_cnf_build_keeps_clauses_as_given():
@@ -177,6 +183,77 @@ class TestProblem:
         f = Cnf.build(2, [[1, 2]])
         with pytest.raises(ValueError):
             Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[], deps={})
+
+
+def _cells(p, proj):
+    cells = []
+    enumerate_projected(p.cnf, proj, visit=cells.append)
+    return cells
+
+
+def _sum_reach_3():
+    text = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk").read_text()
+    return cli.load_instance_text(text)[0]
+
+
+class TestEliminateUnseen:
+    @settings(max_examples=300, deadline=None)
+    @given(instances.problems(max_num_vars=9))
+    def test_keeps_what_every_chooser_sees_and_grows_nothing(self, p):
+        q = eliminate_unseen(p)
+        seen = p.count_vars.union(p.max_vars, *p.deps.values())
+        assert (q.max_vars, q.count_vars, q.exist_vars, q.deps) == (
+            p.max_vars, p.count_vars, p.exist_vars, p.deps)
+        assert q.cnf.num_vars == p.cnf.num_vars
+        # the projection onto choosers, counted and dependency variables
+        # is the same, cell for cell and in the same order
+        assert _cells(q, seen) == _cells(p, seen)
+        left, gone = eliminate_by_sets(p)
+        assert set(gone) <= p.exist_vars - seen
+        units = len(gone)
+        clauses = q.cnf.clauses[:len(q.cnf.clauses) - units]
+        # the eliminated variables' units close the formula, ascending, and
+        # are their only occurrences
+        assert q.cnf.clauses[len(clauses):] == tuple((-v,) for v in sorted(gone))
+        assert Counter(map(frozenset, clauses)) == Counter(left)
+        assert all(set(gone).isdisjoint(map(abs, c)) for c in clauses)
+        assert len(clauses) <= len(p.cnf.clauses)
+
+    def test_sum_reach_3(self):
+        p = _sum_reach_3()
+        q = eliminate_unseen(p)
+        assert (p.cnf.num_vars, len(p.cnf.clauses), len(q.cnf.clauses)) == (46, 121, 78)
+        # of the 34 existential variables outside the dependency sets, all
+        # but 14, 15, 19, 29 and 40 go
+        assert q.cnf.clauses[-29:] == tuple((-v,) for v in [13, 16, 17, 18, *range(20, 29),
+                                                            *range(30, 40), *range(41, 47)])
+        assert all(len(c) > 1 for c in q.cnf.clauses[:-29])
+
+    def test_same_input_same_clause_order(self):
+        assert eliminate_unseen(_sum_reach_3()).cnf == eliminate_unseen(_sum_reach_3()).cnf
+
+    def test_highest_first_resolvents_in_the_order_made(self):
+        # 5 goes first, then 4; 3 is seen by chooser 1 and stays
+        f = Cnf.build(5, [[2, -5], [3, 5], [-3, 4], [-4, -2, 1]])
+        p = Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[3, 4, 5], deps={1: [3]})
+        assert eliminate_unseen(p).cnf.clauses == ((2, 3), (1, -2, -3), (-4,), (-5,))
+
+    def test_repeated_literals_and_tautologies(self):
+        # the repeated 3 counts once; the tautologies are dropped, so 4 has
+        # one clause and no resolvent, and none of them keeps -4 alive
+        f = Cnf.build(4, [[3, 3, 2], [-3, 1], [4, -4, 2], [-4, 1], [2, -2]])
+        p = Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[3, 4], deps={1: []})
+        assert eliminate_unseen(p).cnf.clauses == ((1, 2), (-3,), (-4,))
+
+    def test_a_variable_whose_resolvents_outnumber_its_clauses_stays(self):
+        # 3 has five clauses and six resolvents
+        f = Cnf.build(8, [[3, 4], [3, 5], [3, 8], [-3, 6], [-3, 7]])
+        p = Problem.of(f, max_vars=[1], count_vars=[2, 4, 5, 6, 7, 8], exist_vars=[3], deps={1: []})
+        assert eliminate_unseen(p) is p
+
+    def test_nothing_to_eliminate_returns_the_problem(self, copy_or_and):
+        # every existential variable of copy_or_and is in the dependency set
+        assert eliminate_unseen(copy_or_and) is copy_or_and
 
 
 class TestApplySubstitution:

@@ -13,7 +13,7 @@ from dqmaxsat import cli, counting, local, oracle, reduction
 from dqmaxsat.counting import check_solution
 from dqmaxsat.dimacs import render_instance
 from dqmaxsat.engine import Engine
-from dqmaxsat.formula import Cnf, Problem
+from dqmaxsat.formula import Cnf, Problem, eliminate_unseen
 from dqmaxsat.local import (
     MAX_SPLIT_VARS,
     NoEligibleVariable,
@@ -134,17 +134,35 @@ class TestFunctionalDependency:
         assert functionally_dependent(copy_or_and.cnf, [4, 5], [2]) == frozenset()
         assert len(engines_built) == 2
 
-    def test_verdicts_live_as_long_as_their_formula(self, engines_built):
-        # a solve leaves its formula's verdicts behind, and they go with it,
-        # so a long run of solves keeps no formula alive
+    def test_verdicts_live_as_long_as_their_formula(self, engines_built, monkeypatch):
+        # a solve keeps its verdicts on the reduced formula it runs on, and
+        # they go with it when the solve returns; neither that formula nor
+        # the loaded one outlives its holder, so a long run of solves keeps
+        # no formula alive
+        reduced, verdicts = [], []
+
+        def eliminate(problem):
+            q = eliminate_unseen(problem)
+            reduced.append(weakref.ref(q.cnf))
+            return q
+
+        def solve(problem):
+            solution = solve_local(problem)
+            verdicts.append(len(local._VERDICTS))
+            return solution
+
+        monkeypatch.setattr(cli, "eliminate_unseen", eliminate)
+        monkeypatch.setattr(cli, "solve_local", solve)
         p = _sum_reach_3()
         assert cli.run_method(p)[1] == "local"
-        assert len(local._VERDICTS) == 1
+        assert verdicts == [1]
+        gc.collect()
+        assert reduced[0]() is None
+        assert len(local._VERDICTS) == 0
         formula = weakref.ref(p.cnf)
         del p
         gc.collect()
         assert formula() is None
-        assert len(local._VERDICTS) == 0
 
     @pytest.mark.parametrize("seed", range(25))
     def test_conservative_against_model_enumeration(self, seed):
