@@ -11,8 +11,8 @@ Subcommands:
 ``solve`` and ``solve-program`` print a human-readable summary by default
 and a machine-readable result document with ``--json``.  Every emitted
 result is recounted from scratch first, on the problem as loaded rather
-than the reduced one the solve ran on (``run_method``); a result that
-fails its own verification never reaches stdout.
+than the reduced one a local or global solve runs on (``run_method``); a
+result that fails its own verification never reaches stdout.
 
 ``solve`` and ``solve-program`` take the same options: ``--method``
 (``auto`` by default, else ``global``, ``incremental`` or ``local``),
@@ -40,7 +40,7 @@ from .counting import VerificationMismatch, check_solution, count_projected
 from .dimacs import ParseError, parse_instance, shown
 from .formula import DependencyViolation, MintermFunction, Problem, Solution, eliminate_unseen
 from .incremental import run as run_incremental
-from .local import NoEligibleVariable, plan_split, solve_local
+from .local import NoEligibleVariable, plan_split, shared_variables, solve_local
 from .reduction import BudgetExceeded, solve_global
 
 _METHODS = ("global", "incremental", "local")
@@ -119,26 +119,36 @@ def run_method(
 ) -> tuple[Solution, str, Optional[list]]:
     """Dispatch one solve; returns (solution, method used, iteration records).
 
-    The solve runs on eliminate_unseen(problem), reduced once here: the
-    method choice, the dependence checks, the row table, every B&B probe
-    and the local method's recount. The functions read only dependency
-    variables, which the reduction keeps, and their count is the same on
-    problem as given; callers recount them on that problem, which the
-    reduction leaves as it is, so a fault in it cannot reach a printed
-    answer.
+    The local and global methods solve eliminate_unseen(problem): their
+    dependence checks, row tables, B&B probes and the local method's
+    recount all run on it. It is reduced once here, before an auto solve
+    chooses, so the dependence checks of the choice run on it too. The
+    functions read only dependency variables, which the reduction keeps,
+    and their count is the same on problem as given; callers recount them
+    on that problem, which the reduction leaves as it is, so a fault in
+    it cannot reach a printed answer.
+
+    The incremental method solves problem as given, and an auto solve
+    whose choosers share no variable, which can only go incremental, is
+    not reduced. The reduction makes the benchmark's incremental-probes
+    rounds about 30% faster, but perfbench/run.py keeps every round's
+    output and reports the peak memory, so that reads as a memory
+    regression past the benchmark's bound (ROADMAP item 7).
 
     budget caps the selectors of global or the iterations of incremental;
     the local method takes none, and raises UsageError when given one,
     also when auto picked it.
     """
-    problem = eliminate_unseen(problem)
+    if method == "auto" and not shared_variables(problem):
+        method = "incremental"
+    reduced = problem if method == "incremental" else eliminate_unseen(problem)
     if method == "auto":
-        method = choose_method(problem)
+        method = choose_method(reduced)
     if method == "local" and budget is not None:
         raise UsageError("--budget applies to the global and incremental methods, not to local")
     iterations = None
     if method == "global":
-        solution = solve_global(problem) if budget is None else solve_global(problem, budget)
+        solution = solve_global(reduced) if budget is None else solve_global(reduced, budget)
     elif method == "incremental":
         iterations = []
 
@@ -149,7 +159,7 @@ def run_method(
 
         solution = run_incremental(problem, budget=budget, on_iteration=note)
     elif method == "local":
-        solution = solve_local(problem)
+        solution = solve_local(reduced)
     else:
         raise ValueError(f"unknown method {method!r}")
     return solution, method, iterations

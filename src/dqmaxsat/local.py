@@ -83,6 +83,13 @@ def functionally_dependent(
     return (us & ys) | verdicts[key]
 
 
+def shared_variables(p: Problem) -> frozenset[int]:
+    """The variables every chooser sees, the only candidates for a split; none without choosers."""
+    if not p.max_vars:
+        return frozenset()
+    return frozenset.intersection(*(p.deps[x] for x in p.max_vars))
+
+
 def plan_split(p: Problem) -> tuple[int, ...]:
     """The variables to split p on, in ascending order.
 
@@ -92,8 +99,7 @@ def plan_split(p: Problem) -> tuple[int, ...]:
     """
     if not p.max_vars:
         raise NoEligibleVariable("no choosers, nothing to split for")
-    common = frozenset.intersection(*(p.deps[x] for x in p.max_vars))
-    eligible = sorted(functionally_dependent(p.cnf, common, p.count_vars))
+    eligible = sorted(functionally_dependent(p.cnf, shared_variables(p), p.count_vars))
     if not eligible:
         raise NoEligibleVariable("no common dependency variable qualifies")
     return tuple(eligible[:MAX_SPLIT_VARS])

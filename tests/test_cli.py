@@ -60,6 +60,10 @@ def program_file(tmp_path):
     return str(path)
 
 
+def load_bundled(name):
+    return cli.load_instance_text(resources.files("dqmaxsat").joinpath("bench", name).read_text())[0]
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -449,6 +453,35 @@ class TestRecountOnTheLoadedFormula:
         doc.write_text(out)
         self._lossy(monkeypatch)
         assert run_cli(capsys, "check", str(path), str(doc))[:2] == (0, "ok: 26 of 64 confirmed\n")
+
+
+class TestWhichSolvesAreReduced:
+    """Local and global solves run on the reduced problem; incremental ones on the loaded one."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        calls = []
+
+        def eliminate(problem):
+            calls.append(problem)
+            return eliminate_unseen(problem)
+
+        monkeypatch.setattr(cli, "eliminate_unseen", eliminate)
+        return calls
+
+    def test_an_auto_local_solve_is_reduced_once(self, reductions):
+        p = load_bundled("sum_reach_3.atk")
+        assert cli.run_method(p)[1] == "local"
+        assert reductions == [p]
+
+    @pytest.mark.parametrize("method,reduced", [("global", 1), ("local", 1), ("incremental", 0)])
+    def test_a_forced_method(self, reductions, copy_or_and, method, reduced):
+        assert cli.run_method(copy_or_and, method=method)[0].achieved_count == 3
+        assert len(reductions) == reduced
+
+    def test_choosers_that_share_nothing_go_incremental_unreduced(self, reductions, two_implications):
+        assert cli.run_method(two_implications)[1] == "incremental"
+        assert reductions == []
 
 
 class TestChainShapedCalls:
