@@ -130,18 +130,14 @@ def run_method(
 
     The incremental method solves problem as given, and an auto solve
     whose choosers share no variable, which can only go incremental, is
-    not reduced. The reduction makes the benchmark's incremental-probes
-    rounds about 30% faster, but perfbench/run.py keeps every round's
-    output and reports the peak memory, so that reads as a memory
-    regression past the benchmark's bound (ROADMAP item 7).
+    not reduced (ROADMAP item 7 says why).
 
     budget caps the selectors of global or the iterations of incremental;
     the local method takes none, and raises UsageError when given one,
     also when auto picked it.
     """
-    if method == "auto" and not shared_variables(problem):
-        method = "incremental"
-    reduced = problem if method == "incremental" else eliminate_unseen(problem)
+    reducible = method in ("global", "local") or (method == "auto" and shared_variables(problem))
+    reduced = eliminate_unseen(problem) if reducible else problem
     if method == "auto":
         method = choose_method(reduced)
     if method == "local" and budget is not None:

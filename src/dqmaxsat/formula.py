@@ -10,14 +10,16 @@ leaves of its Shannon tree over the ascending support, cut where the
 function is constant: one clause per cube, at most
 min(2^|H|, |M|·|H| + 1) for |M| minterms over |H| support variables.
 
-A solve runs on eliminate_unseen(problem): the formula with the
-existential variables that no chooser sees eliminated where that pays,
-each fixed false by a unit clause. Every projected count the solve takes
-is the same on it, and the answer is recounted on the problem as loaded.
+A local or global solve runs on eliminate_unseen(problem): the formula
+with the existential variables that no chooser sees eliminated where that
+pays, each fixed false by a unit clause. Every projected count the solve
+takes is the same on it, and the answer is recounted on the problem as
+loaded.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -87,70 +89,49 @@ def eliminate_unseen(p: "Problem") -> "Problem":
     if not candidates:
         return p
     n = p.cnf.num_vars
-    # a clause as a bit set over literal codes, 2v for v and 2v+1 for -v;
-    # a dropped clause is None
-    code = {}
-    for v in range(1, n + 1):
-        code[v] = 1 << 2 * v
-        code[-v] = 2 << 2 * v
-    even = sum(code[v] for v in range(1, n + 1))
     clauses = list(p.cnf.clauses)
-    masks: list[Optional[int]] = []
+    # each clause's literals as a set, None once it is dropped (a tautology
+    # at once); sets keep the memory linear in the formula, where bit sets
+    # over literal codes would take |clauses| * num_vars bits
+    live: list[Optional[frozenset[int]]] = []
     occurs: list[list[int]] = [[] for _ in range(2 * n + 1)]  # literal-indexed
     for i, c in enumerate(clauses):
-        m = 0
-        for lit in c:
-            m |= code[lit]
-        if m & m >> 1 & even:
-            m = None
-        else:
-            for lit in c if m.bit_count() == len(c) else _literals(m):
+        lits = frozenset(c)
+        if lits.isdisjoint(map(operator.neg, lits)):
+            for lit in lits:
                 occurs[lit].append(i)
-        masks.append(m)
+        else:
+            lits = None
+        live.append(lits)
     gone = []
     for v in candidates:
-        pos = [i for i in occurs[v] if masks[i] is not None]
-        neg = [i for i in occurs[-v] if masks[i] is not None]
+        pos = [i for i in occurs[v] if live[i] is not None]
+        neg = [i for i in occurs[-v] if live[i] is not None]
         replaced = len(pos) + len(neg)
-        pb, nb = code[v], code[-v]
-        rests = [masks[j] ^ nb for j in neg]
-        resolvents: dict[int, None] = {}
+        rests = [live[j] - {-v} for j in neg]
+        resolvents: dict[frozenset[int], None] = {}
         for i in pos:
-            c = masks[i] ^ pb
-            clash = (c & even) << 1 | c >> 1 & even
+            c = live[i] - {v}
+            clash = frozenset(map(operator.neg, c))
             for d in rests:
-                if not clash & d:
+                if clash.isdisjoint(d):
                     resolvents[c | d] = None
             if len(resolvents) > replaced:
                 break
         else:
-            for i in pos:
-                masks[i] = None
-            for i in neg:
-                masks[i] = None
+            for i in pos + neg:
+                live[i] = None
             for r in resolvents:
-                lits = _literals(r)
-                for lit in lits:
-                    occurs[lit].append(len(masks))
-                masks.append(r)
-                clauses.append(lits)
+                for lit in r:
+                    occurs[lit].append(len(live))
+                live.append(r)
+                clauses.append(tuple(sorted(r, key=abs)))
             gone.append(v)
     if not gone:
         return p
-    clauses = [c for c, m in zip(clauses, masks) if m is not None]
+    clauses = [c for c, lits in zip(clauses, live) if lits is not None]
     clauses += [(-v,) for v in reversed(gone)]
     return Problem(Cnf(n, tuple(clauses)), p.max_vars, p.count_vars, p.exist_vars, p.deps)
-
-
-def _literals(mask: int) -> tuple[int, ...]:
-    """The clause that a bit set of eliminate_unseen holds, by ascending variable."""
-    lits = []
-    while mask:
-        low = mask & -mask
-        b = low.bit_length() - 1
-        lits.append(-(b >> 1) if b & 1 else b >> 1)
-        mask ^= low
-    return tuple(lits)
 
 
 def minterms_of(support: Sequence[int]) -> list[tuple[int, ...]]:

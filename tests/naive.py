@@ -1,7 +1,9 @@
 """Slow reference implementations used to cross-check the real ones.
 
-Everything here walks truth tables or small game trees directly, with no
-shared code paths into the package under test beyond the basic dataclasses.
+Everything here walks truth tables or small game trees directly, or, for
+variable elimination, searches plain clause sets afresh at every step,
+with no shared code paths into the package under test beyond the basic
+dataclasses.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqmaxsat import cli
+from dqmaxsat.engine import enumerate_projected
 from dqmaxsat.formula import (
     Cnf,
     DependencyViolation,
@@ -18,9 +20,6 @@ from dqmaxsat.formula import (
     monomial_holds,
     negate_monomial,
 )
-
-from dqmaxsat import cli
-from dqmaxsat.engine import enumerate_projected
 
 import instances
 from naive import assignments, eliminate_by_sets, eval_cnf, minterm_substitution, tt_models
