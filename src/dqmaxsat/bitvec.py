@@ -26,7 +26,13 @@ a comparison are constant) and must fit in it.
 
 Encoding: each declared name takes one CNF variable per bit, least
 significant bit first, in statement order; gate variables introduced by the
-arithmetic come after all declared bits. In ``reach`` mode the random bits
+arithmetic come after all declared bits. A sum is a chain of full adders,
+one XOR3 gate for each bit's sum and one majority gate for each carry but
+the last, which is dropped; comparisons and connectives use AND, OR and
+XOR gates. Each gate gets the Tseitin clauses of the polarities in which
+the formula uses it (Plaisted & Greenbaum, J. Symb. Comput. 1986), so the
+formula projects onto the declared bits exactly as the full Tseitin
+encoding does and has fewer clauses. In ``reach`` mode the random bits
 are counted, the input bits are maximized, and everything else is
 existential; the objective conjoins the observation definitions, the range
 constraints, the ``assume`` conditions and the ``win`` condition. In
@@ -414,31 +420,80 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if abs(a) < abs(b) else (b, a)
 
 
+# a literal's demand on its gate when the literal is negated: the other half
+_FLIP = (0, 2, 1, 3)
+# gates whose inputs a use of either half demands both halves of
+_PARITY = ("xor", "xor3")
+
+
+def _definition(op: str, inputs: tuple[int, ...], g: int, need: int) -> list[tuple[int, ...]]:
+    """Gate g's clauses for the halves in need, in definition order.
+
+    Half 1 holds the clauses with -g, which say that g implies op of its
+    inputs; half 2 those with g, which say the converse.
+    """
+    if op == "and":
+        a, b = inputs
+        pos = [(a, -g), (b, -g)] if need & 1 else []
+        return pos + [(*_pair(-a, -b), g)] if need & 2 else pos
+    if op == "or":
+        a, b = inputs
+        neg = [(-a, g), (-b, g)] if need & 2 else []
+        return neg + [(*_pair(a, b), -g)] if need & 1 else neg
+    if op == "xor":
+        a, b = inputs
+        pos = [(*_pair(a, b), -g), (*_pair(-a, -b), -g)] if need & 1 else []
+        return pos + [(*_pair(-a, b), g), (*_pair(a, -b), g)] if need & 2 else pos
+    p, q, r = sorted(inputs, key=abs)
+    if op == "xor3":  # g holds exactly when an odd number of inputs do
+        pos = [(p, q, r, -g), (p, -q, -r, -g), (-p, q, -r, -g), (-p, -q, r, -g)] if need & 1 else []
+        return pos + [(-p, q, r, g), (p, -q, r, g), (p, q, -r, g), (-p, -q, -r, g)] if need & 2 else pos
+    # maj: g holds exactly when two inputs do
+    pos = [(p, q, -g), (p, r, -g), (q, r, -g)] if need & 1 else []
+    return pos + [(-p, -q, g), (-p, -r, g), (-q, -r, g)] if need & 2 else pos
+
+
 class _Lowerer:
-    """Gate emitter with constant folding and structural sharing; literals in variable order."""
+    """Gate emitter with constant folding, structural sharing and polarity-aware clauses.
+
+    A gate takes the next variable id when it is first built, so every gate
+    comes after its inputs, and its definition takes its place in the
+    clause order then; root clauses (assert_bit, tie_equal) take theirs as
+    they come. A definition has two halves: the clauses with -g say that g
+    implies its function (half 1), those with g the converse (half 2).
+    clauses() emits each gate's halves only where a use demands them
+    (Plaisted & Greenbaum, J. Symb. Comput. 1986). A literal in an emitted
+    clause demands the half that its being true implies: half 1 of its gate
+    for a positive literal, half 2 for a negative one. So an asserted bit
+    demands half 1, a tied bit both, a negation swaps the halves it
+    demands, and an XOR demands both halves of its inputs. Setting every
+    gate to its function's value satisfies this encoding, and in every model
+    of it the emitted halves keep each root clause true of the functions'
+    values, so both encodings project onto the declared bits alike. Literals
+    in variable order.
+    """
 
     def __init__(self, first_gate_var: int):
-        self.clauses: list[tuple[int, ...]] = []
+        self.first_gate_var = first_gate_var
         self.next_var = first_gate_var
         self._cache: dict[tuple, int] = {}
+        self._defs: list[tuple[str, tuple[int, ...]]] = []  # per gate: op, input literals
+        self._need: list[int] = []  # per gate: the halves root clauses demand, 1 | 2
+        self._slots: list[Union[int, tuple[int, ...]]] = []  # gate ids and root clauses, in order
 
     def g_not(self, a: Bit) -> Bit:
         return (not a) if isinstance(a, bool) else -a
 
-    def _gate(self, op: str, a: int, b: int) -> int:
-        """The shared gate variable for op over two literals, defined on first use."""
-        key = (op, min(a, b), max(a, b))
+    def _gate(self, op: str, *inputs: int) -> int:
+        """The shared gate variable for op over its input literals, defined on first use."""
+        key = (op, *sorted(inputs))
         g = self._cache.get(key)
         if g is None:
             g = self._cache[key] = self.next_var
             self.next_var += 1
-            if op == "and":
-                self.clauses += [(a, -g), (b, -g), (*_pair(-a, -b), g)]
-            elif op == "or":
-                self.clauses += [(-a, g), (-b, g), (*_pair(a, b), -g)]
-            else:
-                self.clauses += [(*_pair(a, b), -g), (*_pair(-a, -b), -g),
-                                 (*_pair(-a, b), g), (*_pair(a, -b), g)]
+            self._defs.append((op, inputs))
+            self._need.append(0)
+            self._slots.append(g)
         return g
 
     def g_and(self, a: Bit, b: Bit) -> Bit:
@@ -478,20 +533,51 @@ class _Lowerer:
             return True
         return self._gate("xor", a, b)
 
+    def g_xor3(self, a: Bit, b: Bit, c: Bit) -> Bit:
+        """a xor b xor c; two-input XOR when an input is constant or two cancel."""
+        if isinstance(a, bool) or isinstance(b, bool) or isinstance(c, bool):
+            return self.g_xor(self.g_xor(a, b), c)
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if x == y:
+                return z
+            if x == -y:
+                return -z
+        return self._gate("xor3", a, b, c)
+
+    def g_maj(self, a: Bit, b: Bit, c: Bit) -> Bit:
+        """The majority of a, b, c; two-input AND or OR when an input is constant."""
+        for k, x, y in ((c, a, b), (a, b, c), (b, a, c)):
+            if isinstance(k, bool):
+                return self.g_or(x, y) if k else self.g_and(x, y)
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            if x == y:
+                return x
+            if x == -y:
+                return z
+        return self._gate("maj", a, b, c)
+
     def ripple_add(self, xs: Sequence[Bit], ys: Sequence[Bit], carry: Bit = False) -> list[Bit]:
-        """Wraparound sum, least significant bit first; the final carry is dropped."""
+        """Wraparound sum by full adders, least significant bit first.
+
+        Each bit's sum is XOR3 of its inputs and the carry in, its carry out
+        their majority; no gate is built for the final carry, which is
+        dropped.
+        """
         out = []
-        for a, b in zip(xs, ys):
-            axb = self.g_xor(a, b)
-            out.append(self.g_xor(axb, carry))
-            carry = self.g_or(self.g_and(a, b), self.g_and(carry, axb))
+        last = len(xs) - 1
+        for i, (a, b) in enumerate(zip(xs, ys)):
+            out.append(self.g_xor3(a, b, carry))
+            if i < last:
+                carry = self.g_maj(a, b, carry)
         return out
 
     def subtract(self, xs: Sequence[Bit], ys: Sequence[Bit]) -> list[Bit]:
         return self.ripple_add(xs, [self.g_not(b) for b in ys], True)
 
     def unsigned_ge(self, xs: Sequence[Bit], ys: Sequence[Bit]) -> Bit:
-        # xs >= ys iff xs + ~ys + 1 carries out of the top bit
+        # xs >= ys iff xs + ~ys + 1 carries out of the top bit. The carries
+        # stay AND/OR/XOR gates: majority gates here solve faster, but wait
+        # on the benchmark's memory metric (ROADMAP item 5)
         carry: Bit = True
         for a, b in zip(xs, [self.g_not(y) for y in ys]):
             axb = self.g_xor(a, b)
@@ -504,20 +590,51 @@ class _Lowerer:
             acc = self.g_and(acc, self.g_not(self.g_xor(a, b)))
         return acc
 
+    def _root(self, b: int, need: int) -> None:
+        """Note that a root clause demands need of b's gate, if b is a gate's literal."""
+        if (i := abs(b) - self.first_gate_var) >= 0:
+            self._need[i] |= need if b > 0 else _FLIP[need]
+
     def assert_bit(self, b: Bit) -> None:
         if b is True:
             return
-        self.clauses.append(() if b is False else (b,))
+        if b is False:
+            self._slots.append(())
+        else:
+            self._root(b, 1)
+            self._slots.append((b,))
 
     def tie_equal(self, vars_: Sequence[int], bits: Sequence[Bit]) -> None:
         """Constrain pre-allocated variables to equal computed bits."""
         for v, b in zip(vars_, bits):
             if b is True:
-                self.clauses.append((v,))
+                self._slots.append((v,))
             elif b is False:
-                self.clauses.append((-v,))
+                self._slots.append((-v,))
             else:
-                self.clauses += [_pair(-v, b), _pair(v, -b)]
+                self._root(b, 3)
+                self._slots += [_pair(-v, b), _pair(v, -b)]
+
+    def clauses(self) -> list[tuple[int, ...]]:
+        """Every root clause, and each gate's halves that some emitted clause demands, in order."""
+        first = self.first_gate_var
+        need = self._need
+        # every user of a gate comes after it: highest first sees all demands
+        for i in range(len(need) - 1, -1, -1):
+            if m := need[i]:
+                op, inputs = self._defs[i]
+                if op in _PARITY:
+                    m = 3
+                for lit in inputs:
+                    if (j := abs(lit) - first) >= 0:
+                        need[j] |= m if lit > 0 else _FLIP[m]
+        out = []
+        for slot in self._slots:
+            if type(slot) is tuple:
+                out.append(slot)
+            else:
+                out += _definition(*self._defs[slot - first], slot, need[slot - first])
+        return out
 
     def bits_of(self, e: BvExpr, env: Mapping[str, tuple[int, ...]]) -> list[Bit]:
         """Lower a typed expression to its e.width bits, LSB first."""
@@ -610,7 +727,7 @@ def encode(prog: BvProgram) -> tuple[Problem, BitMap]:
         h = frozenset(v for obs in deps_of[name] for v in bits[obs])
         for v in bits[name]:
             deps[v] = h
-    problem = Problem.of(Cnf.build(num_vars, lower.clauses), input_bits, count_vars, exist_vars, deps)
+    problem = Problem.of(Cnf.build(num_vars, lower.clauses()), input_bits, count_vars, exist_vars, deps)
     bitmap = BitMap(order, kind, bits, labels, aux_start, num_vars)
     return problem, bitmap
 

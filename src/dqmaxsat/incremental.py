@@ -44,14 +44,27 @@ from .reduction import SelectorMap, check_selectors, decode, selector_objective
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One iteration: which expansion preceded it and what it achieved."""
+    """One iteration: which expansion preceded it and what it achieved.
+
+    best is the oracle's selector assignment over selectors, and total
+    the problem's; the strategies they stand for are decoded on the first
+    read of solution, while as_dict reads the minterms off the selector
+    tables directly.
+    """
 
     iteration: int
     expanded_var: Optional[int]
     expanded_on: Optional[int]
     count: int
     elapsed_ms: float
-    solution: Solution
+    selectors: SelectorMap
+    best: Mapping[int, bool]
+    total: int
+
+    @functools.cached_property
+    def solution(self) -> Solution:
+        """The anytime strategies over this iteration's supports, with their count."""
+        return replace(decode(self.selectors, self.best), achieved_count=self.count, total=self.total)
 
     def as_dict(self) -> dict:
         return {
@@ -60,9 +73,10 @@ class IterationRecord:
             "expanded_on": self.expanded_on,
             "count": self.count,
             "elapsed_ms": round(self.elapsed_ms, 3),
+            # a selector table's monomials list their literals in support order
             "functions": {
-                str(x): sorted(sorted(m, key=abs) for m in fn.minterms)
-                for x, fn in self.solution.functions.items()
+                str(x): sorted(list(m) for m, s in table.items() if self.best[s])
+                for x, table in self.selectors.selectors.items()
             },
         }
 
@@ -164,17 +178,17 @@ def run(
             res = oracle_call(st.table, st.selectors, st.request(), max_count)
         count = res.best_count
         elapsed = (time.perf_counter() - t0) * 1000
-        anytime = replace(decode(st.selectors, res.best),
-                          achieved_count=res.best_count, total=p.total)
         record = IterationRecord(
             iteration=iteration,
             expanded_var=x,
             expanded_on=u,
             count=res.best_count,
             elapsed_ms=elapsed,
-            solution=anytime,
+            selectors=st.selectors,
+            best=res.best,
+            total=p.total,
         )
         st = replace(st, incumbent=dict(res.best))
         if on_iteration is not None:
             on_iteration(record)
-    return anytime
+    return record.solution

@@ -27,6 +27,13 @@ instances that ``dqms bench`` solves (``cli._SUITE``) instead. That takes
 about 1.5 s, most of it in capacity6 and capacity:
 
     PYTHONPATH=src python3 tests/golden.py --bundled
+
+With ``--formula`` it prints no digest but the size of each workload's
+formulas: the median number of variables, clauses and clauses of two or
+more literals over the first COUNT instances, as loaded and after
+``formula.eliminate_unseen``:
+
+    PYTHONPATH=src python3 tests/golden.py --seed 4711 --count 40 --formula
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import statistics
 import sys
 import tempfile
 from importlib import resources
@@ -44,6 +52,7 @@ from pathlib import Path
 from unittest import mock
 
 from dqmaxsat import cli, counting, oracle
+from dqmaxsat.formula import eliminate_unseen
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -125,15 +134,33 @@ def bundled_digest() -> str:
     return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
+def formula_sizes(problems) -> str:
+    """Median variables, clauses and non-unit clauses, as loaded and reduced."""
+    loaded = [p.cnf for p in problems]
+    reduced = [eliminate_unseen(p).cnf for p in problems]
+
+    def median(values) -> str:
+        return f"{statistics.median(values):g}"
+
+    def clauses(cnfs) -> str:
+        return (f"{median([len(f.clauses) for f in cnfs])} clauses, "
+                f"{median([sum(len(c) > 1 for c in f.clauses) for f in cnfs])} non-unit")
+
+    return (f"{median([f.num_vars for f in loaded])} variables; "
+            f"loaded {clauses(loaded)}; reduced {clauses(reduced)}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description="Print one sha256 per benchmark workload over its first COUNT instances, "
                     "or over their projected enumerations with --cells, "
-                    "or one over the bundled instances with --bundled.")
+                    "or one over the bundled instances with --bundled; "
+                    "or the median formula sizes per workload with --formula.")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--count", type=int)
     ap.add_argument("--cells", action="store_true")
     ap.add_argument("--bundled", action="store_true")
+    ap.add_argument("--formula", action="store_true")
     args = ap.parse_args(argv)
     if args.bundled:
         print("bundled", bundled_digest())
@@ -141,6 +168,12 @@ def main(argv=None) -> int:
     if args.seed is None or args.count is None:
         ap.error("--seed and --count are required without --bundled")
     workloads = load_workloads()
+    if args.formula:
+        for workload in workloads.WORKLOADS:
+            problems = [cli.load_instance_text(workloads.make_instance(workload, args.seed, i).text)[0]
+                        for i in range(args.count)]
+            print(workload, formula_sizes(problems))
+        return 0
     for workload in workloads.WORKLOADS:
         with tempfile.TemporaryDirectory() as d, recorded_enumerations() as calls:
             digests = [digest(Path(d), inst.name, inst.suffix, inst.text)

@@ -2,14 +2,14 @@
 
 Everything here walks truth tables or small game trees directly, or, for
 variable elimination, searches plain clause sets afresh at every step,
-with no shared code paths into the package under test beyond the basic
-dataclasses.
+or, for bitblasting, emits every gate's full definition, with no shared
+code paths into the package under test beyond the basic dataclasses.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from dqmaxsat.formula import Problem, Solution, minterms_of
 
@@ -206,3 +206,137 @@ def eliminate_by_sets(p: Problem) -> tuple[list[frozenset[int]], list[int]]:
             clauses = [c for c in clauses if v not in c and -v not in c] + list(resolvents)
             gone.append(v)
     return clauses, gone
+
+
+def _pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if abs(a) < abs(b) else (b, a)
+
+
+class FullTseitinLowerer:
+    """The bitblaster's gate emitter with every gate fully defined.
+
+    The same interface as bitvec._Lowerer, so that encode runs on it when
+    it is patched in. Each gate gets all its Tseitin clauses, both
+    polarities, at creation; a sum bit is (a xor b) xor carry, a carry
+    out (a and b) or (carry and (a xor b)), the final one included.
+    Constants fold and equal gates are shared. Literals in variable order.
+    """
+
+    def __init__(self, first_gate_var: int):
+        self.next_var = first_gate_var
+        self.emitted: list[tuple[int, ...]] = []
+        self._cache: dict[tuple, int] = {}
+
+    def clauses(self) -> list[tuple[int, ...]]:
+        return self.emitted
+
+    def g_not(self, a):
+        return (not a) if isinstance(a, bool) else -a
+
+    def _gate(self, op: str, a: int, b: int) -> int:
+        key = (op, min(a, b), max(a, b))
+        g = self._cache.get(key)
+        if g is None:
+            g = self._cache[key] = self.next_var
+            self.next_var += 1
+            if op == "and":
+                self.emitted += [(a, -g), (b, -g), (*_pair(-a, -b), g)]
+            elif op == "or":
+                self.emitted += [(-a, g), (-b, g), (*_pair(a, b), -g)]
+            else:
+                self.emitted += [(*_pair(a, b), -g), (*_pair(-a, -b), -g),
+                                 (*_pair(-a, b), g), (*_pair(a, -b), g)]
+        return g
+
+    def g_and(self, a, b):
+        if a is False or b is False:
+            return False
+        if a is True:
+            return b
+        if b is True:
+            return a
+        if a == b:
+            return a
+        if a == -b:
+            return False
+        return self._gate("and", a, b)
+
+    def g_or(self, a, b):
+        if a is True or b is True:
+            return True
+        if a is False:
+            return b
+        if b is False:
+            return a
+        if a == b:
+            return a
+        if a == -b:
+            return True
+        return self._gate("or", a, b)
+
+    def g_xor(self, a, b):
+        if isinstance(a, bool):
+            return self.g_not(b) if a else b
+        if isinstance(b, bool):
+            return self.g_not(a) if b else a
+        if a == b:
+            return False
+        if a == -b:
+            return True
+        return self._gate("xor", a, b)
+
+    def ripple_add(self, xs: Sequence, ys: Sequence, carry=False) -> list:
+        out = []
+        for a, b in zip(xs, ys):
+            axb = self.g_xor(a, b)
+            out.append(self.g_xor(axb, carry))
+            carry = self.g_or(self.g_and(a, b), self.g_and(carry, axb))
+        return out
+
+    def subtract(self, xs: Sequence, ys: Sequence) -> list:
+        return self.ripple_add(xs, [self.g_not(b) for b in ys], True)
+
+    def unsigned_ge(self, xs: Sequence, ys: Sequence):
+        carry = True
+        for a, b in zip(xs, [self.g_not(y) for y in ys]):
+            axb = self.g_xor(a, b)
+            carry = self.g_or(self.g_and(a, b), self.g_and(carry, axb))
+        return carry
+
+    def equal(self, xs: Sequence, ys: Sequence):
+        acc = True
+        for a, b in zip(xs, ys):
+            acc = self.g_and(acc, self.g_not(self.g_xor(a, b)))
+        return acc
+
+    def assert_bit(self, b) -> None:
+        if b is not True:
+            self.emitted.append(() if b is False else (b,))
+
+    def tie_equal(self, vars_: Sequence[int], bits: Sequence) -> None:
+        for v, b in zip(vars_, bits):
+            if isinstance(b, bool):
+                self.emitted.append((v if b else -v,))
+            else:
+                self.emitted += [_pair(-v, b), _pair(v, -b)]
+
+    def bits_of(self, e, env: Mapping[str, tuple[int, ...]]) -> list:
+        if e.op == "const":
+            return [bool(e.value >> i & 1) for i in range(e.width)]
+        if e.op == "var":
+            return list(env[e.name])
+        if e.op == "not":
+            return [self.g_not(self.bits_of(e.args[0], env)[0])]
+        xs = self.bits_of(e.args[0], env)
+        ys = self.bits_of(e.args[1], env)
+        if e.op == "add":
+            return self.ripple_add(xs, ys)
+        if e.op == "sub":
+            return self.subtract(xs, ys)
+        if e.op == "eq":
+            return [self.equal(xs, ys)]
+        if e.op == "ge":
+            return [self.unsigned_ge(xs, ys)]
+        if e.op == "le":
+            return [self.unsigned_ge(ys, xs)]
+        return [self.g_and(xs[0], ys[0]) if e.op == "and" else self.g_or(xs[0], ys[0])]

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqmaxsat import bitvec
 from dqmaxsat.bitvec import (
     BvProgram,
     ProgramError,
@@ -13,13 +16,13 @@ from dqmaxsat.bitvec import (
     minimize_minterms,
     parse_program,
 )
-from dqmaxsat.engine import Engine
+from dqmaxsat.engine import Engine, enumerate_projected
 from dqmaxsat.formula import MintermFunction, Solution
 from dqmaxsat.incremental import run as run_incremental
 from dqmaxsat.local import solve_local
 from dqmaxsat.reduction import solve_global
 
-from naive import best_interval_hits, split_tree_capacity
+from naive import FullTseitinLowerer, best_interval_hits, split_tree_capacity
 from test_golden import SEED, workloads
 
 
@@ -356,46 +359,121 @@ def _encoding_digest(text: str) -> str:
 
 
 # the bundled programs and SEED's first instances of each .atk workload,
-# taken before each expression's width was worked out at parse time
+# taken when gates got only the clauses of the polarities they are used in
+# and sums became full adders (capacity.atk's since before each
+# expression's width was worked out at parse time: it has no sum, and
+# every gate of it is used in both polarities)
 ENCODINGS = {
     ("capacity.atk", None):
         "4fac1b3ba3644ff7bb23acd850551e8da9b6b087ab165ee403df16fde2c52fed",
     ("capacity6.atk", None):
-        "ae9e42f3560f1e71acc70a7d46f5cd69b3f60f1a9718778bc556cc3658ea6af4",
+        "433cfb42c9843354db200e9246b4967685a036964f8b4356bd2241d1a563df61",
     ("guessbits.atk", None):
-        "3d21ac8055f1466f766d52205740c019617cd93b4e76c04cd8ea350e507e5a42",
+        "3c2a0ffc64b40005a65c70fd5188fb08d64415caaa68d679663d28a1369c6d3a",
     ("sum_reach_3.atk", None):
-        "837f3a760c5ff520f674cd87ec88b0ca9f5067b787fab8de5f844607dd09392f",
+        "8a1e3fbdff9cfb51adc2cce615a557b8863da56c9777f9c86d13e53859ac9040",
     ("sum_reach_4.atk", None):
-        "0331268296926148e26310808884b6dc6438e6ace96b8db81d7e21ee314b0d37",
+        "25bdb09311bd235eb10f2f2b5455b545be35bfbf55f0bda6a18e4875ffd0e2e9",
     ("local-reach", 0):
-        "94ed5edd3d4ed78b1f9ae62fb15d5b0aed4bf576027c0c60b1f474daa6ac2517",
+        "5f25711bd247c59d031b61d807669135d57d77b54416af95a986028abcddce9a",
     ("local-reach", 1):
-        "4a313410b70526083b41ec807bccf40c5d02d53510892a968d46fea137eeed5e",
+        "23ef9a68ff013635fbbb9502c26a4343cef27dc30a033e68f919eb27953a1eed",
     ("local-reach", 2):
-        "338fa666fa03a644fa451318547bacebea06c9354650775d8986e86e83a4f752",
+        "1f3d572bbebe3e2388482ae8567cd5531be80f69a451a29d9c39f15ef8b0da97",
     ("local-reach", 3):
-        "3607a2879963360296cfc1bf6c7ce592249644bed040677256b558db4d470bc5",
+        "b4c3cbda7d3f228187d636ecba5c64fd56abd20778ce86e8d4562d0d9f220a6b",
     ("incremental-probes", 0):
-        "dbb96724e8a42066bfc950beec5be98a31581ba66e6520191dcc33ccdfc059fe",
+        "5f65b7142da973e1c71e570eb7235b867b34cc4fd0a2ab4242a2cc8dc77ce13a",
     ("incremental-probes", 1):
-        "7bf8d9f4c5773aa4fd874c5d698c26143d64599cf478a9bd9e37f76c166117c4",
+        "c49f9b8ab2d0d3d522ee372bf7ad9e75b77c07930c7769a1e0ebecf90f68a7e3",
     ("incremental-probes", 2):
-        "562d05dbe01ce8cf61c7ca71e185e5a15dd691386d61b7423c1c1df58312a81a",
+        "1dd3503b575337162bedfc44bcb4049e67577f6e9975d165728f2175b47b4e2c",
     ("incremental-probes", 3):
-        "356452311760565cafd21a97763a8233b2c1091ef3004bab3a20b44b76023e15",
+        "e8f383c07dac761f3496061fb3efef82ce73604d174a5bd3678b72c621d95e69",
 }
 
 
-@pytest.mark.parametrize("case", sorted(ENCODINGS),
-                         ids=lambda case: case[0] if case[1] is None else f"{case[0]}-{case[1]}")
-def test_encoding_matches_pinned_digest(case):
+def _case_text(case) -> str:
     source, index = case
     if index is None:
-        text = BENCH.joinpath(source).read_text()
+        return BENCH.joinpath(source).read_text()
+    return workloads.make_instance(source, SEED, index).text
+
+
+def _case_id(case) -> str:
+    return case[0] if case[1] is None else f"{case[0]}-{case[1]}"
+
+
+@pytest.mark.parametrize("case", sorted(ENCODINGS), ids=_case_id)
+def test_encoding_matches_pinned_digest(case):
+    assert _encoding_digest(_case_text(case)) == ENCODINGS[case]
+
+
+def _declared_cells(text: str, full: bool = False) -> list:
+    """The cells of the encoding over every declared bit, or of the full Tseitin one."""
+    prog = parse_program(text)
+    with mock.patch.object(bitvec, "_Lowerer", FullTseitinLowerer) if full else contextlib.nullcontext():
+        problem, bm = encode(prog)
+    cells = []
+    enumerate_projected(problem.cnf, range(1, bm.aux_start), visit=cells.append)
+    return cells
+
+
+# adders and comparisons whose operands fold: constants, a repeated operand,
+# a negated one, and connectives over asserted and negated conditions
+FOLDING = {
+    "constant_addend": "width 3\nmode leak\nrandom a\nobserve s := a + 5\n",
+    "constant_minuend": "width 3\nmode leak\nrandom a\nobserve s := 6 - a\n",
+    "doubled": "width 3\nmode leak\nrandom a\nobserve s := a + a\n",
+    "three_terms": ("width 3\nmode reach\nrandom a\nrandom b\ninput x\n"
+                    "assume !(a + b == x)\nwin a + b + x >= 5 || a - x == b\n"),
+    "one_bit": "width 1\nmode leak\nrandom a\nrandom b\nobserve s := a + b + 1\nassume !(s <= a)\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODINGS) + [(name, "folding") for name in sorted(FOLDING)],
+                         ids=_case_id)
+def test_encoding_projects_like_full_tseitin(case):
+    # the cells over the randoms, inputs and observations are those of every
+    # gate fully defined, in the same order, and every gate is in a clause
+    text = FOLDING[case[0]] if case[1] == "folding" else _case_text(case)
+    assert _declared_cells(text) == _declared_cells(text, full=True)
+    problem, bm = encode(parse_program(text))
+    used = {abs(lit) for c in problem.cnf.clauses for lit in c}
+    assert used.issuperset(range(bm.aux_start, bm.num_vars + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_asserted_and_tied_expressions_project_like_full_tseitin(data):
+    width = data.draw(st.integers(1, 3))
+    observed = data.draw(_expressions(width, data.draw(st.sampled_from([width, 1])), 4))
+    assumed, won = (data.draw(_expressions(width, 1, 3)) for _ in range(2))
+    text = (f"width {width}\nmode reach\nrandom a\ninput b\nobserve p := a >= b\n"
+            f"observe o := {_render(observed)}\nassume {_render(assumed)}\nwin {_render(won)}\n")
+    assert _declared_cells(text) == _declared_cells(text, full=True)
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_a_sum_builds_a_full_adder_per_bit_and_no_carry_out(width):
+    lower = bitvec._Lowerer(2 * width + 1)
+    xs, ys = range(1, width + 1), range(width + 1, 2 * width + 1)
+    out = lower.ripple_add(xs, ys)
+    ops = [op for op, _ in lower._defs]
+    # bit 0 has no carry in, so its sum is an XOR and its carry an AND; the
+    # top bit has a sum and no carry: 2 * width - 1 gates
+    if width == 1:
+        assert ops == ["xor"]
     else:
-        text = workloads.make_instance(source, SEED, index).text
-    assert _encoding_digest(text) == ENCODINGS[case]
+        assert ops == ["xor", "and"] + ["xor3", "maj"] * (width - 2) + ["xor3"]
+    assert out == [g for g, op in enumerate(ops, 2 * width + 1) if op.startswith("xor")]
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+def test_a_comparison_keeps_its_and_or_xor_carry_chain(width):
+    lower = bitvec._Lowerer(2 * width + 1)
+    lower.unsigned_ge(range(1, width + 1), range(width + 1, 2 * width + 1))
+    assert {op for op, _ in lower._defs} == {"and", "or", "xor"}
 
 
 class TestEndToEnd:

@@ -10,12 +10,14 @@ A digest changes only when an output does. If a change is meant to alter
 outputs, say so and re-pin; a perf change never should.
 """
 
+from importlib import resources
+
 import pytest
 
 from dqmaxsat import cli
 from dqmaxsat.local import plan_split
 
-from golden import digest, load_workloads
+from golden import digest, formula_sizes, load_workloads, main
 
 SEED = 1
 
@@ -122,3 +124,13 @@ def test_hand_written_cases_keep_a_residual_support(name):
     problem = cli.load_instance_text(HAND_WRITTEN[name][1])[0]
     split = plan_split(problem)
     assert any(problem.deps[x] != set(split) for x in problem.max_vars)
+
+
+def test_formula_sizes_are_printed_per_workload(capsys):
+    assert main(["--seed", str(SEED), "--count", "2", "--formula"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(workloads.WORKLOADS)
+    text = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk").read_text()
+    problem = cli.load_instance_text(text)[0]
+    assert formula_sizes([problem]) == \
+        "39 variables; loaded 75 clauses, 73 non-unit; reduced 70 clauses, 47 non-unit"

@@ -183,15 +183,15 @@ def reference_records(p):
     expansions = iter(rotor_expansions(p))
     for iteration in itertools.count(1):
         res = max_count(state.request())
-        solution = replace(decode(state.selectors, res.best),
-                           achieved_count=res.best_count, total=p.total)
         records.append(IterationRecord(
             iteration=iteration,
             expanded_var=last[0] if last else None,
             expanded_on=last[1] if last else None,
             count=res.best_count,
             elapsed_ms=0.0,
-            solution=solution,
+            selectors=state.selectors,
+            best=res.best,
+            total=p.total,
         ))
         state = replace(state, incumbent=dict(res.best))
         last = next(expansions, None)
@@ -385,6 +385,17 @@ class TestRun:
         _, records = collect(p)
         for r in records:
             assert check_solution(p, r.solution) == r.count
+
+    @pytest.mark.parametrize("seed", range(20, 30))
+    def test_records_serialize_the_functions_they_decode(self, seed):
+        p = instances.random_problem(random.Random(seed), num_vars=6)
+        solution, records = collect(p)
+        assert solution is records[-1].solution
+        assert (solution.achieved_count, solution.total) == (records[-1].count, p.total)
+        for r in records:
+            assert r.as_dict()["functions"] == {
+                str(x): sorted(sorted(m, key=abs) for m in fn.minterms)
+                for x, fn in r.solution.functions.items()}
 
     def test_record_serialization(self, copy_or_and):
         _, records = collect(copy_or_and)
