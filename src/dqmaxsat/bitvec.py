@@ -467,10 +467,10 @@ class _Lowerer:
     for a positive literal, half 2 for a negative one. So an asserted bit
     demands half 1, a tied bit both, a negation swaps the halves it
     demands, and an XOR demands both halves of its inputs. Setting every
-    gate to its function's value satisfies this encoding, and in every model
-    of it the emitted halves keep each root clause true of the functions'
-    values, so both encodings project onto the declared bits alike. Literals
-    in variable order.
+    demanded gate to its function's value, and every other false,
+    satisfies this encoding, and in every model of it the emitted halves
+    keep each root clause true of the functions' values, so both encodings
+    project onto the declared bits alike. Literals in variable order.
     """
 
     def __init__(self, first_gate_var: int):
@@ -632,8 +632,8 @@ class _Lowerer:
         for slot in self._slots:
             if type(slot) is tuple:
                 out.append(slot)
-            else:
-                out += _definition(*self._defs[slot - first], slot, need[slot - first])
+            else:  # a gate nothing demands gets no half: fix it false
+                out += _definition(*self._defs[slot - first], slot, need[slot - first]) or [(-slot,)]
         return out
 
     def bits_of(self, e: BvExpr, env: Mapping[str, tuple[int, ...]]) -> list[Bit]:

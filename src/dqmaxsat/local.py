@@ -8,18 +8,13 @@ variables (otherwise the two cofactors could double-count); that test is
 oracle.ChainTable's too. plan_split picks up to MAX_SPLIT_VARS of them;
 solve_local solves the leaves and joins them by Shannon expansion.
 
-When every chooser sees exactly the split variables (and there are at most
-MAX_SPLIT_VARS choosers), each leaf picks one tuple of constants: Max#SAT
-over constant choices, the one-block case of oracle.ChainTable's DP.
-solve_local then solves the whole instance by the global reduction, whose
-table answers it from one enumeration.
-
-Otherwise each leaf is the cofactor of the problem under its monomial
+Each leaf is the cofactor of the problem under its monomial
 (leaf_problems), solved on its own by the global reduction. Leaf counts
 add, so the optima of the whole are the products of the leaves' optima,
 and within one monomial the order of minterms_of is the residual
 support's own order: the product of the leaves' least optima is the least
-optimum of the whole.
+optimum of the whole, which solve_local therefore finds by the global
+reduction on the whole instance exactly where oracle.holds_rows(p).
 """
 
 from __future__ import annotations
@@ -30,17 +25,15 @@ from typing import Callable, Iterable, Sequence
 from .counting import check_solution
 from .engine import Engine
 from .formula import Cnf, MintermFunction, Problem, Solution, cofactor, minterms_of
+from .oracle import holds_rows
 from .reduction import solve_global
 
-# at most 2**6 = 64 leaves per split; constant choices are solved whole for
-# at most as many choosers, past them leaf by leaf, one selector per chooser
+# at most 2**6 = 64 leaves per split
 MAX_SPLIT_VARS = 6
 
-# leaves are solved by the global reduction, once per leaf, on the leaf's
-# own cofactor (leaf_problems); an instance of constant choices solved
-# whole never comes here. A one-entry table only because the benchmark's
-# spans (perfbench/spans.py) wrap its values, so solve_local looks the
-# solver up here on every solve it splits into leaves
+# the solver of each leaf's cofactor (leaf_problems); a one-entry table only
+# because the benchmark's spans (perfbench/spans.py) wrap its values, so
+# solve_local looks it up here on every solve it splits into leaves
 LEAF_SOLVERS: dict[str, Callable[..., Solution]] = {"global": solve_global}
 
 # per formula, for as long as it lives: (unshared candidates, shared set) -> forced
@@ -135,16 +128,14 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
 def solve_local(p: Problem) -> Solution:
     """Split, solve the leaves, recombine, and recount.
 
-    Constant choices, where every chooser sees exactly the split variables
-    and there are at most MAX_SPLIT_VARS choosers, are solved whole by the
-    global reduction: its least optimum is the product of the leaves'.
-    Otherwise each leaf's cofactor is solved by the global reduction, one
-    leaf after another. The count is re-verified against an independent
-    recount of the strategies before being returned; a disagreement
-    raises and means a solver bug, never a bad input.
+    The whole instance is solved by the global reduction where
+    oracle.holds_rows(p), otherwise each leaf's cofactor, one leaf after
+    another. The count is re-verified against an independent recount of
+    the strategies before being returned; a disagreement raises and means
+    a solver bug, never a bad input.
     """
     split = plan_split(p)
-    if len(p.max_vars) <= MAX_SPLIT_VARS and all(p.deps[x] == set(split) for x in p.max_vars):
+    if holds_rows(p):
         solution = solve_global(p)
     else:
         solve_leaf = LEAF_SOLVERS["global"]

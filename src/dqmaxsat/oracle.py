@@ -20,15 +20,13 @@ incumbent on a tie and otherwise the lexicographically least optimum:
 
 oracle_call asks the table first exactly when it holds its rows. Forcing
 bounds them by Tb = |cells| · 2^|X| for |X| choosers, one row per cell and
-chooser tuple. The table enumerates them at construction where a full
-table is small (|X| <= |Y| and 2^(|X|+|Y|) <= ROW_GUARD) and projects the
-cells off them, so such a solve enumerates once in all. Otherwise the B&B
-runs with one budget of Tb probes for the whole solve: the table counts
-the probes of all its calls. Once they pass Tb, the table enumerates its
-rows, which the solve has then paid for in probes, and is asked first on
-that call and every later one. A call it cannot answer goes on the B&B
-without a budget, and so does every call of a problem whose full supports
-are not chain-shaped.
+chooser tuple. Where holds_rows(p), the table holds them from construction
+on. Otherwise the B&B runs with one budget of Tb probes for the whole
+solve: the table counts the probes of all its calls. Once they pass Tb,
+the table enumerates its rows, which the solve has then paid for in
+probes, and is asked first on that call and every later one. A call it
+cannot answer goes on the B&B without a budget, and so does every call of
+a problem whose full supports are not chain-shaped.
 
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
@@ -227,6 +225,50 @@ def max_count(req: OracleRequest,
     return OracleResult(best, best_count)
 
 
+def holds_rows(p: Problem) -> bool:
+    """Whether ChainTable(p) holds its rows from construction on; local.solve_local then solves p whole."""
+    return _within_guard(p) and _blocks(p, p.deps) is not None
+
+
+def _within_guard(p: Problem) -> bool:
+    xs, ys = len(p.max_vars), len(p.count_vars)
+    return xs <= ys and 1 << (xs + ys) <= ROW_GUARD
+
+
+def _blocks(p: Problem, supports: Mapping[int, Iterable[int]],
+            ) -> Optional[list[tuple[tuple[int, ...], list[int], list[int]]]]:
+    """The choosers grouped by support, smallest first, or None if the supports are not chain-shaped.
+
+    supports gives each chooser's support. A block is (its support in
+    ascending order, its choosers in prefix order, the support
+    variables the earlier blocks did not see). The supports must be
+    totally ordered by inclusion, and each newly seen variable counted
+    or forced by the counted variables and the earlier blocks'
+    choosers: then a cell and the earlier choices fix what a block
+    sees, so the cells below different observations are disjoint and
+    their counts add. Forcing is Padoa's method, whose verdicts
+    local.functionally_dependent keeps; the table keeps none.
+    """
+    from . import local  # local imports this module
+
+    by_support: dict[tuple[int, ...], list[int]] = {}
+    for x in p.max_vars:
+        by_support.setdefault(tuple(sorted(supports[x])), []).append(x)
+    blocks = []
+    seen: frozenset[int] = frozenset()
+    earlier: list[int] = []
+    for support in sorted(by_support, key=len):
+        if not seen <= set(support):
+            return None
+        new = sorted(set(support) - seen)
+        if local.functionally_dependent(p.cnf, new, p.count_vars.union(earlier)) != set(new):
+            return None
+        blocks.append((support, by_support[support], new))
+        seen = frozenset(support)
+        earlier += by_support[support]
+    return blocks
+
+
 class ChainTable:
     """The cells and rows of one solve, and the DP that answers its chain-shaped calls.
 
@@ -239,27 +281,27 @@ class ChainTable:
     forced by a cell and the choosers, so R has at most bound = Tb =
     |cells| · 2^|X| rows, one per cell and chooser tuple.
 
-    Where |X| <= |Y| and 2^(|X|+|Y|) <= ROW_GUARD, the construction tests
-    the full shape and, where it holds, enumerates the rows and takes the
-    cells as their projection; otherwise the cells come first. _rows is
+    Where holds_rows(p), the rows come first; otherwise the cells. _rows is
     the list of rows once enumerated, None before, and False when the full
-    supports are not chain-shaped. spent counts the probes of every B&B
-    call that oracle_call budgets against bound.
+    supports are not chain-shaped (known from construction on within the
+    row guard). spent counts the B&B probes that oracle_call budgets.
     """
 
     def __init__(self, p: Problem):
         self.problem = p
-        xs, ys = len(p.max_vars), len(p.count_vars)
         order = sorted(p.count_vars.union(p.max_vars, *p.deps.values()))
         self._rows: list[tuple[int, ...]] | bool | None = None
         # each variable's column, and what reads a row's cell
         self._column = {v: i for i, v in enumerate(order)}
         self._cell = _columns([self._column[y] for y in sorted(p.count_vars)])
-        if xs <= ys and 1 << (xs + ys) <= ROW_GUARD and self._enumerate():
+        if holds_rows(p):
+            self._enumerate()
             self.cells = tuple(sorted(set(map(self._cell, self._rows))))
         else:
+            if _within_guard(p):  # so the full supports are not chain-shaped
+                self._rows = False
             self.cells = reachable_cells(p.cnf, p.count_vars)
-        self.bound = len(self.cells) << xs
+        self.bound = len(self.cells) << len(p.max_vars)
         self.spent = 0
 
     def solve(self, sel: "SelectorMap", incumbent: Mapping[int, bool]) -> Optional[OracleResult]:
@@ -281,7 +323,7 @@ class ChainTable:
         """
         if not self._enumerate():
             return None
-        blocks = self._blocks(sel.supports)
+        blocks = _blocks(self.problem, sel.supports)
         if blocks is None:
             return None
         if blocks == []:  # no choosers: every cell counts
@@ -307,45 +349,11 @@ class ChainTable:
             best.update(fixed)
         return OracleResult(best, best_count)
 
-    def _blocks(self, supports: Mapping[int, tuple[int, ...]],
-                ) -> Optional[list[tuple[tuple[int, ...], list[int], list[int]]]]:
-        """The choosers grouped by support, smallest first, or None if the supports are not chain-shaped.
-
-        supports gives each chooser's support in ascending order. A block
-        is (its support, its choosers in prefix order, the support
-        variables the earlier blocks did not see). The supports must be
-        totally ordered by inclusion, and each newly seen variable counted
-        or forced by the counted variables and the earlier blocks'
-        choosers: then a cell and the earlier choices fix what a block
-        sees, so the cells below different observations are disjoint and
-        their counts add. Forcing is Padoa's method, whose verdicts
-        local.functionally_dependent keeps; the table keeps none.
-        """
-        from . import local  # local imports this module
-
-        p = self.problem
-        by_support: dict[tuple[int, ...], list[int]] = {}
-        for x in p.max_vars:
-            by_support.setdefault(supports[x], []).append(x)
-        blocks = []
-        seen: frozenset[int] = frozenset()
-        earlier: list[int] = []
-        for support in sorted(by_support, key=len):
-            if not seen <= set(support):
-                return None
-            new = sorted(set(support) - seen)
-            if local.functionally_dependent(p.cnf, new, p.count_vars.union(earlier)) != set(new):
-                return None
-            blocks.append((support, by_support[support], new))
-            seen = frozenset(support)
-            earlier += by_support[support]
-        return blocks
-
     def _enumerate(self) -> bool:
         """Enumerate the rows unless done already; False when the full supports are not chain-shaped."""
         if self._rows is None:
             p = self.problem
-            if self._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is None:
+            if _blocks(p, p.deps) is None:
                 self._rows = False
             else:
                 self._rows = []

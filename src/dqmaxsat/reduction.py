@@ -8,9 +8,9 @@ a plain choice of selector values, solved by one oracle call
 instead of max_count) and decoded back into minterm sets. SelectorMap is
 the one allocator of selector ids and selector_objective the one encoding,
 for any supports, full or partial: the global reduction builds its map
-over the full dependency sets (the local method solves an instance of
-constant choices by it whole, and each leaf with a residual support on
-its cofactor), and the incremental method starts from empty supports and
+over the full dependency sets (the local method solves an instance by it
+whole where oracle.holds_rows holds, and otherwise each leaf on its
+cofactor), and the incremental method starts from empty supports and
 grows them with SelectorMap.with_support.
 """
 

@@ -31,6 +31,13 @@ and the script prints each one's fastest run per tree and their ratio:
 
     python3 tests/ab.py PARENT CHANGE --bundled --repeat 5
 
+With ``--hand-written`` they run the hand-written instances that
+``tests/test_golden.py`` pins (``tests/hand_written.py``: the local paths
+no benchmark instance takes, the residual games at widths 2 and 3
+included) the same way:
+
+    python3 tests/ab.py PARENT CHANGE --hand-written --repeat 5
+
 PARENT and CHANGE are checkouts, each holding ``src/dqmaxsat``; make the
 parent's with ``git archive``. A tree against a copy of itself shows how
 far the host's noise alone moves the ratios.
@@ -50,6 +57,8 @@ import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
+
+from hand_written import HAND_WRITTEN
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SOLVES = ("solve", "solve-program")
@@ -137,13 +146,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description="Run one command on the benchmark's instances with two source trees in "
                     "one process and print the per-instance time ratios change / parent per "
-                    "workload, or each bundled instance's ratio with --bundled.")
+                    "workload, or each instance's ratio with --bundled or --hand-written.")
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--seed", type=int)
     ap.add_argument("--count", type=int)
     ap.add_argument("--bundled", action="store_true",
                     help="time the bundled instances instead of the benchmark's")
+    ap.add_argument("--hand-written", action="store_true",
+                    help="time the hand-written instances instead of the benchmark's")
     ap.add_argument("--op", choices=("count", "solve", "check"), action="append",
                     help="a command to time; repeat for more (default solve)")
     ap.add_argument("--repeat", type=int, default=3, help="runs per tree and instance (default 3)")
@@ -152,22 +163,28 @@ def main(argv=None) -> int:
     ap.add_argument("--stride", type=int, default=1,
                     help="step between the indices of the instances timed (default 1)")
     args = ap.parse_args(argv)
-    if not args.bundled and (args.seed is None or args.count is None):
-        ap.error("--seed and --count are required without --bundled")
+    if args.bundled and args.hand_written:
+        ap.error("--bundled and --hand-written exclude each other")
+    if not (args.bundled or args.hand_written) and (args.seed is None or args.count is None):
+        ap.error("--seed and --count are required without --bundled or --hand-written")
     if args.start < 0 or args.stride < 1:
         ap.error("--start must be at least 0 and --stride at least 1")
     ops = args.op or ["solve"]
     trees = {name: load_tree(root, f"ab_{name}")
              for name, root in (("parent", args.parent), ("change", args.change))}
-    if args.bundled:
-        base = args.change / "src" / "dqmaxsat" / "bench"
-        bundled = [SimpleNamespace(name=Path(fname).stem, suffix=Path(fname).suffix,
-                                   text=(base / fname).read_text())
-                   for fname in trees["change"]._SUITE]
+    if args.bundled or args.hand_written:
+        if args.bundled:
+            base = args.change / "src" / "dqmaxsat" / "bench"
+            listed = [SimpleNamespace(name=Path(fname).stem, suffix=Path(fname).suffix,
+                                      text=(base / fname).read_text())
+                      for fname in trees["change"]._SUITE]
+        else:
+            listed = [SimpleNamespace(name=name, suffix=suffix, text=text)
+                      for name, (suffix, text) in HAND_WRITTEN.items()]
         for op in ops:
             with tempfile.TemporaryDirectory() as d:
-                pairs = compare(trees, bundled, Path(d), args.repeat, op)
-            for inst, (parent_ms, ratio) in zip(bundled, pairs):
+                pairs = compare(trees, listed, Path(d), args.repeat, op)
+            for inst, (parent_ms, ratio) in zip(listed, pairs):
                 print(f"{inst.name} {op}: parent {parent_ms:.1f} ms, "
                       f"change {parent_ms * ratio:.1f} ms, ratio {ratio:.3f}")
         return 0

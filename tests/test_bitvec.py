@@ -420,7 +420,8 @@ def _declared_cells(text: str, full: bool = False) -> list:
 
 
 # adders and comparisons whose operands fold: constants, a repeated operand,
-# a negated one, and connectives over asserted and negated conditions
+# a negated one, connectives over asserted and negated conditions, and a sum
+# whose only user folds to true, which leaves its gates undemanded
 FOLDING = {
     "constant_addend": "width 3\nmode leak\nrandom a\nobserve s := a + 5\n",
     "constant_minuend": "width 3\nmode leak\nrandom a\nobserve s := 6 - a\n",
@@ -428,6 +429,7 @@ FOLDING = {
     "three_terms": ("width 3\nmode reach\nrandom a\nrandom b\ninput x\n"
                     "assume !(a + b == x)\nwin a + b + x >= 5 || a - x == b\n"),
     "one_bit": "width 1\nmode leak\nrandom a\nrandom b\nobserve s := a + b + 1\nassume !(s <= a)\n",
+    "unused_sum": "width 2\nmode leak\nrandom a\nrandom b\nassume a + b >= a + b\n",
 }
 
 

@@ -2,9 +2,9 @@
 
 Speed-ups must not change a count, a function or a result document. Each
 case is one instance: a benchmark instance generated with
-perfbench/workloads.py, or a hand-written text for a path no benchmark
-instance takes. Its digest (``golden.digest``: the sha256 of the three
-outputs, timings zeroed) must equal the pinned one.
+perfbench/workloads.py, or a hand-written text (tests/hand_written.py) for
+a path no benchmark instance takes. Its digest (``golden.digest``: the
+sha256 of the three outputs, timings zeroed) must equal the pinned one.
 
 A digest changes only when an output does. If a change is meant to alter
 outputs, say so and re-pin; a perf change never should.
@@ -14,10 +14,12 @@ from importlib import resources
 
 import pytest
 
-from dqmaxsat import cli
+from dqmaxsat import cli, local, oracle, reduction
+from dqmaxsat.formula import eliminate_unseen
 from dqmaxsat.local import plan_split
 
 from golden import digest, formula_sizes, load_workloads, main
+from hand_written import HAND_WRITTEN, RESIDUAL
 
 SEED = 1
 
@@ -53,48 +55,9 @@ GOLDEN = {
 }
 
 
-# local solves whose choosers keep a residual support after the split, so
-# their leaves are not constant: the helper instance of tests/instances.py,
-# and two-input adaptive reach games whose second input also sees an
-# observation of the first input; taken before those leaves went through
-# solve_global
-HAND_WRITTEN = {
-    "or_with_free_helper": (".dqm", """\
-p dqmscnf 5 4
-d 1 2 3 4 5 0
-r 2 3 4 0
-e 5 0
--1 2 5 0
-1 -2 0
-1 -5 0
--1 -4 3 0
-"""),
-    "sum_then_observed_window": (".atk", """\
-width 2
-mode reach
-random y1
-random y2
-observe s := y1 + y2
-input x1
-observe o := y1 >= x1
-input x2
-assume x1 <= y2
-win x2 <= y1 && y1 <= x2 + 1
-"""),
-    "difference_then_observed_guess": (".atk", """\
-width 2
-mode reach
-random y1
-random y2
-observe s := y1 - y2
-input x1
-observe o := y1 >= x1
-input x2
-assume x1 <= y2
-win x2 == y1
-"""),
-}
-
+# taken for the helper and the width-2 games before residual leaves went
+# through solve_global, and for the others before local solved whole
+# wherever oracle.holds_rows holds
 HAND_WRITTEN_GOLDEN = {
     "or_with_free_helper":
         "6e86843daccacc5f9a13a1e23739f30d954a27306f9564aa182c2b9e7b49df14",
@@ -102,7 +65,17 @@ HAND_WRITTEN_GOLDEN = {
         "5d175f906691be0a40057a72757f341023c1ef7285f66e3a7e4c14adacfc862a",
     "difference_then_observed_guess":
         "7202be5f951cc340a73415b495fb0b9f0a2fc3d971d68d9dbebed30bcccca01b",
+    "sum_then_observed_window_width3":
+        "6d9fcc972215bc02ac5dc27ab0f06fd049a39ab8828afeef3016e8e4c2adf508",
+    "difference_then_observed_guess_width3":
+        "c735219eca36209835695c60479f90676f31cf568fc39ac1dcf482dda44d7907",
+    "three_constant_choosers":
+        "c5f29d9b25dee1610c2a70bf21dbbe81a71181b882356afb57401fb91b341a96",
 }
+
+# the leaves solve_local takes; every other case is solved whole by one
+# global reduction, since its table holds its rows
+LEAVES = {"or_with_free_helper": 8, "three_constant_choosers": 2}
 
 
 @pytest.mark.parametrize("workload, index", sorted(GOLDEN))
@@ -118,9 +91,25 @@ def test_hand_written_outputs_match_pinned_digest(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_hand_written_cases_solve_whole_exactly_where_the_table_holds_its_rows(name, monkeypatch):
+    problem = cli.load_instance_text(HAND_WRITTEN[name][1])[0]
+    leaves, reductions = [], []
+    solve_leaf = local.LEAF_SOLVERS["global"]
+    monkeypatch.setitem(local.LEAF_SOLVERS, "global",
+                        lambda leaf: leaves.append(leaf) or solve_leaf(leaf))
+    monkeypatch.setattr(reduction, "build_reduction",
+                        lambda *args, real=reduction.build_reduction: reductions.append(args) or real(*args))
+    method = cli.run_method(problem)[1]
+    assert method == "local"
+    want = LEAVES.get(name, 0)
+    assert (len(leaves), len(reductions)) == (want, max(want, 1))
+    assert oracle.holds_rows(eliminate_unseen(problem)) == (want == 0)
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL))
 def test_hand_written_cases_keep_a_residual_support(name):
-    # they pin local leaves that are not constant: some chooser sees more
-    # than the split variables
+    # they pin local solves whose choosers are not all constant on a leaf:
+    # some chooser sees more than the split variables
     problem = cli.load_instance_text(HAND_WRITTEN[name][1])[0]
     split = plan_split(problem)
     assert any(problem.deps[x] != set(split) for x in problem.max_vars)

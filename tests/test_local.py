@@ -375,12 +375,13 @@ class TestConstantLeaves:
         assert engines_built == []
 
     def test_seven_constant_choosers_take_the_leaf_solver(self, monkeypatch):
-        # more choosers than MAX_SPLIT_VARS: each leaf is an oracle call
+        # more choosers than counted variables: the table holds no rows up
+        # front, so each leaf is an oracle call
         f = Cnf.build(10, [[-8, -9, 3], [-8, 9, -3], [8, -1, -10], [8, 1, 10, 4],
                            [-4, -5, 9], [-5, 6, -7], [2, 7, 10], [-2, -6]])
         p = Problem.of(f, max_vars=range(1, 8), count_vars=[8, 9, 10], exist_vars=[],
                        deps={x: [8] for x in range(1, 8)})
-        assert plan_split(p) == (8,) and len(p.max_vars) > MAX_SPLIT_VARS
+        assert plan_split(p) == (8,) and not oracle.holds_rows(p)
         calls = []
         solve_leaf = local.LEAF_SOLVERS["global"]
         monkeypatch.setitem(local.LEAF_SOLVERS, "global",
@@ -391,6 +392,28 @@ class TestConstantLeaves:
         assert s.functions == want.functions
         assert s.achieved_count == want.achieved_count == 6
         assert brute_force_dqmaxsat(p).achieved_count == 6
+
+    @pytest.mark.parametrize("choosers", range(3, 7))
+    def test_more_choosers_than_counted_variables_take_the_leaf_solver(self, choosers, monkeypatch):
+        # every chooser sees only the split, but the choosers outnumber the
+        # counted variables: the table holds no rows up front, and each of
+        # the two leaves is solved on its own
+        rng = random.Random(choosers)
+        k = choosers
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, k + 4), 3)]
+                   for _ in range(2 * k)]
+        p = Problem.of(Cnf.build(k + 3, clauses), max_vars=range(1, k + 1),
+                       count_vars=[k + 1, k + 2], exist_vars=[k + 3],
+                       deps={x: [k + 1] for x in range(1, k + 1)})
+        assert plan_split(p) == (k + 1,) and not oracle.holds_rows(p)
+        leaves = []
+        solve_leaf = local.LEAF_SOLVERS["global"]
+        monkeypatch.setitem(local.LEAF_SOLVERS, "global",
+                            lambda leaf: leaves.append(leaf) or solve_leaf(leaf))
+        s = solve_local(p)
+        assert leaves == leaf_problems(p, (k + 1,))
+        assert s.functions == solve_global(p).functions
+        assert s.achieved_count == brute_force_dqmaxsat(p).achieved_count
 
 
 class TestSolveLocal:

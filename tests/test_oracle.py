@@ -496,7 +496,7 @@ class TestChainTable:
         p = load_instance_text(text)[0]
         assert (len(p.max_vars), len(p.count_vars)) == (4, 2)
         req, sel, table = build_reduction(p)
-        assert table._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None
+        assert oracle._blocks(p, {x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None
         assert row_tables == [sorted(p.count_vars)]
         budgeted = []
         assert oracle_call(table, sel, req, _recorded(budgeted)) == max_count(req)
@@ -514,7 +514,7 @@ class TestChainTable:
                        deps={1: [2], 4: [2, 3]})
         req, sel, table = build_reduction(p)
         assert row_tables == [[1, 2, 3, 4, 5]]
-        blocks = table._blocks(sel.supports)
+        blocks = oracle._blocks(p, sel.supports)
         assert [support for support, _, _ in blocks] == [(2,), (2, 3)]
         tree = table._tree(table._rows, blocks, sel, 0)
         assert len(tree) == 2
@@ -657,7 +657,7 @@ class TestChainTable:
         # where the full supports are chain-shaped, a row is fixed by its
         # cell and its chooser tuple, so the rows number at most Tb
         table = ChainTable(p)
-        if table._blocks({x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None:
+        if oracle._blocks(p, {x: tuple(sorted(p.deps[x])) for x in p.max_vars}) is not None:
             assert table._enumerate()
             assert len(table._rows) <= table.bound
 
