@@ -24,9 +24,10 @@ CNF, whatever the supports, so every request of the run carries the cells
 of the one ChainTable that init builds for the run. Every call goes
 through oracle.oracle_call with that table: its rows span the full
 dependency sets, so one enumeration serves every partial support, and
-where the full supports are chain-shaped it gives the cells too. The table
-also holds the run's one B&B probe budget: once the calls together pass
-it, the table is asked first on every later call.
+within the row guard it gives the cells too, and the DP or the B&B
+probing rows answers every call. Past it the table holds the run's one
+B&B probe budget: once the calls together pass it, the table is asked
+first on every later call.
 """
 
 from __future__ import annotations

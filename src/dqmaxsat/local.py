@@ -14,7 +14,8 @@ add, so the optima of the whole are the products of the leaves' optima,
 and within one monomial the order of minterms_of is the residual
 support's own order: the product of the leaves' least optima is the least
 optimum of the whole, which solve_local therefore finds by the global
-reduction on the whole instance exactly where oracle.holds_rows(p).
+reduction on the whole instance exactly where oracle.holds_rows(p) (the
+DP answers it; a leaf within the row guard may be probed on its rows).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .counting import check_solution
 from .engine import Engine
 from .formula import Cnf, MintermFunction, Problem, Solution, cofactor, minterms_of
 from .oracle import holds_rows
-from .reduction import solve_global
+from .reduction import check_selectors, solve_global
 
 # at most 2**6 = 64 leaves per split
 MAX_SPLIT_VARS = 6
@@ -128,12 +129,14 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
 def solve_local(p: Problem) -> Solution:
     """Split, solve the leaves, recombine, and recount.
 
+    The selector budget is checked first: the leaves need as many in all.
     The whole instance is solved by the global reduction where
     oracle.holds_rows(p), otherwise each leaf's cofactor, one leaf after
     another. The count is re-verified against an independent recount of
     the strategies before being returned; a disagreement raises and means
     a solver bug, never a bad input.
     """
+    check_selectors(len(h) for h in p.deps.values())
     split = plan_split(p)
     if holds_rows(p):
         solution = solve_global(p)

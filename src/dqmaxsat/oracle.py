@@ -7,26 +7,27 @@ request; the solve's ChainTable gives them, so a solve enumerates them once
 however many calls it makes. Two answers give the same result, the
 incumbent on a tie and otherwise the lexicographically least optimum:
 
-- max_count, a branch and bound (B&B) over the selectors that probes cells
-  on a SAT engine and keeps each cell's last model, for any request;
+- max_count, a branch and bound (B&B) over the selectors that probes cells,
+  on a SAT engine or the table's rows, and keeps each cell's last witness;
 - ChainTable.solve, a dynamic program over one table of rows per solve, for
-  chain-shaped calls of a problem whose full supports are chain-shaped:
-  the choosers' supports are nested, and every newly observed variable is
-  counted or forced. Such a call is an exist/random game tree (Littman,
-  Majercik & Pitassi, JAR 2001), a max over chooser tuples, then a sum
-  over the observed values; Max#SAT over constant choices is its
-  one-block case (Fremont, Rabe & Seshia, AAAI 2017), and this DP is the
-  only code that solves it.
+  chain-shaped calls: the choosers' supports are nested, and every newly
+  observed variable is counted or forced. Such a call is an exist/random
+  game tree (Littman, Majercik & Pitassi, JAR 2001), a max over chooser
+  tuples, then a sum over the observed values; Max#SAT over constant
+  choices is its one-block case (Fremont, Rabe & Seshia, AAAI 2017), and
+  this DP is the only code that solves it.
 
-oracle_call asks the table first exactly when it holds its rows. Forcing
-bounds them by Tb = |cells| · 2^|X| for |X| choosers, one row per cell and
-chooser tuple. Where holds_rows(p), the table holds them from construction
-on. Otherwise the B&B runs with one budget of Tb probes for the whole
-solve: the table counts the probes of all its calls. Once they pass Tb,
-the table enumerates its rows, which the solve has then paid for in
-probes, and is asked first on that call and every later one. A call it
-cannot answer goes on the B&B without a budget, and so does every call of
-a problem whose full supports are not chain-shaped.
+oracle_call's rule. Whatever the supports, a cell is reachable under fixed
+selectors exactly when one of its rows agrees with them at its
+observations. Within the row guard (|X| ≤ |Y| and 2^(|X|+|Y|) ≤ ROW_GUARD,
+for |X| choosers and |Y| counted variables) the table enumerates its rows
+at construction where they are few: forcing bounds them by Tb = |cells| ·
+2^|X| where the full supports are chain-shaped, and otherwise 2^|columns|
+≤ ROW_GUARD must. Each call then goes to the DP if chain-shaped, else to
+the B&B probing rows: none builds an engine or an objective. Past the
+guard the engine B&B has one budget of Tb probes per solve; once its calls
+pass it, the table enumerates its rows, if chain-shaped, and is asked
+first on that call and every later one.
 
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
@@ -48,7 +49,7 @@ if TYPE_CHECKING:
     from .reduction import SelectorMap
 
 # a table enumerates its rows at construction only where a full table of
-# |cells| · 2^|X| rows, with every cell reachable, has at most this many
+# |cells| · 2^|X| rows fits this many, and 2^|columns| too unless chain-shaped
 ROW_GUARD = 1 << 17
 
 
@@ -78,8 +79,8 @@ class OracleRequest:
 class DeferredRequest(OracleRequest):
     """A request whose objective is built on its first read.
 
-    Only max_count reads it, so a call that the row table answers builds
-    none.
+    Only max_count's engine probe reads it, so a call that the row table
+    answers or probes builds none.
     """
 
     def __init__(self, objective: Callable[[], Cnf], incumbent: Mapping[int, bool],
@@ -113,9 +114,13 @@ def reachable_cells(f: Cnf, count_vars: Iterable[int]) -> tuple[tuple[int, ...],
     return tuple(cells)
 
 
+# assumed literals and a cell to a witness indexed by variable, or None
+Probe = Callable[[list[int], tuple[int, ...]], Optional[list[int]]]
+
+
 def max_count(req: OracleRequest,
               budget: Optional[Callable[[int], Optional[OracleResult]]] = None,
-              ) -> OracleResult:
+              probe: Optional[Probe] = None) -> OracleResult:
     """Best assignment of the choice variables, incumbent included.
 
     The count variables are read off the first cell; a request whose cells
@@ -128,17 +133,18 @@ def max_count(req: OracleRequest,
     still individually reachable below it; the list only shrinks along a
     branch, bounding every completion from above.
 
-    A cell carries the last model the engine found for it. If that model
-    agrees with a child's new literal, it is a model of the child's query
-    too, and the cell is kept without a probe; otherwise the engine is
-    asked. Either way gives the answer an engine call would, so the search
+    A cell carries the last witness found for it. If the witness does not
+    contradict a child's new literal, it witnesses the child's query too,
+    and the cell is kept without a probe; otherwise the probe is asked.
+    Either way gives the answer an engine call would, so the search
     accepts the same strict improvements in the same order as one that asks
     every time, and the result is still the lexicographically least optimum.
 
-    One engine serves a call, and it only probes: the root's cells come
-    with the request. The incumbent is counted on it, one probe per root
-    cell under the incumbent's literals, and those probes' models are what
-    the root's cells start with.
+    probe, when given, answers the probes and the objective is never read
+    (ChainTable.probe's witnesses leave 0 on selectors they do not fix);
+    otherwise one engine on the objective does. The incumbent is counted
+    first, one probe per root cell (they come with the request) under its
+    literals, and those witnesses seed the root's cells.
 
     budget, when given, is charged the probes as they are spent: once per
     node, the root's with the first node (a call whose incumbent reaches
@@ -151,20 +157,20 @@ def max_count(req: OracleRequest,
     ys = [abs(lit) for lit in root_cells[0]] if root_cells else []
     if ys != sorted(set(ys)) or any(list(map(abs, cell)) != ys for cell in root_cells):
         raise MalformedRequest("the cells are not over one ascending set of variables")
-    nv = max([req.objective.num_vars] + ms + ys, default=0)
+    if probe is None:
+        engine = Engine(max([req.objective.num_vars] + ms + ys, default=0), req.objective.clauses)
+
+        def probe(lits: list[int], cell: tuple[int, ...]) -> Optional[list[int]]:
+            # the shared B&B prefix first: the engine keeps its levels between probes
+            return engine.witness if engine.satisfiable([*lits, *cell]) else None
 
     # a cell entry: the cell and its last witness (None until one is found)
     Entry = tuple[tuple[int, ...], Optional[list[int]]]
 
     # the incumbent's count: each root cell probed under the incumbent's
-    # literals, which come first so every probe keeps their levels; the
-    # witnesses found here seed the root entries
-    probe = Engine(nv, req.objective.clauses)
+    # literals; the witnesses found here seed the root entries
     inc_lits = [v if incumbent[v] else -v for v in ms]
-    roots: list[Entry] = [
-        (cell, probe.witness if probe.satisfiable([*inc_lits, *cell]) else None)
-        for cell in root_cells
-    ]
+    roots: list[Entry] = [(cell, probe(inc_lits, cell)) for cell in root_cells]
     best_count = sum(wit is not None for _, wit in roots)
     best = incumbent
     if len(root_cells) <= best_count:
@@ -182,13 +188,13 @@ def max_count(req: OracleRequest,
         for entry in cells:
             remaining -= 1
             cell, wit = entry
-            if wit is not None and wit[v] == value:
+            if wit is not None and wit[v] != -value:
                 surviving.append(entry)
             else:
-                # the shared B&B prefix first: the engine keeps its levels between probes
                 spent += 1
-                if probe.satisfiable([*assumed, *cell]):
-                    surviving.append((cell, probe.witness))
+                wit = probe(assumed, cell)
+                if wit is not None:
+                    surviving.append((cell, wit))
             if len(surviving) + remaining <= best_count:
                 return None
         return surviving
@@ -226,7 +232,7 @@ def max_count(req: OracleRequest,
 
 
 def holds_rows(p: Problem) -> bool:
-    """Whether ChainTable(p) holds its rows from construction on; local.solve_local then solves p whole."""
+    """Whether ChainTable(p) holds its rows up front and its DP answers; local.solve_local then solves p whole."""
     return _within_guard(p) and _blocks(p, p.deps) is not None
 
 
@@ -254,12 +260,13 @@ def _blocks(p: Problem, supports: Mapping[int, Iterable[int]],
     by_support: dict[tuple[int, ...], list[int]] = {}
     for x in p.max_vars:
         by_support.setdefault(tuple(sorted(supports[x])), []).append(x)
+    chain = sorted(by_support, key=len)
+    if any(not set(a) <= set(b) for a, b in zip(chain, chain[1:])):
+        return None  # not nested: no forcing test needed
     blocks = []
     seen: frozenset[int] = frozenset()
     earlier: list[int] = []
-    for support in sorted(by_support, key=len):
-        if not seen <= set(support):
-            return None
+    for support in chain:
         new = sorted(set(support) - seen)
         if local.functionally_dependent(p.cnf, new, p.count_vars.union(earlier)) != set(new):
             return None
@@ -270,21 +277,22 @@ def _blocks(p: Problem, supports: Mapping[int, Iterable[int]],
 
 
 class ChainTable:
-    """The cells and rows of one solve, and the DP that answers its chain-shaped calls.
+    """The cells and rows of one solve, its DP and its row probe.
 
     The rows R are the models of the problem's CNF projected onto the
-    counted variables, the choosers and every dependency variable; they
-    serve every call of the solve, partial supports included. cells are
-    the CNF's count-cells as reachable_cells gives them, which every
-    request of the solve carries. The table answers only problems whose
-    full supports are chain-shaped: then every dependency variable is
-    forced by a cell and the choosers, so R has at most bound = Tb =
-    |cells| · 2^|X| rows, one per cell and chooser tuple.
+    counted variables, the choosers and every dependency variable (the
+    columns); they serve every call of the solve, partial supports
+    included. cells are the CNF's count-cells as reachable_cells gives
+    them, which every request of the solve carries. Where the full
+    supports are chain-shaped, every dependency variable is forced by a
+    cell and the choosers, so R has at most bound = Tb = |cells| · 2^|X|
+    rows, one per cell and chooser tuple.
 
-    Where holds_rows(p), the rows come first; otherwise the cells. _rows is
-    the list of rows once enumerated, None before, and False when the full
-    supports are not chain-shaped (known from construction on within the
-    row guard). spent counts the B&B probes that oracle_call budgets.
+    up_front: within the row guard, where 2^|columns| ≤ ROW_GUARD or else
+    the full supports are chain-shaped, the rows come first and the cells
+    are their projection. _rows is the list of rows once enumerated, None
+    before, and False when they are not bounded. spent counts the B&B
+    probes that oracle_call budgets.
     """
 
     def __init__(self, p: Problem):
@@ -294,12 +302,10 @@ class ChainTable:
         # each variable's column, and what reads a row's cell
         self._column = {v: i for i, v in enumerate(order)}
         self._cell = _columns([self._column[y] for y in sorted(p.count_vars)])
-        if holds_rows(p):
-            self._enumerate()
+        self.up_front = _within_guard(p) and self._enumerate(bounded=1 << len(order) <= ROW_GUARD)
+        if self.up_front:
             self.cells = tuple(sorted(set(map(self._cell, self._rows))))
         else:
-            if _within_guard(p):  # so the full supports are not chain-shaped
-                self._rows = False
             self.cells = reachable_cells(p.cnf, p.count_vars)
         self.bound = len(self.cells) << len(p.max_vars)
         self.spent = 0
@@ -307,9 +313,9 @@ class ChainTable:
     def solve(self, sel: "SelectorMap", incumbent: Mapping[int, bool]) -> Optional[OracleResult]:
         """What max_count returns for this call, or None when the call is not chain-shaped.
 
-        Also None when the full supports are not chain-shaped; otherwise
-        the rows are enumerated first if they are not yet. The selectors
-        are sel's, over its supports, and incumbent assigns every one of
+        Also None when the rows are not bounded; otherwise they are
+        enumerated first if they are not yet. The selectors are sel's,
+        over its supports, and incumbent assigns every one of
         them. Each chooser's selector at a group's observation restricts
         its value there, and a group whose allowed tuples have no rows
         counts 0. The incumbent is returned when it ties the optimum.
@@ -349,16 +355,43 @@ class ChainTable:
             best.update(fixed)
         return OracleResult(best, best_count)
 
-    def _enumerate(self) -> bool:
-        """Enumerate the rows unless done already; False when the full supports are not chain-shaped."""
+    def _enumerate(self, bounded: bool = False) -> bool:
+        """Enumerate the rows unless done; False when not bounded (by few columns or the chain shape)."""
         if self._rows is None:
             p = self.problem
-            if _blocks(p, p.deps) is None:
+            if not bounded and _blocks(p, p.deps) is None:
                 self._rows = False
             else:
                 self._rows = []
                 enumerate_projected(p.cnf, list(self._column), visit=self._rows.append)
         return self._rows is not False
+
+    def probe(self, sel: "SelectorMap") -> Probe:
+        """max_count's probe for a call over sel's selectors, read off the rows.
+
+        A row reaches its cell unless an assumed literal contradicts a
+        chooser's value in it at its observation (an active selector). The
+        witness signs such a row's active selectors, 0 elsewhere.
+        """
+        column, nv = self._column, sel.num_vars
+        readers = [(_columns([column[v] for v in sel.supports[x]]), column[x], sel.selectors[x])
+                   for x in self.problem.max_vars]
+        # per cell, each distinct active-selector tuple of its rows, in row order
+        active: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
+        for row in self._rows:
+            lits = tuple([s if row[c] > 0 else -s for observe, c, table in readers
+                          for s in (table[observe(row)],)])
+            active.setdefault(self._cell(row), {})[lits] = None
+
+        def probe(assumed: list[int], cell: tuple[int, ...]) -> Optional[list[int]]:
+            for lits in active[cell]:
+                if all(-lit not in assumed for lit in lits):
+                    wit = [0] * (nv + 1)
+                    for lit in lits:
+                        wit[abs(lit)] = 1 if lit > 0 else -1
+                    return wit
+            return None
+        return probe
 
     def _tree(self, rows: list[tuple[int, ...]], blocks, sel: "SelectorMap", k: int) -> list:
         """The DP's tree for block k over the given rows, which agree on what blocks < k saw and chose.
@@ -420,14 +453,17 @@ def oracle_call(table: ChainTable, sel: "SelectorMap", req: OracleRequest,
     bnb is max_count; callers pass it through their own module's name,
     which the benchmark's spans (perfbench/spans.py) wrap. A table that
     holds its rows is asked first, and a call it cannot answer goes to the
-    B&B; so does every call where the full supports are not chain-shaped.
-    Before the rows are enumerated, the B&B charges its probes to the
-    solve's count, and once that passes table.bound the table enumerates
-    its rows and is asked, on that call and first on every later one.
+    B&B, probing the rows where they came up front and otherwise the
+    engine; so does every call where the rows are not bounded. Before the
+    rows are enumerated, the B&B charges its probes to the solve's count,
+    and once that passes table.bound the table enumerates its rows and is
+    asked, on that call and first on every later one.
     """
     if table._rows is not None:
         res = table.solve(sel, req.incumbent)
-        return res if res is not None else bnb(req)
+        if res is None:
+            res = bnb(req, probe=table.probe(sel)) if table.up_front else bnb(req)
+        return res
 
     def budget(probes: int) -> Optional[OracleResult]:
         if table._rows is not None:  # asked already in this call

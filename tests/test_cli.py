@@ -753,6 +753,20 @@ class TestSolverBudgets:
         # three iterations grow each support to one variable: 4 selectors
         assert run_cli(capsys, "solve", str(path), "--method", method, "--budget", "3")[0] == 0
 
+    @pytest.mark.parametrize("method", ["auto", "global", "incremental", "local"])
+    def test_every_method_refuses_a_chooser_past_the_selector_budget(self, capsys, tmp_path, method):
+        # one chooser seeing 25 counted variables needs 2^25 selectors; the
+        # local method's leaves would need as many in all, so it refuses up
+        # front too, before it splits
+        seen = " ".join(map(str, range(1, 26)))
+        path = tmp_path / "wide.dqm"
+        path.write_text(f"p dqmscnf 26 1\nd 26 {seen} 0\nr {seen} 0\n1 2 26 0\n")
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "solve", str(path), "--method", method)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (1, "")
+        assert "33554432 selectors exceed the budget of 1048576" in err
+
     def test_run_method_applies_a_zero_budget(self):
         problem, _ = cli.load_instance_text(COPY_OR_AND)
         with pytest.raises(BudgetExceeded):

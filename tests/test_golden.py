@@ -52,6 +52,9 @@ GOLDEN = {
         "a43ec9ec59bbbf577e9e96a836ebff0783bc8d06fd8a13bbf989ef51b18733a4",
     ("count-dqm", 3):
         "2c88e9012901e8272e115041d5f8c7b0b5dde5fa310832cf3084e29e2aad8f2e",
+    # full supports not chain-shaped; taken before such calls probed rows
+    ("count-dqm", 5):
+        "f7c15670b4cfe15ea000151c68a9229b17db2d70ae1a941208fad77ad2bc34ac",
 }
 
 

@@ -223,10 +223,9 @@ class TestRun:
     @pytest.mark.parametrize("name", ["copy_or_and", "two_implications", "copy_or"])
     def test_one_enumeration_per_run(self, name, monkeypatch):
         # init's table enumerates once for the whole run: its rows, whose
-        # projection gives the cells, where the full supports are
-        # chain-shaped (one chooser that sees forced helpers); otherwise
-        # the cells, and the table, whose full supports are not nested
-        # here, answers no call and never enumerates the rows
+        # projection gives the cells, since every table here has few
+        # columns, chain-shaped (one chooser that sees forced helpers) or
+        # not (two_implications, whose full supports are not nested)
         p = getattr(instances, name)()
         enumerations = []
         calls = []
@@ -239,7 +238,7 @@ class TestRun:
         monkeypatch.setattr(oracle, "enumerate_projected", counting_enumerate)
         solution = run(p, on_iteration=calls.append)
         table = sorted(p.count_vars.union(p.max_vars, *p.deps.values()))
-        assert enumerations == [sorted(p.count_vars) if name == "two_implications" else table]
+        assert enumerations == [table]
         assert len(calls) == 1 + sum(len(p.deps[x]) for x in p.max_vars)
         assert solution.achieved_count == brute_force_dqmaxsat(p).achieved_count
         assert init(p).table.cells == reachable_cells(p.cnf, p.count_vars)

@@ -4,7 +4,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dqmaxsat.cli import load_instance_text
 from dqmaxsat.counting import check_solution
@@ -413,9 +413,17 @@ def _refused(req, budget=None):
 
 def _recorded(budgeted: list):
     """max_count, noting for each call whether it ran on a budget."""
-    def bnb(req, budget=None):
+    def bnb(req, budget=None, probe=None):
         budgeted.append(budget is not None)
-        return max_count(req, budget)
+        return max_count(req, budget, probe)
+    return bnb
+
+
+def _probed(kinds: list):
+    """max_count, noting for each call whether it probed the rows or the engine."""
+    def bnb(req, budget=None, probe=None):
+        kinds.append("engine" if probe is None else "rows")
+        return max_count(req, budget, probe)
     return bnb
 
 
@@ -527,15 +535,16 @@ class TestChainTable:
             assert _answers(got) == _answers(max_count(OracleRequest(req.objective, incumbent, req.cells)))
 
     def test_supports_that_are_not_nested(self, two_implications, row_tables):
-        # chooser 1 sees helper 5 and chooser 2 helper 6: the shape fails
-        # before any row is enumerated, and the table enumerates the cells
+        # chooser 1 sees helper 5 and chooser 2 helper 6: the shape fails,
+        # but 2^6 columns are within ROW_GUARD, so the table enumerates its
+        # rows at construction whatever the shape, and the DP declines
         state = init(two_implications)
         for step in schedule(two_implications):
             state = expand(state, *step)
         assert state.selectors.supports == {1: (5,), 2: (6,)}
         row_tables.clear()
         assert ChainTable(two_implications).solve(state.selectors, state.incumbent) is None
-        assert row_tables == [[3, 4]]
+        assert row_tables == [[1, 2, 3, 4, 5, 6]]
         # the same over counted variables, which need no forcing: chooser 1
         # sees 3 and chooser 2 sees 4. A DP that took them as nested would
         # let chooser 2 answer each value of 3 on its own and claim all 4
@@ -545,45 +554,92 @@ class TestChainTable:
         req, sel, table = build_reduction(p)
         assert table.solve(sel, req.incumbent) is None
         assert max_count(req).best_count == brute_force_dqmaxsat(p).achieved_count == 3
-        # the full supports are not nested either, so the table answers no
-        # call: the B&B answers it without a budget, and no row is enumerated
+        # the full supports are not nested either, so the DP answers no
+        # call: the B&B answers it probing the rows, without a budget, and
+        # no row is enumerated again
         row_tables.clear()
-        budgeted = []
-        assert oracle_call(table, sel, req, _recorded(budgeted)) == max_count(req)
-        assert (budgeted, table.spent, row_tables) == ([False], 0, [])
+        kinds = []
+        assert oracle_call(table, sel, req, _probed(kinds)) == max_count(req)
+        assert (kinds, table.spent, row_tables) == (["rows"], 0, [])
 
     def test_an_observation_no_cell_forces(self, or_with_free_helper, row_tables):
         # the helper 5 decides the chooser when counter 2 is false, so no
-        # cell forces it and the full support is not chain-shaped: the table
-        # answers no call, not even one over the counters alone, which the
-        # B&B answers with no row enumerated
+        # cell forces it and the full support is not chain-shaped, but its
+        # 2^5 columns are within ROW_GUARD: the table holds its rows from
+        # construction on. The DP declines the full support, which the B&B
+        # answers probing the rows, and answers a call over the counters
+        # alone, which is chain-shaped; no row is enumerated again
         p = or_with_free_helper
         req, sel, table = build_reduction(p)
-        assert row_tables == [[2, 3, 4]]
+        assert row_tables == [[1, 2, 3, 4, 5]]
         state = expand(init(p), 1, 2)
         row_tables.clear()
         assert table.solve(sel, req.incumbent) is None
-        assert table.solve(state.selectors, state.incumbent) is None
-        budgeted = []
-        assert oracle_call(table, state.selectors, state.request(), _recorded(budgeted)) == \
+        kinds = []
+        assert oracle_call(table, sel, req, _probed(kinds)) == max_count(req)
+        assert oracle_call(table, state.selectors, state.request(), _refused) == \
             max_count(state.request())
-        assert (budgeted, row_tables) == ([False], [])
+        assert (kinds, row_tables) == (["rows"], [])
 
-    def test_rows_past_the_bound(self, row_tables):
+    def test_rows_past_the_bound(self, monkeypatch, row_tables):
         # chooser 1 will see the existential 3, which no cell forces: with
-        # the empty support the call is chain-shaped, but 3 would double the
-        # rows of most (cell, chooser) pairs past Tb = 4. The full support
-        # is not chain-shaped, so the table answers no call and enumerates
-        # no row
+        # the empty support the call is chain-shaped, but 3 doubles the
+        # rows of most (cell, chooser) pairs past Tb = 4: 7 rows. The full
+        # support is not chain-shaped, so only 2^3 columns within ROW_GUARD
+        # bound the rows: then the DP answers the empty support, and the
+        # B&B probing the rows the full one
         f = Cnf.build(3, [[-1, 2, 3]])
         p = Problem.of(f, max_vars=[1], count_vars=[2], exist_vars=[3], deps={1: [3]})
         state = init(p)
-        table = ChainTable(p)
-        assert table.bound == 4
+        table = state.table
+        assert (table.bound, len(table._rows), row_tables) == (4, 7, [[1, 2, 3]])
+        assert oracle_call(table, state.selectors, state.request(), _refused) == max_count(state.request())
+        state = expand(state, 1, 3)
+        kinds = []
+        assert oracle_call(table, state.selectors, state.request(), _probed(kinds)) == \
+            max_count(state.request())
+        assert kinds == ["rows"]
+        # with ROW_GUARD below 2^3 the columns bound nothing: the table
+        # answers no call, and the B&B probes the engine with no row
+        # enumerated
+        monkeypatch.setattr(oracle, "ROW_GUARD", 4)
         row_tables.clear()
+        table = ChainTable(p)
         assert table.solve(state.selectors, state.incumbent) is None
-        assert oracle_call(table, state.selectors, state.request(), max_count) == max_count(state.request())
-        assert row_tables == []
+        assert oracle_call(table, state.selectors, state.request(), _probed(kinds)) == \
+            max_count(state.request())
+        assert (kinds, row_tables) == (["rows", "engine"], [[2]])
+
+    def test_a_row_probed_call_builds_no_engine_and_no_objective(self, two_implications, monkeypatch):
+        # the full supports are not nested: the call is probed on the rows,
+        # and its deferred objective is never built
+        req, sel, table = build_reduction(two_implications)
+        built = []
+        monkeypatch.setattr(Engine, "__init__",
+                            lambda self, *args, real=Engine.__init__: built.append(1) or real(self, *args))
+        res = oracle_call(table, sel, req, max_count)
+        assert (built, "objective" in vars(req)) == ([], False)
+        assert res == max_count(req)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances.problems(max_num_vars=7, max_num_max=3, dep_limit=3), st.randoms())
+    def test_every_call_within_the_guard_matches_the_engine(self, p, rnd):
+        # the global call and every call of an incremental run, each under
+        # a random incumbent: oracle_call, and the B&B probing the rows
+        # whatever the shape, answer as the B&B probing the engine
+        table = ChainTable(p)
+        assume(table.up_front)
+        state = init(p)
+        sels = [state.selectors]
+        for step in schedule(p):
+            state = expand(state, *step)
+            sels.append(state.selectors)
+        for sel in sels:
+            incumbent = {s: rnd.random() < 0.5 for s in sorted(sel.owner)}
+            req = replace(state, selectors=sel, incumbent=incumbent).request()
+            want = max_count(req)
+            assert oracle_call(table, sel, req, max_count) == want
+            assert max_count(req, probe=table.probe(sel)) == want
 
     def test_the_rule(self, monkeypatch):
         # a table that holds its rows is asked first, even where 2^|X| = 2
