@@ -41,6 +41,7 @@ from .dimacs import ParseError, parse_instance, shown
 from .formula import DependencyViolation, MintermFunction, Problem, Solution, eliminate_unseen
 from .incremental import run as run_incremental
 from .local import NoEligibleVariable, plan_split, shared_variables, solve_local
+from .oracle import ChainTable, row_bounded
 from .reduction import BudgetExceeded, solve_global
 
 _METHODS = ("global", "incremental", "local")
@@ -102,10 +103,10 @@ def _load_path(path: str, assume: Optional[str] = None) -> tuple[Problem, Option
     return load_instance_text(_read_text(path), assume)
 
 
-def choose_method(problem: Problem) -> str:
-    """Pick the cheapest applicable method: local when a split exists."""
+def choose_method(problem: Problem, table: Optional[ChainTable] = None) -> str:
+    """Pick the cheapest applicable method: local when a split exists (read off table, if given)."""
     try:
-        plan_split(problem)
+        plan_split(problem, table)
         return "local"
     except NoEligibleVariable:
         return "incremental"
@@ -119,27 +120,23 @@ def run_method(
 ) -> tuple[Solution, str, Optional[list]]:
     """Dispatch one solve; returns (solution, method used, iteration records).
 
-    The local and global methods solve eliminate_unseen(problem): their
-    dependence checks, row tables, B&B probes and the local method's
-    recount all run on it. It is reduced once here, before an auto solve
-    chooses, so the dependence checks of the choice run on it too. The
-    functions read only dependency variables, which the reduction keeps,
-    and their count is the same on problem as given; callers recount them
-    on that problem, which the reduction leaves as it is, so a fault in
-    it cannot reach a printed answer.
-
-    The incremental method solves problem as given, and an auto solve
-    whose choosers share no variable, which can only go incremental, is
-    not reduced (ROADMAP item 7 says why).
-
-    budget caps the selectors of global or the iterations of incremental;
-    the local method takes none, and raises UsageError when given one,
-    also when auto picked it.
+    The local and global methods solve eliminate_unseen(problem), reduced
+    once here, before an auto solve chooses; the functions read only
+    dependency variables, which it keeps, and callers recount them on
+    problem as given, so a fault in it cannot reach a printed answer.
+    Within the row bound (oracle.row_bounded) an auto or local solve's one
+    ChainTable is built here too, whose selectors fit the default budget:
+    its rows answer the choice's dependence checks and the solve's. The
+    incremental method, and an auto solve whose choosers share no variable,
+    solve problem as given (ROADMAP item 7 says why). budget caps the
+    selectors of global or the iterations of incremental; local takes none
+    and raises UsageError when given one, also when auto picked it.
     """
     reducible = method in ("global", "local") or (method == "auto" and shared_variables(problem))
     reduced = eliminate_unseen(problem) if reducible else problem
+    table = ChainTable(reduced) if reducible and method != "global" and row_bounded(reduced) else None
     if method == "auto":
-        method = choose_method(reduced)
+        method = choose_method(reduced, table)
     if method == "local" and budget is not None:
         raise UsageError("--budget applies to the global and incremental methods, not to local")
     iterations = None
@@ -155,7 +152,7 @@ def run_method(
 
         solution = run_incremental(problem, budget=budget, on_iteration=note)
     elif method == "local":
-        solution = solve_local(reduced)
+        solution = solve_local(table or reduced)
     else:
         raise ValueError(f"unknown method {method!r}")
     return solution, method, iterations

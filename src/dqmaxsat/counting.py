@@ -21,6 +21,7 @@ class VerificationMismatch(ValueError):
 def count_projected(f: Cnf, count_vars: Iterable[int], exist_vars: Iterable[int] = ()) -> int:
     """Number of count_vars assignments extendable to a model of f.
 
+    A counted variable that no clause mentions doubles the count unenumerated.
     Variables of f outside count_vars are existentially quantified whether or
     not they are listed in exist_vars; the explicit list only guards against
     accidental overlap between the two roles. The package never passes it
@@ -31,7 +32,7 @@ def count_projected(f: Cnf, count_vars: Iterable[int], exist_vars: Iterable[int]
     overlap = count & set(exist_vars)
     if overlap:
         raise ValueError(f"variables counted and eliminated at once: {sorted(overlap)}")
-    return enumerate_projected(f, count)
+    return enumerate_projected(f, count & f.variables()) << len(count - f.variables())
 
 
 def check_solution(problem: Problem, solution: Solution) -> int:

@@ -41,7 +41,10 @@ class Cnf:
         return Cnf(num_vars, tuple(map(tuple, clause_lists)))
 
     def variables(self) -> frozenset[int]:
-        return frozenset(abs(l) for c in self.clauses for l in c)
+        """The variables the clauses mention, computed once per formula (a Problem's checks do)."""
+        if "_variables" not in self.__dict__:
+            object.__setattr__(self, "_variables", frozenset(abs(l) for c in self.clauses for l in c))
+        return self._variables
 
 
 TRUE_CNF = Cnf(0, ())
@@ -345,4 +348,7 @@ def apply_substitution(p: Problem, s: Solution) -> Cnf:
             )
         for cube, value in _cubes(fn):
             clauses.append(negate_monomial(cube) + (x if value else -x,))
-    return Cnf.build(p.cnf.num_vars, clauses)
+    composed = Cnf.build(p.cnf.num_vars, clauses)
+    added = clauses[len(p.cnf.clauses):]  # its variables, which a recount reads, are the objective's and these
+    object.__setattr__(composed, "_variables", p.cnf.variables().union(*(map(abs, c) for c in added)))
+    return composed

@@ -3,30 +3,26 @@
 A variable u common to all dependency sets can be fixed to a constant: the
 two cofactor sub-problems are independent, strictly smaller, and their
 optima add up. Eligibility requires u to be a counted variable, or an
-existential one that the objective pins down as a function of the counted
-variables (otherwise the two cofactors could double-count); that test is
-oracle.ChainTable's too. plan_split picks up to MAX_SPLIT_VARS of them;
-solve_local solves the leaves and joins them by Shannon expansion.
-
-Each leaf is the cofactor of the problem under its monomial
-(leaf_problems), solved on its own by the global reduction. Leaf counts
-add, so the optima of the whole are the products of the leaves' optima,
-and within one monomial the order of minterms_of is the residual
-support's own order: the product of the leaves' least optima is the least
-optimum of the whole, which solve_local therefore finds by the global
-reduction on the whole instance exactly where oracle.holds_rows(p) (the
-DP answers it; a leaf within the row guard may be probed on its rows).
+existential one that the counted variables force (otherwise the two
+cofactors could double-count); that test is oracle.ChainTable's too, and
+within the row bound both read it off the solve's one table. plan_split
+picks up to MAX_SPLIT_VARS of them; solve_local solves the leaves, each
+the cofactor under its monomial (leaf_problems) solved by the global
+reduction, and joins them by Shannon expansion. Leaf counts add, and
+within one monomial minterms_of keeps the residual support's order, so the
+leaves' least optima make the whole's, which solve_local finds by the
+global reduction on the whole exactly where oracle.holds_rows(p).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .counting import check_solution
 from .engine import Engine
 from .formula import Cnf, MintermFunction, Problem, Solution, cofactor, minterms_of
-from .oracle import holds_rows
+from .oracle import ChainTable, holds_rows, row_bounded
 from .reduction import check_selectors, solve_global
 
 # at most 2**6 = 64 leaves per split
@@ -45,18 +41,16 @@ class NoEligibleVariable(ValueError):
     """No variable qualifies for splitting; use another method."""
 
 
-def functionally_dependent(
-    f: Cnf, candidates: Iterable[int], shared: Iterable[int]
-) -> frozenset[int]:
+def functionally_dependent(f: Cnf, candidates: Iterable[int], shared: Iterable[int],
+                           table: Optional[ChainTable] = None) -> frozenset[int]:
     """The candidates that the shared variables force in every model of f.
 
-    Shared candidates come back as forced. For the others, Padoa's method:
-    every unshared variable gets a copy in a doubled formula, and u is
-    forced when no two models agree on the shared variables yet differ on
-    u; the verdict holds however the unshared ones are later constrained.
-    One engine holds the doubled formula, one assumption query per
-    candidate (u true, its copy false; the copies are symmetric). Verdicts
-    are kept in _VERDICTS for as long as f lives: asked again, no engine.
+    Shared candidates come back as forced, the others where no two models
+    agree on the shared variables yet differ on them: read off the rows of
+    table, the solve's ChainTable of f, where it is bounded, and otherwise
+    by Padoa's method, one engine over a doubled formula (every unshared
+    variable gets a copy) and one assumption query per candidate (u true,
+    its copy false). Verdicts are kept in _VERDICTS for as long as f lives.
     """
     us, ys, n = frozenset(candidates), frozenset(shared), f.num_vars
     for u in us:
@@ -67,7 +61,9 @@ def functionally_dependent(
         return us
     verdicts = _VERDICTS.setdefault(f, {})
     key = (unshared, ys)
-    if key not in verdicts:
+    if key not in verdicts and table is not None and table.bounded:
+        verdicts[key] = table.forced(unshared, ys)
+    elif key not in verdicts:
         # literal-indexed, as in the engine (shadow[-v] is -shadow[v]): shared
         # variables map to themselves, the others to their copy n above
         shadow = [0] + [v if v in ys else v + n for v in range(1, n + 1)]
@@ -84,16 +80,16 @@ def shared_variables(p: Problem) -> frozenset[int]:
     return frozenset.intersection(*(p.deps[x] for x in p.max_vars))
 
 
-def plan_split(p: Problem) -> tuple[int, ...]:
+def plan_split(p: Problem, table: Optional[ChainTable] = None) -> tuple[int, ...]:
     """The variables to split p on, in ascending order.
 
-    Eligible are the variables every chooser sees that the counted
-    variables force (counted ones among them); the smallest MAX_SPLIT_VARS
-    are kept. Raises NoEligibleVariable when there are none.
+    Eligible are the variables every chooser sees that the counted variables
+    force (counted ones among them; table as for functionally_dependent); the
+    smallest MAX_SPLIT_VARS are kept. Raises NoEligibleVariable without any.
     """
     if not p.max_vars:
         raise NoEligibleVariable("no choosers, nothing to split for")
-    eligible = sorted(functionally_dependent(p.cnf, shared_variables(p), p.count_vars))
+    eligible = sorted(functionally_dependent(p.cnf, shared_variables(p), p.count_vars, table))
     if not eligible:
         raise NoEligibleVariable("no common dependency variable qualifies")
     return tuple(eligible[:MAX_SPLIT_VARS])
@@ -126,22 +122,29 @@ def _recombine(p: Problem, split: Sequence[int], leaf_solutions: Sequence[Soluti
     return Solution(functions=functions, achieved_count=achieved, total=p.total)
 
 
-def solve_local(p: Problem) -> Solution:
+def solve_local(p: Problem | ChainTable) -> Solution:
     """Split, solve the leaves, recombine, and recount.
 
-    The selector budget is checked first: the leaves need as many in all.
-    The whole instance is solved by the global reduction where
-    oracle.holds_rows(p), otherwise each leaf's cofactor, one leaf after
-    another. The count is re-verified against an independent recount of
-    the strategies before being returned; a disagreement raises and means
-    a solver bug, never a bad input.
+    p is the problem or its ChainTable (cli.run_method hands its own). The
+    selector budget is checked first: the leaves need as many in all. Within
+    the row bound (oracle.row_bounded) a table is then built unless given.
+    p is solved whole by the global reduction on it where holds_rows(p),
+    otherwise leaf by leaf, each leaf's table taking its rows off this one.
+    The count is re-verified against an independent recount; a disagreement
+    raises and means a solver bug, never a bad input.
     """
+    table, p = (p, p.problem) if isinstance(p, ChainTable) else (None, p)
     check_selectors(len(h) for h in p.deps.values())
-    split = plan_split(p)
-    if holds_rows(p):
-        solution = solve_global(p)
+    table = table or (ChainTable(p) if row_bounded(p) else None)
+    split = plan_split(p, table)
+    if holds_rows(p, table):
+        solution = solve_global(p, table=table)
     else:
         solve_leaf = LEAF_SOLVERS["global"]
-        solution = _recombine(p, split, [solve_leaf(leaf) for leaf in leaf_problems(p, split)])
+        leaves = leaf_problems(p, split)
+        if table is not None and table.bounded:  # each leaf's table takes its rows off this one
+            for leaf, monomial in zip(leaves, minterms_of(split)):
+                object.__setattr__(leaf, "_rows", table.under(monomial))
+        solution = _recombine(p, split, [solve_leaf(leaf) for leaf in leaves])
     check_solution(p, solution)
     return solution

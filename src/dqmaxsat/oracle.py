@@ -23,11 +23,11 @@ observations. Within the row guard (|X| ≤ |Y| and 2^(|X|+|Y|) ≤ ROW_GUARD,
 for |X| choosers and |Y| counted variables) the table enumerates its rows
 at construction where they are few: forcing bounds them by Tb = |cells| ·
 2^|X| where the full supports are chain-shaped, and otherwise 2^|columns|
-≤ ROW_GUARD must. Each call then goes to the DP if chain-shaped, else to
-the B&B probing rows: none builds an engine or an objective. Past the
-guard the engine B&B has one budget of Tb probes per solve; once its calls
-pass it, the table enumerates its rows, if chain-shaped, and is asked
-first on that call and every later one.
+≤ ROW_GUARD must (the row bound: they answer forcing too). Each call then
+goes to the DP if chain-shaped, else to the B&B probing rows: none builds
+an engine or an objective. Past the guard the engine B&B has one budget
+of Tb probes per solve; once its calls pass it, the table enumerates its
+rows, if chain-shaped, and is asked first on that call and every later.
 
 brute_force_dqmaxsat is the function-space reference oracle: it enumerates
 whole strategy tuples over truth tables and is intended for small instances
@@ -231,9 +231,9 @@ def max_count(req: OracleRequest,
     return OracleResult(best, best_count)
 
 
-def holds_rows(p: Problem) -> bool:
-    """Whether ChainTable(p) holds its rows up front and its DP answers; local.solve_local then solves p whole."""
-    return _within_guard(p) and _blocks(p, p.deps) is not None
+def holds_rows(p: Problem, table: Optional["ChainTable"] = None) -> bool:
+    """Whether ChainTable(p) holds its rows up front and its DP answers (table's kept blocks, if given)."""
+    return _within_guard(p) and (_blocks(p, p.deps) if table is None else table.blocks) is not None
 
 
 def _within_guard(p: Problem) -> bool:
@@ -241,7 +241,13 @@ def _within_guard(p: Problem) -> bool:
     return xs <= ys and 1 << (xs + ys) <= ROW_GUARD
 
 
-def _blocks(p: Problem, supports: Mapping[int, Iterable[int]],
+def row_bounded(p: Problem) -> bool:
+    """The row guard and 2^|columns| ≤ ROW_GUARD: ChainTable(p) enumerates its rows whatever their shape,
+    and its |X| choosers need at most |X| · ROW_GUARD / 2^|X| ≤ ROW_GUARD / 2 selectors."""
+    return _within_guard(p) and 1 << len(p.count_vars.union(p.max_vars, *p.deps.values())) <= ROW_GUARD
+
+
+def _blocks(p: Problem, supports: Mapping[int, Iterable[int]], table: Optional["ChainTable"] = None,
             ) -> Optional[list[tuple[tuple[int, ...], list[int], list[int]]]]:
     """The choosers grouped by support, smallest first, or None if the supports are not chain-shaped.
 
@@ -252,8 +258,8 @@ def _blocks(p: Problem, supports: Mapping[int, Iterable[int]],
     or forced by the counted variables and the earlier blocks'
     choosers: then a cell and the earlier choices fix what a block
     sees, so the cells below different observations are disjoint and
-    their counts add. Forcing is Padoa's method, whose verdicts
-    local.functionally_dependent keeps; the table keeps none.
+    their counts add. Forcing is local.functionally_dependent's verdict,
+    which reads it off table, p's own, where that is bounded.
     """
     from . import local  # local imports this module
 
@@ -268,7 +274,7 @@ def _blocks(p: Problem, supports: Mapping[int, Iterable[int]],
     earlier: list[int] = []
     for support in chain:
         new = sorted(set(support) - seen)
-        if local.functionally_dependent(p.cnf, new, p.count_vars.union(earlier)) != set(new):
+        if local.functionally_dependent(p.cnf, new, p.count_vars.union(earlier), table) != set(new):
             return None
         blocks.append((support, by_support[support], new))
         seen = frozenset(support)
@@ -288,25 +294,26 @@ class ChainTable:
     cell and the choosers, so R has at most bound = Tb = |cells| · 2^|X|
     rows, one per cell and chooser tuple.
 
-    up_front: within the row guard, where 2^|columns| ≤ ROW_GUARD or else
-    the full supports are chain-shaped, the rows come first and the cells
-    are their projection. _rows is the list of rows once enumerated, None
-    before, and False when they are not bounded. spent counts the B&B
-    probes that oracle_call budgets.
+    up_front: within the row guard, where 2^|columns| ≤ ROW_GUARD (bounded) or
+    else the full supports are chain-shaped, the rows come first and the cells
+    are their projection; bounded rows also answer forcing (forced), and a
+    split's leaves take theirs off them (under). blocks is the full supports'
+    shape. _rows is the list of rows once enumerated or given, None before,
+    and False when not bounded. spent counts the B&B probes oracle_call budgets.
     """
 
     def __init__(self, p: Problem):
         self.problem = p
         order = sorted(p.count_vars.union(p.max_vars, *p.deps.values()))
         self._rows: list[tuple[int, ...]] | bool | None = None
+        self._given = p.__dict__.get("_rows")
         # each variable's column, and what reads a row's cell
         self._column = {v: i for i, v in enumerate(order)}
         self._cell = _columns([self._column[y] for y in sorted(p.count_vars)])
-        self.up_front = _within_guard(p) and self._enumerate(bounded=1 << len(order) <= ROW_GUARD)
-        if self.up_front:
-            self.cells = tuple(sorted(set(map(self._cell, self._rows))))
-        else:
-            self.cells = reachable_cells(p.cnf, p.count_vars)
+        self.bounded = row_bounded(p)
+        self.up_front = _within_guard(p) and self._enumerate()
+        rows = self._rows if self.up_front else self._given
+        self.cells = reachable_cells(p.cnf, p.count_vars) if rows is None else tuple(sorted(set(map(self._cell, rows))))
         self.bound = len(self.cells) << len(p.max_vars)
         self.spent = 0
 
@@ -315,21 +322,22 @@ class ChainTable:
 
         Also None when the rows are not bounded; otherwise they are
         enumerated first if they are not yet. The selectors are sel's,
-        over its supports, and incumbent assigns every one of
-        them. Each chooser's selector at a group's observation restricts
-        its value there, and a group whose allowed tuples have no rows
-        counts 0. The incumbent is returned when it ties the optimum.
-        Otherwise each selector is fixed in ascending id false, or true if
-        false drops the value below the optimum: the lexicographically
-        least optimum, the first leaf max_count's false-first search
-        accepts, with no SAT call. A selector's observation includes the
-        first block's support values, so it lies under one root group, and
-        fixing it re-evaluates only that group; a selector under none stays
-        false.
+        over its supports (the full ones take the kept blocks), and
+        incumbent assigns every one of them. Each chooser's selector at a
+        group's observation restricts its value there, and a group whose
+        allowed tuples have no rows counts 0. The incumbent is returned
+        when it ties the optimum. Otherwise each selector is fixed in
+        ascending id false, or true if false drops the value below the
+        optimum: the lexicographically least optimum, the first leaf
+        max_count's false-first search accepts, with no SAT call. A
+        selector's observation includes the first block's support values,
+        so it lies under one root group, and fixing it re-evaluates only
+        that group; a selector under none stays false.
         """
         if not self._enumerate():
             return None
-        blocks = _blocks(self.problem, sel.supports)
+        full = all(len(support) == len(self.problem.deps[x]) for x, support in sel.supports.items())
+        blocks = self.blocks if full else _blocks(self.problem, sel.supports, self)
         if blocks is None:
             return None
         if blocks == []:  # no choosers: every cell counts
@@ -355,16 +363,41 @@ class ChainTable:
             best.update(fixed)
         return OracleResult(best, best_count)
 
-    def _enumerate(self, bounded: bool = False) -> bool:
+    @functools.cached_property
+    def blocks(self) -> Optional[list[tuple[tuple[int, ...], list[int], list[int]]]]:
+        """_blocks of the full supports, computed once per table."""
+        return _blocks(self.problem, self.problem.deps, self)
+
+    def _enumerate(self) -> bool:
         """Enumerate the rows unless done; False when not bounded (by few columns or the chain shape)."""
         if self._rows is None:
-            p = self.problem
-            if not bounded and _blocks(p, p.deps) is None:
+            if not self.bounded and self.blocks is None:
                 self._rows = False
+            elif self._given is not None:
+                self._rows = self._given
             else:
                 self._rows = []
-                enumerate_projected(p.cnf, list(self._column), visit=self._rows.append)
+                enumerate_projected(self.problem.cnf, list(self._column), visit=self._rows.append)
         return self._rows is not False
+
+    def under(self, monomial: Iterable[int]) -> list[tuple[int, ...]]:
+        """The rows that agree with monomial, less its columns: the rows of p's cofactor under it."""
+        at = {self._column[abs(lit)]: lit for lit in monomial}
+        on, lits = _columns(list(at)), tuple(at.values())
+        keep = _columns([i for i in range(len(self._column)) if i not in at])
+        return [keep(row) for row in self._rows if on(row) == lits]
+
+    def forced(self, candidates: Iterable[int], shared: Iterable[int]) -> frozenset[int]:
+        """The candidates no two rows agreeing on shared differ on: Padoa's verdict, both sets being columns."""
+        us = sorted(candidates)
+        key, value = _columns([self._column[v] for v in shared]), _columns([self._column[u] for u in us])
+        first, free = {}, set()  # each shared key's first candidate values; positions seen to differ
+        for row in self._rows:
+            if (w := first.setdefault(key(row), v := value(row))) != v:
+                free.update(i for i, (a, b) in enumerate(zip(v, w)) if a != b)
+                if len(free) == len(us):
+                    break
+        return frozenset(u for i, u in enumerate(us) if i not in free)
 
     def probe(self, sel: "SelectorMap") -> Probe:
         """max_count's probe for a call over sel's selectors, read off the rows.

@@ -17,7 +17,7 @@ grows them with SelectorMap.with_support.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .formula import (
     Cnf,
@@ -85,7 +85,7 @@ def selector_objective(p: Problem, sel: SelectorMap) -> Cnf:
     return Cnf.build(sel.num_vars, clauses)
 
 
-def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
+def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET, table: Optional[ChainTable] = None,
                     ) -> tuple[OracleRequest, SelectorMap, ChainTable]:
     """Reduce a dependency-constrained instance to one oracle request.
 
@@ -93,14 +93,14 @@ def build_reduction(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET,
     dependency sets; the original choosers are left uncounted since the
     definition clauses determine them pointwise. Incumbent is the all-false
     (all strategies constant false) assignment. The root cells are those of
-    p.cnf, which the selector objective reaches alike; the solve's row
-    table, returned with the request, gives them. The objective is built
-    when the B&B first reads it, so a solve the table answers builds none.
-    The selector budget is checked before anything is enumerated.
+    p.cnf, which the selector objective reaches alike; table, p's row table
+    if given, else a new one, gives them and is returned with the request.
+    The objective is built when the B&B first reads it, so a solve the
+    table answers builds none. The budget is checked before any enumeration.
     """
     check_selectors((len(h) for h in p.deps.values()), budget)
     sel = SelectorMap.over(p, p.deps)
-    table = ChainTable(p)
+    table = ChainTable(p) if table is None else table
     req = DeferredRequest(lambda: selector_objective(p, sel), {s: False for s in sel.owner},
                           table.cells)
     return req, sel, table
@@ -116,9 +116,9 @@ def decode(sel: SelectorMap, alpha: Mapping[int, bool]) -> Solution:
     return Solution(functions=functions)
 
 
-def solve_global(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET) -> Solution:
-    """Optimal strategies via the one-shot reduction."""
-    req, sel, table = build_reduction(p, budget)
+def solve_global(p: Problem, budget: int = DEFAULT_SELECTOR_BUDGET, table: Optional[ChainTable] = None) -> Solution:
+    """Optimal strategies via the one-shot reduction, on p's table where one is given."""
+    req, sel, table = build_reduction(p, budget, table)
     res = oracle_call(table, sel, req, max_count)
     return replace(decode(sel, res.best), achieved_count=res.best_count, total=p.total)
 

@@ -41,6 +41,14 @@ included) the same way:
 
     python3 tests/ab.py PARENT CHANGE --hand-written --repeat 5
 
+With ``--paper`` they run the paper's games at their real size
+(``tests/paper_games.py``) the same way, once each by default. A run
+that passes ``--timeout`` seconds (60 by default) is stopped and printed
+as timed out, that tree runs the instance no more, and the outputs are
+compared only where both trees finished:
+
+    python3 tests/ab.py PARENT CHANGE --paper --timeout 30
+
 PARENT and CHANGE are checkouts, each holding ``src/dqmaxsat``; make the
 parent's with ``git archive``. A tree against a copy of itself shows how
 far the host's noise alone moves the ratios.
@@ -56,12 +64,14 @@ import io
 import json
 import statistics
 import sys
+import signal
 import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
 from hand_written import HAND_WRITTEN
+from paper_games import PAPER
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SOLVES = ("solve", "solve-program")
@@ -92,10 +102,33 @@ def load_tree(root: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run(cli, argv: list[str]) -> tuple[float, str]:
-    """Milliseconds of one command, and what it printed."""
+class TimedOut(BaseException):
+    """A run stopped at its time limit; not an Exception, so that cli.main lets it through."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimedOut in the block once seconds have passed; no limit when None."""
+    if seconds is None:
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimedOut
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run(cli, argv: list[str], timeout=None) -> tuple[float, str]:
+    """Milliseconds of one command, and what it printed; raises TimedOut past timeout seconds."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), time_limit(timeout):
         t0 = time.perf_counter()
         code = cli.main(argv)
         ms = (time.perf_counter() - t0) * 1000.0
@@ -116,8 +149,12 @@ def masked(argv: list[str], text: str) -> object:
 
 
 def compare(trees: dict, instances, directory: Path, repeat: int,
-            op: str) -> list[tuple[float, float]]:
-    """Per instance, the parent's fastest run of op in ms and the ratio change / parent of the fastest runs."""
+            op: str, timeout=None) -> list[tuple[float, float]]:
+    """Per instance, each tree's fastest run of op in ms: (parent, change).
+
+    A tree whose run passes timeout seconds runs that instance no more,
+    and its time there is infinite.
+    """
     pairs = []
     for k, inst in enumerate(instances):
         path = directory / (inst.name + inst.suffix)
@@ -135,14 +172,25 @@ def compare(trees: dict, instances, directory: Path, repeat: int,
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         best = {name: float("inf") for name in order}
         outputs = {}
+        timed_out = set()
         for _ in range(repeat):
             for name in order:
-                ms, outputs[name] = run(trees[name], argv)
+                if name in timed_out:
+                    continue
+                try:
+                    ms, outputs[name] = run(trees[name], argv, timeout)
+                except TimedOut:
+                    timed_out.add(name)
+                    continue
                 best[name] = min(best[name], ms)
-        if masked(argv, outputs["parent"]) != masked(argv, outputs["change"]):
+        if not timed_out and masked(argv, outputs["parent"]) != masked(argv, outputs["change"]):
             raise SystemExit(f"{inst.name}: the {op} outputs differ")
-        pairs.append((best["parent"], best["change"] / best["parent"]))
+        pairs.append((best["parent"], best["change"]))
     return pairs
+
+
+def shown_ms(ms: float, timeout) -> str:
+    return f"{ms:.1f} ms" if ms < float("inf") else f"timed out after {timeout:g} s"
 
 
 def spread(times: list[float]) -> str:
@@ -155,7 +203,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description="Run one command on the benchmark's instances with two source trees in "
                     "one process and print the per-instance time ratios change / parent per "
-                    "workload, or each instance's ratio with --bundled or --hand-written.")
+                    "workload, or each instance's ratio with --bundled, --hand-written or --paper.")
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--seed", type=int)
@@ -164,24 +212,31 @@ def main(argv=None) -> int:
                     help="time the bundled instances instead of the benchmark's")
     ap.add_argument("--hand-written", action="store_true",
                     help="time the hand-written instances instead of the benchmark's")
+    ap.add_argument("--paper", action="store_true",
+                    help="time the paper's games at their real size instead of the benchmark's")
+    ap.add_argument("--timeout", type=float, default=60.0,
+                    help="seconds per run with --paper before it is stopped (default 60)")
     ap.add_argument("--op", choices=("count", "solve", "check"), action="append",
                     help="a command to time; repeat for more (default solve)")
-    ap.add_argument("--repeat", type=int, default=3, help="runs per tree and instance (default 3)")
+    ap.add_argument("--repeat", type=int, help="runs per tree and instance (default 3, 1 with --paper)")
     ap.add_argument("--workload", action="append", help="one workload; repeat for more (default all)")
     ap.add_argument("--start", type=int, default=0, help="index of the first instance (default 0)")
     ap.add_argument("--stride", type=int, default=1,
                     help="step between the indices of the instances timed (default 1)")
     args = ap.parse_args(argv)
-    if args.bundled and args.hand_written:
-        ap.error("--bundled and --hand-written exclude each other")
-    if not (args.bundled or args.hand_written) and (args.seed is None or args.count is None):
-        ap.error("--seed and --count are required without --bundled or --hand-written")
+    listing = args.bundled + args.hand_written + args.paper
+    if listing > 1:
+        ap.error("--bundled, --hand-written and --paper exclude each other")
+    if not listing and (args.seed is None or args.count is None):
+        ap.error("--seed and --count are required without --bundled, --hand-written or --paper")
+    repeat = args.repeat or (1 if args.paper else 3)
+    timeout = args.timeout if args.paper else None
     if args.start < 0 or args.stride < 1:
         ap.error("--start must be at least 0 and --stride at least 1")
     ops = args.op or ["solve"]
     trees = {name: load_tree(root, f"ab_{name}")
              for name, root in (("parent", args.parent), ("change", args.change))}
-    if args.bundled or args.hand_written:
+    if listing:
         if args.bundled:
             base = args.change / "src" / "dqmaxsat" / "bench"
             listed = [SimpleNamespace(name=Path(fname).stem, suffix=Path(fname).suffix,
@@ -189,13 +244,14 @@ def main(argv=None) -> int:
                       for fname in trees["change"]._SUITE]
         else:
             listed = [SimpleNamespace(name=name, suffix=suffix, text=text)
-                      for name, (suffix, text) in HAND_WRITTEN.items()]
+                      for name, (suffix, text) in (PAPER if args.paper else HAND_WRITTEN).items()]
         for op in ops:
             with tempfile.TemporaryDirectory() as d:
-                pairs = compare(trees, listed, Path(d), args.repeat, op)
-            for inst, (parent_ms, ratio) in zip(listed, pairs):
-                print(f"{inst.name} {op}: parent {parent_ms:.1f} ms, "
-                      f"change {parent_ms * ratio:.1f} ms, ratio {ratio:.3f}")
+                pairs = compare(trees, listed, Path(d), repeat, op, timeout)
+            for inst, (parent_ms, change_ms) in zip(listed, pairs):
+                ratio = f"{change_ms / parent_ms:.3f}" if max(parent_ms, change_ms) < float("inf") else "-"
+                print(f"{inst.name} {op}: parent {shown_ms(parent_ms, timeout)}, "
+                      f"change {shown_ms(change_ms, timeout)}, ratio {ratio}", flush=True)
         return 0
     workloads = load_workloads()
     for workload in args.workload or workloads.WORKLOADS:
@@ -203,15 +259,15 @@ def main(argv=None) -> int:
         instances = [workloads.make_instance(workload, args.seed, i) for i in indices]
         for op in ops:
             with tempfile.TemporaryDirectory() as d:
-                pairs = compare(trees, instances, Path(d), args.repeat, op)
-            ratios = [ratio for _, ratio in pairs]
+                pairs = compare(trees, instances, Path(d), repeat, op)
+            ratios = [change / parent for parent, change in pairs]
             q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
             slowest = sorted(pairs, reverse=True)[:max(1, len(pairs) // 4)]
-            tail = statistics.median(ratio for _, ratio in slowest)
+            tail = statistics.median(change / parent for parent, change in slowest)
             print(f"{workload} {op}: median {median:.3f} [{q1:.3f}, {q3:.3f}], "
                   f"max {max(ratios):.3f}, slowest quarter {tail:.3f} over {len(ratios)} instances")
-            print(f"  parent {spread([ms for ms, _ in pairs])}; "
-                  f"change {spread([ms * ratio for ms, ratio in pairs])}", flush=True)
+            print(f"  parent {spread([parent for parent, _ in pairs])}; "
+                  f"change {spread([change for _, change in pairs])}", flush=True)
     return 0
 
 

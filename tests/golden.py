@@ -28,6 +28,13 @@ about 1.5 s, most of it in capacity6 and capacity:
 
     PYTHONPATH=src python3 tests/golden.py --bundled
 
+With ``--paper`` it prints one sha256 per game of ``tests/paper_games.py``
+(the paper's games at their real size), each the digest of its outputs,
+or that it timed out: each game gets ``--timeout`` seconds (60 by
+default) for its count, solve and check together:
+
+    PYTHONPATH=src python3 tests/golden.py --paper --timeout 120
+
 With ``--formula`` it prints no digest but the size of each workload's
 formulas: the median number of variables, clauses and clauses of two or
 more literals over the first COUNT instances, as loaded and after
@@ -51,8 +58,10 @@ from importlib import resources
 from pathlib import Path
 from unittest import mock
 
+from ab import TimedOut, time_limit
 from dqmaxsat import cli, counting, oracle
 from dqmaxsat.formula import eliminate_unseen
+from paper_games import PAPER
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -154,19 +163,33 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description="Print one sha256 per benchmark workload over its first COUNT instances, "
                     "or over their projected enumerations with --cells, "
-                    "or one over the bundled instances with --bundled; "
+                    "or one over the bundled instances with --bundled, "
+                    "or one per paper game with --paper; "
                     "or the median formula sizes per workload with --formula.")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--count", type=int)
     ap.add_argument("--cells", action="store_true")
     ap.add_argument("--bundled", action="store_true")
     ap.add_argument("--formula", action="store_true")
+    ap.add_argument("--paper", action="store_true")
+    ap.add_argument("--timeout", type=float, default=60.0,
+                    help="seconds per game with --paper before it is stopped (default 60)")
     args = ap.parse_args(argv)
     if args.bundled:
         print("bundled", bundled_digest())
         return 0
+    if args.paper:
+        for name, (suffix, text) in PAPER.items():
+            with tempfile.TemporaryDirectory() as d:
+                try:
+                    with time_limit(args.timeout):
+                        shown = digest(Path(d), name, suffix, text)
+                except TimedOut:
+                    shown = f"timed out after {args.timeout:g} s"
+            print(name, shown, flush=True)
+        return 0
     if args.seed is None or args.count is None:
-        ap.error("--seed and --count are required without --bundled")
+        ap.error("--seed and --count are required without --bundled or --paper")
     workloads = load_workloads()
     if args.formula:
         for workload in workloads.WORKLOADS:

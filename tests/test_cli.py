@@ -670,6 +670,15 @@ class TestCount:
         assert code == 0
         assert out.strip() == "2 of 2"
 
+    def test_counted_variables_no_clause_mentions_double_the_count(self, capsys, tmp_path):
+        # one clause over 2 of the 40 counted variables: the other 38 are
+        # multiplied out, not enumerated
+        path = tmp_path / "wide.dqm"
+        path.write_text(f"p dqmscnf 41 1\nd 41 1 0\nr {' '.join(map(str, range(1, 41)))} 0\n1 2 41 0\n")
+        t0 = time.perf_counter()
+        assert run_cli(capsys, "count", str(path)) == (0, "1099511627776 of 1099511627776\n", "")
+        assert time.perf_counter() - t0 < 1
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

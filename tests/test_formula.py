@@ -296,6 +296,16 @@ class TestApplySubstitution:
         for m in tt_models(4, composed.clauses):
             assert m[1] == fn.evaluate(m)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_composed_formula_lists_the_variables_it_mentions(self, data):
+        # derived from the objective's set, which a recount reads
+        p = data.draw(instances.problems())
+        s = Solution(functions={x: data.draw(instances.functions(tuple(sorted(p.deps[x]))))
+                                for x in p.max_vars})
+        composed = apply_substitution(p, s)
+        assert composed.variables() == {abs(lit) for c in composed.clauses for lit in c}
+
 
 # one chooser, 1, reading counted variables among 2..7 through no objective
 # clause: every clause of the composed formula is a function clause

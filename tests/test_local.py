@@ -13,7 +13,7 @@ from dqmaxsat import cli, counting, local, oracle, reduction
 from dqmaxsat.counting import check_solution
 from dqmaxsat.dimacs import render_instance
 from dqmaxsat.engine import Engine
-from dqmaxsat.formula import Cnf, Problem, eliminate_unseen
+from dqmaxsat.formula import Cnf, Problem, eliminate_unseen, minterms_of
 from dqmaxsat.local import (
     MAX_SPLIT_VARS,
     NoEligibleVariable,
@@ -187,6 +187,30 @@ class TestFunctionalDependency:
         assert functionally_dependent(f, candidates, count_vars) == _forced_by_enumeration(
             num_vars, f.clauses, candidates, count_vars)
 
+    def test_the_rows_answer_within_the_row_bound(self, copy_or_and, engines_built):
+        table = oracle.ChainTable(copy_or_and)
+        assert table.bounded
+        assert functionally_dependent(copy_or_and.cnf, [4, 5], [2, 3], table) == {4, 5}
+        assert functionally_dependent(copy_or_and.cnf, [4, 5], [3], table) == frozenset()
+        assert engines_built == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances.problems(max_num_vars=7, max_num_max=3, dep_limit=3), st.data())
+    def test_the_rows_give_padoas_verdict(self, p, data):
+        # within the row bound the rows are the models projected onto the
+        # columns, so two rows differ on a candidate where two models do
+        assume(oracle.row_bounded(p))
+        table = oracle.ChainTable(p)
+        columns = sorted(table._column)
+        candidates = data.draw(st.sets(st.sampled_from(columns), min_size=1))
+        # each column shared or not, so that wide shared sets come up often
+        picks = data.draw(st.lists(st.booleans(), min_size=len(columns), max_size=len(columns)))
+        shared = {v for v, pick in zip(columns, picks) if pick}
+        padoa = functionally_dependent(p.cnf, candidates, shared)
+        assert table.forced(candidates - shared, shared) == padoa - shared
+        local._VERDICTS.clear()
+        assert functionally_dependent(p.cnf, candidates, shared, table) == padoa
+
 
 class TestPlanSplit:
     def test_both_signals_split(self, copy_or_and):
@@ -352,14 +376,33 @@ class TestConstantLeaves:
         assert searched == [] and oracle_engines == []
         assert len(enumerated) == 1
 
-    def test_an_auto_solve_builds_one_engine_for_its_two_plans(self, monkeypatch, engines_built):
-        plans = []
+    def _plans(self, monkeypatch):
+        """The table each plan_split call of the command line and of local is handed."""
+        tables = []
         monkeypatch.setattr(local, "plan_split",
-                            lambda p, real=plan_split: plans.append(p) or real(p))
+                            lambda p, table=None, real=plan_split: tables.append(table) or real(p, table))
         monkeypatch.setattr(cli, "plan_split", local.plan_split)
+        return tables
+
+    @pytest.mark.parametrize("method, plans", [("auto", 2), ("local", 1), ("global", 0)])
+    def test_a_solve_within_the_row_bound_builds_no_engine(self, method, plans, monkeypatch,
+                                                           engines_built):
+        # the solve's one table answers the plans and the shape of the full
+        # supports from its rows; under auto it is built before the choice
+        tables = self._plans(monkeypatch)
+        solution, used, _ = cli.run_method(_sum_reach_3(), method)
+        assert (used, solution.achieved_count) == ("local" if method == "auto" else method, 26)
+        assert len(tables) == plans and None not in tables and len(set(map(id, tables))) <= 1
+        assert engines_built == []
+
+    def test_an_auto_solve_builds_one_engine_for_its_two_plans(self, monkeypatch, engines_built):
+        # past the row bound no table precedes the choice: Padoa's engine
+        # answers the first plan, and its verdicts the second
+        monkeypatch.setattr(oracle, "ROW_GUARD", 4)
+        tables = self._plans(monkeypatch)
         solution, method, _ = cli.run_method(_sum_reach_3())
         assert (method, solution.achieved_count) == ("local", 26)
-        assert len(plans) == 2
+        assert tables == [None, None]
         assert len(engines_built) == 1
 
     def test_the_chain_test_reuses_the_plans_verdicts(self, engines_built):
@@ -373,6 +416,18 @@ class TestConstantLeaves:
         res = table.solve(sel, {s: False for s in sel.owner})
         assert res is not None and res.best_count == 26
         assert engines_built == []
+
+    def test_a_leaf_table_takes_the_rows_a_fresh_one_enumerates(self, or_with_free_helper):
+        # a split's leaves read their rows and cells off the whole table
+        p = or_with_free_helper
+        table, split = oracle.ChainTable(p), plan_split(p)
+        assert table.bounded and split
+        for leaf, monomial in zip(leaf_problems(p, split), minterms_of(split)):
+            fresh = oracle.ChainTable(leaf)
+            object.__setattr__(leaf, "_rows", table.under(monomial))
+            given = oracle.ChainTable(leaf)
+            assert (given.cells, given.up_front) == (fresh.cells, fresh.up_front)
+            assert (given._enumerate(), given._rows) == (fresh._enumerate(), fresh._rows)
 
     def test_seven_constant_choosers_take_the_leaf_solver(self, monkeypatch):
         # more choosers than counted variables: the table holds no rows up
