@@ -28,9 +28,11 @@ Encoding: each declared name takes one CNF variable per bit, least
 significant bit first, in statement order; gate variables introduced by the
 arithmetic come after all declared bits. A sum is a chain of full adders,
 one XOR3 gate for each bit's sum and one majority gate for each carry but
-the last, which is dropped; comparisons and connectives use AND, OR and
-XOR gates. Each gate gets the Tseitin clauses of the polarities in which
-the formula uses it (Plaisted & Greenbaum, J. Symb. Comput. 1986), so the
+the last, which is dropped. An ``assume`` or ``win`` that is a ``>=`` or
+``<=``, and each bound of a ranged ``random``, asserts a carry chain of
+majority gates; other comparisons and connectives use AND, OR and XOR
+gates. Each gate gets the Tseitin clauses of the polarities in which the
+formula uses it (Plaisted & Greenbaum, J. Symb. Comput. 1986), so the
 formula projects onto the declared bits exactly as the full Tseitin
 encoding does and has fewer clauses. In ``reach`` mode the random bits
 are counted, the input bits are maximized, and everything else is
@@ -458,15 +460,17 @@ class _Lowerer:
 
     A gate takes the next variable id when it is first built, so every gate
     comes after its inputs, and its definition takes its place in the
-    clause order then; root clauses (assert_bit, tie_equal) take theirs as
-    they come. A definition has two halves: the clauses with -g say that g
-    implies its function (half 1), those with g the converse (half 2).
+    clause order then; root clauses (assert_bit, assert_ge, tie_equal) take
+    theirs as they come. A definition has two halves: the clauses with -g
+    say that g implies its function (half 1), those with g the converse
+    (half 2).
     clauses() emits each gate's halves only where a use demands them
     (Plaisted & Greenbaum, J. Symb. Comput. 1986). A literal in an emitted
     clause demands the half that its being true implies: half 1 of its gate
     for a positive literal, half 2 for a negative one. So an asserted bit
     demands half 1, a tied bit both, a negation swaps the halves it
-    demands, and an XOR demands both halves of its inputs. Setting every
+    demands, and an XOR demands both halves of its inputs; so assert_ge's
+    majority carries get half 1 alone, 3 clauses per bit. Setting every
     demanded gate to its function's value, and every other false,
     satisfies this encoding, and in every model of it the emitted halves
     keep each root clause true of the functions' values, so both encodings
@@ -575,14 +579,25 @@ class _Lowerer:
         return self.ripple_add(xs, [self.g_not(b) for b in ys], True)
 
     def unsigned_ge(self, xs: Sequence[Bit], ys: Sequence[Bit]) -> Bit:
-        # xs >= ys iff xs + ~ys + 1 carries out of the top bit. The carries
-        # stay AND/OR/XOR gates: majority gates here solve faster, but wait
-        # on the benchmark's memory metric (ROADMAP item 5)
+        # xs >= ys iff xs + ~ys + 1 carries out of the top bit. A value's
+        # carries stay AND/OR/XOR gates: majority gates solve faster here
+        # too, but the benchmark's memory metric grows with the rounds they
+        # win (ROADMAP item 7)
         carry: Bit = True
         for a, b in zip(xs, [self.g_not(y) for y in ys]):
             axb = self.g_xor(a, b)
             carry = self.g_or(self.g_and(a, b), self.g_and(carry, axb))
         return carry
+
+    def assert_ge(self, xs: Sequence[Bit], ys: Sequence[Bit]) -> None:
+        """Assert xs >= ys: the carry out of xs + ~ys + 1, by majority gates.
+
+        Asserted, each carry demands only half 1 of its gate.
+        """
+        carry: Bit = True
+        for a, b in zip(xs, ys):
+            carry = self.g_maj(a, self.g_not(b), carry)
+        self.assert_bit(carry)
 
     def equal(self, xs: Sequence[Bit], ys: Sequence[Bit]) -> Bit:
         acc: Bit = True
@@ -699,14 +714,17 @@ def encode(prog: BvProgram) -> tuple[Problem, BitMap]:
         if st.kind == "random":
             if st.lo is not None:
                 span = bits[st.name]
-                lower.assert_bit(lower.unsigned_ge(span, _const_bits(st.lo, len(span))))
-                lower.assert_bit(lower.unsigned_ge(_const_bits(st.hi, len(span)), span))
+                lower.assert_ge(span, _const_bits(st.lo, len(span)))
+                lower.assert_ge(_const_bits(st.hi, len(span)), span)
         elif st.kind == "input":
             deps_of[st.name] = tuple(seen_observations)
         elif st.kind == "observe":
             lower.tie_equal(bits[st.name], lower.bits_of(st.expr, bits))
             seen_observations.append(st.name)
-        else:  # assume | win
+        elif st.expr.op in ("ge", "le"):  # assume | win of a comparison
+            xs, ys = (lower.bits_of(arg, bits) for arg in st.expr.args)
+            lower.assert_ge(*((xs, ys) if st.expr.op == "ge" else (ys, xs)))
+        else:  # any other assume | win
             lower.assert_bit(lower.bits_of(st.expr, bits)[0])
 
     num_vars = lower.next_var - 1

@@ -130,15 +130,19 @@ def run_method(
     incremental method, and an auto solve whose choosers share no variable,
     solve problem as given (ROADMAP item 7 says why). budget caps the
     selectors of global or the iterations of incremental; local takes none
-    and raises UsageError when given one, also when auto picked it.
+    and raises UsageError when given one: before any reduction or table
+    when asked for, after the choice when auto picked it.
     """
+    refused = "--budget applies to the global and incremental methods, not to local"
+    if method == "local" and budget is not None:
+        raise UsageError(refused)
     reducible = method in ("global", "local") or (method == "auto" and shared_variables(problem))
     reduced = eliminate_unseen(problem) if reducible else problem
     table = ChainTable(reduced) if reducible and method != "global" and row_bounded(reduced) else None
     if method == "auto":
         method = choose_method(reduced, table)
-    if method == "local" and budget is not None:
-        raise UsageError("--budget applies to the global and incremental methods, not to local")
+        if method == "local" and budget is not None:
+            raise UsageError(refused)
     iterations = None
     if method == "global":
         solution = solve_global(reduced) if budget is None else solve_global(reduced, budget)

@@ -45,9 +45,11 @@ With ``--paper`` they run the paper's games at their real size
 (``tests/paper_games.py``) the same way, once each by default. A run
 that passes ``--timeout`` seconds (60 by default) is stopped and printed
 as timed out, that tree runs the instance no more, and the outputs are
-compared only where both trees finished:
+compared only where both trees finished. ``--game NAME``, repeated for
+more, times only the games named:
 
     python3 tests/ab.py PARENT CHANGE --paper --timeout 30
+    python3 tests/ab.py PARENT CHANGE --paper --game four_guess --game sum_reach_7
 
 PARENT and CHANGE are checkouts, each holding ``src/dqmaxsat``; make the
 parent's with ``git archive``. A tree against a copy of itself shows how
@@ -214,6 +216,8 @@ def main(argv=None) -> int:
                     help="time the hand-written instances instead of the benchmark's")
     ap.add_argument("--paper", action="store_true",
                     help="time the paper's games at their real size instead of the benchmark's")
+    ap.add_argument("--game", action="append", choices=list(PAPER),
+                    help="with --paper, one game to time; repeat for more (default all)")
     ap.add_argument("--timeout", type=float, default=60.0,
                     help="seconds per run with --paper before it is stopped (default 60)")
     ap.add_argument("--op", choices=("count", "solve", "check"), action="append",
@@ -229,6 +233,8 @@ def main(argv=None) -> int:
         ap.error("--bundled, --hand-written and --paper exclude each other")
     if not listing and (args.seed is None or args.count is None):
         ap.error("--seed and --count are required without --bundled, --hand-written or --paper")
+    if args.game and not args.paper:
+        ap.error("--game applies to --paper")
     repeat = args.repeat or (1 if args.paper else 3)
     timeout = args.timeout if args.paper else None
     if args.start < 0 or args.stride < 1:
@@ -243,8 +249,9 @@ def main(argv=None) -> int:
                                       text=(base / fname).read_text())
                       for fname in trees["change"]._SUITE]
         else:
+            chosen = {name: PAPER[name] for name in args.game or PAPER} if args.paper else HAND_WRITTEN
             listed = [SimpleNamespace(name=name, suffix=suffix, text=text)
-                      for name, (suffix, text) in (PAPER if args.paper else HAND_WRITTEN).items()]
+                      for name, (suffix, text) in chosen.items()]
         for op in ops:
             with tempfile.TemporaryDirectory() as d:
                 pairs = compare(trees, listed, Path(d), repeat, op, timeout)

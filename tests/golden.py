@@ -31,9 +31,11 @@ about 1.5 s, most of it in capacity6 and capacity:
 With ``--paper`` it prints one sha256 per game of ``tests/paper_games.py``
 (the paper's games at their real size), each the digest of its outputs,
 or that it timed out: each game gets ``--timeout`` seconds (60 by
-default) for its count, solve and check together:
+default) for its count, solve and check together. ``--game NAME``,
+repeated for more, prints only the games named:
 
     PYTHONPATH=src python3 tests/golden.py --paper --timeout 120
+    PYTHONPATH=src python3 tests/golden.py --paper --game three_probe_leak
 
 With ``--formula`` it prints no digest but the size of each workload's
 formulas: the median number of variables, clauses and clauses of two or
@@ -172,14 +174,19 @@ def main(argv=None) -> int:
     ap.add_argument("--bundled", action="store_true")
     ap.add_argument("--formula", action="store_true")
     ap.add_argument("--paper", action="store_true")
+    ap.add_argument("--game", action="append", choices=list(PAPER),
+                    help="with --paper, one game to print; repeat for more (default all)")
     ap.add_argument("--timeout", type=float, default=60.0,
                     help="seconds per game with --paper before it is stopped (default 60)")
     args = ap.parse_args(argv)
+    if args.game and not args.paper:
+        ap.error("--game applies to --paper")
     if args.bundled:
         print("bundled", bundled_digest())
         return 0
     if args.paper:
-        for name, (suffix, text) in PAPER.items():
+        for name in args.game or PAPER:
+            suffix, text = PAPER[name]
             with tempfile.TemporaryDirectory() as d:
                 try:
                     with time_limit(args.timeout):

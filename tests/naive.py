@@ -303,6 +303,9 @@ class FullTseitinLowerer:
             carry = self.g_or(self.g_and(a, b), self.g_and(carry, axb))
         return carry
 
+    def assert_ge(self, xs: Sequence, ys: Sequence) -> None:
+        self.assert_bit(self.unsigned_ge(xs, ys))
+
     def equal(self, xs: Sequence, ys: Sequence):
         acc = True
         for a, b in zip(xs, ys):

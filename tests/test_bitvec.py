@@ -359,37 +359,38 @@ def _encoding_digest(text: str) -> str:
 
 
 # the bundled programs and SEED's first instances of each .atk workload,
-# taken when gates got only the clauses of the polarities they are used in
-# and sums became full adders (capacity.atk's since before each
-# expression's width was worked out at parse time: it has no sum, and
-# every gate of it is used in both polarities)
+# taken when asserted comparisons became majority carry chains (capacity.atk's
+# since before each expression's width was worked out at parse time: it has
+# no sum and no asserted comparison, and every gate of it is used in both
+# polarities; guessbits.atk's since sums became full adders: it asserts
+# only an equality)
 ENCODINGS = {
     ("capacity.atk", None):
         "4fac1b3ba3644ff7bb23acd850551e8da9b6b087ab165ee403df16fde2c52fed",
     ("capacity6.atk", None):
-        "433cfb42c9843354db200e9246b4967685a036964f8b4356bd2241d1a563df61",
+        "8bf2edd1288d7bebf31dc27e22d7383d114bcf51802a74d559221767e97dd331",
     ("guessbits.atk", None):
         "3c2a0ffc64b40005a65c70fd5188fb08d64415caaa68d679663d28a1369c6d3a",
     ("sum_reach_3.atk", None):
-        "8a1e3fbdff9cfb51adc2cce615a557b8863da56c9777f9c86d13e53859ac9040",
+        "494e4cc886083e6c3d0aa131ee2132545084311065e43e2feb7986862232d369",
     ("sum_reach_4.atk", None):
-        "25bdb09311bd235eb10f2f2b5455b545be35bfbf55f0bda6a18e4875ffd0e2e9",
+        "ae189f6d246ab1b839ab7c5be9b7130f2c2ca2bd3de298b9211ec470538db2da",
     ("local-reach", 0):
-        "5f25711bd247c59d031b61d807669135d57d77b54416af95a986028abcddce9a",
+        "d096bdf335c468146e00c8f648a2e692cc6f91f622ce7d1cbfaf1548dc5958f6",
     ("local-reach", 1):
-        "23ef9a68ff013635fbbb9502c26a4343cef27dc30a033e68f919eb27953a1eed",
+        "00cd22db8c98c2bf593c1adbf5e8780026474e29691345f0728232a0d8c7afc4",
     ("local-reach", 2):
-        "1f3d572bbebe3e2388482ae8567cd5531be80f69a451a29d9c39f15ef8b0da97",
+        "30e9af5fe75ef84c10a9995c48487c636de83a8cc28f879620c572e8c615c3ff",
     ("local-reach", 3):
-        "b4c3cbda7d3f228187d636ecba5c64fd56abd20778ce86e8d4562d0d9f220a6b",
+        "e504015fe974e8c55ccd1208284608f9418eb34a33cd3684e3240bafbb289577",
     ("incremental-probes", 0):
-        "5f65b7142da973e1c71e570eb7235b867b34cc4fd0a2ab4242a2cc8dc77ce13a",
+        "5f64069ed7da0861dee3159c16038082a9c5ae30fcb5785246d65a5f96f7d1a3",
     ("incremental-probes", 1):
-        "c49f9b8ab2d0d3d522ee372bf7ad9e75b77c07930c7769a1e0ebecf90f68a7e3",
+        "191847e882a5e4e9833da714aa51d25c4f2f09189b7fb2372899f899633cf639",
     ("incremental-probes", 2):
-        "1dd3503b575337162bedfc44bcb4049e67577f6e9975d165728f2175b47b4e2c",
+        "d6a6de27a80721b5c0678abd2088cc255a157f11cf578daf2c93b426dda74826",
     ("incremental-probes", 3):
-        "e8f383c07dac761f3496061fb3efef82ce73604d174a5bd3678b72c621d95e69",
+        "a6b07e82e6936302a05b0c0ac907e2f0999f941ce832a154b980b7d4171dd133",
 }
 
 
@@ -445,13 +446,27 @@ def test_encoding_projects_like_full_tseitin(case):
     assert used.issuperset(range(bm.aux_start, bm.num_vars + 1))
 
 
+@st.composite
+def _root_comparisons(draw, width: int):
+    """An asserted >= or <= of two width-bit operands, at most one of them a constant."""
+    x = draw(_expressions(width, width, 2))
+    y = draw(st.one_of(_expressions(width, width, 2),
+                       st.integers(0, (1 << width) - 1).map(lambda v: ("const", v))))
+    if draw(st.booleans()):
+        x, y = y, x
+    return (draw(st.sampled_from(["ge", "le"])), width, x, y)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_asserted_and_tied_expressions_project_like_full_tseitin(data):
     width = data.draw(st.integers(1, 3))
+    lo, hi = sorted(data.draw(st.integers(0, (1 << width) - 1)) for _ in range(2))
+    ranged = data.draw(st.sampled_from(["", f" in {lo}..{hi}"]))
     observed = data.draw(_expressions(width, data.draw(st.sampled_from([width, 1])), 4))
-    assumed, won = (data.draw(_expressions(width, 1, 3)) for _ in range(2))
-    text = (f"width {width}\nmode reach\nrandom a\ninput b\nobserve p := a >= b\n"
+    condition = st.one_of(_expressions(width, 1, 3), _root_comparisons(width))
+    assumed, won = (data.draw(condition) for _ in range(2))
+    text = (f"width {width}\nmode reach\nrandom a{ranged}\ninput b\nobserve p := a >= b\n"
             f"observe o := {_render(observed)}\nassume {_render(assumed)}\nwin {_render(won)}\n")
     assert _declared_cells(text) == _declared_cells(text, full=True)
 
@@ -469,6 +484,19 @@ def test_a_sum_builds_a_full_adder_per_bit_and_no_carry_out(width):
     else:
         assert ops == ["xor", "and"] + ["xor3", "maj"] * (width - 2) + ["xor3"]
     assert out == [g for g, op in enumerate(ops, 2 * width + 1) if op.startswith("xor")]
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+def test_an_asserted_comparison_builds_one_sided_majority_carries(width):
+    lower = bitvec._Lowerer(2 * width + 1)
+    lower.assert_ge(range(1, width + 1), range(width + 1, 2 * width + 1))
+    clauses = lower.clauses()
+    # bit 0's carry in is true, so its majority folds to an OR; every carry
+    # is used only positively, so each gate gets the clauses of half 1 alone
+    assert [op for op, _ in lower._defs] == ["or"] + ["maj"] * (width - 1)
+    assert lower._need == [1] * width
+    assert len(clauses) == 1 + 3 * (width - 1) + 1
+    assert clauses[-1] == (lower.next_var - 1,)
 
 
 @pytest.mark.parametrize("width", range(1, 5))

@@ -790,6 +790,19 @@ class TestSolverBudgets:
         assert "--budget" in err and "not to local" in err
         assert "Traceback" not in err
 
+    def test_a_refused_local_solve_enumerates_nothing(self, capsys, monkeypatch, tmp_path):
+        # an explicit --method local is refused before the row table is built
+        enumerated = []
+        monkeypatch.setattr(oracle, "enumerate_projected",
+                            lambda *args, real=oracle.enumerate_projected, **kwargs:
+                            enumerated.append(args[1]) or real(*args, **kwargs))
+        path = tmp_path / "sum_reach_3.atk"
+        path.write_text(BUNDLED["sum_reach_3.atk"])
+        code, out, err = run_cli(capsys, "solve-program", str(path), "--method", "local", "--budget", "3")
+        assert (code, out) == (2, "")
+        assert "--budget applies to the global and incremental methods, not to local" in err
+        assert enumerated == []
+
     def test_run_method_refuses_a_budget_for_local(self):
         problem, _ = cli.load_instance_text(COPY_OR_AND)
         with pytest.raises(cli.UsageError):

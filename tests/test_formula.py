@@ -221,12 +221,11 @@ class TestEliminateUnseen:
     def test_sum_reach_3(self):
         p = _sum_reach_3()
         q = eliminate_unseen(p)
-        assert (p.cnf.num_vars, len(p.cnf.clauses), len(q.cnf.clauses)) == (39, 75, 70)
-        # of the 27 existential variables outside the dependency sets, all
-        # but 14, 16, 22 and 33 go
-        assert q.cnf.clauses[-23:] == tuple((-v,) for v in [13, 15, *range(17, 22),
-                                                            *range(23, 33), *range(34, 40)])
-        assert all(len(c) > 1 for c in q.cnf.clauses[:-23])
+        assert (p.cnf.num_vars, len(p.cnf.clauses), len(q.cnf.clauses)) == (23, 51, 48)
+        # of the 11 existential variables outside the dependency sets, all
+        # but 14, 16, 19 and 22 go
+        assert q.cnf.clauses[-7:] == tuple((-v,) for v in [13, 15, 17, 18, 20, 21, 23])
+        assert all(len(c) > 1 for c in q.cnf.clauses[:-7])
 
     def test_same_input_same_clause_order(self):
         assert eliminate_unseen(_sum_reach_3()).cnf == eliminate_unseen(_sum_reach_3()).cnf

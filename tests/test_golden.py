@@ -125,4 +125,12 @@ def test_formula_sizes_are_printed_per_workload(capsys):
     text = resources.files("dqmaxsat").joinpath("bench", "sum_reach_3.atk").read_text()
     problem = cli.load_instance_text(text)[0]
     assert formula_sizes([problem]) == \
-        "39 variables; loaded 75 clauses, 73 non-unit; reduced 70 clauses, 47 non-unit"
+        "23 variables; loaded 51 clauses, 49 non-unit; reduced 48 clauses, 41 non-unit"
+
+
+def test_paper_games_are_chosen_by_name(capsys):
+    assert main(["--paper", "--game", "sum_reach_5"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.split()[0] == "sum_reach_5"
+    with pytest.raises(SystemExit):
+        main(["--seed", str(SEED), "--count", "1", "--game", "sum_reach_5"])
